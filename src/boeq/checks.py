@@ -39,6 +39,7 @@ __all__ = [
     "check_torus_commutators",
     "check_lax_evolution",
     "check_isospectrality",
+    "check_formula_isospectrality",
     "check_line_identities",
     "formula_vs_solver",
     "convergence_study",
@@ -52,6 +53,7 @@ __all__ = [
 FINITE_SECTION_TOL = 1e-12
 LAX_EVOLUTION_TOL = 1e-4
 ISOSPECTRAL_TOL = 1e-6
+FORMULA_ISOSPECTRAL_TOL = 1e-10
 
 # calibrated residual/h^2 envelopes for the line checks (default test pair)
 LINE_C = {
@@ -216,6 +218,34 @@ def check_isospectrality(
         drift,
         tolerance,
         n=n, dt=dt, n_eigs=n_eigs, times=list(map(float, times)),
+    )
+
+
+def check_formula_isospectrality(
+    u0: TorusField,
+    coeffs: np.ndarray,
+    n: int,
+    n_eigs: int = 10,
+    tolerance: float = FORMULA_ISOSPECTRAL_TOL,
+) -> CheckReport:
+    """Lowest eigenvalues of L_{u(t)} for the explicit formula's u(t)
+    against those of L_{u0}.
+
+    ``coeffs`` are the Hardy coefficients uhat(t, k), k = 0..K, returned by
+    :func:`evolve_coefficients`; the mean is their real k = 0 entry.  The
+    flow is isospectral, so the two spectra agree to rounding, and a wrong
+    coefficient, the mean included, moves them apart.
+    """
+    modes = dict(enumerate(coeffs))
+    modes[0] = complex(coeffs[0]).real
+    u_t = TorusField.from_modes(len(coeffs) - 1, modes)
+    base = np.linalg.eigvalsh(lax_matrix(u0, n).entries)[:n_eigs]
+    eigs = np.linalg.eigvalsh(lax_matrix(u_t, n).entries)[:n_eigs]
+    return CheckReport.from_residual(
+        "formula_isospectrality",
+        float(np.max(np.abs(eigs - base))),
+        tolerance,
+        n=n, n_eigs=n_eigs, modes=len(coeffs) - 1,
     )
 
 
@@ -472,16 +502,8 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
     levels = [0.08, 0.04, 0.02]
     per_level = {h: check_line_identities(lorentz, LineGrid(40.0, h), t=0.7) for h in levels}
     reports += per_level[0.02]
-    for idx, name in enumerate(
-        ["line_gd", "line_toeplitz_bracket", "line_flow_bracket", "line_dissipativity"]
-    ):
-        rows = []
-        prev = None
-        for h in levels:
-            r = per_level[h][idx].residual
-            order = None if prev is None or r == 0.0 else float(np.log2(prev / r))
-            rows.append(StudyRow(level=h, residual=r, observed_order=order))
-            prev = r
+    for idx, name in enumerate(LINE_CHECK_NAMES):
+        rows = convergence_study(lambda h: per_level[h][idx].residual, levels)
         reports.append(_order_report(f"{name}_order", rows, expected=2.0, window=0.3))
 
     # stepper temporal order (RK4: expect ~4)
@@ -501,10 +523,9 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
         "conservation_energy", abs(q1["energy"] - q0["energy"]) / abs(q0["energy"]), 1e-8,
         n=128, dt=2e-4, t=1.0))
 
-    # explicit formula conserves the mean identically
+    # the explicit formula's u(t) keeps the spectrum of L_{u0}
     coeffs = evolve_coefficients(propagator(cos1, 1.0, 64))
-    reports.append(CheckReport.from_residual(
-        "explicit_mean", abs(coeffs[0] - cos1.coeff(0)), 1e-10, n=64, t=1.0))
+    reports.append(check_formula_isospectrality(cos1, coeffs, n=64))
 
     # cross-oracle
     reports.append(CheckReport.from_residual(

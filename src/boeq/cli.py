@@ -6,8 +6,7 @@ configuration and checksumming the other files.  Exit codes: 0 success,
 1 validation failure, 2 usage/configuration error, 3 numerical failure.
 
 A JSON config document (``--config``) supplies defaults; explicit CLI flags
-override its keys.  ``BOX_THREADS`` caps worker parallelism and
-``BOX_NUMBA=0`` disables the JIT kernels.
+override its keys.  ``BOX_THREADS`` caps worker parallelism.
 """
 from __future__ import annotations
 
@@ -295,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xmin", type=float, default=None)
     sp.add_argument("--xmax", type=float, default=None)
     sp.add_argument("--nx", type=int, default=None)
-    sp.add_argument("--scan", type=str, default=None, help="re0,re1,nre,im0,im1,nim")
+    sp.add_argument("--scan", type=str, default=None,
+                    help="re0,re1,nre,im0,im1,nim; write --scan=-2,... when re0 is negative")
     sp.add_argument("--tail-tol", type=float, default=None,
                     help="spectral tail tolerance at the cutoff (default 1e-10)")
     sp.set_defaults(fn=cmd_solve_line)

@@ -26,13 +26,14 @@ stencil runs.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .accel import hessenberg_solve_shifted
+from .accel import hessenberg_band, hessenberg_of_band, hessenberg_solve_shifted
 from .errors import ConditioningError, ConfigurationError, DomainError, IngestionError
 from .spectral import TWO_PI, HalfLineSpectrum
 
@@ -410,8 +411,9 @@ class ResolventEvaluator:
     """Many-z resolvent evaluations for one (u0, t, grid).
 
     At t = 0 every shift is a banded O(M) solve.  Otherwise a one-time
-    Hessenberg reduction ``A = Q H Q*`` is computed and each shift costs one
-    O(M^2) elimination of ``(H - z I)`` in the accelerated kernel.
+    Hessenberg reduction ``A = Q H Q*`` is computed, H is kept in LAPACK band
+    storage, and each shift costs one LAPACK band solve of ``(H - z I)``,
+    O(M^2), checked by its own residual.
     """
 
     def __init__(
@@ -428,12 +430,15 @@ class ResolventEvaluator:
         self._rhs = _gauge_rhs(u0, self.t, self.grid)[:n - 1]
         self._phase_conj = np.conj(_gauge_phase(self.grid, self.t))
         if self.t == 0.0:
-            self._hess = None
+            self._band = None
             self._q = None
         else:
             a_red = _gauge_operator(u0, self.t, self.grid)[:n - 1, :n - 1]
             hess, q = sla.hessenberg(a_red, calc_q=True)
-            self._hess = np.ascontiguousarray(hess)
+            del a_red  # free each n^2 array once consumed: the peak stays put
+            self._band = hessenberg_band(hess)
+            del hess
+            self._work = threading.local()  # one solve buffer per scan thread
             self._q = q
             self._qh_rhs = q.conj().T @ self._rhs
 
@@ -441,10 +446,19 @@ class ResolventEvaluator:
         z = complex(z)
         if z.imag <= 0:
             raise DomainError(f"Im z = {z.imag:.6g} must be positive")
-        if self._hess is None:
+        if self._band is None:
             g = _solve_reduced_banded(self.grid, z, self._rhs)
         else:
-            y = hessenberg_solve_shifted(self._hess, z, self._qh_rhs)
+            b = self._qh_rhs
+            work = getattr(self._work, "band", None)
+            if work is None:
+                work = self._work.band = np.empty_like(self._band, order="F")
+            y = hessenberg_solve_shifted(self._band, z, b, work)
+            scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
+            h_y = hessenberg_of_band(self._band) @ y
+            residual = float(np.linalg.norm(h_y - z * y - b)) / scale
+            if not residual <= SOLVE_TOL:
+                raise ConditioningError("shifted Hessenberg solve is ill-conditioned", residual)
             g = self._q @ y
         g_full = np.append(g, 0.0)
         fhat = self._phase_conj * unweight_vector(g_full, self.grid)

@@ -5,6 +5,7 @@ import pytest
 
 from boeq.checks import (
     CheckReport,
+    check_formula_isospectrality,
     check_isospectrality,
     check_lax_evolution,
     check_line_identities,
@@ -18,6 +19,7 @@ from boeq.errors import ConfigurationError
 from boeq.line_operators import LineGrid
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
+from boeq.torus_solution import evolve_coefficients, propagator
 
 
 class TestTorusCommutators:
@@ -79,6 +81,26 @@ class TestIsospectrality:
     def test_cos_drift_small(self):
         rep = check_isospectrality(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3)
         assert rep.passed
+
+
+class TestFormulaIsospectrality:
+    @pytest.fixture(scope="class")
+    def formula(self):
+        u0 = torus_preset("cos", 2)
+        return u0, evolve_coefficients(propagator(u0, 1.0, 64))
+
+    def test_formula_output_passes(self, formula):
+        u0, coeffs = formula
+        rep = check_formula_isospectrality(u0, coeffs, n=64)
+        assert rep.passed
+        assert rep.residual < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_perturbed_coefficient_fails(self, formula, k):
+        u0, coeffs = formula
+        bad = coeffs.copy()
+        bad[k] += 1e-6
+        assert not check_formula_isospectrality(u0, bad, n=64).passed
 
 
 class TestLineIdentities:

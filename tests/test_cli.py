@@ -160,6 +160,15 @@ class TestSolveLineCommand:
         spectrum = (out / "initial_spectrum.csv").read_text().splitlines()
         assert spectrum[0] == "xi,re,im"
 
+    def test_readme_scan_with_negative_start(self, tmp_path):
+        out = tmp_path / "scan"
+        code = main(["solve-line", "--preset", "gaussian:a=1,w=1", "--t", "0",
+                     "--scan=-2,2,21,0.2,2,10", "--out", str(out)])
+        assert code == 0
+        lines = (out / "uhp_scan.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 21 * 10
+        assert lines[1].startswith("-2")
+
     def test_csv_datum_roundtrip(self, tmp_path):
         x = np.linspace(-80, 80, 2048)
         datum = tmp_path / "datum.csv"

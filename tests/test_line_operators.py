@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from boeq.errors import ConfigurationError, DomainError
+from boeq.accel import hessenberg_of_band
+from boeq.errors import ConditioningError, ConfigurationError, DomainError
 from boeq.line_operators import (
     LineField,
     LineGrid,
@@ -242,6 +243,19 @@ class TestResolventEvaluator:
             np.testing.assert_allclose(
                 ev.hardy_solution(z).values, direct.values, atol=1e-9
             )
+
+    @pytest.mark.parametrize("corruption", ["nan_diagonal", "below_subdiagonal"])
+    def test_corrupted_band_fails_residual_check(self, corruption):
+        ev = ResolventEvaluator(lorentzian(), 0.35, LineGrid(40.0, 0.08))
+        ev.hardy_solution(0.5 + 0.6j)
+        h = hessenberg_of_band(ev._band)
+        if corruption == "nan_diagonal":
+            h[3, 3] = np.nan
+        else:
+            # the band solve never reads below the subdiagonal; H y does
+            h[6, 4] = np.max(np.abs(h))
+        with pytest.raises(ConditioningError):
+            ev.hardy_solution(0.5 + 0.6j)
 
     def test_value_is_scaled_boundary_functional(self):
         grid = LineGrid(40.0, 0.04)
