@@ -1,8 +1,8 @@
 """Benjamin-Ono solutions from spectral resolvent formulas.
 
-The torus flow is evaluated through one Hermitian matrix exponential per
-(initial field, time) and a shift-resolvent recurrence for the Fourier
-coefficients; the line flow through a frequency-side generator/convolution
+The torus flow is evaluated through Hermitian matrix exponentials built
+from one eigendecomposition per initial field, shared by every time, and a
+shift-resolvent recurrence for the Fourier coefficients; the line flow through a frequency-side generator/convolution
 system solved in gauge variables on the upper half-plane.  An independent
 integrating-factor RK4 pseudo-spectral stepper cross-checks both, and a
 validation suite asserts the operator identities the formulas rest on.

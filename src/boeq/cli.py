@@ -38,10 +38,10 @@ from .fileio import (
 from .line_operators import LineField, LineGrid
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
-from .spectral import TWO_PI, project_hardy, synthesize_torus
+from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
 from .timestepper import evolve
 from .torus_operators import b_matrix, lax_matrix
-from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
+from .torus_solution import evolve_coefficients, propagator
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -152,7 +152,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
             coeffs = evolve_coefficients(prop, k)
             write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs, prop.mean)
             write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
-            u_exp = reconstruct_torus(prop, k, n_samples)
+            u_exp = synthesize_torus(HardyTorusVector(coeffs), prop.mean, n_samples)
             write_samples_csv(outdir / f"solution_{tag}.csv", x, u_exp)
         if method == "spectral":
             f = spectral_fields[t]

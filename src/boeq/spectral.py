@@ -179,6 +179,12 @@ class EigenSystem:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, float)))
 
+    def evolution(self, tau: float) -> OperatorMatrix:
+        """Unitary ``exp(i tau A) = V exp(i tau Lambda) V*``, checked as unitary."""
+        v = self.eigenvectors.entries
+        u = (v * np.exp(1j * tau * self.eigenvalues)) @ v.conj().T
+        return OperatorMatrix(u, tag="unitary")
+
 
 # ---------------------------------------------------------------------------
 # line spectrum samples
@@ -312,7 +318,4 @@ def eigen_system(a: OperatorMatrix, tol: float = EIG_TOL) -> EigenSystem:
 
 def hermitian_evolution(a: OperatorMatrix, tau: float, tol: float = EIG_TOL) -> OperatorMatrix:
     """Unitary ``exp(i tau A)`` of a Hermitian matrix via eigendecomposition."""
-    es = eigen_system(a, tol=tol)
-    v = es.eigenvectors.entries
-    u = (v * np.exp(1j * tau * es.eigenvalues)) @ v.conj().T
-    return OperatorMatrix(u, tag="unitary")
+    return eigen_system(a, tol=tol).evolution(tau)

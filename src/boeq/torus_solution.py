@@ -1,28 +1,34 @@
-"""Solution of the torus flow at time t by one Hermitian exponential.
+"""Solution of the torus flow at time t from one eigendecomposition per datum.
 
-The propagator stores the unitary factor ``exp(2it L_{u0})`` (one
-eigendecomposition per (u0, t)), the scalar phase ``exp(it)``, and the
-initial Hardy vector.  Fourier coefficients of the solution come from the
-power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >`` with
-``M = exp(it) exp(2it L_{u0}) S*``, and values on the disc from the
+Time enters the formula only through ``exp(2it L_{u0})``, so the checked
+eigensystem ``L_{u0} = V Lambda V*`` is computed once per (u0, N) and
+reused by every later propagator of the same datum.  A propagator stores
+the unitary factor ``exp(2it L_{u0}) = V exp(2it Lambda) V*``, the scalar
+phase ``exp(it)``, and the initial Hardy vector.  Fourier coefficients of
+the solution come from the power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >``
+with ``M = exp(it) exp(2it L_{u0}) S*``, and values on the disc from the
 resolvent ``Pu(t, z) = < (I - z M)^{-1} Pu0 | 1 >``, solved densely.
 """
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ConditioningError, DomainError, TruncationWarning
 from .spectral import (
+    EigenSystem,
     HardyTorusVector,
     OperatorMatrix,
     TorusField,
-    hermitian_evolution,
+    hermitian_evolution,  # noqa: F401  (traced here by perfbench/spans.py)
     synthesize_torus,
 )
-from .torus_operators import lax_matrix, shift_adjoint
+from .torus_operators import lax_matrix
+from .torus_operators import shift_adjoint  # noqa: F401  (traced here by perfbench/spans.py)
 
 __all__ = [
     "TorusPropagator",
@@ -39,7 +45,11 @@ TAIL_WARN = 1e-8
 
 @dataclass(frozen=True)
 class TorusPropagator:
-    """Frozen data of the time-t solution operator for one initial field."""
+    """Frozen data of the time-t solution operator for one initial field.
+
+    ``evolution`` is rebuilt per time from the eigensystem shared by every
+    propagator of the same (u0, N).
+    """
 
     t: float
     p0: HardyTorusVector
@@ -53,13 +63,40 @@ class TorusPropagator:
         return self.p0.max_mode
 
 
+# The eigensystem of the last datum seen: (key, EigenSystem).  One entry is
+# enough for the callers that repeat a datum (several times of one run), and
+# it never holds more than one n x n matrix.
+_eigen_memo: tuple[tuple[bytes, int], EigenSystem] | None = None
+_eigen_lock = threading.Lock()
+
+
+def _lax_eigensystem(u0: TorusField, n: int) -> EigenSystem:
+    """Checked eigensystem of L_{u0} at truncation n, reused for a repeated datum."""
+    global _eigen_memo
+    key = (u0.coeffs.tobytes(), n)
+    with _eigen_lock:
+        if _eigen_memo is None or _eigen_memo[0] != key:
+            # looked up at call time, so a wrapper installed on the module sees it
+            _eigen_memo = (key, spectral.eigen_system(lax_matrix(u0, n)))
+        return _eigen_memo[1]
+
+
 def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
-    """Assemble the propagator for initial field u0 at time t, truncation n."""
-    lax = lax_matrix(u0, n)
-    evolution = hermitian_evolution(lax, 2.0 * t)
+    """Assemble the propagator for initial field u0 at time t, truncation n.
+
+    The eigensystem of L_{u0} is computed and checked on the first call for
+    a datum; calls at other times reuse it and build only
+    ``exp(2it L_{u0})``, whose unitarity is checked on every call.
+    """
+    evolution = _lax_eigensystem(u0, n).evolution(2.0 * t)
     phase = complex(np.exp(1j * t))
-    shift = shift_adjoint(n)
-    matrix = phase * (evolution.entries @ shift.entries)
+    # M = phase * evolution * S*, where S* moves column j - 1 to column j.
+    # Scaled in place: numpy rounds ``X *= phase`` and ``phase * X``
+    # differently, and the in-place form equals the dense phase * (U @ S*)
+    # bit for bit.
+    matrix = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    matrix[:, 1:] = evolution.entries[:, :-1]
+    matrix *= phase
     hardy = np.array([u0.coeff(k) for k in range(n + 1)])
     return TorusPropagator(
         t=t,

@@ -131,6 +131,29 @@ class TestSolveTorusCommand:
         code = main(["solve-torus", "--preset", "sawtooth", "--out", str(tmp_path / "r")])
         assert code == 2
 
+    def test_each_truncation_warning_recorded_once(self, tmp_path):
+        # one recurrence per time: cos:a=3 at n = 16 warns once at each of two times
+        out = tmp_path / "run"
+        code = main(["solve-torus", "--preset", "cos:a=3", "--n", "16", "--samples", "64",
+                     "--t", "1.0,2.0", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["warnings"]) == 2
+
+    def test_multi_time_run_matches_single_time_runs(self, tmp_path, monkeypatch):
+        import boeq.torus_solution as ts
+
+        args = ["solve-torus", "--preset", "twomode:a=1,b=0.5", "--n", "32", "--samples", "128"]
+        times = ["0.1", "0.5", "1.0"]
+        assert main(args + ["--t", ",".join(times), "--out", str(tmp_path / "multi")]) == 0
+        for i, t in enumerate(times):
+            monkeypatch.setattr(ts, "_eigen_memo", None)  # each single run factors afresh
+            single = tmp_path / f"single{i}"
+            assert main(args + ["--t", t, "--out", str(single)]) == 0
+            for stem in ("coeffs", "solution"):
+                multi_bytes = (tmp_path / "multi" / f"{stem}_t{i:02d}.csv").read_bytes()
+                assert multi_bytes == (single / f"{stem}_t00.csv").read_bytes()
+
 
 class TestSolveLineCommand:
     def test_zero_preset(self, tmp_path):
@@ -204,6 +227,15 @@ class TestSolveLineCommand:
         # lorentzian tail does not fit a tiny cutoff
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0",
                      "--cutoff", "5", "--out", str(tmp_path / "r")])
+        assert code == 2
+
+    def test_dense_operator_over_memory_budget_exits_2(self, tmp_path, monkeypatch):
+        import boeq.line_operators as lo
+
+        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 ** 20)
+        code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
+                     "--cutoff", "16", "--tail-tol", "1e-6", "--nx", "3",
+                     "--out", str(tmp_path / "r")])
         assert code == 2
 
 

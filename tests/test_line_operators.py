@@ -266,6 +266,47 @@ class TestResolventEvaluator:
         )
 
 
+class TestDenseMemoryBudget:
+    @pytest.fixture
+    def tight_budget(self, monkeypatch):
+        # a 1 MiB machine; any dense assembly would fail the test loudly
+        import boeq.line_operators as lo
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense operator assembled past the budget check")
+
+        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(lo, "_weighted_generator", no_dense)
+        monkeypatch.setattr(lo, "toeplitz_line", no_dense)
+
+    @pytest.mark.parametrize("path", ["solve", "system", "evaluator"])
+    def test_refused_before_allocation(self, tight_budget, path):
+        grid = LineGrid(40.0, 0.08)  # M = 501: four dense arrays need 16 MB
+        with pytest.raises(ConfigurationError, match="physical memory"):
+            if path == "solve":
+                resolvent_solve(lorentzian(), 0.3, 1j, grid)
+            elif path == "system":
+                resolvent_system(lorentzian(), 0.3, 1j, grid)
+            else:
+                ResolventEvaluator(lorentzian(), 0.3, grid)
+
+    def test_banded_t0_paths_unaffected(self, tight_budget):
+        grid = LineGrid(40.0, 0.08)
+        f = resolvent_solve(lorentzian(), 0.0, 1j, grid)
+        ev = ResolventEvaluator(lorentzian(), 0.0, grid)
+        np.testing.assert_array_equal(ev.hardy_solution(1j).values, f.values)
+
+    def test_estimate_scales_with_grid(self, monkeypatch):
+        import boeq.line_operators as lo
+
+        grid = LineGrid(40.0, 0.08)
+        need = lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
+        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 * need)
+        lo._check_dense_budget(grid)
+        with pytest.raises(ConfigurationError):
+            lo._check_dense_budget(grid.refined(2))
+
+
 class TestWeightedFrame:
     def test_similarity_roundtrip(self):
         grid = LineGrid(5.0, 0.25)

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from boeq.errors import DomainError
-from boeq.spectral import TWO_PI, TorusField, project_hardy, synthesize_torus
+from boeq.spectral import (
+    TWO_PI,
+    TorusField,
+    hermitian_evolution,
+    project_hardy,
+    synthesize_torus,
+)
 from boeq.timestepper import evolve
-from boeq.torus_operators import shift_adjoint
+from boeq.torus_operators import lax_matrix, shift_adjoint
 from boeq.torus_solution import (
     evaluate_disc,
     evolve_coefficients,
@@ -39,6 +45,50 @@ class TestPropagator:
         for _ in range(5):
             v = rng.standard_normal(17) + 1j * rng.standard_normal(17)
             assert abs(np.linalg.norm(prop.matrix @ v) - np.linalg.norm(s @ v)) < 1e-10
+
+
+class TestEigenMemo:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        import boeq.spectral
+        import boeq.torus_solution as ts
+
+        calls = []
+        real = boeq.spectral.eigen_system
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].dim)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ts, "_eigen_memo", None)
+        monkeypatch.setattr(boeq.spectral, "eigen_system", counted)
+        return calls
+
+    def test_one_eigensystem_for_three_times(self, eigh_calls):
+        u = cos_field(16)
+        props = [propagator(u, t, 16) for t in (0.1, 0.5, 1.0)]
+        assert eigh_calls == [17]
+        for prop in props:
+            np.testing.assert_allclose(
+                prop.evolution.entries,
+                hermitian_evolution(lax_matrix(u, 16), 2.0 * prop.t).entries,
+                atol=1e-13,
+            )
+
+    def test_changed_datum_or_truncation_recomputes(self, eigh_calls):
+        u = cos_field(16)
+        coeffs = u.coeffs.copy()
+        coeffs[16 + 2] = coeffs[16 - 2] = 1e-9
+        propagator(u, 0.5, 16)
+        propagator(TorusField(16, coeffs), 0.5, 16)
+        propagator(u, 0.5, 16)
+        propagator(u, 0.5, 12)
+        assert eigh_calls == [17, 17, 17, 13]
+
+    def test_matrix_is_phased_evolution_times_shift(self):
+        prop = propagator(cos_field(16), 0.9, 16)
+        expected = prop.phase * (prop.evolution.entries @ shift_adjoint(16).entries)
+        np.testing.assert_allclose(prop.matrix, expected, rtol=0, atol=1e-15)
 
 
 class TestCoefficients:
