@@ -56,7 +56,6 @@ from .timestepper import (
     conserved_quantities,
     evolve,
     evolve_line_on_box,
-    step,
 )
 from .line_operators import (
     LineField,

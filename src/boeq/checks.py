@@ -41,10 +41,11 @@ __all__ = [
     "check_isospectrality",
     "check_formula_isospectrality",
     "check_line_identities",
+    "march_times",
     "formula_vs_solver",
+    "formula_vs_solver_times",
     "convergence_study",
     "run_study",
-    "stepper_temporal_residual",
     "StudyRow",
     "STUDY_CHECKS",
     "default_suite",
@@ -203,14 +204,7 @@ def check_isospectrality(
     """Drift of the lowest eigenvalues of L_{u(t)} along the solver flow."""
     base = np.sort(np.linalg.eigvalsh(lax_matrix(u0, n).entries))[:n_eigs]
     drift = 0.0
-    current = u0
-    t_prev = 0.0
-    for t in sorted(times):
-        if t < t_prev:
-            raise ConfigurationError("times must be non-decreasing")
-        if t > t_prev:
-            current = evolve(current, t - t_prev, dt, n).final()
-            t_prev = t
+    for current in march_times(u0, times, dt, n).values():
         eigs = np.sort(np.linalg.eigvalsh(lax_matrix(current, n).entries))[:n_eigs]
         drift = max(drift, float(np.max(np.abs(eigs - base))))
     return CheckReport.from_residual(
@@ -363,15 +357,46 @@ def check_line_identities(
 # cross-oracle and studies
 # ---------------------------------------------------------------------------
 
+def march_times(u0: TorusField, times: Sequence[float], dt: float, n: int) -> dict[float, TorusField]:
+    """Stepper solutions at every distinct time, keyed by time.
+
+    Each side of t = 0 is marched once, outward in |t|: one ``evolve``
+    segment per time, starting from the previous time's field.  A segment
+    ends with an exact partial step, so every time is landed on exactly, and
+    no stretch is stepped twice.  The stepper state between segments is the
+    field itself, so times on the dt grid get the same bits as one ``evolve``
+    from t = 0.
+    """
+    fields: dict[float, TorusField] = {}
+    forward = sorted({float(t) for t in times if t >= 0})
+    backward = sorted({float(t) for t in times if t < 0}, reverse=True)
+    for side in (forward, backward):
+        current, t_prev = u0, 0.0
+        for t in side:
+            current = evolve(current, t - t_prev, dt, n).final()
+            fields[t], t_prev = current, t
+    return fields
+
+
+def formula_vs_solver_times(u0: TorusField, times: Sequence[float], n: int, dt: float,
+                            n_samples: int = 512) -> list[float]:
+    """Relative L^2 distance between the propagator reconstruction and the
+    time stepper at each of ``times``, from one march (:func:`march_times`)."""
+    fields = march_times(u0, times, dt, n)
+    out = []
+    for t in times:
+        u_ref = fields[float(t)]
+        ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
+        mine = reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)
+        scale = float(np.linalg.norm(ref))
+        out.append(float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny))
+    return out
+
+
 def formula_vs_solver(u0: TorusField, t: float, n: int, dt: float, n_samples: int = 512) -> float:
     """Relative L^2 distance between the propagator reconstruction and the
     time stepper at time t."""
-    traj = evolve(u0, t, dt, n)
-    u_ref = traj.final()
-    ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
-    mine = reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)
-    scale = float(np.linalg.norm(ref))
-    return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
+    return formula_vs_solver_times(u0, [t], n, dt, n_samples)[0]
 
 
 @dataclass(frozen=True)
@@ -400,8 +425,8 @@ def convergence_study(
     return rows
 
 
-def stepper_temporal_residual(u0: TorusField, t: float, n: int, dt: float,
-                              dt_ref_factor: int = 8) -> float:
+def _stepper_temporal_residual(u0: TorusField, t: float, n: int, dt: float,
+                               dt_ref_factor: int = 8) -> float:
     """Coefficient-space distance of a dt run from a dt/factor reference."""
     ref = evolve(u0, t, dt / dt_ref_factor, n).final().coeffs
     run = evolve(u0, t, dt, n).final().coeffs
@@ -429,7 +454,7 @@ def run_study(check: str, levels: Sequence[float], **fixed) -> list[StudyRow]:
     elif check == "stepper_order":
         u0 = fixed.get("u0") or torus_preset("cos", 2)
         t, n = float(fixed.get("t", 0.5)), int(fixed.get("n", 64))
-        fn = lambda dt: stepper_temporal_residual(u0, t, n, dt)
+        fn = lambda dt: _stepper_temporal_residual(u0, t, n, dt)
     elif check == "formula_vs_solver":
         u0 = fixed.get("u0") or torus_preset("cos", 2)
         t, dt = float(fixed.get("t", 0.3)), float(fixed.get("dt", 5e-4))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import default_suite
+from .checks import default_suite, formula_vs_solver_times, march_times
 from .errors import BoeqError, ConfigurationError, IngestionError
 from .fileio import (
     read_samples_csv,
@@ -39,7 +39,7 @@ from .line_operators import LineField, LineGrid
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
 from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
-from .timestepper import evolve
+from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
 
@@ -126,18 +126,10 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n).entries)
 
     diffs = []
-    spectral_fields = {}
     if method in ("spectral", "both"):
-        # march in segments so every requested time is hit exactly,
-        # whether or not it is a multiple of dt
-        current, t_prev = u0, 0.0
-        for t in sorted(times):
-            if t < 0:
-                raise ConfigurationError("times must be non-negative")
-            if t > t_prev:
-                current = evolve(current, t - t_prev, float(cfg["dt"]), n).final()
-                t_prev = t
-            spectral_fields[t] = current
+        if any(t < 0 for t in times):
+            raise ConfigurationError("times must be non-negative")
+        spectral_fields = march_times(u0, times, float(cfg["dt"]), n)
         samples_sets = [
             synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
             for f in (spectral_fields[t] for t in times)
@@ -243,15 +235,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg["n_list"] = _parse_ints(cfg["n_list"])
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
-    from .checks import formula_vs_solver
 
     name, params = parse_preset(str(cfg["preset"]))
+    times = [float(v) for v in cfg["t"]]
+    dt = float(cfg["dt"])
     rows = []
     for n in [int(v) for v in cfg["n_list"]]:
         u0 = torus_preset(name, n, **params)
-        for t in [float(v) for v in cfg["t"]]:
-            rel = formula_vs_solver(u0, t, n, float(cfg["dt"]), int(cfg["samples"]))
-            rows.append((t, n, float(cfg["dt"]), rel))
+        rels = formula_vs_solver_times(u0, times, n, dt, int(cfg["samples"]))
+        rows += [(t, n, dt, rel) for t, rel in zip(times, rels)]
     with (outdir / "compare.csv").open("w", newline="") as fh:
         fh.write("t,n,dt,rel_l2\n")
         for t, n, dt, rel in rows:

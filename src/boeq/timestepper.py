@@ -3,10 +3,18 @@
 The linear part ``d/dx |D|`` has symbol ``i k |k|`` and is integrated exactly
 through an integrating factor; the quadratic term is advanced with classical
 RK4 on the transformed variable (integrating-factor RK4, cf. Kassam &
-Trefethen, SISC 26 (2005) for the family of exponential steppers).  Products
-are formed on a zero-padded grid large enough that every retained mode of
-the quadratic is alias-free, then cut with the 2/3 rule, so the dealiasing
-property "cut changes nothing for band-limited data" holds to the bit.
+Trefethen, SISC 26 (2005) for the family of exponential steppers).  The
+field is real, so the stepper carries only the half spectrum c_0..c_N and
+forms products with real FFTs (``irfft``/``rfft``): the result is conjugate
+symmetric by construction, and the negative modes are filled in only when a
+field is handed back.  Products are formed on a zero-padded grid large
+enough that every retained mode of the quadratic is alias-free, then cut
+with the 2/3 rule, so the dealiasing property "cut changes nothing for
+band-limited data" holds to the bit.  Complex (non-real) data are refused.
+
+Callers that need several times (``boeq compare``, ``solve-torus --method
+spectral``, the isospectrality check) march once through them in order,
+one :func:`evolve` segment per time (``boeq.checks.march_times``).
 
 A rescaled run doubles as a line oracle: if u solves the equation on the
 line, then ``v(s, y) = lam * u(lam^2 s, lam (y - pi))`` with ``lam = X / pi``
@@ -23,8 +31,8 @@ from typing import Callable
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import BlowUpError, StabilityWarning
-from .spectral import TWO_PI, TorusField, from_fft_layout, to_fft_layout
+from .errors import BlowUpError, InvalidFieldError, StabilityWarning
+from .spectral import SYMMETRY_TOL, TWO_PI, TorusField
 
 __all__ = [
     "SolverState",
@@ -67,41 +75,53 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed tables for repeated steps at fixed (N, dt)."""
+    """Precomputed tables and padded FFT buffer for repeated steps at fixed
+    (N, dt), acting on the retained half spectrum c_0..c_cut of a real field.
+
+    Modes above the cut carry nothing into a step (the nonlinear term reads
+    only modes 0..cut and the step output is cut), so the state is just the
+    cut + 1 retained modes; the negative ones are their conjugates.
+    """
 
     def __init__(self, n: int, dt: float, dealias: bool = True):
-        self.n = n
         self.dt = dt
-        self.dealias = dealias
-        self.cut = (2 * n) // 3
-        self.k = np.concatenate([np.arange(0, n + 1), np.arange(-n, 0)])
-        self.mask = np.abs(self.k) <= self.cut if dealias else np.ones(2 * n + 1, bool)
-        self.pad = next_fast_len(4 * n + 2)
-        sym = 1j * self.k * np.abs(self.k)
+        self.cut = (2 * n) // 3 if dealias else n
+        k = np.arange(self.cut + 1)
+        self.minus_ik = -1j * k
+        # u^2 reaches mode 2 * cut, which folds onto a kept mode only on
+        # grids of at most 3 * cut points; sizing by n keeps one grid for
+        # both cuts, so they round alike
+        self.pad = next_fast_len(3 * n + 1, real=True)
+        self.buf = np.zeros(self.pad // 2 + 1, dtype=np.complex128)
+        sym = 1j * k * k
         self.e_half = np.exp(sym * dt / 2.0)
         self.e_full = self.e_half * self.e_half
 
-    def nonlinear(self, cf: np.ndarray) -> np.ndarray:
-        """-ik * fft(u^2) with exact padded product and 2/3 cut."""
-        n, pad = self.n, self.pad
-        cfc = np.where(self.mask, cf, 0.0)
-        big = np.zeros(pad, dtype=np.complex128)
-        big[:n + 1] = cfc[:n + 1]
-        big[-n:] = cfc[-n:]
-        u = np.fft.ifft(big) * pad
-        w = np.fft.fft(u * u) / pad
-        prod = np.concatenate([w[:n + 1], w[-n:]])
-        prod = np.where(self.mask, prod, 0.0)
-        return -1j * self.k * prod
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
+        """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of c (exact padded product)."""
+        m = self.cut + 1
+        self.buf[:m] = c[:m]
+        u = np.fft.irfft(self.buf, self.pad, norm="forward")
+        w = np.fft.rfft(u * u, norm="forward")
+        return self.minus_ik * w[:m]
 
-    def step(self, cf: np.ndarray) -> np.ndarray:
+    def step(self, c: np.ndarray) -> np.ndarray:
+        """One IF-RK4 step of the cut + 1 retained modes."""
         dt, eh, ef = self.dt, self.e_half, self.e_full
-        k1 = self.nonlinear(cf)
-        k2 = self.nonlinear(eh * (cf + 0.5 * dt * k1))
-        k3 = self.nonlinear(eh * cf + 0.5 * dt * k2)
-        k4 = self.nonlinear(ef * cf + dt * eh * k3)
-        out = ef * cf + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-        return np.where(self.mask, out, 0.0)
+        k1 = self.nonlinear(c)
+        k2 = self.nonlinear(eh * (c + 0.5 * dt * k1))
+        k3 = self.nonlinear(eh * c + 0.5 * dt * k2)
+        k4 = self.nonlinear(ef * c + dt * eh * k3)
+        return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+
+
+def _check_real(u: TorusField):
+    defect = u.symmetry_defect()
+    if defect > SYMMETRY_TOL:
+        raise InvalidFieldError(
+            f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}; "
+            "the stepper evolves real fields only"
+        )
 
 
 def _check_cfl(dt: float, n: int, field: TorusField):
@@ -116,30 +136,31 @@ def _check_cfl(dt: float, n: int, field: TorusField):
         )
 
 
-def _restore(cf: np.ndarray, n: int, t: float) -> TorusField:
-    if not np.all(np.isfinite(cf)):
+def _restore(c: np.ndarray, n: int, t: float) -> TorusField:
+    """The real field at truncation n whose modes 0..len(c)-1 are c."""
+    if not np.all(np.isfinite(c)):
         raise BlowUpError(t)
-    nat = from_fft_layout(cf)
-    # re-pin exact conjugate symmetry (roundoff drift only)
-    pos = 0.5 * (nat[n:] + np.conj(nat[:n + 1][::-1]))
-    pos[0] = pos[0].real
-    sym = np.empty_like(nat)
-    sym[n:] = pos
-    sym[:n] = np.conj(pos[1:][::-1])
-    return TorusField(n, sym)
+    m = c.size
+    coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
+    coeffs[n:n + m] = c
+    coeffs[n] = c[0].real  # the input's c_0 may carry an imaginary part within SYMMETRY_TOL
+    coeffs[n - m + 1:n] = np.conj(c[:0:-1])
+    return TorusField(n, coeffs)
 
 
 def step(state: SolverState, dealias: bool = True) -> SolverState:
     """Advance one integrating-factor RK4 step."""
+    _check_real(state.field)
     _check_cfl(state.dt, state.max_mode, state.field)
-    eng = _Stepper(state.max_mode, state.dt, dealias=dealias)
-    cf = eng.step(to_fft_layout(state.field.coeffs))
+    n = state.max_mode
+    eng = _Stepper(n, state.dt, dealias=dealias)
+    c = eng.step(state.field.coeffs[n:n + eng.cut + 1])
     t_new = state.t + state.dt
     return SolverState(
         t=t_new,
-        field=_restore(cf, state.max_mode, t_new),
+        field=_restore(c, n, t_new),
         dt=state.dt,
-        max_mode=state.max_mode,
+        max_mode=n,
         dealias_cut=eng.cut,
     )
 
@@ -155,9 +176,12 @@ def evolve(
 
     ``snapshot_every`` is in steps; 0 keeps only the endpoints.  The final
     partial step, when t_final is not a multiple of dt, is taken exactly.
+    Raises :class:`InvalidFieldError` when u0 is not real (conjugate-symmetry
+    defect above ``SYMMETRY_TOL``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    _check_real(u0)
     n = u0.max_mode if n is None else n
     if n != u0.max_mode:
         c = np.zeros(2 * n + 1, dtype=np.complex128)
@@ -173,24 +197,23 @@ def evolve(
 
     times = [0.0]
     fields = [u0]
-    cf = to_fft_layout(u0.coeffs)
     eng = _Stepper(n, direction * dt)
+    c = u0.coeffs[n:n + eng.cut + 1]
     t = 0.0
     for i in range(1, n_full + 1):
-        cf = eng.step(cf)
+        c = eng.step(c)
         t = direction * i * dt
-        if not np.all(np.isfinite(cf)):
+        if not np.all(np.isfinite(c)):
             raise BlowUpError(t)
         if snapshot_every and i % snapshot_every == 0 and i != n_full:
             times.append(t)
-            fields.append(_restore(cf, n, t))
+            fields.append(_restore(c, n, t))
     if remainder > 1e-14 * max(1.0, total):
-        eng_last = _Stepper(n, direction * remainder)
-        cf = eng_last.step(cf)
+        c = _Stepper(n, direction * remainder).step(c)
         t = t_final
     if times[-1] != t:
         times.append(t)
-        fields.append(_restore(cf, n, t))
+        fields.append(_restore(c, n, t))
     return Trajectory(np.asarray(times, float), fields)
 
 
@@ -204,12 +227,7 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     ks = np.abs(np.arange(-n, n + 1))
     mean = float(u.coeff(0).real)
     l2sq = float(np.sum(np.abs(u.coeffs) ** 2))
-    pad = next_fast_len(3 * n + 1)
-    big = np.zeros(pad, dtype=np.complex128)
-    cf = to_fft_layout(u.coeffs)
-    big[:n + 1] = cf[:n + 1]
-    big[-n:] = cf[-n:]
-    grid = (np.fft.ifft(big) * pad).real
+    grid = np.fft.irfft(u.coeffs[n:], next_fast_len(3 * n + 1, real=True), norm="forward")
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
     return {"mean": mean, "l2sq": l2sq, "energy": energy}
@@ -280,9 +298,4 @@ def _field_from_real_samples(v: np.ndarray, n: int) -> TorusField:
 
 
 def _real_samples(f: TorusField, n_grid: int) -> np.ndarray:
-    spec = np.zeros(n_grid, dtype=np.complex128)
-    n = f.max_mode
-    cf = to_fft_layout(f.coeffs)
-    spec[:n + 1] = cf[:n + 1]
-    spec[-n:] = cf[-n:]
-    return (np.fft.ifft(spec) * n_grid).real
+    return np.fft.irfft(f.coeffs[f.max_mode:], n_grid, norm="forward")

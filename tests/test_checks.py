@@ -13,12 +13,14 @@ from boeq.checks import (
     convergence_study,
     default_suite,
     formula_vs_solver,
+    march_times,
     run_study,
 )
 from boeq.errors import ConfigurationError
 from boeq.line_operators import LineGrid
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
+from boeq.timestepper import evolve
 from boeq.torus_solution import evolve_coefficients, propagator
 
 
@@ -81,6 +83,31 @@ class TestIsospectrality:
     def test_cos_drift_small(self):
         rep = check_isospectrality(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3)
         assert rep.passed
+
+
+class TestMarchTimes:
+    def test_one_segment_per_distinct_time_on_each_side(self, monkeypatch):
+        import boeq.checks
+
+        calls = []
+        real_evolve = boeq.checks.evolve
+
+        def counting(u0, t_final, dt, n=None, **kw):
+            calls.append(t_final)
+            return real_evolve(u0, t_final, dt, n, **kw)
+
+        monkeypatch.setattr(boeq.checks, "evolve", counting)
+        u0 = torus_preset("cos", 32)
+        fields = march_times(u0, [0.02, -0.01, 0.01, 0.02, 0.0], 1e-3, 32)
+        assert sorted(fields) == [-0.01, 0.0, 0.01, 0.02]
+        # 0 -> 0 -> 0.01 -> 0.02 forward, then 0 -> -0.01 backward
+        assert calls == pytest.approx([0.0, 0.01, 0.01, -0.01])
+
+    def test_grid_times_match_one_march_bitwise(self):
+        u0 = torus_preset("twomode", 32, a=1.0, b=0.5)
+        fields = march_times(u0, [0.05, 0.02, -0.03], 1e-3, 32)
+        for t in (0.05, 0.02, -0.03):
+            np.testing.assert_array_equal(fields[t].coeffs, evolve(u0, t, 1e-3, 32).final().coeffs)
 
 
 class TestFormulaIsospectrality:

@@ -277,6 +277,38 @@ class TestCompareCommand:
         rels = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(r <= 1e-6 for r in rels)
 
+    def test_rows_equal_per_time_formula_vs_solver_bitwise(self, tmp_path):
+        # one march per truncation gives the same bits as a fresh march from
+        # t = 0 per time, for times on the dt grid, in any requested order
+        from boeq.checks import formula_vs_solver
+
+        out = tmp_path / "run"
+        code = main(["compare", "--preset", "twomode:a=1.0,b=0.5", "--t", "0.3,0.1,0.25",
+                     "--n-list", "32,48", "--dt", "5e-4", "--samples", "128", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        assert [(float(r[0]), int(r[1])) for r in rows] == [
+            (t, n) for n in (32, 48) for t in (0.3, 0.1, 0.25)]
+        for t, n, dt, rel in rows:
+            u0 = torus_preset("twomode", int(n), a=1.0, b=0.5)
+            assert float(rel) == formula_vs_solver(u0, float(t), int(n), float(dt), 128)
+
+    def test_off_grid_time_lands_exactly(self, tmp_path):
+        # 0.1003 ends with a partial step; the march to 0.2 starts there and
+        # ends with another one, so both rows sit at their requested times
+        from boeq.checks import formula_vs_solver
+
+        out = tmp_path / "run"
+        code = main(["compare", "--preset", "cos", "--t", "0.1003,0.2", "--n-list", "48",
+                     "--dt", "5e-4", "--samples", "128", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        rels = [float(r[3]) for r in rows]
+        assert all(r <= 1e-6 for r in rels)
+        u0 = torus_preset("cos", 48)
+        assert rels[0] == formula_vs_solver(u0, 0.1003, 48, 5e-4, 128)
+        assert rels[1] == pytest.approx(formula_vs_solver(u0, 0.2, 48, 5e-4, 128), rel=1e-3)
+
 
 class TestConfigMerging:
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boeq.errors import BlowUpError, StabilityWarning
-from boeq.spectral import TorusField
+from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
+from boeq.spectral import TorusField, field_from_samples, from_fft_layout, to_fft_layout
 from boeq.timestepper import (
     SolverState,
     conserved_quantities,
@@ -40,18 +40,35 @@ class TestStep:
     def test_dealias_cut_inert_on_quadratic_product(self):
         # for data band-limited to N/3 the quadratic product reaches exactly
         # the 2/3 cut, so cutting it changes nothing, bit for bit
-        from boeq.spectral import to_fft_layout
         from boeq.timestepper import _Stepper
 
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 3 + 1)})
-        cf = to_fft_layout(u.coeffs)
+        half = u.coeffs[n:]  # c_0..c_N
         eng = _Stepper(n, 1e-3, dealias=True)
-        with_cut = eng.nonlinear(cf)
-        without = _Stepper(n, 1e-3, dealias=False).nonlinear(cf)
+        with_cut = eng.nonlinear(half)
+        without = _Stepper(n, 1e-3, dealias=False).nonlinear(half)
+        assert with_cut.size == eng.cut + 1 and without.size == n + 1
         # retained modes bitwise identical; the cut removes only FFT roundoff
-        np.testing.assert_array_equal(with_cut[eng.mask], without[eng.mask])
-        assert np.max(np.abs(without[~eng.mask])) < 1e-15
+        np.testing.assert_array_equal(with_cut, without[:eng.cut + 1])
+        assert np.max(np.abs(without[eng.cut + 1:])) < 1e-15
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_nonlinear_term_is_the_exact_product(self, dealias):
+        # full-band data: u^2 reaches mode 2N, and no aliased mode may land
+        # on a kept one; the reference is the direct convolution of c with c
+        from boeq.timestepper import _Stepper
+
+        n = 30
+        rng = np.random.default_rng(5)
+        u = TorusField.from_modes(n, {k: (rng.standard_normal() + 1j * rng.standard_normal()) / k
+                                      for k in range(1, n + 1)})
+        eng = _Stepper(n, 1e-3, dealias=dealias)
+        m = eng.cut + 1
+        kept = np.where(np.abs(np.arange(-n, n + 1)) < m, u.coeffs, 0.0)
+        square = np.convolve(kept, kept)[2 * n:2 * n + m]  # modes 0..cut of u^2
+        np.testing.assert_allclose(eng.nonlinear(u.coeffs[n:]), -1j * np.arange(m) * square,
+                                   rtol=0, atol=1e-12)
 
     def test_dealias_cut_inert_for_band_limited_steps(self):
         # each RK4 stage doubles the band of the stage inputs, so the modes
@@ -74,6 +91,76 @@ class TestStep:
         u = cos_field(64)
         with pytest.warns(StabilityWarning):
             step(SolverState.initial(u, 0.02))
+
+
+def _complex_field(n):
+    """c_1 = 0.1 but c_-1 = 0: not the coefficients of a real field."""
+    c = np.zeros(2 * n + 1, dtype=np.complex128)
+    c[n + 1] = 0.1
+    return TorusField(n, c)
+
+
+class TestRealFieldGuard:
+    def test_evolve_refuses_complex_field(self):
+        with pytest.raises(InvalidFieldError):
+            evolve(_complex_field(16), 0.01, 1e-3, 16)
+
+    def test_step_refuses_complex_field(self):
+        with pytest.raises(InvalidFieldError):
+            step(SolverState.initial(_complex_field(16), 1e-3))
+
+    def test_field_from_samples_datum_passes(self):
+        x = 2 * np.pi * np.arange(64) / 64
+        u = field_from_samples(np.exp(np.sin(x)) + 0.3 * np.cos(3 * x), max_mode=16)
+        traj = evolve(u, 0.01, 1e-3, 16)
+        assert traj.final().symmetry_defect() == 0.0
+        s = step(SolverState.initial(u, 1e-3))
+        assert s.field.symmetry_defect() == 0.0
+
+
+def _full_complex_step(cf, n, dt):
+    """One IF-RK4 step written on the two-sided spectrum in numpy FFT order
+    (0..N, -N..-1) with complex FFTs, the textbook form of the scheme."""
+    k = np.concatenate([np.arange(0, n + 1), np.arange(-n, 0)])
+    mask = np.abs(k) <= (2 * n) // 3
+    pad = 4 * n + 2
+    e_half = np.exp(1j * k * np.abs(k) * dt / 2.0)
+    e_full = e_half * e_half
+
+    def nonlinear(v):
+        v = np.where(mask, v, 0.0)
+        big = np.zeros(pad, dtype=np.complex128)
+        big[:n + 1] = v[:n + 1]
+        big[-n:] = v[-n:]
+        u = np.fft.ifft(big) * pad
+        w = np.fft.fft(u * u) / pad
+        return -1j * k * np.where(mask, np.concatenate([w[:n + 1], w[-n:]]), 0.0)
+
+    k1 = nonlinear(cf)
+    k2 = nonlinear(e_half * (cf + 0.5 * dt * k1))
+    k3 = nonlinear(e_half * cf + 0.5 * dt * k2)
+    k4 = nonlinear(e_full * cf + dt * e_half * k3)
+    out = e_full * cf + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return np.where(mask, out, 0.0)
+
+
+class TestFullComplexOracle:
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_half_spectrum_matches_full_complex_steps(self, direction):
+        n, dt, steps = 48, 1e-3, 200
+        rng = np.random.default_rng(11)
+        modes = {k: 0.2 * (rng.standard_normal() + 1j * rng.standard_normal()) / k
+                 for k in range(1, 17)}
+        modes[0] = 0.3
+        u = TorusField.from_modes(n, modes)
+        cf = to_fft_layout(u.coeffs)
+        for _ in range(steps):
+            cf = _full_complex_step(cf, n, direction * dt)
+        expected = from_fft_layout(cf)
+        got = evolve(u, direction * steps * dt, dt, n).final().coeffs
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        # the oracle's own negative half is the conjugate of its positive one
+        assert np.max(np.abs(expected[::-1] - np.conj(expected))) <= 1e-13
 
 
 class TestEvolve:
