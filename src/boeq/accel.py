@@ -9,8 +9,6 @@ that layout.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -26,14 +24,11 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap for embarrassingly parallel scans (BOX_THREADS)."""
-    raw = os.environ.get("BOX_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    """Always 1: many-point scans solve their points one after another.
+
+    Kept because run records report the worker count through this name.
+    """
+    return 1
 
 
 def numba_enabled() -> bool:

@@ -425,12 +425,12 @@ def convergence_study(
     return rows
 
 
-def _stepper_temporal_residual(u0: TorusField, t: float, n: int, dt: float,
-                               dt_ref_factor: int = 8) -> float:
-    """Coefficient-space distance of a dt run from a dt/factor reference."""
-    ref = evolve(u0, t, dt / dt_ref_factor, n).final().coeffs
-    run = evolve(u0, t, dt, n).final().coeffs
-    return float(np.linalg.norm(run - ref))
+def _stepper_temporal_residual(u0: TorusField, t: float, n: int, levels: Sequence[float],
+                               dt_ref_factor: int = 8) -> Callable[[float], float]:
+    """Coefficient-space distance of a dt run from one reference marched at
+    the finest level's dt/factor, shared by every level of the ladder."""
+    ref = evolve(u0, t, min(levels) / dt_ref_factor, n).final().coeffs
+    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs - ref))
 
 
 LINE_CHECK_NAMES = (
@@ -454,7 +454,7 @@ def run_study(check: str, levels: Sequence[float], **fixed) -> list[StudyRow]:
     elif check == "stepper_order":
         u0 = fixed.get("u0") or torus_preset("cos", 2)
         t, n = float(fixed.get("t", 0.5)), int(fixed.get("n", 64))
-        fn = lambda dt: _stepper_temporal_residual(u0, t, n, dt)
+        fn = _stepper_temporal_residual(u0, t, n, levels)
     elif check == "formula_vs_solver":
         u0 = fixed.get("u0") or torus_preset("cos", 2)
         t, dt = float(fixed.get("t", 0.3)), float(fixed.get("dt", 5e-4))
@@ -514,11 +514,10 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
 
     # Lax dynamics
     cos1 = torus_preset("cos", 2)
-    reports.append(check_lax_evolution(cos1, t=0.2, dt=1e-3, n=128))
-    lax_rows = convergence_study(
-        lambda dt: check_lax_evolution(cos1, t=0.2, dt=dt, n=128, tolerance=np.inf).residual,
-        levels=[1e-3, 5e-4, 2.5e-4],
-    )
+    lax_levels = [1e-3, 5e-4, 2.5e-4]
+    lax = {dt: check_lax_evolution(cos1, t=0.2, dt=dt, n=128) for dt in lax_levels}
+    reports.append(lax[1e-3])  # its run is also the first level of the order ladder
+    lax_rows = convergence_study(lambda dt: lax[dt].residual, lax_levels)
     reports.append(_order_report("lax_evolution_order", lax_rows, expected=2.0, window=0.3))
     reports.append(check_isospectrality(cos1, times=[0.5, 1.0], n=256, n_eigs=10, dt=1e-3))
 

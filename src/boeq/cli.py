@@ -6,7 +6,7 @@ configuration and checksumming the other files.  Exit codes: 0 success,
 1 validation failure, 2 usage/configuration error, 3 numerical failure.
 
 A JSON config document (``--config``) supplies defaults; explicit CLI flags
-override its keys.  ``BOX_THREADS`` caps worker parallelism.
+override its keys.
 """
 from __future__ import annotations
 
@@ -172,6 +172,8 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
     })
     if isinstance(cfg["t"], str):
         cfg["t"] = _parse_floats(cfg["t"])
+    if cfg["scan"] and not cfg["t"]:
+        raise ConfigurationError("--scan runs at the first time of --t; give at least one")
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
     grid = LineGrid(float(cfg["cutoff"]), float(cfg["h"]))
@@ -191,16 +193,20 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
                              eps_refine=bool(cfg["eps_refine"]),
                              tail_tol=float(cfg["tail_tol"]))
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
-    if cfg["scan"]:
-        parts = _parse_floats(str(cfg["scan"]))
-        if len(parts) != 6:
-            raise ConfigurationError("--scan needs re0,re1,nre,im0,im1,nim")
-        re_axis = np.linspace(parts[0], parts[1], int(parts[2]))
-        im_axis = np.linspace(parts[3], parts[4], int(parts[5]))
-        rows = uhp_grid_scan(field, float(cfg["t"][0]), re_axis, im_axis, grid,
-                             tail_tol=float(cfg["tail_tol"]))
-        write_scan_csv(outdir / "uhp_scan.csv", rows)
+        if i == 0 and cfg["scan"]:
+            # scans the first time right after its samples, whose reduction it reuses
+            write_scan_csv(outdir / "uhp_scan.csv", _scan(field, t, str(cfg["scan"]), grid,
+                                                          float(cfg["tail_tol"])))
     return 0
+
+
+def _scan(field: LineField, t: float, spec: str, grid: LineGrid, tail_tol: float):
+    parts = _parse_floats(spec)
+    if len(parts) != 6:
+        raise ConfigurationError("--scan needs re0,re1,nre,im0,im1,nim")
+    re_axis = np.linspace(parts[0], parts[1], int(parts[2]))
+    im_axis = np.linspace(parts[3], parts[4], int(parts[5]))
+    return uhp_grid_scan(field, t, re_axis, im_axis, grid, tail_tol=tail_tol)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -445,7 +445,9 @@ class ResolventEvaluator:
     At t = 0 every shift is a banded O(M) solve.  Otherwise a one-time
     Hessenberg reduction ``A = Q H Q*`` is computed, H is kept in LAPACK band
     storage, and each shift costs one LAPACK band solve of ``(H - z I)``,
-    O(M^2), checked by its own residual.
+    O(M^2), checked by its own residual.  The solve overwrites a work copy
+    of the band that each calling thread allocates once and reuses, so one
+    evaluator may serve several threads at a time.
     """
 
     def __init__(
@@ -470,7 +472,7 @@ class ResolventEvaluator:
             del a_red  # free each n^2 array once consumed: the peak stays put
             self._band = hessenberg_band(hess)
             del hess
-            self._work = threading.local()  # one solve buffer per scan thread
+            self._work = threading.local()  # one solve buffer per calling thread
             self._q = q
             self._qh_rhs = q.conj().T @ self._rhs
 

@@ -8,17 +8,18 @@ The base discretization is second order in the grid step h.  For point
 evaluations that need more, :func:`evaluate_uhp` performs Richardson
 extrapolation over sub-grids h, h/2, ..., anchored at the grid passed in
 (eliminated orders 2 then 3, matching the one-sided boundary stencils).
-Scans and reconstructions run on the single grid through a shared
-Hessenberg factorization instead.
+Scans and reconstructions run on the single grid instead, one point after
+another through one :class:`ResolventEvaluator` per (u0, t, grid,
+tail_tol): the samples and the scan of one (u0, t) share its Hessenberg
+reduction.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import worker_count
 from .errors import BoeqError, DomainError
 from .line_operators import (
     SPECTRAL_TAIL_TOL,
@@ -125,6 +126,33 @@ def _richardson(levels: list[complex]) -> complex:
     return complex(row[0])
 
 
+# The evaluator of the last (u0, t, grid, tail_tol) seen: (key, evaluator).
+# One entry is enough for the callers that repeat a datum and time (the
+# samples, then the scan, of one solve-line run), and it never holds more
+# than one operator.
+_evaluator_memo: tuple[tuple, ResolventEvaluator] | None = None
+_evaluator_lock = threading.Lock()
+
+
+def _shared_evaluator(u0: LineField, t: float, grid: LineGrid | None,
+                      tail_tol: float) -> ResolventEvaluator:
+    """The evaluator of (u0, t, grid, tail_tol), reused for a repeated one.
+
+    The key is the datum's two-sided spectrum on the grid, the values the
+    operator, the right-hand side and the tail check are built from.
+    """
+    global _evaluator_memo
+    grid = grid or LineGrid()
+    # t by its bits: 0.0 and -0.0 compare equal but give different signed zeros
+    key = (u0.two_sided(grid).tobytes(), float(t).hex(), grid, float(tail_tol))
+    with _evaluator_lock:
+        if _evaluator_memo is None or _evaluator_memo[0] != key:
+            _evaluator_memo = None  # release the old operator before the next is built
+            # looked up at call time, so a wrapper installed on the module sees it
+            _evaluator_memo = (key, ResolventEvaluator(u0, t, grid, tail_tol=tail_tol))
+        return _evaluator_memo[1]
+
+
 def reconstruct_line(
     u0: LineField,
     t: float,
@@ -138,13 +166,14 @@ def reconstruct_line(
 
     The height shift biases the values by O(eps)*|du/dx|;
     ``eps_refine=True`` evaluates at eps and 2*eps and extrapolates
-    linearly, reducing the bias to O(eps^2).  All points share one
-    factorization of the (u0, t) system.
+    linearly, reducing the bias to O(eps^2).  The points run one after
+    another on one factorization of the (u0, t) system, which a following
+    :func:`uhp_grid_scan` of the same (u0, t, grid, tail_tol) reuses.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    evaluator = ResolventEvaluator(u0, t, grid, tail_tol=tail_tol)
+    evaluator = _shared_evaluator(u0, t, grid, tail_tol)
 
     def one(xj: float) -> float:
         v1 = evaluator.value(xj + 1j * eps)
@@ -153,13 +182,7 @@ def reconstruct_line(
             return float(2.0 * np.real(2.0 * v1 - v2))
         return float(2.0 * np.real(v1))
 
-    workers = worker_count()
-    if workers > 1 and x.size > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(one, x))
-    else:
-        vals = [one(xj) for xj in x]
-    return np.asarray(vals, dtype=float)
+    return np.asarray([one(xj) for xj in x], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -179,11 +202,13 @@ def uhp_grid_scan(
 ) -> list[ScanRow]:
     """Pu(t, z) on a rectangle, row-major over (im, re).
 
-    Node failures are recorded per row and the scan continues.
+    Node failures are recorded per row and the scan continues.  The
+    factorization is shared with :func:`reconstruct_line` of the same
+    (u0, t, grid, tail_tol).
     """
     re_axis = np.atleast_1d(np.asarray(re_axis, dtype=float))
     im_axis = np.atleast_1d(np.asarray(im_axis, dtype=float))
-    evaluator = ResolventEvaluator(u0, t, grid, tail_tol=tail_tol)
+    evaluator = _shared_evaluator(u0, t, grid, tail_tol)
     rows: list[ScanRow] = []
     for im in im_axis:
         for re in re_axis:

@@ -161,6 +161,19 @@ class TestStudiesAndSuite:
         rows = run_study("stepper_order", levels=[4e-3, 2e-3], t=0.5, n=64)
         assert 3.7 <= rows[1].observed_order <= 4.3
 
+    def test_stepper_order_study_marches_one_reference(self, monkeypatch):
+        import boeq.checks as checks
+
+        dts = []
+
+        def counting(u0, t_final, dt, *args, **kwargs):
+            dts.append(dt)
+            return evolve(u0, t_final, dt, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "evolve", counting)
+        run_study("stepper_order", levels=[4e-3, 2e-3], t=0.5, n=64)
+        assert dts == [2e-3 / 8, 4e-3, 2e-3]
+
     def test_unknown_study_rejected(self):
         with pytest.raises(ConfigurationError):
             run_study("no-such-check", levels=[0.1])

@@ -223,6 +223,11 @@ class TestSolveLineCommand:
         on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert set(manifest["outputs"]) == on_disk
 
+    def test_scan_without_times_exits_2(self, tmp_path):
+        code = main(["solve-line", "--preset", "zero", "--t", "", "--scan=0,1,2,0.5,1,2",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+
     def test_bad_grid_exits_2(self, tmp_path):
         # lorentzian tail does not fit a tiny cutoff
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0",

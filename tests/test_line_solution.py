@@ -1,10 +1,17 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 from scipy.special import wofz
 
+import boeq.line_solution as ls
 from boeq.errors import DomainError
-from boeq.line_operators import LineGrid
+from boeq.line_operators import LineGrid, ResolventEvaluator
 from boeq.line_solution import evaluate_uhp, reconstruct_line, uhp_grid_scan
 from boeq.presets import line_preset
 
@@ -238,3 +245,132 @@ class TestScan:
         rows = uhp_grid_scan(field, 0.0, [0.0], [-0.5, 0.5], LineGrid(40.0, 0.05))
         assert rows[0].value is None and "Im z" in rows[0].error
         assert rows[1].value is not None and rows[1].error is None
+
+
+@pytest.fixture
+def fresh_memo():
+    """No evaluator cached before the test, and none kept after it."""
+    ls._evaluator_memo = None
+    yield
+    ls._evaluator_memo = None
+
+
+class TestSharedEvaluator:
+    # M = 401; the Lorentzian tail e^{-16} passes tail_tol 1e-6
+    GRID = LineGrid(16.0, 0.04)
+    TAIL_TOL = 1e-6
+
+    @pytest.mark.parametrize("times, reductions", [("0.5", 1), ("0.5,0.3", 2)])
+    def test_solve_line_with_scan_reduces_once_per_time(self, times, reductions, tmp_path,
+                                                        monkeypatch, fresh_memo):
+        from boeq.cli import main
+
+        real = sla.hessenberg
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "hessenberg", counting)
+        code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", times,
+                     "--cutoff", "16", "--h", "0.04", "--tail-tol", "1e-6", "--nx", "5",
+                     "--eps-refine", "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert (tmp_path / "r" / "uhp_scan.csv").is_file()
+        assert calls == [(400, 400)] * reductions
+
+    def test_each_part_of_the_key_rebuilds(self, monkeypatch, fresh_memo):
+        built = []
+
+        class Counting(ResolventEvaluator):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ls, "ResolventEvaluator", Counting)
+        lorentzian = lambda c: line_preset("lorentzian", c=c).field
+        coarse = LineGrid(16.0, 0.05)
+        steps = [
+            # (datum, t, grid, tail_tol, rebuilt?)
+            (lorentzian(1.0), 0.5, self.GRID, self.TAIL_TOL, True),
+            (lorentzian(1.0), 0.5, self.GRID, self.TAIL_TOL, False),  # same content, new object
+            (lorentzian(1.0), 0.3, self.GRID, self.TAIL_TOL, True),
+            (lorentzian(1.0), 0.3, coarse, self.TAIL_TOL, True),
+            (lorentzian(1.0), 0.3, coarse, 1e-5, True),
+            (lorentzian(1.01), 0.3, coarse, 1e-5, True),
+        ]
+        for u0, t, grid, tol, rebuilt in steps:
+            before = len(built)
+            reconstruct_line(u0, t, [0.0], grid=grid, tail_tol=tol)
+            assert len(built) - before == int(rebuilt), (t, grid, tol)
+        # the scan of the last (u0, t, grid, tail_tol) reuses its evaluator
+        uhp_grid_scan(lorentzian(1.01), 0.3, [0.0], [0.5], coarse, tail_tol=1e-5)
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("eps_refine", [False, True])
+    def test_reconstruct_equals_per_point_values(self, eps_refine, fresh_memo):
+        u0 = line_preset("lorentzian", c=1.0).field
+        x = np.linspace(-2.0, 2.0, 7)
+        eps = 1e-3
+        got = reconstruct_line(u0, 0.5, x, eps=eps, grid=self.GRID, eps_refine=eps_refine,
+                               tail_tol=self.TAIL_TOL)
+        ev = ResolventEvaluator(u0, 0.5, self.GRID, tail_tol=self.TAIL_TOL)
+        v1 = np.array([ev.value(xj + 1j * eps) for xj in x])
+        if eps_refine:
+            v2 = np.array([ev.value(xj + 2j * eps) for xj in x])
+            want = 2.0 * np.real(2.0 * v1 - v2)
+        else:
+            want = 2.0 * np.real(v1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_threads_sharing_one_evaluator_match_serial(self):
+        ev = ResolventEvaluator(line_preset("lorentzian", c=1.0).field, 0.5, self.GRID,
+                                tail_tol=self.TAIL_TOL)
+        zs = [complex(x, 0.3) for x in np.linspace(-2.0, 2.0, 32)]
+        serial = [ev.value(z) for z in zs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(ev.value, z) for z in zs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_threads_alternating_keys_build_one_at_a_time(self, monkeypatch, fresh_memo):
+        # threads asking for two (u0, t) in turn each get their own values,
+        # and no two operators are ever built (held) at once
+        guard = threading.Lock()
+        active = [0, 0]  # builds running now, most seen at once
+
+        class Watched(ResolventEvaluator):
+            def __init__(self, *args, **kwargs):
+                with guard:
+                    active[0] += 1
+                    active[1] = max(active)
+                time.sleep(0.005)  # widen the window in which a second build could start
+                super().__init__(*args, **kwargs)
+                with guard:
+                    active[0] -= 1
+
+        u0 = line_preset("lorentzian", c=1.0).field
+        grid = LineGrid(16.0, 0.08)
+        x = np.linspace(-1.0, 1.0, 3)
+        times = [0.5, 0.3] * 6
+        serial = {t: reconstruct_line(u0, t, x, grid=grid, tail_tol=self.TAIL_TOL)
+                  for t in set(times)}
+        monkeypatch.setattr(ls, "ResolventEvaluator", Watched)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(reconstruct_line, u0, t, x, grid=grid,
+                                       tail_tol=self.TAIL_TOL) for t in times]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for t, got in zip(times, threaded):
+            np.testing.assert_array_equal(got, serial[t])
+        assert active[1] == 1
