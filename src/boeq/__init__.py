@@ -35,10 +35,8 @@ from .spectral import (
     synthesize_torus,
 )
 from .torus_operators import (
-    LaxPairTorus,
     b_matrix,
     lax_matrix,
-    lax_pair,
     shift_adjoint,
     toeplitz_matrix,
 )
@@ -48,10 +46,8 @@ from .torus_solution import (
     evolve_coefficients,
     propagator,
     reconstruct_torus,
-    solve_torus,
 )
 from .timestepper import (
-    SolverState,
     Trajectory,
     conserved_quantities,
     evolve,
@@ -63,14 +59,11 @@ from .line_operators import (
     ResolventEvaluator,
     g_matrix,
     iplus,
-    lax_line,
     resolvent_solve,
     toeplitz_line,
 )
 from .line_solution import (
-    LineEvaluation,
     evaluate_uhp,
-    evaluate_uhp_detailed,
     reconstruct_line,
     uhp_grid_scan,
 )
@@ -83,6 +76,5 @@ from .checks import (
     convergence_study,
     default_suite,
     formula_vs_solver,
-    run_study,
 )
 from .presets import line_preset, parse_preset, torus_preset

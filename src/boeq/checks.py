@@ -45,9 +45,7 @@ __all__ = [
     "formula_vs_solver",
     "formula_vs_solver_times",
     "convergence_study",
-    "run_study",
     "StudyRow",
-    "STUDY_CHECKS",
     "default_suite",
 ]
 
@@ -159,18 +157,18 @@ def check_lax_evolution(
 ) -> CheckReport:
     """Central difference of t -> L_{u(t)} against [B_{u(t)}, L_{u(t)}].
 
-    The solver marches with the same dt used for the difference, so the
-    residual is dominated by the O(dt^2) differencing error on margin
-    columns of the effective band.
+    The solver marches with the same dt used for the difference, through
+    the three stencil times only (:func:`march_times`), so the residual is
+    dominated by the O(dt^2) differencing error on margin columns of the
+    effective band.
     """
     steps_mid = int(round(t / dt))
     if steps_mid < 1:
         raise ConfigurationError("t must be at least one time step")
     t_mid = steps_mid * dt
-    traj = evolve(u0, t_mid + dt, dt, n, snapshot_every=1)
-    u_minus = traj.fields[steps_mid - 1]
-    u_mid = traj.fields[steps_mid]
-    u_plus = traj.fields[steps_mid + 1]
+    stencil = (t_mid - dt, t_mid, t_mid + dt)
+    fields = march_times(u0, stencil, dt, n)
+    u_minus, u_mid, u_plus = (fields[s] for s in stencil)
 
     m = max(u_mid.effective_band(rel_tol=1e-9), 1)
     if n <= 6 * m:
@@ -193,6 +191,11 @@ def check_lax_evolution(
     )
 
 
+def _lowest_lax_eigenvalues(u: TorusField, n: int, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of L_u at truncation n, ascending."""
+    return np.linalg.eigvalsh(lax_matrix(u, n).entries)[:count]
+
+
 def check_isospectrality(
     u0: TorusField,
     times: Sequence[float],
@@ -202,10 +205,10 @@ def check_isospectrality(
     tolerance: float = ISOSPECTRAL_TOL,
 ) -> CheckReport:
     """Drift of the lowest eigenvalues of L_{u(t)} along the solver flow."""
-    base = np.sort(np.linalg.eigvalsh(lax_matrix(u0, n).entries))[:n_eigs]
+    base = _lowest_lax_eigenvalues(u0, n, n_eigs)
     drift = 0.0
     for current in march_times(u0, times, dt, n).values():
-        eigs = np.sort(np.linalg.eigvalsh(lax_matrix(current, n).entries))[:n_eigs]
+        eigs = _lowest_lax_eigenvalues(current, n, n_eigs)
         drift = max(drift, float(np.max(np.abs(eigs - base))))
     return CheckReport.from_residual(
         "isospectrality",
@@ -233,8 +236,8 @@ def check_formula_isospectrality(
     modes = dict(enumerate(coeffs))
     modes[0] = complex(coeffs[0]).real
     u_t = TorusField.from_modes(len(coeffs) - 1, modes)
-    base = np.linalg.eigvalsh(lax_matrix(u0, n).entries)[:n_eigs]
-    eigs = np.linalg.eigvalsh(lax_matrix(u_t, n).entries)[:n_eigs]
+    base = _lowest_lax_eigenvalues(u0, n, n_eigs)
+    eigs = _lowest_lax_eigenvalues(u_t, n, n_eigs)
     return CheckReport.from_residual(
         "formula_isospectrality",
         float(np.max(np.abs(eigs - base))),
@@ -259,7 +262,6 @@ def check_line_identities(
     u0: LineField,
     grid: LineGrid | None = None,
     t: float = 0.7,
-    constants: dict[str, float] | None = None,
 ) -> list[CheckReport]:
     """Four grid-limit identities of the line operators.
 
@@ -275,9 +277,6 @@ def check_line_identities(
     supported inside (0, Xi); tolerances are C * h^2 with per-check C.
     """
     grid = grid or LineGrid()
-    cs = dict(LINE_C)
-    if constants:
-        cs.update(constants)
     h = grid.step
     n = grid.count
     xi = grid.xi
@@ -295,16 +294,15 @@ def check_line_identities(
         if tail > 1e-8:
             raise ConfigurationError(f"test vector {name} has tail {tail:.1e} at the cutoff")
 
-    zero_conv = np.zeros_like(tw)
-
-    def flow_residual(g: np.ndarray, conv: np.ndarray, conv_disp: np.ndarray) -> np.ndarray:
-        """([G, B_u] + 2 L_u - i [L_u^2, G]) g through matvecs.
+    def flow_residual(g: np.ndarray, conv: Callable, conv_disp: Callable) -> np.ndarray:
+        """([G, B_u] + 2 L_u - i [L_u^2, G]) g through the convolutions
+        ``conv`` (T_u) and ``conv_disp`` (T_{|D|u}), given as matvecs.
 
         The u = 0 baseline runs through the same expressions with zero
-        convolution matrices, so subtracting it is exact for the zero field.
+        convolutions, so subtracting it is exact for the zero field.
         """
-        lax_apply = lambda v: xi * v - conv @ v
-        b_apply = lambda v: 1j * (conv_disp @ v - conv @ (conv @ v))
+        lax_apply = lambda v: xi * v - conv(v)
+        b_apply = lambda v: 1j * (conv_disp(v) - conv(conv(v)))
         l2_of = lambda v: lax_apply(lax_apply(v))
         comm_gb = gw @ b_apply(g) - b_apply(gw @ g)
         comm_l2g = l2_of(gw @ g) - gw @ l2_of(g)
@@ -326,7 +324,8 @@ def check_line_identities(
         r = gw @ (tw @ g) - tw @ (gw @ g) - rhs
         res_32 = max(res_32, float(np.max(np.abs(r[interior]))))
         # flow bracket, u-dependent part
-        r = flow_residual(g, tw, t_disp) - flow_residual(g, zero_conv, zero_conv)
+        r = (flow_residual(g, lambda v: tw @ v, lambda v: t_disp @ v)
+             - flow_residual(g, np.zeros_like, np.zeros_like))
         res_31 = max(res_31, float(np.max(np.abs(r[interior]))))
         # dissipativity: Re<A_t f | f> -> -|fhat(0+)|^2 / 4pi
         a_g = -1j * (gw @ g - 2.0 * t * (xi * g))
@@ -338,17 +337,17 @@ def check_line_identities(
 
     params = {"h": h, "cutoff": grid.cutoff, "t": t, "vectors": [v[0] for v in vectors]}
     return [
-        CheckReport.from_residual("line_gd", res_gd, cs["line_gd"] * h ** 2,
-                                  C=cs["line_gd"], **params),
-        CheckReport.from_residual("line_toeplitz_bracket", res_32, cs["line_toeplitz_bracket"] * h ** 2,
-                                  C=cs["line_toeplitz_bracket"], **params),
-        CheckReport.from_residual("line_flow_bracket", res_31, cs["line_flow_bracket"] * h ** 2,
-                                  C=cs["line_flow_bracket"], baseline="zero-field subtracted", **params),
+        CheckReport.from_residual("line_gd", res_gd, LINE_C["line_gd"] * h ** 2,
+                                  C=LINE_C["line_gd"], **params),
+        CheckReport.from_residual("line_toeplitz_bracket", res_32, LINE_C["line_toeplitz_bracket"] * h ** 2,
+                                  C=LINE_C["line_toeplitz_bracket"], **params),
+        CheckReport.from_residual("line_flow_bracket", res_31, LINE_C["line_flow_bracket"] * h ** 2,
+                                  C=LINE_C["line_flow_bracket"], baseline="zero-field subtracted", **params),
         # the deviation bound implies the sign bound: the continuum target is
         # <= 0, so Re<A f|f> <= residual * |f|^2; quad_max is recorded anyway
         CheckReport.from_residual(
-            "line_dissipativity", res_diss, cs["line_dissipativity"] * h ** 2,
-            C=cs["line_dissipativity"], sign_margin=quad_max, **params,
+            "line_dissipativity", res_diss, LINE_C["line_dissipativity"] * h ** 2,
+            C=LINE_C["line_dissipativity"], sign_margin=quad_max, **params,
         ),
     ]
 
@@ -425,52 +424,17 @@ def convergence_study(
     return rows
 
 
-def _stepper_temporal_residual(u0: TorusField, t: float, n: int, levels: Sequence[float],
-                               dt_ref_factor: int = 8) -> Callable[[float], float]:
+def _stepper_temporal_residual(u0: TorusField, t: float, n: int,
+                               levels: Sequence[float]) -> Callable[[float], float]:
     """Coefficient-space distance of a dt run from one reference marched at
-    the finest level's dt/factor, shared by every level of the ladder."""
-    ref = evolve(u0, t, min(levels) / dt_ref_factor, n).final().coeffs
+    the finest level's dt/8, shared by every level of the ladder."""
+    ref = evolve(u0, t, min(levels) / 8, n).final().coeffs
     return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs - ref))
 
 
 LINE_CHECK_NAMES = (
     "line_gd", "line_toeplitz_bracket", "line_flow_bracket", "line_dissipativity",
 )
-
-STUDY_CHECKS = ("lax_evolution", "stepper_order", "formula_vs_solver") + LINE_CHECK_NAMES
-
-
-def run_study(check: str, levels: Sequence[float], **fixed) -> list[StudyRow]:
-    """Descriptor-style convergence study.
-
-    ``check`` names the residual, ``levels`` the refinement ladder of its
-    natural parameter (dt for the time checks, h for the line identities,
-    n for the truncation sweep); remaining keywords pin the fixed ones.
-    """
-    if check == "lax_evolution":
-        u0 = fixed.get("u0") or torus_preset("cos", 2)
-        t, n = float(fixed.get("t", 0.2)), int(fixed.get("n", 128))
-        fn = lambda dt: check_lax_evolution(u0, t=t, dt=dt, n=n, tolerance=np.inf).residual
-    elif check == "stepper_order":
-        u0 = fixed.get("u0") or torus_preset("cos", 2)
-        t, n = float(fixed.get("t", 0.5)), int(fixed.get("n", 64))
-        fn = _stepper_temporal_residual(u0, t, n, levels)
-    elif check == "formula_vs_solver":
-        u0 = fixed.get("u0") or torus_preset("cos", 2)
-        t, dt = float(fixed.get("t", 0.3)), float(fixed.get("dt", 5e-4))
-        fn = lambda n: formula_vs_solver(u0, t, int(n), dt)
-    elif check in LINE_CHECK_NAMES:
-        u0 = fixed.get("u0") or line_preset("lorentzian", c=1.0).field
-        cutoff, t = float(fixed.get("cutoff", 40.0)), float(fixed.get("t", 0.7))
-
-        def fn(h):
-            reps = {r.name: r for r in check_line_identities(u0, LineGrid(cutoff, h), t=t)}
-            return reps[check].residual
-    else:
-        raise ConfigurationError(
-            f"unknown study check {check!r}; choose from {sorted(STUDY_CHECKS)}")
-    return convergence_study(fn, levels)
-
 
 def _order_report(name: str, rows: list[StudyRow], expected: float, window: float) -> CheckReport:
     orders = [r.observed_order for r in rows if r.observed_order is not None]
@@ -531,7 +495,8 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
         reports.append(_order_report(f"{name}_order", rows, expected=2.0, window=0.3))
 
     # stepper temporal order (RK4: expect ~4)
-    rk_rows = run_study("stepper_order", levels=[4e-3, 2e-3], t=0.5, n=64)
+    rk_levels = [4e-3, 2e-3]
+    rk_rows = convergence_study(_stepper_temporal_residual(cos1, 0.5, 64, rk_levels), rk_levels)
     reports.append(_order_report("stepper_temporal_order", rk_rows, expected=4.0, window=0.3))
 
     # conservation along the stepper

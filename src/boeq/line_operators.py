@@ -10,9 +10,9 @@ Functions live on the half-line frequency grid ``xi_j = j h``, ``j = 0..M``,
   ``wt = (1/2, 1, ..., 1, 1/2)``, related by the exact diagonal similarity
   ``S = diag(sqrt(wt))``.
 
-Operator matrices returned by :func:`toeplitz_line` and :func:`lax_line`
-live in the weighted frame, where the convolution of a real symbol is
-*exactly* Hermitian (kernel conjugate symmetry times the symmetric weight
+The convolution matrix returned by :func:`toeplitz_line` lives in the
+weighted frame, where the convolution of a real symbol is *exactly*
+Hermitian (kernel conjugate symmetry times the symmetric weight
 ``sqrt(wt_j wt_k)``).  Applying ``S^-1 T S`` to raw samples reproduces the
 plain trapezoid collocation sum bit-for-bit, so no quadrature accuracy is
 traded for the symmetry.
@@ -47,10 +47,7 @@ __all__ = [
     "weight_vector",
     "unweight_vector",
     "toeplitz_line",
-    "lax_line",
     "iplus",
-    "LineResolventSystem",
-    "resolvent_system",
     "resolvent_solve",
     "ResolventEvaluator",
 ]
@@ -233,14 +230,6 @@ def toeplitz_line(u0: LineField, grid: LineGrid) -> np.ndarray:
     return (grid.step / TWO_PI) * kernel * (s[:, None] * s[None, :])
 
 
-def lax_line(u0: LineField, grid: LineGrid) -> np.ndarray:
-    """L_{u0} = D - T_{u0} with D = diag(xi_j); Hermitian in the weighted frame."""
-    t = toeplitz_line(u0, grid)
-    out = -t
-    out[np.arange(grid.count), np.arange(grid.count)] += grid.xi
-    return out
-
-
 def iplus(f: HalfLineSpectrum, extrapolate: bool = False) -> complex:
     """Boundary value fhat(0+).
 
@@ -260,28 +249,6 @@ def iplus(f: HalfLineSpectrum, extrapolate: bool = False) -> complex:
 # ---------------------------------------------------------------------------
 # gauge resolvent system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LineResolventSystem:
-    """Dense gauge-frame discretization of (G - 2t L_{u0} - z) f = Pu0.
-
-    ``matrix`` includes the -z shift on the first M diagonal entries and the
-    decay closure row ``g(Xi) = 0`` in place of the last equation; ``rhs`` is
-    the gauge-transformed weighted Hardy datum; ``gauge`` the unit-modulus
-    diagonal ``e^{i t xi^2}``.
-    """
-
-    t: float
-    z: complex
-    grid: LineGrid
-    matrix: np.ndarray
-    rhs: np.ndarray
-    gauge: np.ndarray
-
-    def __post_init__(self):
-        if complex(self.z).imag <= 0:
-            raise DomainError(f"Im z = {complex(self.z).imag:.6g} must be positive")
-
 
 def _gauge_phase(grid: LineGrid, t: float) -> np.ndarray:
     return np.exp(1j * t * grid.xi ** 2)
@@ -338,23 +305,6 @@ def _check_tail(u0: LineField, grid: LineGrid, tol: float):
             f"spectral tail {tail:.3e} at Xi = {grid.cutoff:g} exceeds {tol:g}; "
             "enlarge the cutoff"
         )
-
-
-def resolvent_system(u0: LineField, t: float, z: complex, grid: LineGrid) -> LineResolventSystem:
-    """Assemble the dense square system with closure row, for inspection."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z = {z.imag:.6g} must be positive")
-    n = grid.count
-    a = _gauge_operator(u0, t, grid).copy()
-    a[np.arange(n - 1), np.arange(n - 1)] -= z
-    a[n - 1, :] = 0.0
-    a[n - 1, n - 1] = 1.0
-    rhs = _gauge_rhs(u0, t, grid)
-    rhs[-1] = 0.0
-    return LineResolventSystem(
-        t=t, z=z, grid=grid, matrix=a, rhs=rhs, gauge=_gauge_phase(grid, t)
-    )
 
 
 def _banded_reduced(grid: LineGrid) -> np.ndarray:

@@ -31,9 +31,7 @@ from .line_operators import (
 )
 
 __all__ = [
-    "LineEvaluation",
     "evaluate_uhp",
-    "evaluate_uhp_detailed",
     "reconstruct_line",
     "uhp_grid_scan",
     "ScanRow",
@@ -43,54 +41,10 @@ DEFAULT_EPS = 1e-3
 DEFAULT_REFINEMENTS = 2
 
 
-@dataclass(frozen=True)
-class LineEvaluation:
-    """One upper-half-plane value with its evaluation diagnostics."""
-
-    t: float
-    z: complex
-    value: complex
-    diagnostics: dict
-
-    def __post_init__(self):
-        if complex(self.z).imag <= 0:
-            raise DomainError("LineEvaluation requires Im z > 0")
-
-
 def _single_value(u0: LineField, t: float, z: complex, grid: LineGrid,
                   tail_tol: float) -> complex:
     f = resolvent_solve(u0, t, z, grid, tail_tol=tail_tol)
     return iplus(f, extrapolate=True) / (2j * np.pi)
-
-
-def evaluate_uhp_detailed(
-    u0: LineField,
-    t: float,
-    z: complex,
-    grid: LineGrid | None = None,
-    refinements: int = DEFAULT_REFINEMENTS,
-    tail_tol: float = SPECTRAL_TAIL_TOL,
-) -> LineEvaluation:
-    """Pu(t, z) with the Richardson ladder recorded in the diagnostics."""
-    grid = grid or LineGrid()
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z = {z.imag:.6g} must be positive")
-    levels = [_single_value(u0, t, z, grid, tail_tol)]
-    g = grid
-    for _ in range(max(0, refinements)):
-        g = g.refined(2)
-        levels.append(_single_value(u0, t, z, g, tail_tol))
-    value = _richardson(levels)
-    return LineEvaluation(
-        t=t, z=z, value=value,
-        diagnostics={
-            "grid_step": grid.step,
-            "refinements": max(0, refinements),
-            "stencil": "extrapolated(1,2,3)",
-            "ladder": levels,
-        },
-    )
 
 
 def evaluate_uhp(
@@ -109,7 +63,12 @@ def evaluate_uhp(
     is a dense solve at doubled size, so scans should use
     :func:`reconstruct_line` / :func:`uhp_grid_scan` instead.
     """
-    return evaluate_uhp_detailed(u0, t, z, grid, refinements, tail_tol).value
+    grid = grid or LineGrid()
+    levels = [_single_value(u0, t, z, grid, tail_tol)]
+    for _ in range(max(0, refinements)):
+        grid = grid.refined(2)
+        levels.append(_single_value(u0, t, z, grid, tail_tol))
+    return _richardson(levels)
 
 
 def _richardson(levels: list[complex]) -> complex:

@@ -223,31 +223,15 @@ class HalfLineSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# layout helpers
-# ---------------------------------------------------------------------------
-
-def to_fft_layout(coeffs: np.ndarray) -> np.ndarray:
-    """Natural order (k = -N..N) -> numpy fft order (0..N, -N..-1)."""
-    n = (coeffs.size - 1) // 2
-    return np.concatenate([coeffs[n:], coeffs[:n]])
-
-
-def from_fft_layout(cf: np.ndarray) -> np.ndarray:
-    """Numpy fft order -> natural order (k = -N..N)."""
-    n = (cf.size - 1) // 2
-    return np.concatenate([cf[n + 1:], cf[:n + 1]])
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def project_hardy(u: TorusField, tol: float = SYMMETRY_TOL) -> HardyTorusVector:
+def project_hardy(u: TorusField) -> HardyTorusVector:
     """Orthogonal projection onto non-negative modes: (c_0, ..., c_N)."""
     defect = u.symmetry_defect()
-    if defect > tol:
+    if defect > SYMMETRY_TOL:
         raise InvalidFieldError(
-            f"conjugate-symmetry defect {defect:.3e} exceeds {tol:g}"
+            f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}"
         )
     return HardyTorusVector(u.coeffs[u.max_mode:])
 
@@ -304,18 +288,18 @@ def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> Toru
     return TorusField(max_mode, c)
 
 
-def eigen_system(a: OperatorMatrix, tol: float = EIG_TOL) -> EigenSystem:
+def eigen_system(a: OperatorMatrix) -> EigenSystem:
     """Hermitian eigendecomposition with a reconstruction residual check."""
     if a.tag != "hermitian":
         raise ValueError("eigen_system requires a hermitian-tagged matrix")
     w, v = np.linalg.eigh(a.entries)
     scale = max(float(np.max(np.abs(a.entries))), np.finfo(float).tiny)
     residual = float(np.max(np.abs((v * w) @ v.conj().T - a.entries)))
-    if residual > tol * scale:
+    if residual > EIG_TOL * scale:
         raise LinearAlgebraError("eigendecomposition residual above tolerance", residual)
     return EigenSystem(w, OperatorMatrix(v, tag="unitary"))
 
 
-def hermitian_evolution(a: OperatorMatrix, tau: float, tol: float = EIG_TOL) -> OperatorMatrix:
+def hermitian_evolution(a: OperatorMatrix, tau: float) -> OperatorMatrix:
     """Unitary ``exp(i tau A)`` of a Hermitian matrix via eigendecomposition."""
-    return eigen_system(a, tol=tol).evolution(tau)
+    return eigen_system(a).evolution(tau)

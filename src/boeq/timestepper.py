@@ -35,9 +35,7 @@ from .errors import BlowUpError, InvalidFieldError, StabilityWarning
 from .spectral import SYMMETRY_TOL, TWO_PI, TorusField
 
 __all__ = [
-    "SolverState",
     "Trajectory",
-    "step",
     "evolve",
     "conserved_quantities",
     "BoxLineRun",
@@ -49,20 +47,6 @@ __all__ = [
 # (RK4 tolerates a few units of it).  A StabilityWarning fires beyond
 # CFL_MARGIN; blow-up detection is the hard guard.
 CFL_MARGIN = 1.0
-
-
-@dataclass(frozen=True)
-class SolverState:
-    t: float
-    field: TorusField
-    dt: float
-    max_mode: int
-    dealias_cut: int
-
-    @classmethod
-    def initial(cls, u0: TorusField, dt: float) -> "SolverState":
-        n = u0.max_mode
-        return cls(t=0.0, field=u0, dt=dt, max_mode=n, dealias_cut=(2 * n) // 3)
 
 
 @dataclass(frozen=True)
@@ -146,23 +130,6 @@ def _restore(c: np.ndarray, n: int, t: float) -> TorusField:
     coeffs[n] = c[0].real  # the input's c_0 may carry an imaginary part within SYMMETRY_TOL
     coeffs[n - m + 1:n] = np.conj(c[:0:-1])
     return TorusField(n, coeffs)
-
-
-def step(state: SolverState, dealias: bool = True) -> SolverState:
-    """Advance one integrating-factor RK4 step."""
-    _check_real(state.field)
-    _check_cfl(state.dt, state.max_mode, state.field)
-    n = state.max_mode
-    eng = _Stepper(n, state.dt, dealias=dealias)
-    c = eng.step(state.field.coeffs[n:n + eng.cut + 1])
-    t_new = state.t + state.dt
-    return SolverState(
-        t=t_new,
-        field=_restore(c, n, t_new),
-        dt=state.dt,
-        max_mode=n,
-        dealias_cut=eng.cut,
-    )
 
 
 def evolve(

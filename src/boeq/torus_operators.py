@@ -8,7 +8,6 @@ validation module asserts them there.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,17 @@ __all__ = [
     "b_matrix",
     "shift_adjoint",
     "abs_derivative_field",
-    "LaxPairTorus",
-    "lax_pair",
 ]
 
 
-def _diagonal_values(b: TorusField, n: int, tol: float) -> tuple[np.ndarray, bool]:
+def _diagonal_values(b: TorusField, n: int) -> tuple[np.ndarray, bool]:
     """Coefficients b_hat(d) for d = -n..n, symmetrized when b is real.
 
     Returns (values indexed by d + n, is_real).  Symmetrizing the coefficient
     array (not the assembled matrix) makes the Toeplitz matrix of a real
     symbol exactly Hermitian.
     """
-    is_real = b.symmetry_defect() <= tol
+    is_real = b.symmetry_defect() <= SYMMETRY_TOL
     vals = np.zeros(2 * n + 1, dtype=np.complex128)
     top = min(n, b.max_mode)
     ks = np.arange(top + 1)
@@ -49,7 +46,7 @@ def _diagonal_values(b: TorusField, n: int, tol: float) -> tuple[np.ndarray, boo
     return vals, is_real
 
 
-def toeplitz_matrix(b: TorusField, n: int, tol: float = SYMMETRY_TOL) -> OperatorMatrix:
+def toeplitz_matrix(b: TorusField, n: int) -> OperatorMatrix:
     """Truncated Toeplitz operator f -> P(b f): entries b_hat(j - k).
 
     Modes of ``b`` beyond +-2n cannot reach the truncation and are ignored
@@ -65,17 +62,17 @@ def toeplitz_matrix(b: TorusField, n: int, tol: float = SYMMETRY_TOL) -> Operato
                 TruncationWarning,
                 stacklevel=2,
             )
-    vals, is_real = _diagonal_values(b, n, tol)
+    vals, is_real = _diagonal_values(b, n)
     j = np.arange(n + 1)
     t = vals[j[:, None] - j[None, :] + n]
     return OperatorMatrix(t, tag="hermitian" if is_real else "general")
 
 
-def lax_matrix(u: TorusField, n: int, tol: float = SYMMETRY_TOL) -> OperatorMatrix:
+def lax_matrix(u: TorusField, n: int) -> OperatorMatrix:
     """Truncated L_u = D - T_u with D = diag(0..n); exactly Hermitian."""
-    if u.symmetry_defect() > tol:
+    if u.symmetry_defect() > SYMMETRY_TOL:
         raise InvalidFieldError("lax_matrix requires a real (conjugate-symmetric) field")
-    t = toeplitz_matrix(u, n, tol=tol)
+    t = toeplitz_matrix(u, n)
     entries = np.diag(np.arange(n + 1).astype(np.complex128)) - t.entries
     return OperatorMatrix(entries, tag="hermitian")
 
@@ -86,7 +83,7 @@ def abs_derivative_field(u: TorusField) -> TorusField:
     return TorusField(u.max_mode, u.coeffs * ks)
 
 
-def b_matrix(u: TorusField, n: int, tol: float = SYMMETRY_TOL) -> OperatorMatrix:
+def b_matrix(u: TorusField, n: int) -> OperatorMatrix:
     """Truncated B_u = i (T_{|D|u} - T_u^2); exactly anti-Hermitian.
 
     The square uses the truncated T_u, so both inner matrices are exactly
@@ -94,10 +91,10 @@ def b_matrix(u: TorusField, n: int, tol: float = SYMMETRY_TOL) -> OperatorMatrix
     is evaluated as its own symmetric part to remove matmul reassociation
     roundoff.
     """
-    if u.symmetry_defect() > tol:
+    if u.symmetry_defect() > SYMMETRY_TOL:
         raise InvalidFieldError("b_matrix requires a real (conjugate-symmetric) field")
-    t_disp = toeplitz_matrix(abs_derivative_field(u), n, tol=tol)
-    t = toeplitz_matrix(u, n, tol=tol).entries
+    t_disp = toeplitz_matrix(abs_derivative_field(u), n)
+    t = toeplitz_matrix(u, n).entries
     sq = t @ t
     sq = 0.5 * (sq + sq.conj().T)
     return OperatorMatrix(1j * (t_disp.entries - sq), tag="antihermitian")
@@ -110,22 +107,3 @@ def shift_adjoint(n: int) -> OperatorMatrix:
     s = np.zeros((n + 1, n + 1), dtype=np.complex128)
     s[np.arange(n), np.arange(1, n + 1)] = 1.0
     return OperatorMatrix(s, tag="general")
-
-
-@dataclass(frozen=True)
-class LaxPairTorus:
-    """The pair (L_u, B_u) truncated to modes 0..N, with its source field."""
-
-    L: OperatorMatrix
-    B: OperatorMatrix
-    source: TorusField
-    dim: int
-
-
-def lax_pair(u: TorusField, n: int, tol: float = SYMMETRY_TOL) -> LaxPairTorus:
-    return LaxPairTorus(
-        L=lax_matrix(u, n, tol=tol),
-        B=b_matrix(u, n, tol=tol),
-        source=u,
-        dim=n + 1,
-    )

@@ -36,7 +36,6 @@ __all__ = [
     "evolve_coefficients",
     "evaluate_disc",
     "reconstruct_torus",
-    "solve_torus",
 ]
 
 RESOLVENT_TOL = 1e-8
@@ -172,8 +171,3 @@ def reconstruct_torus(
     """
     coeffs = evolve_coefficients(prop, n_coeffs)
     return synthesize_torus(HardyTorusVector(coeffs), prop.mean, n_samples)
-
-
-def solve_torus(u0: TorusField, t: float, n: int, n_samples: int = 512) -> np.ndarray:
-    """One-call convenience: propagator + reconstruction."""
-    return reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)

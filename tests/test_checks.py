@@ -14,13 +14,13 @@ from boeq.checks import (
     default_suite,
     formula_vs_solver,
     march_times,
-    run_study,
 )
 from boeq.errors import ConfigurationError
 from boeq.line_operators import LineGrid
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
 from boeq.timestepper import evolve
+from boeq.torus_operators import lax_matrix
 from boeq.torus_solution import evolve_coefficients, propagator
 
 
@@ -68,6 +68,37 @@ class TestLaxEvolution:
         )
         orders = [r.observed_order for r in rows[1:]]
         assert all(1.7 <= o <= 2.3 for o in orders)
+
+    @pytest.mark.parametrize("t,dt", [(0.2, 1e-3), (0.2, 2.5e-4), (1e-3, 1e-3)])
+    def test_stencil_fields_match_every_step_march(self, monkeypatch, t, dt):
+        # u(t_mid - dt), u(t_mid), u(t_mid + dt) come from a march through
+        # those three times, with no snapshot asked of the stepper, and equal
+        # the fields of one march that keeps every step, bit for bit
+        import boeq.checks as checks
+
+        u0, n = torus_preset("cos", 2), 128
+        snapshots, seen = [], []
+
+        def no_snapshots(*args, **kwargs):
+            snapshots.append(kwargs.get("snapshot_every", args[4] if len(args) > 4 else 0))
+            return evolve(*args, **kwargs)
+
+        def recording(u, size):
+            seen.append(u)
+            return lax_matrix(u, size)
+
+        monkeypatch.setattr(checks, "evolve", no_snapshots)
+        monkeypatch.setattr(checks, "lax_matrix", recording)
+        check_lax_evolution(u0, t=t, dt=dt, n=n)
+        assert snapshots and not any(snapshots)
+
+        steps_mid = int(round(t / dt))
+        every = evolve(u0, steps_mid * dt + dt, dt, n, snapshot_every=1).fields
+        # lax_matrix reads u_plus, u_minus, then u_mid
+        expected = [every[steps_mid + 1], every[steps_mid - 1], every[steps_mid]]
+        assert len(seen) == 3
+        for got, ref in zip(seen, expected):
+            np.testing.assert_array_equal(got.coeffs, ref.coeffs)
 
 
 class TestIsospectrality:
@@ -153,14 +184,6 @@ class TestLineIdentities:
 
 
 class TestStudiesAndSuite:
-    def test_named_study_dispatch(self):
-        rows = run_study("lax_evolution", levels=[1e-3, 5e-4], t=0.2, n=128)
-        assert rows[1].observed_order == pytest.approx(2.0, abs=0.3)
-        rows = run_study("line_gd", levels=[0.08, 0.04])
-        assert rows[1].observed_order == pytest.approx(2.0, abs=0.3)
-        rows = run_study("stepper_order", levels=[4e-3, 2e-3], t=0.5, n=64)
-        assert 3.7 <= rows[1].observed_order <= 4.3
-
     def test_stepper_order_study_marches_one_reference(self, monkeypatch):
         import boeq.checks as checks
 
@@ -171,12 +194,11 @@ class TestStudiesAndSuite:
             return evolve(u0, t_final, dt, *args, **kwargs)
 
         monkeypatch.setattr(checks, "evolve", counting)
-        run_study("stepper_order", levels=[4e-3, 2e-3], t=0.5, n=64)
+        levels = [4e-3, 2e-3]
+        rows = convergence_study(
+            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64, levels), levels)
         assert dts == [2e-3 / 8, 4e-3, 2e-3]
-
-    def test_unknown_study_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_study("no-such-check", levels=[0.1])
+        assert 3.7 <= rows[1].observed_order <= 4.3
 
     def test_convergence_study_shape(self):
         rows = convergence_study(lambda lv: lv ** 2, levels=[0.4, 0.2, 0.1])

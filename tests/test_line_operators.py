@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import boeq.line_operators as lo
 from boeq.accel import hessenberg_of_band
 from boeq.errors import ConditioningError, ConfigurationError, DomainError
 from boeq.line_operators import (
@@ -11,9 +14,7 @@ from boeq.line_operators import (
     abs_frequency_field,
     g_matrix,
     iplus,
-    lax_line,
     resolvent_solve,
-    resolvent_system,
     to_weighted,
     toeplitz_line,
     unweight_vector,
@@ -26,6 +27,39 @@ TWO_PI = 2.0 * np.pi
 
 def lorentzian():
     return line_preset("lorentzian", c=1.0).field
+
+
+def lax_line(u0, grid):
+    """L_{u0} = D - T_{u0} with D = diag(xi_j), in the weighted frame."""
+    return np.diag(grid.xi) - toeplitz_line(u0, grid)
+
+
+@dataclass(frozen=True)
+class LineResolventSystem:
+    """Dense gauge-frame discretization of (G - 2t L_{u0} - z) f = Pu0.
+
+    ``matrix`` includes the -z shift on the first M diagonal entries and the
+    decay closure row ``g(Xi) = 0`` in place of the last equation; ``rhs`` is
+    the gauge-transformed weighted Hardy datum; ``gauge`` the unit-modulus
+    diagonal ``e^{i t xi^2}``.  The reference that ``resolvent_solve``'s
+    elimination of the closure node is checked against.
+    """
+
+    matrix: np.ndarray
+    rhs: np.ndarray
+    gauge: np.ndarray
+
+
+def resolvent_system(u0, t, z, grid):
+    """Assemble the dense square system with its closure row."""
+    n = grid.count
+    a = lo._gauge_operator(u0, t, grid).copy()
+    a[np.arange(n - 1), np.arange(n - 1)] -= z
+    a[n - 1, :] = 0.0
+    a[n - 1, n - 1] = 1.0
+    rhs = lo._gauge_rhs(u0, t, grid)
+    rhs[-1] = 0.0
+    return LineResolventSystem(matrix=a, rhs=rhs, gauge=lo._gauge_phase(grid, t))
 
 
 class TestGrid:
@@ -270,8 +304,6 @@ class TestDenseMemoryBudget:
     @pytest.fixture
     def tight_budget(self, monkeypatch):
         # a 1 MiB machine; any dense assembly would fail the test loudly
-        import boeq.line_operators as lo
-
         def no_dense(*args, **kwargs):
             raise AssertionError("dense operator assembled past the budget check")
 
@@ -279,14 +311,12 @@ class TestDenseMemoryBudget:
         monkeypatch.setattr(lo, "_weighted_generator", no_dense)
         monkeypatch.setattr(lo, "toeplitz_line", no_dense)
 
-    @pytest.mark.parametrize("path", ["solve", "system", "evaluator"])
+    @pytest.mark.parametrize("path", ["solve", "evaluator"])
     def test_refused_before_allocation(self, tight_budget, path):
         grid = LineGrid(40.0, 0.08)  # M = 501: four dense arrays need 16 MB
         with pytest.raises(ConfigurationError, match="physical memory"):
             if path == "solve":
                 resolvent_solve(lorentzian(), 0.3, 1j, grid)
-            elif path == "system":
-                resolvent_system(lorentzian(), 0.3, 1j, grid)
             else:
                 ResolventEvaluator(lorentzian(), 0.3, grid)
 
@@ -297,8 +327,6 @@ class TestDenseMemoryBudget:
         np.testing.assert_array_equal(ev.hardy_solution(1j).values, f.values)
 
     def test_estimate_scales_with_grid(self, monkeypatch):
-        import boeq.line_operators as lo
-
         grid = LineGrid(40.0, 0.08)
         need = lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
         monkeypatch.setattr(lo, "_physical_memory", lambda: 2 * need)

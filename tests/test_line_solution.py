@@ -180,20 +180,31 @@ class TestHolomorphy:
 
 
 class TestDetailedEvaluation:
-    def test_diagnostics_carry_ladder(self):
-        from boeq.line_solution import evaluate_uhp_detailed
+    def test_diagnostics_carry_ladder(self, monkeypatch):
+        # refinements=1 solves on h and h/2 and returns their Richardson value
+        steps = []
+        real_solve = ls.resolvent_solve
 
+        def recording(u0, t, z, grid, **kwargs):
+            steps.append(grid.step)
+            return real_solve(u0, t, z, grid, **kwargs)
+
+        monkeypatch.setattr(ls, "resolvent_solve", recording)
         field = line_preset("lorentzian", c=1.0).field
-        ev = evaluate_uhp_detailed(field, 0.0, 1j, refinements=1)
-        assert ev.diagnostics["refinements"] == 1
-        assert len(ev.diagnostics["ladder"]) == 2
-        assert abs(ev.value - 0.5) < 1e-5
+        value = evaluate_uhp(field, 0.0, 1j, refinements=1)
+        assert steps == [LineGrid().step, LineGrid().step / 2]
+        assert abs(value - 0.5) < 1e-5
 
-    def test_invariant_rejects_lower_half_plane(self):
-        from boeq.line_solution import LineEvaluation
+    def test_invariant_rejects_lower_half_plane(self, monkeypatch):
+        # at t != 0 the lower half-plane is refused before any dense assembly
+        import boeq.line_operators as lo
 
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense operator assembled for a lower-half-plane z")
+
+        monkeypatch.setattr(lo, "_gauge_operator", no_dense)
         with pytest.raises(DomainError):
-            LineEvaluation(t=0.0, z=1.0 - 0.2j, value=0.0, diagnostics={})
+            evaluate_uhp(line_preset("lorentzian").field, 0.3, 1.0 - 0.2j)
 
 
 class TestSampledIngestion:

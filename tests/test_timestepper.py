@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
-from boeq.spectral import TorusField, field_from_samples, from_fft_layout, to_fft_layout
+from boeq.spectral import TorusField, field_from_samples
 from boeq.timestepper import (
-    SolverState,
+    _Stepper,
     conserved_quantities,
     evolve,
     evolve_line_on_box,
-    step,
 )
 
 
@@ -16,19 +15,23 @@ def cos_field(n, a=1.0):
     return TorusField.from_modes(n, {1: a / 2.0})
 
 
+def one_step(u, dt):
+    """One IF-RK4 step: evolve over a horizon of exactly dt."""
+    return evolve(u, dt, dt, u.max_mode)
+
+
 class TestStep:
     def test_zero_stays_zero(self):
-        s = SolverState.initial(TorusField.zero(16), 1e-3)
-        out = step(s)
-        assert np.all(out.field.coeffs == 0)
-        assert out.t == pytest.approx(1e-3)
+        out = one_step(TorusField.zero(16), 1e-3)
+        assert np.all(out.final().coeffs == 0)
+        assert out.times[-1] == pytest.approx(1e-3)
 
     def test_constant_is_stationary(self):
         u = TorusField.from_modes(16, {0: 0.8})
-        s = SolverState.initial(u, 1e-3)
+        f = u
         for _ in range(5):
-            s = step(s)
-        np.testing.assert_allclose(s.field.coeffs, u.coeffs, atol=1e-14)
+            f = one_step(f, 1e-3).final()
+        np.testing.assert_allclose(f.coeffs, u.coeffs, atol=1e-14)
 
     def test_linear_phase_for_small_amplitude(self):
         a = 1e-3
@@ -40,8 +43,6 @@ class TestStep:
     def test_dealias_cut_inert_on_quadratic_product(self):
         # for data band-limited to N/3 the quadratic product reaches exactly
         # the 2/3 cut, so cutting it changes nothing, bit for bit
-        from boeq.timestepper import _Stepper
-
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 3 + 1)})
         half = u.coeffs[n:]  # c_0..c_N
@@ -57,8 +58,6 @@ class TestStep:
     def test_nonlinear_term_is_the_exact_product(self, dealias):
         # full-band data: u^2 reaches mode 2N, and no aliased mode may land
         # on a kept one; the reference is the direct convolution of c with c
-        from boeq.timestepper import _Stepper
-
         n = 30
         rng = np.random.default_rng(5)
         u = TorusField.from_modes(n, {k: (rng.standard_normal() + 1j * rng.standard_normal()) / k
@@ -76,9 +75,8 @@ class TestStep:
         # narrow-band data; the step agrees to machine precision either way
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 6 + 1)})
-        s = SolverState.initial(u, 1e-3)
-        with_cut = step(s, dealias=True).field.coeffs
-        without = step(s, dealias=False).field.coeffs
+        with_cut = one_step(u, 1e-3).final().coeffs[n:]  # c_0..c_N, zero above the cut
+        without = _Stepper(n, 1e-3, dealias=False).step(u.coeffs[n:])
         np.testing.assert_allclose(with_cut, without, atol=2e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route
@@ -90,7 +88,7 @@ class TestStep:
     def test_cfl_guideline_warning(self):
         u = cos_field(64)
         with pytest.warns(StabilityWarning):
-            step(SolverState.initial(u, 0.02))
+            one_step(u, 0.02)
 
 
 def _complex_field(n):
@@ -107,15 +105,26 @@ class TestRealFieldGuard:
 
     def test_step_refuses_complex_field(self):
         with pytest.raises(InvalidFieldError):
-            step(SolverState.initial(_complex_field(16), 1e-3))
+            one_step(_complex_field(16), 1e-3)
 
     def test_field_from_samples_datum_passes(self):
         x = 2 * np.pi * np.arange(64) / 64
         u = field_from_samples(np.exp(np.sin(x)) + 0.3 * np.cos(3 * x), max_mode=16)
         traj = evolve(u, 0.01, 1e-3, 16)
         assert traj.final().symmetry_defect() == 0.0
-        s = step(SolverState.initial(u, 1e-3))
-        assert s.field.symmetry_defect() == 0.0
+        assert one_step(u, 1e-3).final().symmetry_defect() == 0.0
+
+
+def to_fft_layout(coeffs):
+    """Natural order (k = -N..N) -> numpy fft order (0..N, -N..-1)."""
+    n = (coeffs.size - 1) // 2
+    return np.concatenate([coeffs[n:], coeffs[:n]])
+
+
+def from_fft_layout(cf):
+    """Numpy fft order -> natural order (k = -N..N)."""
+    n = (cf.size - 1) // 2
+    return np.concatenate([cf[n + 1:], cf[:n + 1]])
 
 
 def _full_complex_step(cf, n, dt):

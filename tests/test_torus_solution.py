@@ -16,7 +16,6 @@ from boeq.torus_solution import (
     evolve_coefficients,
     propagator,
     reconstruct_torus,
-    solve_torus,
 )
 
 from conftest import rel_l2
@@ -184,7 +183,7 @@ class TestReconstruct:
 
     def test_matches_time_stepper(self):
         u = cos_field(64)
-        mine = solve_torus(u, 0.3, 64, n_samples=256)
+        mine = reconstruct_torus(propagator(u, 0.3, 64), n_samples=256)
         ref_field = evolve(u, 0.3, 5e-4, 64).final()
         ref = synthesize_torus(project_hardy(ref_field), 0.0, 256)
         assert rel_l2(mine, ref) < 1e-6
@@ -201,8 +200,8 @@ class TestReconstruct:
         u0 = cos_field(64)
         t1, t2 = 0.2, 0.3
         u1 = evolve(u0, t1, 5e-4, 64).final()
-        direct = solve_torus(u0, t1 + t2, 64, n_samples=256)
-        restart = solve_torus(u1, t2, 64, n_samples=256)
+        direct = reconstruct_torus(propagator(u0, t1 + t2, 64), n_samples=256)
+        restart = reconstruct_torus(propagator(u1, t2, 64), n_samples=256)
         assert rel_l2(restart, direct) < 1e-6
 
     def test_long_horizon(self):
