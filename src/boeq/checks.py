@@ -5,7 +5,9 @@ Torus identities are *finite-section exact*: for symbols band-limited to
 at distance >= 2m from the truncation edge, so tolerances sit at 1e-12.
 Line identities hold only in the h -> 0 limit of the grid; their residuals
 are asserted against calibrated C*h^2 envelopes and their convergence
-order is measured by refinement ladders.
+order is measured by refinement ladders.  Their operator products are formed
+matrix-free (the generator from its stencil in O(M), the Toeplitz operator by
+circulant FFT in O(M log M)), so no M x M array is allocated.
 
 Reports are plain records (name, residual, tolerance, passed, parameters)
 that serialize to JSON; the default suite is deterministic, fixed seeds
@@ -23,14 +25,13 @@ from .line_operators import (
     LineField,
     LineGrid,
     abs_frequency_field,
-    g_matrix,
+    generator_apply,
     iplus,
-    to_weighted,
-    toeplitz_line,
+    toeplitz_apply,
 )
 from .presets import line_preset, torus_preset
 from .spectral import TWO_PI, TorusField, project_hardy, synthesize_torus
-from .timestepper import conserved_quantities, evolve
+from .timestepper import conserved_quantities, evolve, split_steps
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
 from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
 
@@ -275,6 +276,9 @@ def check_line_identities(
 
     Residuals are max norms over interior nodes for smooth test spectra
     supported inside (0, Xi); tolerances are C * h^2 with per-check C.
+    G_w and T_w act through :func:`generator_apply` and
+    :func:`toeplitz_apply`, the same products as the dense weighted
+    matrices up to rounding, in O(M) memory.
     """
     grid = grid or LineGrid()
     h = grid.step
@@ -283,9 +287,9 @@ def check_line_identities(
     sw = grid.sqrt_weights
     interior = slice(2, n - 2)
 
-    gw = to_weighted(g_matrix(grid), grid)
-    tw = toeplitz_line(u0, grid)
-    t_disp = toeplitz_line(abs_frequency_field(u0), grid)
+    gw = generator_apply(grid)
+    tw = toeplitz_apply(u0, grid)
+    t_disp = toeplitz_apply(abs_frequency_field(u0), grid)
     hardy = u0.hardy(grid).values
 
     vectors = _line_test_vectors(grid)
@@ -296,7 +300,7 @@ def check_line_identities(
 
     def flow_residual(g: np.ndarray, conv: Callable, conv_disp: Callable) -> np.ndarray:
         """([G, B_u] + 2 L_u - i [L_u^2, G]) g through the convolutions
-        ``conv`` (T_u) and ``conv_disp`` (T_{|D|u}), given as matvecs.
+        ``conv`` (T_u) and ``conv_disp`` (T_{|D|u}), given as products.
 
         The u = 0 baseline runs through the same expressions with zero
         convolutions, so subtracting it is exact for the zero field.
@@ -304,8 +308,8 @@ def check_line_identities(
         lax_apply = lambda v: xi * v - conv(v)
         b_apply = lambda v: 1j * (conv_disp(v) - conv(conv(v)))
         l2_of = lambda v: lax_apply(lax_apply(v))
-        comm_gb = gw @ b_apply(g) - b_apply(gw @ g)
-        comm_l2g = l2_of(gw @ g) - gw @ l2_of(g)
+        comm_gb = gw(b_apply(g)) - b_apply(gw(g))
+        comm_l2g = l2_of(gw(g)) - gw(l2_of(g))
         return comm_gb + 2.0 * lax_apply(g) - 1j * comm_l2g
 
     res_gd = 0.0
@@ -316,19 +320,18 @@ def check_line_identities(
     for name, raw in vectors:
         g = sw * raw
         # [G, D] = i Id
-        r = gw @ (xi * g) - xi * (gw @ g) - 1j * g
+        r = gw(xi * g) - xi * gw(g) - 1j * g
         res_gd = max(res_gd, float(np.max(np.abs(r[interior]))))
         # [G, T_b] f = (i/2pi) I+(f) Pb
         f0 = iplus(grid.spectrum(raw))
         rhs = (1j / TWO_PI) * f0 * (sw * hardy)
-        r = gw @ (tw @ g) - tw @ (gw @ g) - rhs
+        r = gw(tw(g)) - tw(gw(g)) - rhs
         res_32 = max(res_32, float(np.max(np.abs(r[interior]))))
         # flow bracket, u-dependent part
-        r = (flow_residual(g, lambda v: tw @ v, lambda v: t_disp @ v)
-             - flow_residual(g, np.zeros_like, np.zeros_like))
+        r = flow_residual(g, tw, t_disp) - flow_residual(g, np.zeros_like, np.zeros_like)
         res_31 = max(res_31, float(np.max(np.abs(r[interior]))))
         # dissipativity: Re<A_t f | f> -> -|fhat(0+)|^2 / 4pi
-        a_g = -1j * (gw @ g - 2.0 * t * (xi * g))
+        a_g = -1j * (gw(g) - 2.0 * t * (xi * g))
         quad = (h / TWO_PI) * float(np.real(np.vdot(g, a_g)))
         norm_sq = (h / TWO_PI) * float(np.real(np.vdot(g, g)))
         target = -abs(f0) ** 2 / (2.0 * TWO_PI)
@@ -359,21 +362,27 @@ def check_line_identities(
 def march_times(u0: TorusField, times: Sequence[float], dt: float, n: int) -> dict[float, TorusField]:
     """Stepper solutions at every distinct time, keyed by time.
 
-    Each side of t = 0 is marched once, outward in |t|: one ``evolve``
-    segment per time, starting from the previous time's field.  A segment
-    ends with an exact partial step, so every time is landed on exactly, and
-    no stretch is stepped twice.  The stepper state between segments is the
-    field itself, so times on the dt grid get the same bits as one ``evolve``
-    from t = 0.
+    Each side of t = 0 is marched once, outward in |t|, so no stretch is
+    stepped twice.  Every time takes its whole-step count and its partial
+    step from itself, as ``evolve(u0, t, dt, n)`` does (:func:`split_steps`):
+    the march advances by whole-step segments from the previous time's count,
+    and the partial step, if any, is taken on a copy that the march does not
+    continue from.  Each field therefore has the same bits as one ``evolve``
+    from t = 0, however large t is.
     """
     fields: dict[float, TorusField] = {}
     forward = sorted({float(t) for t in times if t >= 0})
     backward = sorted({float(t) for t in times if t < 0}, reverse=True)
-    for side in (forward, backward):
-        current, t_prev = u0, 0.0
+    for sign, side in ((1.0, forward), (-1.0, backward)):
+        current, done = u0, 0
         for t in side:
-            current = evolve(current, t - t_prev, dt, n).final()
-            fields[t], t_prev = current, t
+            steps, remainder = split_steps(abs(t), dt)
+            current = evolve(current, sign * ((steps - done) * dt), dt, n).final()
+            done = steps
+            # the partial step as one whole step of its own length: the same
+            # bits as evolve's partial step, with no count to round
+            fields[t] = (evolve(current, sign * remainder, remainder, n).final()
+                         if remainder else current)
     return fields
 
 

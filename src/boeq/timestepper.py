@@ -13,8 +13,9 @@ with the 2/3 rule, so the dealiasing property "cut changes nothing for
 band-limited data" holds to the bit.  Complex (non-real) data are refused.
 
 Callers that need several times (``boeq compare``, ``solve-torus --method
-spectral``, the isospectrality check) march once through them in order,
-one :func:`evolve` segment per time (``boeq.checks.march_times``).
+spectral``, the isospectrality check) march once through them in order
+in whole-step :func:`evolve` segments (``boeq.checks.march_times``); each
+time gets the bits of one ``evolve`` from t = 0 (:func:`split_steps`).
 
 A rescaled run doubles as a line oracle: if u solves the equation on the
 line, then ``v(s, y) = lam * u(lam^2 s, lam (y - pi))`` with ``lam = X / pi``
@@ -37,6 +38,7 @@ from .spectral import SYMMETRY_TOL, TWO_PI, TorusField
 __all__ = [
     "Trajectory",
     "evolve",
+    "split_steps",
     "conserved_quantities",
     "BoxLineRun",
     "evolve_line_on_box",
@@ -132,6 +134,14 @@ def _restore(c: np.ndarray, n: int, t: float) -> TorusField:
     return TorusField(n, coeffs)
 
 
+def split_steps(total: float, dt: float) -> tuple[int, float]:
+    """Whole steps of size dt that :func:`evolve` takes to cover ``total``
+    (= |t_final|), and the exact partial step after them (0.0 when none)."""
+    n_full = int(np.floor(total / dt + 1e-12))
+    remainder = total - n_full * dt
+    return n_full, (remainder if remainder > 1e-14 * max(1.0, total) else 0.0)
+
+
 def evolve(
     u0: TorusField,
     t_final: float,
@@ -158,9 +168,7 @@ def evolve(
     _check_cfl(dt, n, u0)
 
     direction = 1.0 if t_final >= 0 else -1.0
-    total = abs(t_final)
-    n_full = int(np.floor(total / dt + 1e-12))
-    remainder = total - n_full * dt
+    n_full, remainder = split_steps(abs(t_final), dt)
 
     times = [0.0]
     fields = [u0]
@@ -175,7 +183,7 @@ def evolve(
         if snapshot_every and i % snapshot_every == 0 and i != n_full:
             times.append(t)
             fields.append(_restore(c, n, t))
-    if remainder > 1e-14 * max(1.0, total):
+    if remainder:
         c = _Stepper(n, direction * remainder).step(c)
         t = t_final
     if times[-1] != t:

@@ -16,7 +16,14 @@ from boeq.checks import (
     march_times,
 )
 from boeq.errors import ConfigurationError
-from boeq.line_operators import LineGrid
+from boeq.line_operators import (
+    LineGrid,
+    abs_frequency_field,
+    g_matrix,
+    iplus,
+    to_weighted,
+    toeplitz_line,
+)
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
 from boeq.timestepper import evolve
@@ -140,6 +147,23 @@ class TestMarchTimes:
         for t in (0.05, 0.02, -0.03):
             np.testing.assert_array_equal(fields[t].coeffs, evolve(u0, t, 1e-3, 32).final().coeffs)
 
+    def test_off_grid_times_match_one_march_bitwise(self):
+        # each time gets evolve's own whole steps plus its partial step, and
+        # the march goes on from the whole-step field, not the partial one
+        u0 = torus_preset("twomode", 32, a=1.0, b=0.5)
+        times = [0.0105, 0.0237, 0.024, -0.0042, -0.011]
+        fields = march_times(u0, times, 1e-3, 32)
+        for t in times:
+            np.testing.assert_array_equal(fields[t].coeffs, evolve(u0, t, 1e-3, 32).final().coeffs)
+
+    def test_late_segment_is_one_whole_step(self):
+        # 16.002 - 16.001 rounds below one step at dt = 1e-3; the march
+        # must still land on the bits of one evolve from t = 0
+        u0 = torus_preset("cos", 4)
+        fields = march_times(u0, [16.001, 16.002], 1e-3, 4)
+        np.testing.assert_array_equal(fields[16.002].coeffs,
+                                      evolve(u0, 16.002, 1e-3, 4).final().coeffs)
+
 
 class TestFormulaIsospectrality:
     @pytest.fixture(scope="class")
@@ -181,6 +205,52 @@ class TestLineIdentities:
         for name, residuals in per.items():
             orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
             assert all(1.7 <= o <= 2.3 for o in orders), (name, orders)
+
+
+def dense_line_residuals(u0, grid, t):
+    """The four line residuals of ``check_line_identities``, recomputed from
+    the dense weighted generator and Toeplitz matrices."""
+    n, h, xi, sw = grid.count, grid.step, grid.xi, grid.sqrt_weights
+    inner = slice(2, n - 2)
+    gw = to_weighted(g_matrix(grid), grid)
+    tw = toeplitz_line(u0, grid)
+    t_disp = toeplitz_line(abs_frequency_field(u0), grid)
+    hardy = u0.hardy(grid).values
+
+    def flow(g, conv, conv_disp):
+        lax = lambda v: xi * v - conv @ v
+        b_op = lambda v: 1j * (conv_disp @ v - conv @ (conv @ v))
+        l2 = lambda v: lax(lax(v))
+        return (gw @ b_op(g) - b_op(gw @ g) + 2.0 * lax(g)
+                - 1j * (l2(gw @ g) - gw @ l2(g)))
+
+    zero = np.zeros_like(tw)
+    res = np.zeros(4)
+    for raw in (np.exp(-(xi - 10.0) ** 2), np.exp(-xi)):
+        g = sw * raw.astype(np.complex128)
+        f0 = iplus(grid.spectrum(raw))
+        r_gd = gw @ (xi * g) - xi * (gw @ g) - 1j * g
+        r_tb = gw @ (tw @ g) - tw @ (gw @ g) - (1j / (2 * np.pi)) * f0 * (sw * hardy)
+        r_flow = flow(g, tw, t_disp) - flow(g, zero, zero)
+        a_g = -1j * (gw @ g - 2.0 * t * (xi * g))
+        quad = h / (2 * np.pi) * float(np.real(np.vdot(g, a_g)))
+        norm_sq = h / (2 * np.pi) * float(np.real(np.vdot(g, g)))
+        diss = abs(quad + abs(f0) ** 2 / (4 * np.pi)) / norm_sq
+        res = np.maximum(res, [np.max(np.abs(r[inner])) for r in (r_gd, r_tb, r_flow)] + [diss])
+    return res
+
+
+class TestLineResidualsAgainstDense:
+    @pytest.mark.parametrize("field", [
+        line_preset("lorentzian", c=1.0).field,
+        line_preset("gaussian", a=1.0, w=1.0).field,
+    ], ids=["lorentzian", "gaussian"])
+    def test_matrix_free_residuals_match_dense_reference(self, field):
+        # the C h^2 envelopes are loose enough to pass a wrong circulant wrap
+        # or a wrong stencil row; the dense reference is not
+        grid = LineGrid(40.0, 0.08)
+        got = [r.residual for r in check_line_identities(field, grid, t=0.7)]
+        np.testing.assert_allclose(got, dense_line_residuals(field, grid, 0.7), rtol=1e-8, atol=0)
 
 
 class TestStudiesAndSuite:

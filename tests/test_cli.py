@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +333,11 @@ class TestConfigMerging:
         code = main(["solve-torus", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+
+def test_console_script_resolves_to_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["boeq"]
+    module_name, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module_name), attr) is main

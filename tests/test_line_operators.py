@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 import boeq.line_operators as lo
 from boeq.accel import hessenberg_of_band
+from boeq.checks import check_line_identities
 from boeq.errors import ConditioningError, ConfigurationError, DomainError
 from boeq.line_operators import (
     LineField,
@@ -13,9 +15,11 @@ from boeq.line_operators import (
     ResolventEvaluator,
     abs_frequency_field,
     g_matrix,
+    generator_apply,
     iplus,
     resolvent_solve,
     to_weighted,
+    toeplitz_apply,
     toeplitz_line,
     unweight_vector,
     weight_vector,
@@ -157,6 +161,67 @@ class TestToeplitzLine:
         oracle = quad(lambda s: np.exp(-abs(xi - s)) * np.exp(-s), 0.0, 30.0,
                       points=[xi], limit=400)[0]
         assert abs(out[j].real - oracle) < 5.0 * 0.02 ** 2
+
+
+def sampled_field():
+    x = np.linspace(-12.0, 12.0, 97)
+    return LineField.from_samples(x, np.exp(-x ** 2) * (1.0 + 0.3 * x))
+
+
+MATRIX_FREE_FIELDS = {
+    "lorentzian": lorentzian,
+    "gaussian": lambda: line_preset("gaussian", a=1.0, w=1.0).field,
+    "sampled": sampled_field,
+}
+
+
+class TestMatrixFreeProducts:
+    # M = 17 and 40 nodes (odd and even), 81 and 200 for a longer kernel
+    GRIDS = [LineGrid(8.0, 0.5), LineGrid(7.8, 0.2), LineGrid(8.0, 0.1), LineGrid(19.9, 0.1)]
+
+    @staticmethod
+    def _random_vectors(rng, n):
+        return [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
+    @pytest.mark.parametrize("field", sorted(MATRIX_FREE_FIELDS))
+    def test_toeplitz_apply_matches_dense(self, rng, grid, field):
+        u0 = MATRIX_FREE_FIELDS[field]()
+        dense = toeplitz_line(u0, grid)
+        apply = toeplitz_apply(u0, grid)
+        for v in self._random_vectors(rng, grid.count):
+            ref = dense @ v
+            assert np.linalg.norm(apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
+    def test_generator_apply_matches_dense(self, rng, grid):
+        dense = to_weighted(g_matrix(grid), grid)
+        apply = generator_apply(grid)
+        for v in self._random_vectors(rng, grid.count):
+            ref = dense @ v
+            assert np.linalg.norm(apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_zero_field_gives_exact_zeros(self, rng):
+        grid = LineGrid(8.0, 0.1)
+        apply = toeplitz_apply(line_preset("zero").field, grid)
+        for v in self._random_vectors(rng, grid.count):
+            assert np.all(apply(v) == 0.0)
+
+    def test_generator_needs_stencil_room(self):
+        with pytest.raises(ConfigurationError, match="M >= 8"):
+            generator_apply(LineGrid(7.0, 1.0))
+
+    def test_line_identities_allocate_no_dense_matrix(self):
+        # one M x M complex array at M = 2001 is 61 MiB; the products need
+        # a few vectors of length M and one FFT buffer of length ~2M
+        grid = LineGrid(40.0, 0.02)
+        tracemalloc.start()
+        try:
+            check_line_identities(lorentzian(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestLaxLine:
