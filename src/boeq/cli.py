@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -81,6 +82,25 @@ def _resolve(args: argparse.Namespace, keys: dict[str, object]) -> dict:
     return cfg
 
 
+def _positive(cfg: dict, key: str) -> float:
+    """``cfg[key]`` as a float; a non-positive or non-finite value exits 2."""
+    try:
+        val = float(cfg[key])
+    except (TypeError, ValueError):
+        val = math.nan
+    if not (math.isfinite(val) and val > 0):
+        raise ConfigurationError(f"{key} must be a positive number, got {cfg[key]!r}")
+    return val
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; a count below 1 exits 2."""
+    n = int(value)
+    if n < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {n}")
+    return n
+
+
 def _torus_field(cfg: dict):
     name, params = parse_preset(str(cfg["preset"]))
     n = int(cfg["n"])
@@ -105,15 +125,19 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
     })
     if isinstance(cfg["t"], str):
         cfg["t"] = _parse_floats(cfg["t"])
-    outdir = Path(str(cfg["out"]))
-    outdir.mkdir(parents=True, exist_ok=True)
-    u0 = _torus_field(cfg)
-    n = int(cfg["n"])
+    n = _count(cfg["n"], "truncation n")
+    dt = _positive(cfg, "dt")
+    k = None if cfg["k"] is None else int(cfg["k"])
+    if k is not None and not 0 <= k <= n:
+        raise ConfigurationError(f"coefficient count k = {k} must lie in [0, n = {n}]")
     n_samples = int(cfg["samples"])
     if n_samples < 2 * n + 2:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {n} modes; need at least {2 * n + 2}"
         )
+    u0 = _torus_field(cfg)
+    outdir = Path(str(cfg["out"]))
+    outdir.mkdir(parents=True, exist_ok=True)
     x = _grid_samples(n_samples)
     times = [float(t) for t in cfg["t"]]
     method = str(cfg["method"])
@@ -129,7 +153,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
     if method in ("spectral", "both"):
         if any(t < 0 for t in times):
             raise ConfigurationError("times must be non-negative")
-        spectral_fields = march_times(u0, times, float(cfg["dt"]), n)
+        spectral_fields = march_times(u0, times, dt, n)
         samples_sets = [
             synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
             for f in (spectral_fields[t] for t in times)
@@ -140,7 +164,6 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
         tag = f"t{i:02d}"
         if method in ("explicit", "both"):
             prop = propagator(u0, t, n)
-            k = int(cfg["k"]) if cfg["k"] is not None else None
             coeffs = evolve_coefficients(prop, k)
             write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs, prop.mean)
             write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
@@ -160,7 +183,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
             rel = float(np.linalg.norm(u_exp - u_ref) / max(np.linalg.norm(u_ref), 1e-300))
             diffs.append({"t": t, "rel_l2": rel})
     if diffs:
-        write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": float(cfg["dt"])})
+        write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})
     return 0
 
 
@@ -174,9 +197,14 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
         cfg["t"] = _parse_floats(cfg["t"])
     if cfg["scan"] and not cfg["t"]:
         raise ConfigurationError("--scan runs at the first time of --t; give at least one")
+    eps = _positive(cfg, "eps")
+    nx = _count(cfg["nx"], "nx")
+    try:
+        grid = LineGrid(_positive(cfg, "cutoff"), _positive(cfg, "h"))
+    except ValueError as exc:  # too few nodes
+        raise ConfigurationError(str(exc)) from exc
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = LineGrid(float(cfg["cutoff"]), float(cfg["h"]))
 
     name, params = parse_preset(str(cfg["preset"]))
     if name == "csv":
@@ -187,9 +215,9 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
 
     hardy = field.hardy(grid)
     write_spectrum_csv(outdir / "initial_spectrum.csv", hardy.xi, hardy.values)
-    x = np.linspace(float(cfg["xmin"]), float(cfg["xmax"]), int(cfg["nx"]))
+    x = np.linspace(float(cfg["xmin"]), float(cfg["xmax"]), nx)
     for i, t in enumerate([float(t) for t in cfg["t"]]):
-        u = reconstruct_line(field, t, x, eps=float(cfg["eps"]), grid=grid,
+        u = reconstruct_line(field, t, x, eps=eps, grid=grid,
                              eps_refine=bool(cfg["eps_refine"]),
                              tail_tol=float(cfg["tail_tol"]))
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
@@ -239,16 +267,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg["t"] = _parse_floats(cfg["t"])
     if isinstance(cfg["n_list"], str):
         cfg["n_list"] = _parse_ints(cfg["n_list"])
+    dt = _positive(cfg, "dt")
+    n_list = [_count(v, "truncation n") for v in cfg["n_list"]]
+    n_samples = int(cfg["samples"])
+    if n_list and n_samples < 2 * max(n_list) + 1:
+        raise ConfigurationError(
+            f"samples = {n_samples} cannot resolve {max(n_list)} modes; "
+            f"need at least {2 * max(n_list) + 1}"
+        )
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
 
     name, params = parse_preset(str(cfg["preset"]))
     times = [float(v) for v in cfg["t"]]
-    dt = float(cfg["dt"])
     rows = []
-    for n in [int(v) for v in cfg["n_list"]]:
+    for n in n_list:
         u0 = torus_preset(name, n, **params)
-        rels = formula_vs_solver_times(u0, times, n, dt, int(cfg["samples"]))
+        rels = formula_vs_solver_times(u0, times, n, dt, n_samples)
         rows += [(t, n, dt, rel) for t, rel in zip(times, rels)]
     with (outdir / "compare.csv").open("w", newline="") as fh:
         fh.write("t,n,dt,rel_l2\n")

@@ -49,9 +49,12 @@ def parse_preset(text: str) -> tuple[str, dict[str, float]]:
             if not sep:
                 raise ConfigurationError(f"malformed preset parameter {item!r}")
             try:
-                params[key.strip()] = float(val)
+                value = float(val)
             except ValueError as exc:
                 raise ConfigurationError(f"non-numeric preset parameter {item!r}") from exc
+            if not np.isfinite(value):
+                raise ConfigurationError(f"non-finite preset parameter {item!r}")
+            params[key.strip()] = value
     return name, params
 
 

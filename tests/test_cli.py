@@ -30,6 +30,11 @@ class TestPresets:
         with pytest.raises(ConfigurationError):
             parse_preset("gaussian:a")
 
+    @pytest.mark.parametrize("text", ["twomode:a=nan", "gaussian:a=1,w=inf", "cos:a=-inf"])
+    def test_non_finite_param_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            parse_preset(text)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
             torus_preset("sawtooth", 8)
@@ -333,6 +338,37 @@ class TestConfigMerging:
         code = main(["solve-torus", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+
+class TestInvalidNumericFlags:
+    """Out-of-range numbers are configuration errors (exit 2), caught before any solve."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-torus", "--n", "0"],
+        ["solve-torus", "--n", "16", "--samples", "64", "--k", "40"],
+        ["solve-torus", "--n", "16", "--samples", "64", "--k", "-1"],
+        ["solve-torus", "--method", "spectral", "--dt", "0"],
+        ["solve-line", "--h", "0"],
+        ["solve-line", "--h", "100"],
+        ["solve-line", "--eps", "0"],
+        ["compare", "--dt", "-1"],
+        ["compare", "--n-list", "0"],
+        ["compare", "--n-list", "16", "--samples", "32"],
+        ["solve-torus", "--preset", "twomode:a=nan", "--n", "16", "--samples", "64"],
+        ["solve-line", "--nx", "0"],
+    ], ids=["torus-n0", "torus-k-above-n", "torus-k-negative", "torus-dt0", "line-h0",
+            "line-too-few-nodes", "line-eps0", "compare-dt-negative", "compare-n0",
+            "compare-too-few-samples", "torus-nan-preset", "line-nx0"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
+        out = tmp_path / "r"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_checked_too(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": 0}))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
 def test_console_script_resolves_to_cli_main():

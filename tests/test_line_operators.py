@@ -321,6 +321,36 @@ class TestResolventSolve:
         f = resolvent_solve(lorentzian(), 0.2, 1j, LineGrid(40.0, 0.04))
         assert f.values[-1] == 0.0
 
+    def test_generator_row_at_cutoff_reaches_no_solver_output(self, monkeypatch):
+        # Both t != 0 solvers work on rows and columns 0..M-1 of the gauge
+        # operator; the decay closure g(Xi) = 0 replaces the generator's
+        # one-sided row at xi = Xi, so that row cannot move their outputs.
+        grid = LineGrid(25.0, 0.1)
+        u0, t, zs = lorentzian(), 0.5, (1j, 0.5 + 0.6j)
+
+        def outputs():
+            ev = ResolventEvaluator(u0, t, grid)
+            return [(resolvent_solve(u0, t, z, grid).values, ev.hardy_solution(z).values)
+                    for z in zs]
+
+        before = outputs()
+        a_before = lo._gauge_operator(u0, t, grid)
+        dense_g = g_matrix
+
+        def first_order_row(grid):
+            g = dense_g(grid)
+            g[-1, :] = 0.0
+            g[-1, -2:] = 1j * np.array([-1.0, 1.0]) / grid.step
+            return g
+
+        monkeypatch.setattr(lo, "g_matrix", first_order_row)
+        a_after = lo._gauge_operator(u0, t, grid)
+        assert not np.array_equal(a_after[-1], a_before[-1])  # the row did change
+        np.testing.assert_array_equal(a_after[:-1], a_before[:-1])
+        for (solve0, eval0), (solve1, eval1) in zip(before, outputs()):
+            np.testing.assert_array_equal(solve1, solve0)
+            np.testing.assert_array_equal(eval1, eval0)
+
     def test_banded_t0_path_matches_dense_system(self):
         grid = LineGrid(25.0, 0.05)
         z = 0.1 + 0.9j

@@ -227,3 +227,148 @@ class TestReconstruct:
             series = np.polyval(coeffs[::-1], z)
             tail = 2.0 * abs(z) ** 257 * prop.p0.norm()
             assert abs(evaluate_disc(prop, z) - series) <= tail + 1e-12
+
+
+FLUSH = np.sqrt(np.finfo(float).tiny)
+FLUSH_N = 512
+FLUSH_T = 1.0
+
+
+def tiny_count(a):
+    """Entries with 0 < |x| < sqrt(tiny): their products are subnormal."""
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < FLUSH)))
+
+
+@pytest.fixture(scope="module")
+def localized():
+    """twomode a=0.8, b=0.3 at n = 512, whose L_{u0} has strongly localized
+    eigenvectors, with a raw (unflushed) ``np.linalg.eigh`` of it."""
+    from boeq.presets import torus_preset
+
+    u0 = torus_preset("twomode", FLUSH_N, a=0.8, b=0.3)
+    w, v = np.linalg.eigh(lax_matrix(u0, FLUSH_N).entries)
+    return u0, w, v
+
+
+class TestSubnormalFlush:
+    def test_threshold_constant(self):
+        import boeq.spectral
+
+        assert boeq.spectral.FLUSH_BELOW == FLUSH
+        assert FLUSH * FLUSH >= np.finfo(float).tiny  # products of kept entries are normal
+
+    def test_factors_hold_no_entry_below_threshold(self, localized):
+        import boeq.torus_solution as ts
+
+        u0, _, v_raw = localized
+        assert tiny_count(v_raw) > 1000  # the datum exercises the flush
+        es = ts._lax_eigensystem(u0, FLUSH_N)
+        prop = propagator(u0, FLUSH_T, FLUSH_N)
+        assert tiny_count(es.eigenvectors.entries) == 0
+        assert tiny_count(prop.evolution.entries) == 0
+
+    def test_entries_at_or_above_threshold_unchanged(self, localized):
+        import boeq.torus_solution as ts
+
+        u0, w_raw, v_raw = localized
+        es = ts._lax_eigensystem(u0, FLUSH_N)
+        np.testing.assert_array_equal(es.eigenvalues, w_raw)
+        v = es.eigenvectors.entries
+        keep = np.abs(v_raw) >= FLUSH
+        np.testing.assert_array_equal(v[keep], v_raw[keep])
+        assert np.all(v[~keep] == 0)
+        # U before its flush, formed exactly as EigenSystem.evolution forms it
+        u_raw = (v * np.exp(2j * FLUSH_T * es.eigenvalues)) @ v.conj().T
+        u = propagator(u0, FLUSH_T, FLUSH_N).evolution.entries
+        keep = np.abs(u_raw) >= FLUSH
+        assert not keep.all()
+        np.testing.assert_array_equal(u[keep], u_raw[keep])
+        assert np.all(u[~keep] == 0)
+
+    def test_outputs_match_unflushed_reference(self, localized):
+        u0, w_raw, v_raw = localized
+        prop = propagator(u0, FLUSH_T, FLUSH_N)
+        phase = np.exp(1j * FLUSH_T)
+        u_ref = (v_raw * np.exp(2j * FLUSH_T * w_raw)) @ v_raw.conj().T
+        p0 = prop.p0.coeffs
+        # recurrence uhat(t, k) = <M^k Pu0 | 1>, M = phase * U * S*
+        ref = [p0[0]]
+        it = p0.copy()
+        for _ in range(FLUSH_N // 2):
+            it = phase * (u_ref @ np.append(it[1:], 0.0))
+            ref.append(it[0])
+        ref = np.array(ref)
+        got = evolve_coefficients(prop)
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+        m_ref = np.zeros_like(u_ref)
+        m_ref[:, 1:] = u_ref[:, :-1]
+        m_ref *= phase
+        eye = np.eye(FLUSH_N + 1)
+        for j in range(8):
+            z = 0.5 * np.exp(2j * np.pi * j / 8)
+            ref_z = np.linalg.solve(eye - z * m_ref, p0)[0]
+            assert abs(evaluate_disc(prop, z) - ref_z) <= 1e-15 * abs(ref_z)
+
+    @staticmethod
+    def _eigen_system_with(monkeypatch, localized, corrupt):
+        """eigen_system of the datum's L_{u0} with eigh's output corrupted."""
+        from boeq.spectral import eigen_system
+
+        u0, w_raw, v_raw = localized
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: corrupt(w_raw.copy(), v_raw.copy()))
+        return eigen_system(lax_matrix(u0, FLUSH_N))
+
+    def test_corrupted_eigenvalue_fails_reconstruction(self, monkeypatch, localized):
+        from boeq.errors import LinearAlgebraError
+
+        def corrupt(w, v):
+            w[FLUSH_N // 2] += 1e-6
+            return w, v
+
+        with pytest.raises(LinearAlgebraError, match="residual"):
+            self._eigen_system_with(monkeypatch, localized, corrupt)
+
+    def test_corrupted_flushed_entry_fails_reconstruction(self, monkeypatch, localized):
+        # a sub-threshold entry grown to 1e-6 survives the flush and is caught
+        from boeq.errors import LinearAlgebraError
+
+        def corrupt(w, v):
+            i, j = np.argwhere((v != 0) & (np.abs(v) < FLUSH))[0]
+            v[i, j] = 1e-6
+            return w, v
+
+        with pytest.raises(LinearAlgebraError, match="residual"):
+            self._eigen_system_with(monkeypatch, localized, corrupt)
+
+    def test_nan_eigenvector_fails_reconstruction(self, monkeypatch, localized):
+        from boeq.errors import LinearAlgebraError
+
+        def corrupt(w, v):
+            v[3, 3] = np.nan
+            return w, v
+
+        with pytest.raises(LinearAlgebraError, match="residual"):
+            self._eigen_system_with(monkeypatch, localized, corrupt)
+
+    def test_non_unitary_eigenvectors_fail_unitarity(self, monkeypatch, localized):
+        # column k scaled by 1 + d and its eigenvalue by (1 + d)^-2 keeps
+        # V Lambda V* = L_{u0}, so only the unitarity check can object
+        k, d = FLUSH_N // 2, 1e-8
+
+        def corrupt(w, v):
+            v[:, k] *= 1.0 + d
+            w[k] /= (1.0 + d) ** 2
+            return w, v
+
+        with pytest.raises(ValueError, match="unitary defect"):
+            self._eigen_system_with(monkeypatch, localized, corrupt)
+
+    def test_non_unitary_factor_fails_evolution_check(self, localized):
+        from boeq.spectral import EigenSystem, OperatorMatrix
+
+        _, w_raw, v_raw = localized
+        v = v_raw.copy()
+        v[:, FLUSH_N // 2] *= 1.0 + 1e-8
+        es = EigenSystem(w_raw, OperatorMatrix(v))
+        with pytest.raises(ValueError, match="unitary defect"):
+            es.evolution(2.0 * FLUSH_T)
