@@ -57,7 +57,6 @@ from .line_operators import (
     LineField,
     LineGrid,
     ResolventEvaluator,
-    g_matrix,
     iplus,
     resolvent_solve,
     toeplitz_line,

@@ -82,23 +82,51 @@ def _resolve(args: argparse.Namespace, keys: dict[str, object]) -> dict:
     return cfg
 
 
-def _positive(cfg: dict, key: str) -> float:
-    """``cfg[key]`` as a float; a non-positive or non-finite value exits 2."""
+def _finite(value, name: str) -> float:
+    """``value`` as a float; a non-number or non-finite value exits 2."""
     try:
-        val = float(cfg[key])
+        val = float(value)
     except (TypeError, ValueError):
         val = math.nan
-    if not (math.isfinite(val) and val > 0):
+    if not math.isfinite(val):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return val
+
+
+def _positive(cfg: dict, key: str) -> float:
+    """``cfg[key]`` as a float; a non-positive or non-finite value exits 2."""
+    val = _finite(cfg[key], key)
+    if val <= 0:
         raise ConfigurationError(f"{key} must be a positive number, got {cfg[key]!r}")
     return val
 
 
 def _count(value, name: str) -> int:
-    """``value`` as an int; a count below 1 exits 2."""
-    n = int(value)
+    """``value`` as an int; a count below 1 or a non-number exits 2."""
+    n = int(_finite(value, name))
     if n < 1:
-        raise ConfigurationError(f"{name} must be at least 1, got {n}")
+        raise ConfigurationError(f"{name} must be at least 1, got {value!r}")
     return n
+
+
+def _times(cfg: dict) -> list[float]:
+    """``cfg["t"]``, a list or a comma-separated string, as finite floats.
+
+    Checked after the merge: a JSON config file can hold NaN and Infinity.
+    """
+    raw = _parse_floats(cfg["t"]) if isinstance(cfg["t"], str) else cfg["t"]
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"t must be a list of times, got {raw!r}")
+    return [_finite(v, "each time") for v in raw]
+
+
+def _scan_axes(spec: str) -> tuple[np.ndarray, np.ndarray]:
+    """The axes of a ``re0,re1,nre,im0,im1,nim`` scan; a bad spec exits 2."""
+    parts = [_finite(v, "each --scan value") for v in _parse_floats(spec)]
+    if len(parts) != 6:
+        raise ConfigurationError("--scan needs re0,re1,nre,im0,im1,nim")
+    return (np.linspace(parts[0], parts[1], _count(parts[2], "--scan nre")),
+            np.linspace(parts[3], parts[4], _count(parts[5], "--scan nim")))
 
 
 def _torus_field(cfg: dict):
@@ -123,26 +151,26 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
         "preset": "cos", "datum": "", "n": 128, "dt": 2e-4, "t": [0.5],
         "method": "explicit", "k": None, "samples": 512, "out": "boeq-out",
     })
-    if isinstance(cfg["t"], str):
-        cfg["t"] = _parse_floats(cfg["t"])
+    times = _times(cfg)
     n = _count(cfg["n"], "truncation n")
     dt = _positive(cfg, "dt")
-    k = None if cfg["k"] is None else int(cfg["k"])
+    k = None if cfg["k"] is None else int(_finite(cfg["k"], "k"))
     if k is not None and not 0 <= k <= n:
         raise ConfigurationError(f"coefficient count k = {k} must lie in [0, n = {n}]")
-    n_samples = int(cfg["samples"])
+    n_samples = _count(cfg["samples"], "samples")
     if n_samples < 2 * n + 2:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {n} modes; need at least {2 * n + 2}"
         )
+    method = str(cfg["method"])
+    if method not in ("explicit", "spectral", "both"):
+        raise ConfigurationError(f"unknown method {method!r}")
+    if method != "explicit" and any(t < 0 for t in times):
+        raise ConfigurationError("times must be non-negative")
     u0 = _torus_field(cfg)
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
     x = _grid_samples(n_samples)
-    times = [float(t) for t in cfg["t"]]
-    method = str(cfg["method"])
-    if method not in ("explicit", "spectral", "both"):
-        raise ConfigurationError(f"unknown method {method!r}")
 
     write_field_json(outdir / "initial_field.json", u0)
     if args.dump_operators:
@@ -150,10 +178,9 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n).entries)
 
     diffs = []
-    if method in ("spectral", "both"):
-        if any(t < 0 for t in times):
-            raise ConfigurationError("times must be non-negative")
+    if method != "explicit":
         spectral_fields = march_times(u0, times, dt, n)
+        # synthesized once: the trajectory, solution_*.csv and u_ref read these
         samples_sets = [
             synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
             for f in (spectral_fields[t] for t in times)
@@ -175,11 +202,9 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
             coeffs_sp = np.array([f.coeff(kk) for kk in range(n // 2 + 1)])
             write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs_sp, mean)
             write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs_sp)
-            u_sp = synthesize_torus(project_hardy(f), mean, n_samples)
-            write_samples_csv(outdir / f"solution_{tag}.csv", x, u_sp)
+            write_samples_csv(outdir / f"solution_{tag}.csv", x, samples_sets[i])
         if method == "both":
-            f = spectral_fields[t]
-            u_ref = synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
+            u_ref = samples_sets[i]
             rel = float(np.linalg.norm(u_exp - u_ref) / max(np.linalg.norm(u_ref), 1e-300))
             diffs.append({"t": t, "rel_l2": rel})
     if diffs:
@@ -193,12 +218,14 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
         "cutoff": 40.0, "h": 0.02, "xmin": -8.0, "xmax": 8.0, "nx": 161,
         "eps_refine": False, "scan": "", "tail_tol": 1e-10, "out": "boeq-out",
     })
-    if isinstance(cfg["t"], str):
-        cfg["t"] = _parse_floats(cfg["t"])
-    if cfg["scan"] and not cfg["t"]:
+    times = _times(cfg)
+    if cfg["scan"] and not times:
         raise ConfigurationError("--scan runs at the first time of --t; give at least one")
+    scan_axes = _scan_axes(str(cfg["scan"])) if cfg["scan"] else None
     eps = _positive(cfg, "eps")
     nx = _count(cfg["nx"], "nx")
+    x = np.linspace(_finite(cfg["xmin"], "xmin"), _finite(cfg["xmax"], "xmax"), nx)
+    tail_tol = _positive(cfg, "tail_tol")
     try:
         grid = LineGrid(_positive(cfg, "cutoff"), _positive(cfg, "h"))
     except ValueError as exc:  # too few nodes
@@ -215,33 +242,23 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
 
     hardy = field.hardy(grid)
     write_spectrum_csv(outdir / "initial_spectrum.csv", hardy.xi, hardy.values)
-    x = np.linspace(float(cfg["xmin"]), float(cfg["xmax"]), nx)
-    for i, t in enumerate([float(t) for t in cfg["t"]]):
+    for i, t in enumerate(times):
         u = reconstruct_line(field, t, x, eps=eps, grid=grid,
-                             eps_refine=bool(cfg["eps_refine"]),
-                             tail_tol=float(cfg["tail_tol"]))
+                             eps_refine=bool(cfg["eps_refine"]), tail_tol=tail_tol)
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
-        if i == 0 and cfg["scan"]:
+        if i == 0 and scan_axes is not None:
             # scans the first time right after its samples, whose reduction it reuses
-            write_scan_csv(outdir / "uhp_scan.csv", _scan(field, t, str(cfg["scan"]), grid,
-                                                          float(cfg["tail_tol"])))
+            write_scan_csv(outdir / "uhp_scan.csv",
+                           uhp_grid_scan(field, t, *scan_axes, grid, tail_tol=tail_tol))
     return 0
-
-
-def _scan(field: LineField, t: float, spec: str, grid: LineGrid, tail_tol: float):
-    parts = _parse_floats(spec)
-    if len(parts) != 6:
-        raise ConfigurationError("--scan needs re0,re1,nre,im0,im1,nim")
-    re_axis = np.linspace(parts[0], parts[1], int(parts[2]))
-    im_axis = np.linspace(parts[3], parts[4], int(parts[5]))
-    return uhp_grid_scan(field, t, re_axis, im_axis, grid, tail_tol=tail_tol)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {"only": "", "n": 64, "out": "boeq-out"})
+    n = _count(cfg["n"], "truncation n")
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = default_suite(torus_n=int(cfg["n"]))
+    reports = default_suite(torus_n=n)
     if cfg["only"]:
         needle = str(cfg["only"]).lower()
         reports = [r for r in reports if needle in r.name.lower()]
@@ -263,13 +280,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "preset": "cos", "t": [0.1, 0.5, 1.0], "n_list": [128], "dt": 2e-4,
         "samples": 512, "out": "boeq-out",
     })
-    if isinstance(cfg["t"], str):
-        cfg["t"] = _parse_floats(cfg["t"])
+    times = _times(cfg)
     if isinstance(cfg["n_list"], str):
         cfg["n_list"] = _parse_ints(cfg["n_list"])
     dt = _positive(cfg, "dt")
     n_list = [_count(v, "truncation n") for v in cfg["n_list"]]
-    n_samples = int(cfg["samples"])
+    n_samples = _count(cfg["samples"], "samples")
     if n_list and n_samples < 2 * max(n_list) + 1:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {max(n_list)} modes; "
@@ -279,7 +295,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     name, params = parse_preset(str(cfg["preset"]))
-    times = [float(v) for v in cfg["t"]]
     rows = []
     for n in n_list:
         u0 = torus_preset(name, n, **params)

@@ -17,9 +17,10 @@ Hermitian (kernel conjugate symmetry times the symmetric weight
 plain trapezoid collocation sum bit-for-bit, so no quadrature accuracy is
 traded for the symmetry.
 
-:func:`generator_apply` and :func:`toeplitz_apply` form the same weighted
-products matrix-free, in O(M) and O(M log M); the validation checks use them,
-and the dense matrices serve the t != 0 resolvent solver.
+The weighted generator ``G_w = S G S^-1`` exists only as a band
+(:func:`_generator_band`), which the t = 0 solves, the t != 0 gauge operator
+and :func:`generator_apply` read.  :func:`toeplitz_apply` forms T_w v in
+O(M log M); the dense Toeplitz matrix serves the t != 0 solver only.
 
 The resolvent system ``(G - 2t L_{u0} - z) f = Pu0`` is solved in gauge
 variables ``ghat = e^{i t xi^2} fhat``, which removes the ``-2t xi`` diagonal
@@ -47,15 +48,14 @@ __all__ = [
     "LineGrid",
     "LineField",
     "abs_frequency_field",
-    "g_matrix",
     "generator_apply",
-    "to_weighted",
     "weight_vector",
     "unweight_vector",
     "toeplitz_line",
     "toeplitz_apply",
     "iplus",
     "resolvent_solve",
+    "resolvent_value",
     "ResolventEvaluator",
 ]
 
@@ -63,11 +63,11 @@ DEFAULT_CUTOFF = 40.0
 DEFAULT_STEP = 0.02
 SPECTRAL_TAIL_TOL = 1e-10
 SOLVE_TOL = 1e-6
-# M x M complex arrays live at once while _gauge_operator assembles A at
-# t != 0 (generator, Toeplitz matrix and the phase-product temporaries); the
-# LU solve and the Hessenberg reduction that follow stay below it.  Measured
-# with tracemalloc at M = 801 and 1201: 4.0 arrays, i.e. 245 MiB at M = 2000.
-DENSE_PEAK_ARRAYS = 4
+# M x M complex arrays live at once at the peak of a dense t != 0 path
+# (tracemalloc, M = 801 and 1201): 3.07 in ResolventEvaluator's Hessenberg
+# reduction, 1.52 to assemble A, 2.00 in resolvent_solve counting the copy
+# of A that LAPACK makes.  3.1 arrays are 2.96 GiB at M = 8001.
+DENSE_PEAK_ARRAYS = 3.1
 
 
 @dataclass(frozen=True)
@@ -188,33 +188,37 @@ def _check_stencil_room(grid: LineGrid):
         raise ConfigurationError("differentiation needs M >= 8 nodes")
 
 
-def g_matrix(grid: LineGrid) -> np.ndarray:
-    """i * d/dxi: second-order central, one-sided closures at 0 and Xi.
+def _generator_band(grid: LineGrid) -> np.ndarray:
+    """G_w = S G S^-1 with G = i d/dxi, in scipy's band layout (l, u) = (2, 2).
 
-    Collocation frame (raw samples).  Needs M >= 8 so the boundary stencils
-    stay clear of each other.
+    ``ab[2 + i - j, j] = G_w[i, j]`` on all M + 1 rows: second-order central
+    rows inside, one-sided closures at 0 (row 0, columns 0..2) and at Xi
+    (row M, columns M-2..M).  The only place the stencil is written.
     """
-    _check_stencil_room(grid)
     n = grid.count
     h = grid.step
-    g = np.zeros((n, n), dtype=np.complex128)
     c = 1.0 / (2.0 * h)
-    idx = np.arange(1, n - 1)
-    g[idx, idx - 1] = -c
-    g[idx, idx + 1] = c
-    g[0, 0] = -1.5 / h
-    g[0, 1] = 2.0 / h
-    g[0, 2] = -0.5 / h
-    g[n - 1, n - 1] = 1.5 / h
-    g[n - 1, n - 2] = -2.0 / h
-    g[n - 1, n - 3] = 0.5 / h
-    return 1j * g
+    sw = grid.sqrt_weights
+    ab = np.zeros((5, n), dtype=np.complex128)
+    ab[2, 0] = -1.5j / h
+    ab[1, 1] = 2.0j / h * (sw[0] / sw[1])
+    ab[0, 2] = -0.5j / h * (sw[0] / sw[2])
+    ab[1, 2:] = 1j * c * (sw[1:n - 1] / sw[2:])
+    ab[3, :n - 2] = -1j * c * (sw[1:n - 1] / sw[:n - 2])
+    ab[2, n - 1] = 1.5j / h
+    ab[3, n - 2] = -2.0j / h * (sw[n - 1] / sw[n - 2])
+    ab[4, n - 3] = 0.5j / h * (sw[n - 1] / sw[n - 3])
+    return ab
 
 
-def to_weighted(mat: np.ndarray, grid: LineGrid) -> np.ndarray:
-    """Similarity S A S^-1 into the weighted frame."""
-    s = grid.sqrt_weights
-    return (s[:, None] / s[None, :]) * mat
+def _band_matvec(ab: np.ndarray, lower: int, v: np.ndarray) -> np.ndarray:
+    """A v for A in scipy's band layout with 2 super- and ``lower`` subdiagonals."""
+    out = ab[2] * v
+    out[:-1] += ab[1, 1:] * v[1:]
+    out[:-2] += ab[0, 2:] * v[2:]
+    for k in range(1, lower + 1):
+        out[k:] += ab[2 + k, :-k] * v[:-k]
+    return out
 
 
 def weight_vector(f: np.ndarray, grid: LineGrid) -> np.ndarray:
@@ -238,27 +242,16 @@ def toeplitz_line(u0: LineField, grid: LineGrid) -> np.ndarray:
     j = np.arange(grid.count)
     kernel = vals[j[:, None] - j[None, :] + m]
     s = grid.sqrt_weights
-    return (grid.step / TWO_PI) * kernel * (s[:, None] * s[None, :])
+    kernel *= grid.step / TWO_PI
+    kernel *= s[:, None] * s[None, :]
+    return kernel
 
 
 def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> G_w v, the weighted generator ``to_weighted(g_matrix(grid), grid)``
-    applied in O(M) from its stencil: central rows inside, one-sided rows at
-    0 and Xi.  Equal to the dense product up to rounding.
-    """
+    """v -> G_w v, the weighted generator applied in O(M) from its band."""
     _check_stencil_room(grid)
-    h = grid.step
-    sw = grid.sqrt_weights
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        f = v / sw
-        df = np.empty(f.shape, dtype=np.complex128)
-        df[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-        df[0] = (-1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]) / h
-        df[-1] = (1.5 * f[-1] - 2.0 * f[-2] + 0.5 * f[-3]) / h
-        return 1j * (sw * df)
-
-    return apply
+    ab = _generator_band(grid)
+    return lambda v: _band_matvec(ab, 2, v)
 
 
 def toeplitz_apply(u0: LineField, grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
@@ -310,10 +303,6 @@ def _gauge_phase(grid: LineGrid, t: float) -> np.ndarray:
     return np.exp(1j * t * grid.xi ** 2)
 
 
-def _weighted_generator(grid: LineGrid) -> np.ndarray:
-    return to_weighted(g_matrix(grid), grid)
-
-
 def _physical_memory() -> int | None:
     """Physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
     try:
@@ -326,7 +315,7 @@ def _check_dense_budget(grid: LineGrid):
     """Refuse a dense assembly whose estimated peak exceeds half the physical memory."""
     peak = DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * grid.count ** 2
     total = _physical_memory()
-    if total is not None and peak > total // 2:
+    if total is not None and 2 * peak > total:
         raise ConfigurationError(
             f"dense line operator at M = {grid.count} needs about {peak / 2**30:.2f} GiB, "
             f"more than half of the {total / 2**30:.2f} GiB of physical memory; "
@@ -335,17 +324,24 @@ def _check_dense_budget(grid: LineGrid):
 
 
 def _gauge_operator(u0: LineField, t: float, grid: LineGrid) -> np.ndarray:
-    """A = G_w + 2t P T_w P* in the weighted gauge frame (without -z).
+    """A = G_w + 2t P T_w P* in the weighted gauge frame (without -z), built
+    in place in the Toeplitz matrix.
 
     Raises :class:`ConfigurationError` before allocating when the dense
     assembly would not fit the memory budget.
     """
     _check_dense_budget(grid)
-    a = _weighted_generator(grid)
-    if t != 0.0:
-        phase = _gauge_phase(grid, t)
-        t_w = toeplitz_line(u0, grid)
-        a = a + 2.0 * t * (phase[:, None] * t_w * np.conj(phase)[None, :])
+    _check_stencil_room(grid)
+    phase = _gauge_phase(grid, t)
+    a = toeplitz_line(u0, grid)
+    a *= phase[:, None]
+    a *= np.conj(phase)[None, :]
+    a *= 2.0 * t
+    ab = _generator_band(grid)
+    j = np.arange(grid.count)
+    for k in range(-2, 3):  # diagonal A[i, i + k] sits in band row 2 - k
+        cols = j[max(k, 0):grid.count + min(k, 0)]
+        a[cols - k, cols] += ab[2 - k, cols]
     return a
 
 
@@ -363,45 +359,28 @@ def _check_tail(u0: LineField, grid: LineGrid, tol: float):
         )
 
 
-def _banded_reduced(grid: LineGrid) -> np.ndarray:
-    """Weighted generator rows/cols 0..M-1 as solve_banded diagonals.
-
-    Assembled directly from the stencil (never densified), so t = 0 solves
-    stay O(M) in memory at any resolution.  Bandwidths are (l, u) = (1, 2):
-    the one-sided row at xi = 0 contributes the second superdiagonal.
-    """
-    n = grid.count - 1
-    h = grid.step
-    c = 1.0 / (2.0 * h)
-    sw = grid.sqrt_weights
-    # diagonals u2, u1, d, l1 in the scipy (u..l) layout
-    ab = np.zeros((4, n), dtype=np.complex128)
-    ab[2, 0] = -1.5j / h
-    ab[1, 1] = 2.0j / h * (sw[0] / sw[1])
-    if n > 2:
-        ab[1, 2:] = 1j * c * (sw[1:n - 1] / sw[2:n])
-        ab[0, 2] = -0.5j / h * (sw[0] / sw[2])
-    ab[3, :n - 1] = -1j * c * (sw[1:n] / sw[:n - 1])
-    return ab
-
-
-def _banded_matvec(ab: np.ndarray, g: np.ndarray) -> np.ndarray:
-    out = ab[2] * g
-    out[:-1] += ab[1, 1:] * g[1:]
-    out[:-2] += ab[0, 2:] * g[2:]
-    out[1:] += ab[3, :-1] * g[:-1]
-    return out
-
-
 def _solve_reduced_banded(grid: LineGrid, z: complex, rhs: np.ndarray) -> np.ndarray:
-    ab = _banded_reduced(grid)
-    ab[2, :] -= z
+    """Solve (G_w - z) g = rhs on rows and columns 0..M-1, O(M) in time and memory."""
+    m = grid.last
+    ab = _generator_band(grid)[:4, :m]  # the (l, u) = (1, 2) band of the leading block
+    ab[3, m - 1] = 0.0  # G_w[M, M-1] lies outside the block
+    ab[2] -= z
     g = sla.solve_banded((1, 2), ab, rhs)
     scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    residual = float(np.linalg.norm(_banded_matvec(ab, g) - rhs)) / scale
+    residual = float(np.linalg.norm(_band_matvec(ab, 1, g) - rhs)) / scale
     if residual > SOLVE_TOL:
         raise ConditioningError("banded resolvent solve is ill-conditioned", residual)
     return g
+
+
+def _gauge_output(g: np.ndarray, phase_conj: np.ndarray, grid: LineGrid) -> HalfLineSpectrum:
+    """fhat from the reduced solution g: closure zero g(Xi) = 0, unweight, un-gauge."""
+    return grid.spectrum(phase_conj * unweight_vector(np.append(g, 0.0), grid))
+
+
+def resolvent_value(f: HalfLineSpectrum) -> complex:
+    """(1/2i pi) I+ of a resolvent output f, extrapolated stencil: Pu(t, z)."""
+    return iplus(f, extrapolate=True) / (2j * np.pi)
 
 
 def resolvent_solve(
@@ -425,24 +404,18 @@ def resolvent_solve(
         raise DomainError(f"Im z = {z.imag:.6g} must be positive")
     _check_tail(u0, grid, tail_tol)
     n = grid.count
-    rhs_full = _gauge_rhs(u0, t, grid)
-    rhs = rhs_full[:n - 1]
+    rhs = _gauge_rhs(u0, t, grid)[:n - 1]
     if t == 0.0:
         g = _solve_reduced_banded(grid, z, rhs)
-        a_red = None
     else:
-        a_full = _gauge_operator(u0, t, grid)
-        a_red = a_full[:n - 1, :n - 1].copy()
+        a_red = _gauge_operator(u0, t, grid)[:n - 1, :n - 1]
         a_red[np.arange(n - 1), np.arange(n - 1)] -= z
         g = np.linalg.solve(a_red, rhs)
-    if a_red is not None:
         scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
         residual = float(np.linalg.norm(a_red @ g - rhs)) / scale
         if residual > SOLVE_TOL:
             raise ConditioningError("gauge resolvent solve is ill-conditioned", residual)
-    g_full = np.append(g, 0.0)
-    fhat = np.conj(_gauge_phase(grid, t)) * unweight_vector(g_full, grid)
-    return grid.spectrum(fhat)
+    return _gauge_output(g, np.conj(_gauge_phase(grid, t)), grid)
 
 
 class ResolventEvaluator:
@@ -500,11 +473,8 @@ class ResolventEvaluator:
             if not residual <= SOLVE_TOL:
                 raise ConditioningError("shifted Hessenberg solve is ill-conditioned", residual)
             g = self._q @ y
-        g_full = np.append(g, 0.0)
-        fhat = self._phase_conj * unweight_vector(g_full, self.grid)
-        return self.grid.spectrum(fhat)
+        return _gauge_output(g, self._phase_conj, self.grid)
 
     def value(self, z: complex) -> complex:
         """(1/2i pi) I+ of the resolvent output, extrapolated stencil."""
-        f = self.hardy_solution(z)
-        return iplus(f, extrapolate=True) / (2j * np.pi)
+        return resolvent_value(self.hardy_solution(z))

@@ -26,8 +26,8 @@ from .line_operators import (
     LineField,
     LineGrid,
     ResolventEvaluator,
-    iplus,
     resolvent_solve,
+    resolvent_value,
 )
 
 __all__ = [
@@ -43,8 +43,7 @@ DEFAULT_REFINEMENTS = 2
 
 def _single_value(u0: LineField, t: float, z: complex, grid: LineGrid,
                   tail_tol: float) -> complex:
-    f = resolvent_solve(u0, t, z, grid, tail_tol=tail_tol)
-    return iplus(f, extrapolate=True) / (2j * np.pi)
+    return resolvent_value(resolvent_solve(u0, t, z, grid, tail_tol=tail_tol))
 
 
 def evaluate_uhp(

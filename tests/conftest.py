@@ -10,3 +10,23 @@ def rel_l2(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240805)
+
+
+def _dense_weighted_generator(grid):
+    """G_w = S G S^-1 as a dense matrix, with G = i d/dxi written out row by
+    row: second-order central rows, one-sided closures at 0 and Xi."""
+    n, h = grid.count, grid.step
+    g = np.zeros((n, n), dtype=np.complex128)
+    idx = np.arange(1, n - 1)
+    g[idx, idx - 1] = -1.0 / (2.0 * h)
+    g[idx, idx + 1] = 1.0 / (2.0 * h)
+    g[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    g[n - 1, n - 3:] = np.array([0.5, -2.0, 1.5]) / h
+    s = grid.sqrt_weights
+    return (s[:, None] / s[None, :]) * (1j * g)
+
+
+@pytest.fixture
+def dense_generator():
+    """grid -> the dense weighted generator, the reference for its band."""
+    return _dense_weighted_generator

@@ -19,9 +19,7 @@ from boeq.errors import ConfigurationError
 from boeq.line_operators import (
     LineGrid,
     abs_frequency_field,
-    g_matrix,
     iplus,
-    to_weighted,
     toeplitz_line,
 )
 from boeq.presets import line_preset, torus_preset
@@ -207,12 +205,11 @@ class TestLineIdentities:
             assert all(1.7 <= o <= 2.3 for o in orders), (name, orders)
 
 
-def dense_line_residuals(u0, grid, t):
+def dense_line_residuals(u0, grid, t, gw):
     """The four line residuals of ``check_line_identities``, recomputed from
-    the dense weighted generator and Toeplitz matrices."""
+    the dense weighted generator ``gw`` and Toeplitz matrices."""
     n, h, xi, sw = grid.count, grid.step, grid.xi, grid.sqrt_weights
     inner = slice(2, n - 2)
-    gw = to_weighted(g_matrix(grid), grid)
     tw = toeplitz_line(u0, grid)
     t_disp = toeplitz_line(abs_frequency_field(u0), grid)
     hardy = u0.hardy(grid).values
@@ -245,12 +242,13 @@ class TestLineResidualsAgainstDense:
         line_preset("lorentzian", c=1.0).field,
         line_preset("gaussian", a=1.0, w=1.0).field,
     ], ids=["lorentzian", "gaussian"])
-    def test_matrix_free_residuals_match_dense_reference(self, field):
+    def test_matrix_free_residuals_match_dense_reference(self, field, dense_generator):
         # the C h^2 envelopes are loose enough to pass a wrong circulant wrap
         # or a wrong stencil row; the dense reference is not
         grid = LineGrid(40.0, 0.08)
         got = [r.residual for r in check_line_identities(field, grid, t=0.7)]
-        np.testing.assert_allclose(got, dense_line_residuals(field, grid, 0.7), rtol=1e-8, atol=0)
+        want = dense_line_residuals(field, grid, 0.7, dense_generator(grid))
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
 
 
 class TestStudiesAndSuite:

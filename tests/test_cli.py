@@ -356,9 +356,25 @@ class TestInvalidNumericFlags:
         ["compare", "--n-list", "16", "--samples", "32"],
         ["solve-torus", "--preset", "twomode:a=nan", "--n", "16", "--samples", "64"],
         ["solve-line", "--nx", "0"],
+        ["solve-torus", "--t", "nan"],
+        ["solve-torus", "--t", "0.5,inf"],
+        ["solve-torus", "--method", "spectral", "--t", "nan"],
+        ["solve-torus", "--method", "both", "--t=-inf"],
+        ["compare", "--t", "inf"],
+        ["solve-line", "--t", "nan"],
+        ["solve-line", "--t", "inf"],
+        ["solve-line", "--tail-tol", "nan"],
+        ["solve-line", "--xmin=-inf"],
+        ["solve-line", "--xmax", "nan"],
+        ["solve-line", "--scan=-2,2,-3,0.2,2,2"],
+        ["solve-line", "--scan=-2,2,21,0.2,2,nan"],
+        ["solve-line", "--scan=-2,nan,21,0.2,2,10"],
     ], ids=["torus-n0", "torus-k-above-n", "torus-k-negative", "torus-dt0", "line-h0",
             "line-too-few-nodes", "line-eps0", "compare-dt-negative", "compare-n0",
-            "compare-too-few-samples", "torus-nan-preset", "line-nx0"])
+            "compare-too-few-samples", "torus-nan-preset", "line-nx0", "torus-t-nan",
+            "torus-t-inf", "torus-spectral-t-nan", "torus-both-t-minus-inf", "compare-t-inf",
+            "line-t-nan", "line-t-inf", "line-tail-tol-nan", "line-xmin-inf", "line-xmax-nan",
+            "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
         out = tmp_path / "r"
         assert main([*argv, "--out", str(out)]) == 2
@@ -369,6 +385,28 @@ class TestInvalidNumericFlags:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dt": 0}))
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("command,config", [
+        ("solve-torus", {"t": [float("nan")]}),
+        ("solve-torus", {"k": float("nan")}),
+        ("compare", {"t": [0.1, float("inf")]}),
+        ("compare", {"samples": float("nan")}),
+        ("solve-line", {"t": 0.5}),
+        ("solve-line", {"t": [float("nan")]}),
+        ("solve-line", {"tail_tol": float("nan")}),
+        ("solve-line", {"xmax": float("nan")}),
+        ("solve-line", {"nx": float("inf")}),
+        ("validate", {"n": float("nan")}),
+    ], ids=["torus-t-nan", "torus-k-nan", "compare-t-inf", "compare-samples-nan", "line-t-scalar",
+            "line-t-nan", "line-tail-tol-nan", "line-xmax-nan", "line-nx-inf", "validate-n-nan"])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, command, config):
+        # JSON config files can hold NaN and Infinity, which no flag parser sees
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_console_script_resolves_to_cli_main():

@@ -14,11 +14,9 @@ from boeq.line_operators import (
     LineGrid,
     ResolventEvaluator,
     abs_frequency_field,
-    g_matrix,
     generator_apply,
     iplus,
     resolvent_solve,
-    to_weighted,
     toeplitz_apply,
     toeplitz_line,
     unweight_vector,
@@ -82,16 +80,39 @@ class TestGrid:
         assert w[0] == 0.5 and w[-1] == 0.5 and np.all(w[1:-1] == 1.0)
 
 
+def collocation_generator(grid):
+    """f -> G f on raw samples, through the weighted product G_w."""
+    apply = generator_apply(grid)
+    return lambda f: unweight_vector(apply(weight_vector(f, grid)), grid)
+
+
+def band_to_dense(ab, lower, upper):
+    n = ab.shape[1]
+    dense = np.zeros((n, n), dtype=ab.dtype)
+    for i in range(n):
+        for j in range(max(0, i - lower), min(n, i + upper + 1)):
+            dense[i, j] = ab[upper + i - j, j]
+    return dense
+
+
+def gauge_operator_reference(u0, t, grid, gw):
+    """G_w + 2t P T_w P* as the dense expression the band assembly replaces."""
+    phase = lo._gauge_phase(grid, t)
+    return gw + 2.0 * t * (phase[:, None] * toeplitz_line(u0, grid) * np.conj(phase)[None, :])
+
+
 class TestGMatrix:
+    """The generator G = i d/dxi acting on raw samples."""
+
     def test_exponential_derivative_second_order(self):
         g = LineGrid(20.0, 0.01)
         f = np.exp(-g.xi)
-        err = np.max(np.abs(g_matrix(g) @ f - (-1j) * np.exp(-g.xi)))
+        err = np.max(np.abs(collocation_generator(g)(f) - (-1j) * np.exp(-g.xi)))
         assert err < 2.0 * 0.01 ** 2
 
     def test_linear_function_exact_inside(self):
         g = LineGrid(10.0, 0.05)
-        r = g_matrix(g) @ g.xi.astype(complex)
+        r = collocation_generator(g)(g.xi.astype(complex))
         np.testing.assert_allclose(r[1:-1], 1j * np.ones(g.count - 2), atol=1e-12)
 
     def test_halving_h_quarters_error(self):
@@ -100,8 +121,53 @@ class TestGMatrix:
             g = LineGrid(20.0, h)
             f = np.exp(-g.xi ** 2).astype(complex)
             exact = 1j * (-2 * g.xi) * np.exp(-g.xi ** 2)
-            errs.append(np.max(np.abs(g_matrix(g) @ f - exact)))
+            errs.append(np.max(np.abs(collocation_generator(g)(f) - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+class TestGeneratorBand:
+    # 9 nodes (the fewest the stencil allows), 10, 41 and 801
+    GRIDS = [LineGrid(8.0, 1.0), LineGrid(9.0, 1.0), LineGrid(8.0, 0.2), LineGrid(16.0, 0.02)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
+    def test_band_is_dense_stencil_on_all_rows(self, grid, dense_generator):
+        # both closure rows included: row 0 (columns 0..2) and row M
+        dense = band_to_dense(lo._generator_band(grid), 2, 2)
+        ref = dense_generator(grid)
+        assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(dense[0, :3] != 0) and np.all(dense[-1, -3:] != 0)
+
+    @pytest.mark.parametrize("t", [0.5, -0.3])
+    @pytest.mark.parametrize("grid", [LineGrid(20.0, 0.1), LineGrid(16.0, 0.02)],
+                             ids=lambda g: f"M{g.count}")
+    def test_gauge_operator_equals_dense_sum_bitwise(self, grid, t, dense_generator):
+        u0 = lorentzian()
+        a = lo._gauge_operator(u0, t, grid)
+        assert np.array_equal(a, gauge_operator_reference(u0, t, grid, dense_generator(grid)))
+
+    def test_gauge_operator_peak_memory(self):
+        # the dense sum held four M x M arrays at its peak; in place it holds
+        # the Toeplitz kernel and, briefly, its real weights
+        grid = LineGrid(16.0, 0.02)  # M = 801
+        u0 = lorentzian()
+        tracemalloc.start()
+        try:
+            lo._gauge_operator(u0, 0.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * grid.count ** 2
+
+    def test_band_solve_matches_dense_stencil_block(self, dense_generator):
+        # the t = 0 solve factors rows/columns 0..M-1 of the band, which
+        # leave out the closure entry G_w[M, M-1]
+        grid = LineGrid(25.0, 0.05)
+        z = 0.2 + 0.8j
+        rhs = lo._gauge_rhs(lorentzian(), 0.0, grid)[:-1]
+        m = grid.last
+        block = dense_generator(grid)[:m, :m] - z * np.eye(m)
+        g = lo._solve_reduced_banded(grid, z, rhs)
+        assert np.linalg.norm(block @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 class TestToeplitzLine:
@@ -194,8 +260,8 @@ class TestMatrixFreeProducts:
             assert np.linalg.norm(apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
-    def test_generator_apply_matches_dense(self, rng, grid):
-        dense = to_weighted(g_matrix(grid), grid)
+    def test_generator_apply_matches_dense(self, rng, grid, dense_generator):
+        dense = dense_generator(grid)
         apply = generator_apply(grid)
         for v in self._random_vectors(rng, grid.count):
             ref = dense @ v
@@ -335,15 +401,17 @@ class TestResolventSolve:
 
         before = outputs()
         a_before = lo._gauge_operator(u0, t, grid)
-        dense_g = g_matrix
+        band = lo._generator_band
 
         def first_order_row(grid):
-            g = dense_g(grid)
-            g[-1, :] = 0.0
-            g[-1, -2:] = 1j * np.array([-1.0, 1.0]) / grid.step
-            return g
+            ab = band(grid)
+            m, sw = grid.last, grid.sqrt_weights
+            ab[2, m] = 1j / grid.step
+            ab[3, m - 1] = -1j / grid.step * (sw[m] / sw[m - 1])
+            ab[4, m - 2] = 0.0
+            return ab
 
-        monkeypatch.setattr(lo, "g_matrix", first_order_row)
+        monkeypatch.setattr(lo, "_generator_band", first_order_row)
         a_after = lo._gauge_operator(u0, t, grid)
         assert not np.array_equal(a_after[-1], a_before[-1])  # the row did change
         np.testing.assert_array_equal(a_after[:-1], a_before[:-1])
@@ -403,12 +471,11 @@ class TestDenseMemoryBudget:
             raise AssertionError("dense operator assembled past the budget check")
 
         monkeypatch.setattr(lo, "_physical_memory", lambda: 2 ** 20)
-        monkeypatch.setattr(lo, "_weighted_generator", no_dense)
         monkeypatch.setattr(lo, "toeplitz_line", no_dense)
 
     @pytest.mark.parametrize("path", ["solve", "evaluator"])
     def test_refused_before_allocation(self, tight_budget, path):
-        grid = LineGrid(40.0, 0.08)  # M = 501: four dense arrays need 16 MB
+        grid = LineGrid(40.0, 0.08)  # M = 501: 3.1 dense arrays need 12 MB
         with pytest.raises(ConfigurationError, match="physical memory"):
             if path == "solve":
                 resolvent_solve(lorentzian(), 0.3, 1j, grid)
@@ -429,14 +496,36 @@ class TestDenseMemoryBudget:
         with pytest.raises(ConfigurationError):
             lo._check_dense_budget(grid.refined(2))
 
+    @pytest.mark.parametrize("path", ["assembly", "solve", "evaluator"])
+    def test_peak_within_estimate(self, monkeypatch, path):
+        # tracemalloc does not see the copy of A that LAPACK makes inside
+        # np.linalg.solve, so the solve adds it to what is traced at the call
+        grid = LineGrid(16.0, 0.02)  # M = 801
+        u0, t, z = lorentzian(), 0.5, 0.3 + 1j
+        real_solve = np.linalg.solve
+        at_solve = []
+
+        def counting_solve(a, b):
+            at_solve.append(tracemalloc.get_traced_memory()[0] + a.size * a.itemsize)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        runs = {
+            "assembly": lambda: lo._gauge_operator(u0, t, grid),
+            "solve": lambda: resolvent_solve(u0, t, z, grid, tail_tol=1e-6),
+            "evaluator": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6).hardy_solution(z),
+        }
+        tracemalloc.start()
+        try:
+            runs[path]()
+            peak = max([tracemalloc.get_traced_memory()[1], *at_solve])
+        finally:
+            tracemalloc.stop()
+        assert (path == "solve") == bool(at_solve)
+        assert peak <= lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
+
 
 class TestWeightedFrame:
-    def test_similarity_roundtrip(self):
-        grid = LineGrid(5.0, 0.25)
-        a = np.arange(grid.count, dtype=complex)[:, None] * np.ones(grid.count)
-        back = to_weighted(to_weighted(a, grid), grid)  # not inverse; sanity only
-        assert back.shape == a.shape
-
     def test_weight_unweight_inverse(self):
         grid = LineGrid(5.0, 0.25)
         v = np.linspace(0, 1, grid.count).astype(complex)
