@@ -58,7 +58,6 @@ from .line_operators import (
     LineGrid,
     ResolventEvaluator,
     iplus,
-    resolvent_solve,
     toeplitz_line,
 )
 from .line_solution import (

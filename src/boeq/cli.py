@@ -41,7 +41,7 @@ from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
 from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
 from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
-from .torus_operators import b_matrix, lax_matrix
+from .torus_operators import b_matrix, check_dense_budget, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
 
 
@@ -157,6 +157,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
     k = None if cfg["k"] is None else int(_finite(cfg["k"], "k"))
     if k is not None and not 0 <= k <= n:
         raise ConfigurationError(f"coefficient count k = {k} must lie in [0, n = {n}]")
+    check_dense_budget(n)
     n_samples = _count(cfg["samples"], "samples")
     if n_samples < 2 * n + 2:
         raise ConfigurationError(
@@ -256,6 +257,7 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {"only": "", "n": 64, "out": "boeq-out"})
     n = _count(cfg["n"], "truncation n")
+    check_dense_budget(n)
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
     reports = default_suite(torus_n=n)
@@ -285,6 +287,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cfg["n_list"] = _parse_ints(cfg["n_list"])
     dt = _positive(cfg, "dt")
     n_list = [_count(v, "truncation n") for v in cfg["n_list"]]
+    if n_list:
+        check_dense_budget(max(n_list))
     n_samples = _count(cfg["samples"], "samples")
     if n_list and n_samples < 2 * max(n_list) + 1:
         raise ConfigurationError(

@@ -27,11 +27,12 @@ variables ``ghat = e^{i t xi^2} fhat``, which removes the ``-2t xi`` diagonal
 of ``G - 2t D`` exactly and moves phases ``e^{i t (xi^2 - eta^2)}`` into the
 convolution kernel.  The only boundary condition is the decay closure
 ``ghat(Xi) = 0``; no condition is imposed at ``xi = 0`` where a one-sided
-stencil runs.
+stencil runs.  :class:`ResolventEvaluator` is the one solver of that system:
+banded O(M) solves at t = 0, otherwise one Hessenberg reduction per
+(u0, t, grid) and one band solve per point.
 """
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -42,7 +43,7 @@ from scipy.fft import next_fast_len
 
 from .accel import hessenberg_band, hessenberg_of_band, hessenberg_solve_shifted
 from .errors import ConditioningError, ConfigurationError, DomainError, IngestionError
-from .spectral import TWO_PI, HalfLineSpectrum
+from .spectral import TWO_PI, HalfLineSpectrum, check_memory
 
 __all__ = [
     "LineGrid",
@@ -54,8 +55,6 @@ __all__ = [
     "toeplitz_line",
     "toeplitz_apply",
     "iplus",
-    "resolvent_solve",
-    "resolvent_value",
     "ResolventEvaluator",
 ]
 
@@ -63,11 +62,14 @@ DEFAULT_CUTOFF = 40.0
 DEFAULT_STEP = 0.02
 SPECTRAL_TAIL_TOL = 1e-10
 SOLVE_TOL = 1e-6
-# M x M complex arrays live at once at the peak of a dense t != 0 path
+# M x M complex arrays live at once at the peak of the dense t != 0 path
 # (tracemalloc, M = 801 and 1201): 3.07 in ResolventEvaluator's Hessenberg
-# reduction, 1.52 to assemble A, 2.00 in resolvent_solve counting the copy
-# of A that LAPACK makes.  3.1 arrays are 2.96 GiB at M = 8001.
+# reduction, 1.52 to assemble A.  3.1 arrays are 2.96 GiB at M = 8001.
 DENSE_PEAK_ARRAYS = 3.1
+# Bytes per node at the peak of a t = 0 solve-line run, with or without its
+# scan (tracemalloc, M = 2001 to 20001: 343 to 388).  Every line path holds
+# these O(M) arrays; the t != 0 solver adds the dense ones.
+GRID_NODE_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,9 @@ class LineGrid:
     def __post_init__(self):
         if self.cutoff <= 0 or self.step <= 0:
             raise ValueError("cutoff and step must be positive")
+        nodes = self.cutoff / self.step + 1
+        check_memory(GRID_NODE_BYTES * nodes, f"a line grid of {nodes:.4g} nodes",
+                     "enlarge the step or lower the cutoff")
         if self.count < 3:
             raise ValueError("grid needs at least 3 nodes")
 
@@ -303,24 +308,11 @@ def _gauge_phase(grid: LineGrid, t: float) -> np.ndarray:
     return np.exp(1j * t * grid.xi ** 2)
 
 
-def _physical_memory() -> int | None:
-    """Physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _check_dense_budget(grid: LineGrid):
     """Refuse a dense assembly whose estimated peak exceeds half the physical memory."""
-    peak = DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * grid.count ** 2
-    total = _physical_memory()
-    if total is not None and 2 * peak > total:
-        raise ConfigurationError(
-            f"dense line operator at M = {grid.count} needs about {peak / 2**30:.2f} GiB, "
-            f"more than half of the {total / 2**30:.2f} GiB of physical memory; "
-            "lower the cutoff or enlarge the step"
-        )
+    check_memory(DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * grid.count ** 2,
+                 f"dense line operator at M = {grid.count}",
+                 "lower the cutoff or enlarge the step")
 
 
 def _gauge_operator(u0: LineField, t: float, grid: LineGrid) -> np.ndarray:
@@ -373,60 +365,27 @@ def _solve_reduced_banded(grid: LineGrid, z: complex, rhs: np.ndarray) -> np.nda
     return g
 
 
-def _gauge_output(g: np.ndarray, phase_conj: np.ndarray, grid: LineGrid) -> HalfLineSpectrum:
-    """fhat from the reduced solution g: closure zero g(Xi) = 0, unweight, un-gauge."""
-    return grid.spectrum(phase_conj * unweight_vector(np.append(g, 0.0), grid))
-
-
-def resolvent_value(f: HalfLineSpectrum) -> complex:
-    """(1/2i pi) I+ of a resolvent output f, extrapolated stencil: Pu(t, z)."""
-    return iplus(f, extrapolate=True) / (2j * np.pi)
-
-
-def resolvent_solve(
-    u0: LineField,
-    t: float,
-    z: complex,
-    grid: LineGrid | None = None,
-    tail_tol: float = SPECTRAL_TAIL_TOL,
-) -> HalfLineSpectrum:
-    """Solve (G - 2t L_{u0} - z) f = Pu0 and return fhat samples.
-
-    Gauge variables remove the -2t*xi diagonal exactly; the decay closure
-    ``ghat(Xi) = 0`` is eliminated, leaving a shifted square system.  At
-    t = 0 the convolution coefficient 2t vanishes and the system is banded;
-    otherwise a dense LU runs, unless its memory estimate exceeds the
-    budget (:class:`ConfigurationError`).
-    """
-    grid = grid or LineGrid()
+def check_uhp(z: complex) -> complex:
+    """``z`` as a complex number; Im z <= 0 raises :class:`DomainError`."""
     z = complex(z)
     if z.imag <= 0:
         raise DomainError(f"Im z = {z.imag:.6g} must be positive")
-    _check_tail(u0, grid, tail_tol)
-    n = grid.count
-    rhs = _gauge_rhs(u0, t, grid)[:n - 1]
-    if t == 0.0:
-        g = _solve_reduced_banded(grid, z, rhs)
-    else:
-        a_red = _gauge_operator(u0, t, grid)[:n - 1, :n - 1]
-        a_red[np.arange(n - 1), np.arange(n - 1)] -= z
-        g = np.linalg.solve(a_red, rhs)
-        scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-        residual = float(np.linalg.norm(a_red @ g - rhs)) / scale
-        if residual > SOLVE_TOL:
-            raise ConditioningError("gauge resolvent solve is ill-conditioned", residual)
-    return _gauge_output(g, np.conj(_gauge_phase(grid, t)), grid)
+    return z
 
 
 class ResolventEvaluator:
-    """Many-z resolvent evaluations for one (u0, t, grid).
+    """Solves (G - 2t L_{u0} - z) f = Pu0 for one (u0, t, grid) and any z.
 
-    At t = 0 every shift is a banded O(M) solve.  Otherwise a one-time
-    Hessenberg reduction ``A = Q H Q*`` is computed, H is kept in LAPACK band
-    storage, and each shift costs one LAPACK band solve of ``(H - z I)``,
-    O(M^2), checked by its own residual.  The solve overwrites a work copy
-    of the band that each calling thread allocates once and reuses, so one
-    evaluator may serve several threads at a time.
+    Gauge variables remove the -2t*xi diagonal exactly; the decay closure
+    ``ghat(Xi) = 0`` is eliminated, leaving a shifted square system.  At
+    t = 0 the convolution coefficient 2t vanishes and every shift is a
+    banded O(M) solve.  Otherwise a one-time Hessenberg reduction
+    ``A = Q H Q*`` of the dense operator is computed, unless its memory
+    estimate exceeds the budget (:class:`ConfigurationError`); H is kept in
+    LAPACK band storage, and each shift costs one LAPACK band solve of
+    ``(H - z I)``, O(M^2), checked by its own residual.  The solve
+    overwrites a work copy of the band that each calling thread allocates
+    once and reuses, so one evaluator may serve several threads at a time.
     """
 
     def __init__(
@@ -453,12 +412,11 @@ class ResolventEvaluator:
             del hess
             self._work = threading.local()  # one solve buffer per calling thread
             self._q = q
-            self._qh_rhs = q.conj().T @ self._rhs
+            self._qh_rhs = (self._rhs.conj() @ q).conj()  # Q* b without a conjugate copy of Q
 
     def hardy_solution(self, z: complex) -> HalfLineSpectrum:
-        z = complex(z)
-        if z.imag <= 0:
-            raise DomainError(f"Im z = {z.imag:.6g} must be positive")
+        """fhat samples of the resolvent output at z, Im z > 0."""
+        z = check_uhp(z)
         if self._band is None:
             g = _solve_reduced_banded(self.grid, z, self._rhs)
         else:
@@ -473,8 +431,9 @@ class ResolventEvaluator:
             if not residual <= SOLVE_TOL:
                 raise ConditioningError("shifted Hessenberg solve is ill-conditioned", residual)
             g = self._q @ y
-        return _gauge_output(g, self._phase_conj, self.grid)
+        # closure zero g(Xi) = 0, unweight, un-gauge
+        return self.grid.spectrum(self._phase_conj * unweight_vector(np.append(g, 0.0), self.grid))
 
     def value(self, z: complex) -> complex:
-        """(1/2i pi) I+ of the resolvent output, extrapolated stencil."""
-        return resolvent_value(self.hardy_solution(z))
+        """Pu(t, z): (1/2i pi) I+ of the resolvent output, extrapolated stencil."""
+        return iplus(self.hardy_solution(z), extrapolate=True) / (2j * np.pi)

@@ -4,14 +4,14 @@
 the real field is ``u = Pu + conj(Pu)``, sampled just above the axis at
 height eps with a documented O(eps) smoothing bias.
 
-The base discretization is second order in the grid step h.  For point
-evaluations that need more, :func:`evaluate_uhp` performs Richardson
-extrapolation over sub-grids h, h/2, ..., anchored at the grid passed in
-(eliminated orders 2 then 3, matching the one-sided boundary stencils).
-Scans and reconstructions run on the single grid instead, one point after
-another through one :class:`ResolventEvaluator` per (u0, t, grid,
-tail_tol): the samples and the scan of one (u0, t) share its Hessenberg
-reduction.
+Every value comes from :class:`ResolventEvaluator`.  The base
+discretization is second order in the grid step h.  For point evaluations
+that need more, :func:`evaluate_uhp` performs Richardson extrapolation over
+sub-grids h, h/2, ..., anchored at the grid passed in (eliminated orders 2
+then 3, matching the one-sided boundary stencils), with one evaluator per
+sub-grid.  Scans and reconstructions run on the single grid instead, one
+point after another through one evaluator per (u0, t, grid, tail_tol): the
+samples and the scan of one (u0, t) share its Hessenberg reduction.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ from .line_operators import (
     LineField,
     LineGrid,
     ResolventEvaluator,
-    resolvent_solve,
-    resolvent_value,
+    check_uhp,
 )
 
 __all__ = [
@@ -41,11 +40,6 @@ DEFAULT_EPS = 1e-3
 DEFAULT_REFINEMENTS = 2
 
 
-def _single_value(u0: LineField, t: float, z: complex, grid: LineGrid,
-                  tail_tol: float) -> complex:
-    return resolvent_value(resolvent_solve(u0, t, z, grid, tail_tol=tail_tol))
-
-
 def evaluate_uhp(
     u0: LineField,
     t: float,
@@ -57,17 +51,17 @@ def evaluate_uhp(
     """Pu(t, z) for Im z > 0.
 
     ``refinements`` extra solves on grids h/2, h/4, ... feed a Richardson
-    table (orders 2, 3, ...); 0 evaluates on the given grid only.  At t = 0
-    the sub-solves are banded and effectively free; for t != 0 each level
-    is a dense solve at doubled size, so scans should use
-    :func:`reconstruct_line` / :func:`uhp_grid_scan` instead.
+    table (orders 2, 3, ...); 0 evaluates on the given grid only.  Each
+    level builds one :class:`ResolventEvaluator` on its grid and drops it.
+    At t = 0 the sub-solves are banded and effectively free; for t != 0
+    each level is a Hessenberg reduction at doubled size, so scans should
+    use :func:`reconstruct_line` / :func:`uhp_grid_scan` instead.
     """
-    grid = grid or LineGrid()
-    levels = [_single_value(u0, t, z, grid, tail_tol)]
+    z = check_uhp(z)
+    grids = [grid or LineGrid()]
     for _ in range(max(0, refinements)):
-        grid = grid.refined(2)
-        levels.append(_single_value(u0, t, z, grid, tail_tol))
-    return _richardson(levels)
+        grids.append(grids[-1].refined(2))
+    return _richardson([ResolventEvaluator(u0, t, g, tail_tol=tail_tol).value(z) for g in grids])
 
 
 def _richardson(levels: list[complex]) -> complex:

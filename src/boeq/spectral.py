@@ -13,15 +13,18 @@ Conventions used throughout the package:
   evolution U of ``EigenSystem.evolution``, have entries below
   ``FLUSH_BELOW`` set to exact zero before they are checked, so n^3
   products with them never meet subnormal numbers.
+- :func:`check_memory` refuses, before it allocates, a job whose estimated
+  peak exceeds half the physical memory (a configuration error, exit 2).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .errors import IngestionError, InvalidFieldError, LinearAlgebraError
+from .errors import ConfigurationError, IngestionError, InvalidFieldError, LinearAlgebraError
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,6 +48,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _physical_memory() -> int | None:
+    """Physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(nbytes: float, what: str, remedy: str):
+    """Refuse a job whose estimated peak of ``nbytes`` exceeds half the
+    physical memory, by :class:`ConfigurationError`, before it allocates."""
+    total = _physical_memory()
+    if total is not None and 2 * nbytes > total:
+        raise ConfigurationError(
+            f"{what} needs about {nbytes / 2**30:.2f} GiB, more than half of the "
+            f"{total / 2**30:.2f} GiB of physical memory; {remedy}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidFieldError, TruncationWarning
-from .spectral import SYMMETRY_TOL, OperatorMatrix, TorusField
+from .spectral import SYMMETRY_TOL, OperatorMatrix, TorusField, check_memory
 
 __all__ = [
     "toeplitz_matrix",
@@ -21,6 +21,17 @@ __all__ = [
     "shift_adjoint",
     "abs_derivative_field",
 ]
+
+# (n + 1) x (n + 1) complex arrays live at once at the peak of a solve-torus
+# run (peak RSS above the imported interpreter's, two times, n = 1024 and
+# 2048: 6.30 and 6.20, LAPACK's eigh workspace included).
+DENSE_PEAK_ARRAYS = 6.4
+
+
+def check_dense_budget(n: int):
+    """Refuse a truncation n whose dense operators would not fit in memory."""
+    check_memory(DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * (n + 1) ** 2,
+                 f"dense torus operators at n = {n}", "lower the truncation n")
 
 
 def _diagonal_values(b: TorusField, n: int) -> tuple[np.ndarray, bool]:

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boeq.line_solution as ls
+import boeq.spectral as spectral
+import boeq.torus_solution as ts
 from boeq.cli import main
 from boeq.errors import ConfigurationError, IngestionError
 from boeq.fileio import (
@@ -211,16 +214,26 @@ class TestSolveLineCommand:
         xs, u = read_samples_csv(out / "solution_t00.csv")
         np.testing.assert_allclose(u, 2.0 / (1.0 + xs ** 2), atol=2e-2)
 
-    def test_identical_config_reproduces_outputs_bitwise(self, tmp_path):
-        args = ["solve-torus", "--preset", "twomode:a=1,b=0.5", "--n", "32",
-                "--t", "0.15", "--samples", "128"]
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        m1 = json.loads((out1 / "manifest.json").read_text())
-        m2 = json.loads((out2 / "manifest.json").read_text())
-        assert m1["outputs"] == m2["outputs"]
-        assert m1["outputs"]  # non-empty
+    def test_identical_config_reproduces_outputs_bitwise(self, tmp_path, monkeypatch):
+        configs = {
+            "torus": ["solve-torus", "--preset", "twomode:a=1,b=0.5", "--n", "32",
+                      "--t", "0.15", "--samples", "128"],
+            # t != 0: a Hessenberg reduction, then the samples and the scan
+            "line": ["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
+                     "--cutoff", "16", "--h", "0.08", "--tail-tol", "1e-6", "--nx", "9",
+                     "--scan=-1,1,3,0.5,1.0,2"],
+        }
+        for name, args in configs.items():
+            outputs = []
+            for run in ("a", "b"):
+                # each run factors afresh, as a new process would
+                monkeypatch.setattr(ts, "_eigen_memo", None)
+                monkeypatch.setattr(ls, "_evaluator_memo", None)
+                out = tmp_path / name / run
+                assert main(args + ["--out", str(out)]) == 0
+                outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+            assert outputs[0] == outputs[1], name
+            assert outputs[0]  # non-empty
 
     def test_manifest_names_every_output(self, tmp_path):
         out = tmp_path / "run"
@@ -242,9 +255,7 @@ class TestSolveLineCommand:
         assert code == 2
 
     def test_dense_operator_over_memory_budget_exits_2(self, tmp_path, monkeypatch):
-        import boeq.line_operators as lo
-
-        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 ** 20)
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
                      "--cutoff", "16", "--tail-tol", "1e-6", "--nx", "3",
                      "--out", str(tmp_path / "r")])
@@ -369,13 +380,22 @@ class TestInvalidNumericFlags:
         ["solve-line", "--scan=-2,2,-3,0.2,2,2"],
         ["solve-line", "--scan=-2,2,21,0.2,2,nan"],
         ["solve-line", "--scan=-2,nan,21,0.2,2,10"],
+        ["solve-line", "--h", "1e-9", "--t", "0"],
+        ["solve-torus", "--n", "100000", "--samples", "200002", "--t", "0.1"],
+        ["compare", "--n-list", "100000", "--samples", "200001"],
+        ["validate", "--n", "100000"],
     ], ids=["torus-n0", "torus-k-above-n", "torus-k-negative", "torus-dt0", "line-h0",
             "line-too-few-nodes", "line-eps0", "compare-dt-negative", "compare-n0",
             "compare-too-few-samples", "torus-nan-preset", "line-nx0", "torus-t-nan",
             "torus-t-inf", "torus-spectral-t-nan", "torus-both-t-minus-inf", "compare-t-inf",
             "line-t-nan", "line-t-inf", "line-tail-tol-nan", "line-xmin-inf", "line-xmax-nan",
-            "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound"])
-    def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
+            "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound",
+            "line-grid-beyond-memory", "torus-n-beyond-memory", "compare-n-beyond-memory",
+            "validate-n-beyond-memory"])
+    def test_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
+        # an 8 GiB machine wherever the suite runs: sizes that cannot fit
+        # are refused before anything is allocated or written
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 2 ** 30)
         out = tmp_path / "r"
         assert main([*argv, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err

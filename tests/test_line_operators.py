@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import boeq.line_operators as lo
+import boeq.spectral as spectral
 from boeq.accel import hessenberg_of_band
 from boeq.checks import check_line_identities
 from boeq.errors import ConditioningError, ConfigurationError, DomainError
@@ -16,12 +17,12 @@ from boeq.line_operators import (
     abs_frequency_field,
     generator_apply,
     iplus,
-    resolvent_solve,
     toeplitz_apply,
     toeplitz_line,
     unweight_vector,
     weight_vector,
 )
+from boeq.line_solution import evaluate_uhp
 from boeq.presets import line_preset
 
 TWO_PI = 2.0 * np.pi
@@ -43,7 +44,7 @@ class LineResolventSystem:
     ``matrix`` includes the -z shift on the first M diagonal entries and the
     decay closure row ``g(Xi) = 0`` in place of the last equation; ``rhs`` is
     the gauge-transformed weighted Hardy datum; ``gauge`` the unit-modulus
-    diagonal ``e^{i t xi^2}``.  The reference that ``resolvent_solve``'s
+    diagonal ``e^{i t xi^2}``.  The reference that ``ResolventEvaluator``'s
     elimination of the closure node is checked against.
     """
 
@@ -62,6 +63,13 @@ def resolvent_system(u0, t, z, grid):
     rhs = lo._gauge_rhs(u0, t, grid)
     rhs[-1] = 0.0
     return LineResolventSystem(matrix=a, rhs=rhs, gauge=lo._gauge_phase(grid, t))
+
+
+def dense_solution(u0, t, z, grid):
+    """fhat from a dense solve of :func:`resolvent_system`, closure row included."""
+    sys = resolvent_system(u0, t, z, grid)
+    g = np.linalg.solve(sys.matrix, sys.rhs)
+    return np.conj(sys.gauge) * unweight_vector(g, grid)
 
 
 class TestGrid:
@@ -331,21 +339,22 @@ class TestIPlus:
 class TestResolventSolve:
     def test_zero_datum_gives_zero(self):
         zero = line_preset("zero").field
-        f = resolvent_solve(zero, 0.0, 1j, LineGrid(10.0, 0.05))
+        f = ResolventEvaluator(zero, 0.0, LineGrid(10.0, 0.05)).hardy_solution(1j)
         assert np.max(np.abs(f.values)) == 0.0
 
     def test_domain_error(self):
+        ev = ResolventEvaluator(lorentzian(), 0.0, LineGrid(40.0, 0.05))
         with pytest.raises(DomainError):
-            resolvent_solve(lorentzian(), 0.0, 1.0 - 0.1j, LineGrid(10.0, 0.05))
+            ev.hardy_solution(1.0 - 0.1j)
 
     def test_tail_precondition(self):
         with pytest.raises(ConfigurationError):
-            resolvent_solve(lorentzian(), 0.0, 1j, LineGrid(4.0, 0.05))
+            ResolventEvaluator(lorentzian(), 0.0, LineGrid(4.0, 0.05))
 
     def test_t0_against_closed_form(self):
         # i f' - i f = 2pi e^{-xi} with decay has f = i pi e^{-xi}
         grid = LineGrid(40.0, 0.001)
-        f = resolvent_solve(lorentzian(), 0.0, 1j, grid)
+        f = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(1j)
         exact = 1j * np.pi * np.exp(-grid.xi)
         assert np.max(np.abs(f.values[:-1] - exact[:-1])) < 1e-6
 
@@ -353,7 +362,7 @@ class TestResolventSolve:
         # oracle: f(xi) = i int_xi^inf e^{i z (eta - xi)} ghat(eta) d eta
         grid = LineGrid(40.0, 0.002)
         z = 0.4 + 0.8j
-        f = resolvent_solve(lorentzian(), 0.0, z, grid)
+        f = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(z)
         for j in (0, 500, 3000):
             xi = grid.xi[j]
             val = 1j * quad(
@@ -366,7 +375,7 @@ class TestResolventSolve:
         u0 = lorentzian()
         vals = []
         for h in (0.08, 0.04, 0.02):
-            f = resolvent_solve(u0, 0.4, 0.3 + 0.9j, LineGrid(40.0, h))
+            f = ResolventEvaluator(u0, 0.4, LineGrid(40.0, h)).hardy_solution(0.3 + 0.9j)
             vals.append(iplus(f, extrapolate=True))
         # successive-difference ratio is 4 for a clean O(h^2) scheme
         ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
@@ -378,26 +387,24 @@ class TestResolventSolve:
         assert np.max(np.abs(np.abs(sys.gauge) - 1.0)) < 1e-14
         assert sys.matrix.shape == (grid.count, grid.count)
         # full dense solve agrees with the fast path
-        g = np.linalg.solve(sys.matrix, sys.rhs)
-        fhat = np.conj(sys.gauge) * unweight_vector(g, grid)
-        fast = resolvent_solve(lorentzian(), 0.3, 0.2 + 0.7j, grid)
-        np.testing.assert_allclose(fhat, fast.values, atol=1e-10)
+        fast = ResolventEvaluator(lorentzian(), 0.3, grid).hardy_solution(0.2 + 0.7j)
+        np.testing.assert_allclose(dense_solution(lorentzian(), 0.3, 0.2 + 0.7j, grid),
+                                   fast.values, atol=1e-10)
 
     def test_closure_node_is_zero(self):
-        f = resolvent_solve(lorentzian(), 0.2, 1j, LineGrid(40.0, 0.04))
+        f = ResolventEvaluator(lorentzian(), 0.2, LineGrid(40.0, 0.04)).hardy_solution(1j)
         assert f.values[-1] == 0.0
 
     def test_generator_row_at_cutoff_reaches_no_solver_output(self, monkeypatch):
-        # Both t != 0 solvers work on rows and columns 0..M-1 of the gauge
+        # The t != 0 solver works on rows and columns 0..M-1 of the gauge
         # operator; the decay closure g(Xi) = 0 replaces the generator's
-        # one-sided row at xi = Xi, so that row cannot move their outputs.
+        # one-sided row at xi = Xi, so that row cannot move its outputs.
         grid = LineGrid(25.0, 0.1)
         u0, t, zs = lorentzian(), 0.5, (1j, 0.5 + 0.6j)
 
         def outputs():
             ev = ResolventEvaluator(u0, t, grid)
-            return [(resolvent_solve(u0, t, z, grid).values, ev.hardy_solution(z).values)
-                    for z in zs]
+            return [ev.hardy_solution(z).values for z in zs]
 
         before = outputs()
         a_before = lo._gauge_operator(u0, t, grid)
@@ -415,30 +422,26 @@ class TestResolventSolve:
         a_after = lo._gauge_operator(u0, t, grid)
         assert not np.array_equal(a_after[-1], a_before[-1])  # the row did change
         np.testing.assert_array_equal(a_after[:-1], a_before[:-1])
-        for (solve0, eval0), (solve1, eval1) in zip(before, outputs()):
-            np.testing.assert_array_equal(solve1, solve0)
-            np.testing.assert_array_equal(eval1, eval0)
+        for value0, value1 in zip(before, outputs()):
+            np.testing.assert_array_equal(value1, value0)
 
     def test_banded_t0_path_matches_dense_system(self):
         grid = LineGrid(25.0, 0.05)
         z = 0.1 + 0.9j
-        sys = resolvent_system(lorentzian(), 0.0, z, grid)
-        g = np.linalg.solve(sys.matrix, sys.rhs)
-        fhat = np.conj(sys.gauge) * unweight_vector(g, grid)
-        fast = resolvent_solve(lorentzian(), 0.0, z, grid)
-        np.testing.assert_allclose(fast.values, fhat, atol=1e-11)
+        fast = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(z)
+        np.testing.assert_allclose(fast.values, dense_solution(lorentzian(), 0.0, z, grid),
+                                   atol=1e-11)
 
 
 class TestResolventEvaluator:
-    @pytest.mark.parametrize("t", [0.0, 0.35])
+    @pytest.mark.parametrize("t", [0.0, 0.35, -0.3])
     def test_matches_direct_solve(self, t):
         grid = LineGrid(40.0, 0.08)
         u0 = lorentzian()
         ev = ResolventEvaluator(u0, t, grid)
         for z in (1j, 0.5 + 0.6j, -1.2 + 0.3j):
-            direct = resolvent_solve(u0, t, z, grid)
             np.testing.assert_allclose(
-                ev.hardy_solution(z).values, direct.values, atol=1e-9
+                ev.hardy_solution(z).values, dense_solution(u0, t, z, grid), atol=1e-9
             )
 
     @pytest.mark.parametrize("corruption", ["nan_diagonal", "below_subdiagonal"])
@@ -470,58 +473,48 @@ class TestDenseMemoryBudget:
         def no_dense(*args, **kwargs):
             raise AssertionError("dense operator assembled past the budget check")
 
-        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 ** 20)
         monkeypatch.setattr(lo, "toeplitz_line", no_dense)
 
-    @pytest.mark.parametrize("path", ["solve", "evaluator"])
+    @pytest.mark.parametrize("path", ["evaluator", "evaluate_uhp"])
     def test_refused_before_allocation(self, tight_budget, path):
         grid = LineGrid(40.0, 0.08)  # M = 501: 3.1 dense arrays need 12 MB
         with pytest.raises(ConfigurationError, match="physical memory"):
-            if path == "solve":
-                resolvent_solve(lorentzian(), 0.3, 1j, grid)
-            else:
+            if path == "evaluator":
                 ResolventEvaluator(lorentzian(), 0.3, grid)
+            else:
+                evaluate_uhp(lorentzian(), 0.3, 1j, grid, refinements=0)
 
     def test_banded_t0_paths_unaffected(self, tight_budget):
+        # at t = 0 the evaluator and every Richardson level of evaluate_uhp
+        # are band solves
         grid = LineGrid(40.0, 0.08)
-        f = resolvent_solve(lorentzian(), 0.0, 1j, grid)
         ev = ResolventEvaluator(lorentzian(), 0.0, grid)
-        np.testing.assert_array_equal(ev.hardy_solution(1j).values, f.values)
+        assert abs(ev.value(1j) - 0.5) < 1e-3
+        assert abs(evaluate_uhp(lorentzian(), 0.0, 1j, grid, refinements=1) - 0.5) < 1e-4
 
     def test_estimate_scales_with_grid(self, monkeypatch):
         grid = LineGrid(40.0, 0.08)
         need = lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
-        monkeypatch.setattr(lo, "_physical_memory", lambda: 2 * need)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 * need)
         lo._check_dense_budget(grid)
         with pytest.raises(ConfigurationError):
             lo._check_dense_budget(grid.refined(2))
 
-    @pytest.mark.parametrize("path", ["assembly", "solve", "evaluator"])
-    def test_peak_within_estimate(self, monkeypatch, path):
-        # tracemalloc does not see the copy of A that LAPACK makes inside
-        # np.linalg.solve, so the solve adds it to what is traced at the call
+    @pytest.mark.parametrize("path", ["assembly", "evaluator"])
+    def test_peak_within_estimate(self, path):
         grid = LineGrid(16.0, 0.02)  # M = 801
         u0, t, z = lorentzian(), 0.5, 0.3 + 1j
-        real_solve = np.linalg.solve
-        at_solve = []
-
-        def counting_solve(a, b):
-            at_solve.append(tracemalloc.get_traced_memory()[0] + a.size * a.itemsize)
-            return real_solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         runs = {
             "assembly": lambda: lo._gauge_operator(u0, t, grid),
-            "solve": lambda: resolvent_solve(u0, t, z, grid, tail_tol=1e-6),
             "evaluator": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6).hardy_solution(z),
         }
         tracemalloc.start()
         try:
             runs[path]()
-            peak = max([tracemalloc.get_traced_memory()[1], *at_solve])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (path == "solve") == bool(at_solve)
         assert peak <= lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
 
 

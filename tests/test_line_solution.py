@@ -181,18 +181,19 @@ class TestHolomorphy:
 
 class TestDetailedEvaluation:
     def test_diagnostics_carry_ladder(self, monkeypatch):
-        # refinements=1 solves on h and h/2 and returns their Richardson value
-        steps = []
-        real_solve = ls.resolvent_solve
+        # refinements=1 builds one evaluator on h and one on h/2 and returns
+        # their Richardson value
+        grids = []
 
-        def recording(u0, t, z, grid, **kwargs):
-            steps.append(grid.step)
-            return real_solve(u0, t, z, grid, **kwargs)
+        class Recording(ResolventEvaluator):
+            def __init__(self, u0, t, grid, **kwargs):
+                grids.append(grid)
+                super().__init__(u0, t, grid, **kwargs)
 
-        monkeypatch.setattr(ls, "resolvent_solve", recording)
+        monkeypatch.setattr(ls, "ResolventEvaluator", Recording)
         field = line_preset("lorentzian", c=1.0).field
         value = evaluate_uhp(field, 0.0, 1j, refinements=1)
-        assert steps == [LineGrid().step, LineGrid().step / 2]
+        assert grids == [LineGrid(), LineGrid(LineGrid().cutoff, LineGrid().step / 2)]
         assert abs(value - 0.5) < 1e-5
 
     def test_invariant_rejects_lower_half_plane(self, monkeypatch):
