@@ -51,7 +51,6 @@ from .timestepper import (
     Trajectory,
     conserved_quantities,
     evolve,
-    evolve_line_on_box,
 )
 from .line_operators import (
     LineField,
@@ -67,7 +66,7 @@ from .line_solution import (
 )
 from .checks import (
     CheckReport,
-    check_isospectrality,
+    check_invariants,
     check_lax_evolution,
     check_line_identities,
     check_torus_commutators,

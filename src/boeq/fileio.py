@@ -19,7 +19,6 @@ from .spectral import TorusField
 
 __all__ = [
     "write_field_json",
-    "read_field_json",
     "write_coeff_csv",
     "write_solution_json",
     "write_samples_csv",
@@ -46,17 +45,6 @@ def write_json(path: Path, payload: dict[str, Any]):
 def write_field_json(path: Path, field: TorusField):
     """{"max_mode": N, "coeffs": [[re, im], ...]} for k = -N..N in order."""
     write_json(Path(path), {"max_mode": field.max_mode, "coeffs": _pairs(field.coeffs)})
-
-
-def read_field_json(path: Path) -> TorusField:
-    data = json.loads(Path(path).read_text())
-    try:
-        n = int(data["max_mode"])
-        pairs = data["coeffs"]
-        coeffs = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IngestionError(f"malformed coefficient file {path}") from exc
-    return TorusField(n, coeffs)
 
 
 def write_coeff_csv(path: Path, coeffs: np.ndarray, start_k: int = 0):

@@ -33,6 +33,7 @@ banded O(M) solves at t = 0, otherwise one Hessenberg reduction per
 """
 from __future__ import annotations
 
+import cmath
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -50,7 +51,6 @@ __all__ = [
     "LineField",
     "abs_frequency_field",
     "generator_apply",
-    "weight_vector",
     "unweight_vector",
     "toeplitz_line",
     "toeplitz_apply",
@@ -70,6 +70,9 @@ DENSE_PEAK_ARRAYS = 3.1
 # scan (tracemalloc, M = 2001 to 20001: 343 to 388).  Every line path holds
 # these O(M) arrays; the t != 0 solver adds the dense ones.
 GRID_NODE_BYTES = 400
+# Bytes of phase factors exp(-i xi x) that LineField.from_samples holds at
+# once: its transform runs over row blocks, so no M x N array is formed.
+SAMPLE_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,15 @@ class LineField:
         w[0] *= 0.5
         w[-1] *= 0.5
 
+        wu = (w * u).astype(np.complex128)
+        rows = max(1, SAMPLE_BLOCK_BYTES // (16 * x.size))
+
         def fn(xi: np.ndarray) -> np.ndarray:
-            phase = np.exp(-1j * np.outer(xi, x))
-            vals = phase @ (w * u)
+            xi = np.ravel(xi)
+            vals = np.empty(xi.size, dtype=np.complex128)
+            for lo in range(0, xi.size, rows):
+                phase = np.multiply(-1j, np.outer(xi[lo:lo + rows], x))
+                vals[lo:lo + rows] = np.exp(phase, out=phase) @ wu
             return vals
 
         return cls(spectrum_fn=fn, label=label)
@@ -224,10 +233,6 @@ def _band_matvec(ab: np.ndarray, lower: int, v: np.ndarray) -> np.ndarray:
     for k in range(1, lower + 1):
         out[k:] += ab[2 + k, :-k] * v[:-k]
     return out
-
-
-def weight_vector(f: np.ndarray, grid: LineGrid) -> np.ndarray:
-    return grid.sqrt_weights * f
 
 
 def unweight_vector(g: np.ndarray, grid: LineGrid) -> np.ndarray:
@@ -360,16 +365,17 @@ def _solve_reduced_banded(grid: LineGrid, z: complex, rhs: np.ndarray) -> np.nda
     g = sla.solve_banded((1, 2), ab, rhs)
     scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     residual = float(np.linalg.norm(_band_matvec(ab, 1, g) - rhs)) / scale
-    if residual > SOLVE_TOL:
+    if not residual <= SOLVE_TOL:  # NaN fails too
         raise ConditioningError("banded resolvent solve is ill-conditioned", residual)
     return g
 
 
 def check_uhp(z: complex) -> complex:
-    """``z`` as a complex number; Im z <= 0 raises :class:`DomainError`."""
+    """``z`` as a complex number; a non-finite z or Im z <= 0 raises
+    :class:`DomainError`."""
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z = {z.imag:.6g} must be positive")
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise DomainError(f"z = {z} must be finite with Im z > 0")
     return z
 
 

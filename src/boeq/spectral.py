@@ -134,9 +134,6 @@ class TorusField:
         live = mags > rel_tol * top
         return int(ks[live].max()) if live.any() else 0
 
-    def scaled(self, factor: float) -> "TorusField":
-        return TorusField(self.max_mode, self.coeffs * factor)
-
 
 @dataclass(frozen=True)
 class HardyTorusVector:
@@ -201,9 +198,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def adjoint_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
 
 @dataclass(frozen=True)

@@ -13,35 +13,26 @@ with the 2/3 rule, so the dealiasing property "cut changes nothing for
 band-limited data" holds to the bit.  Complex (non-real) data are refused.
 
 Callers that need several times (``boeq compare``, ``solve-torus --method
-spectral``, the isospectrality check) march once through them in order
-in whole-step :func:`evolve` segments (``boeq.checks.march_times``); each
-time gets the bits of one ``evolve`` from t = 0 (:func:`split_steps`).
-
-A rescaled run doubles as a line oracle: if u solves the equation on the
-line, then ``v(s, y) = lam * u(lam^2 s, lam (y - pi))`` with ``lam = X / pi``
-is 2pi-periodic on a box of half-width X and solves the same equation on the
-torus.  Decaying line data is insensitive to the box for X much larger than
-the support width.
+spectral``, the invariant checks of ``boeq validate``) march once through
+them in order in whole-step :func:`evolve` segments
+(``boeq.checks.march_times``); each time gets the bits of one ``evolve``
+from t = 0 (:func:`split_steps`).
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, InvalidFieldError, StabilityWarning
-from .spectral import SYMMETRY_TOL, TWO_PI, TorusField
+from .spectral import SYMMETRY_TOL, TorusField
 
 __all__ = [
     "Trajectory",
     "evolve",
     "split_steps",
     "conserved_quantities",
-    "BoxLineRun",
-    "evolve_line_on_box",
 ]
 
 # Stability guard: the exact integrating factor removes the dispersive
@@ -206,71 +197,3 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
     return {"mean": mean, "l2sq": l2sq, "energy": energy}
-
-
-# ---------------------------------------------------------------------------
-# line oracle on a rescaled box
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoxLineRun:
-    """Result of a periodized line run mapped back to line variables."""
-
-    x: np.ndarray          # uniform grid in [-X, X)
-    u: np.ndarray          # u(t, x) samples
-    half_width: float
-    n_modes: int
-    dt_box: float
-    steps: int
-
-
-def evolve_line_on_box(
-    u0_of_x: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    half_width: float,
-    n_modes: int,
-    cfl: float = 0.5,
-) -> BoxLineRun:
-    """Evolve decaying line data to time t on a periodic box of half-width X.
-
-    The box field ``v(y) = lam u(lam (y - pi))`` with ``lam = X/pi`` runs on
-    the standard torus to the rescaled time ``t / lam^2``; samples map back to
-    ``u(t, x) = v(s, x/lam + pi)/lam`` on the uniform x grid.
-    """
-    lam = half_width / np.pi
-    n_grid = 2 * n_modes + 2
-    y = TWO_PI * np.arange(n_grid) / n_grid
-    x = lam * (y - np.pi)
-    v0 = lam * u0_of_x(x)
-    field0 = _field_from_real_samples(v0, n_modes)
-
-    s_final = t / lam ** 2
-    amp = float(np.max(np.abs(v0)))
-    dt_box = cfl / (n_modes * max(amp, 1e-12))
-    steps = max(1, int(np.ceil(abs(s_final) / dt_box)))
-    dt_box = abs(s_final) / steps if s_final != 0 else dt_box
-
-    if s_final == 0:
-        v_t = v0
-    else:
-        traj = evolve(field0, s_final, dt_box)
-        v_t = _real_samples(traj.final(), n_grid)
-    order = np.argsort(x)
-    return BoxLineRun(
-        x=x[order],
-        u=(v_t / lam)[order],
-        half_width=half_width,
-        n_modes=n_modes,
-        dt_box=dt_box,
-        steps=steps,
-    )
-
-
-def _field_from_real_samples(v: np.ndarray, n: int) -> TorusField:
-    from .spectral import field_from_samples
-
-    return field_from_samples(v, max_mode=n)
-
-
-def _real_samples(f: TorusField, n_grid: int) -> np.ndarray:
-    return np.fft.irfft(f.coeffs[f.max_mode:], n_grid, norm="forward")

@@ -3,11 +3,12 @@
 Time enters the formula only through ``exp(2it L_{u0})``, so the checked
 eigensystem ``L_{u0} = V Lambda V*`` is computed once per (u0, N) and
 reused by every later propagator of the same datum.  A propagator stores
-the unitary factor ``exp(2it L_{u0}) = V exp(2it Lambda) V*``, the scalar
-phase ``exp(it)``, and the initial Hardy vector.  Fourier coefficients of
-the solution come from the power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >``
-with ``M = exp(it) exp(2it L_{u0}) S*``, and values on the disc from the
-resolvent ``Pu(t, z) = < (I - z M)^{-1} Pu0 | 1 >``, solved densely.
+one step operator, ``M = exp(it) exp(2it L_{u0}) S*`` with the unitary
+factor ``exp(2it L_{u0}) = V exp(2it Lambda) V*`` checked before M is
+formed, and the initial Hardy vector.  Fourier coefficients of the solution
+come from the power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >``, and values
+on the disc from the resolvent ``Pu(t, z) = < (I - z M)^{-1} Pu0 | 1 >``,
+solved densely; both read M.
 
 The eigenvectors of ``L_{u0}`` are localized in mode space, so V and U hold
 many entries far below ``spectral.FLUSH_BELOW`` (sqrt of the smallest normal
@@ -30,7 +31,6 @@ from .errors import ConditioningError, DomainError, TruncationWarning
 from .spectral import (
     EigenSystem,
     HardyTorusVector,
-    OperatorMatrix,
     TorusField,
     hermitian_evolution,  # noqa: F401  (traced here by perfbench/spans.py)
     synthesize_torus,
@@ -54,16 +54,14 @@ TAIL_WARN = 1e-8
 class TorusPropagator:
     """Frozen data of the time-t solution operator for one initial field.
 
-    ``evolution`` is rebuilt per time from the eigensystem shared by every
+    ``matrix`` is rebuilt per time from the eigensystem shared by every
     propagator of the same (u0, N).
     """
 
     t: float
     p0: HardyTorusVector
     mean: float
-    evolution: OperatorMatrix  # exp(2it L_{u0}), unitary
-    phase: complex             # exp(it)
-    matrix: np.ndarray         # M = phase * evolution * S*
+    matrix: np.ndarray  # M = exp(it) exp(2it L_{u0}) S*
 
     @property
     def max_mode(self) -> int:
@@ -109,15 +107,8 @@ def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
         t=t,
         p0=HardyTorusVector(hardy),
         mean=float(u0.coeff(0).real),
-        evolution=evolution,
-        phase=phase,
         matrix=matrix,
     )
-
-
-def _apply_step(prop: TorusPropagator, v: np.ndarray) -> np.ndarray:
-    shifted = np.append(v[1:], 0.0)
-    return prop.phase * (prop.evolution.entries @ shifted)
 
 
 def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> np.ndarray:
@@ -137,7 +128,7 @@ def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> n
     guard = n - k_max // 4
     worst_tail = 0.0
     for k in range(1, k_max + 1):
-        v = _apply_step(prop, v)
+        v = prop.matrix @ v
         out[k] = v[0]
         if guard + 1 <= n:
             worst_tail = max(worst_tail, float(np.linalg.norm(v[guard + 1:])))
@@ -154,7 +145,7 @@ def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> n
 def evaluate_disc(prop: TorusPropagator, z: complex) -> complex:
     """Hardy extension Pu(t, z) for |z| < 1 via a dense resolvent solve."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails too
         raise DomainError(f"|z| = {abs(z):.6g} is outside the open unit disc")
     n1 = prop.max_mode + 1
     a = np.eye(n1, dtype=np.complex128) - z * prop.matrix
@@ -162,7 +153,7 @@ def evaluate_disc(prop: TorusPropagator, z: complex) -> complex:
     w = np.linalg.solve(a, rhs)
     scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     residual = float(np.linalg.norm(a @ w - rhs)) / scale
-    if residual > RESOLVENT_TOL:
+    if not residual <= RESOLVENT_TOL:
         raise ConditioningError("disc resolvent solve is ill-conditioned", residual)
     return complex(w[0])
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from boeq.checks import (
-    check_isospectrality,
+    check_invariants,
     check_lax_evolution,
     check_line_identities,
     check_torus_commutators,
@@ -23,8 +23,10 @@ from boeq.line_operators import LineGrid
 from boeq.line_solution import evaluate_uhp, reconstruct_line
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField, project_hardy, synthesize_torus
-from boeq.timestepper import conserved_quantities, evolve, evolve_line_on_box
+from boeq.timestepper import conserved_quantities, evolve
 from boeq.torus_solution import evolve_coefficients, propagator, reconstruct_torus
+
+from box_oracle import evolve_line_on_box
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,7 +103,8 @@ def test_criterion_3_finite_section_identities(rng):
 
 
 def test_criterion_4_lax_pair_dynamics():
-    """Lax bracket drives the flow: FD residual, its dt-order, isospectrality."""
+    """Lax bracket drives the flow: FD residual, its dt-order, and the flow's
+    invariants (isospectrality, mean, mass, energy) from one march."""
     start = time.perf_counter()
     cos1 = torus_preset("cos", 2)
     rep = check_lax_evolution(cos1, t=0.2, dt=1e-3, n=128)
@@ -113,9 +116,11 @@ def test_criterion_4_lax_pair_dynamics():
     )
     orders = [r.observed_order for r in rows[1:]]
     assert all(1.7 <= o <= 2.3 for o in orders), orders
-    iso = check_isospectrality(cos1, times=[0.25, 0.5, 0.75, 1.0], n=256,
-                               n_eigs=10, dt=1e-3)
-    assert iso.residual <= 1e-6, iso.residual
+    invariants = check_invariants(cos1, times=[0.25, 0.5, 0.75, 1.0], n=256,
+                                  n_eigs=10, dt=1e-3)
+    assert all(r.passed for r in invariants), [(r.name, r.residual) for r in invariants]
+    iso = invariants[0]
+    assert iso.name == "isospectrality" and iso.residual <= 1e-6, iso.residual
     elapsed = time.perf_counter() - start
     assert elapsed <= 120.0
     _report(4, f"fd {rep.residual:.2e}, orders {[round(o, 2) for o in orders]}, "

@@ -6,7 +6,7 @@ import pytest
 from boeq.checks import (
     CheckReport,
     check_formula_isospectrality,
-    check_isospectrality,
+    check_invariants,
     check_lax_evolution,
     check_line_identities,
     check_torus_commutators,
@@ -106,19 +106,137 @@ class TestLaxEvolution:
             np.testing.assert_array_equal(got.coeffs, ref.coeffs)
 
 
-class TestIsospectrality:
+INVARIANT_NAMES = ["isospectrality", "conservation_mean", "conservation_l2",
+                   "conservation_energy"]
+
+
+def suite_invariants():
+    """check_invariants as default_suite runs it, by report name."""
+    reports = check_invariants(torus_preset("cos", 2), [0.5, 1.0], 256, n_eigs=10, dt=1e-3)
+    return {r.name: r for r in reports}
+
+
+class TestInvariants:
     def test_zero_field(self):
-        rep = check_isospectrality(TorusField.zero(16), [0.2], 16, n_eigs=5, dt=1e-2)
-        assert rep.residual < 1e-12
+        reports = check_invariants(TorusField.zero(16), [0.2], 16, n_eigs=5, dt=1e-2)
+        assert [r.name for r in reports] == INVARIANT_NAMES
+        assert all(r.residual < 1e-12 and r.passed for r in reports)
 
     def test_constant_shift(self):
-        rep = check_isospectrality(torus_preset("constant", 4, c=0.5), [0.1], 32,
+        reports = check_invariants(torus_preset("constant", 4, c=0.5), [0.1], 32,
                                    n_eigs=5, dt=1e-3)
-        assert rep.residual < 1e-10
+        assert reports[0].residual < 1e-10
+        assert all(r.passed for r in reports)
 
     def test_cos_drift_small(self):
-        rep = check_isospectrality(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3)
-        assert rep.passed
+        reports = check_invariants(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3)
+        assert all(r.passed for r in reports)
+
+    def test_suite_configuration(self):
+        reports = suite_invariants()
+        assert [r.tolerance for r in reports.values()] == [1e-6, 1e-12, 1e-9, 1e-8]
+        assert all(r.passed for r in reports.values())
+        assert reports["conservation_mean"].residual == 0.0  # the stepper keeps c_0 exactly
+        for r in reports.values():
+            assert r.parameters["n"] == 256 and r.parameters["dt"] == 1e-3
+            assert r.parameters["times"] == [0.5, 1.0]
+
+    def test_one_march_for_every_invariant(self, monkeypatch):
+        import boeq.checks as checks
+
+        calls = []
+
+        def counting(u0, t_final, dt, n=None, **kw):
+            calls.append(t_final)
+            return evolve(u0, t_final, dt, n, **kw)
+
+        monkeypatch.setattr(checks, "evolve", counting)
+        check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32, dt=1e-2)
+        assert calls == pytest.approx([0.5, 0.5])
+
+    def test_conservation_drift_is_largest_over_times(self, monkeypatch):
+        # a march whose mass jumps at t = 0.5 and comes back by t = 1 must
+        # fail: the drift is the worst over the times, not the last one
+        import boeq.checks as checks
+
+        real = checks.march_times
+
+        def bumped(u0, times, dt, n):
+            fields = real(u0, times, dt, n)
+            u = fields[0.5]
+            fields[0.5] = TorusField(u.max_mode, u.coeffs * (1.0 + 1e-6))
+            return fields
+
+        monkeypatch.setattr(checks, "march_times", bumped)
+        reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
+                                                       dt=1e-2)}
+        assert not reports["conservation_l2"].passed
+        assert not reports["conservation_energy"].passed
+
+    def test_nan_drift_fails(self, monkeypatch):
+        # a NaN at one time must not be dropped by taking the max over times
+        import boeq.checks as checks
+
+        real = checks.conserved_quantities
+        seen = []
+
+        def nan_energy_once(u):
+            q = real(u)
+            seen.append(q)
+            if len(seen) == 2:  # the datum is first, then t = 0.5
+                q["energy"] = np.nan
+            return q
+
+        monkeypatch.setattr(checks, "conserved_quantities", nan_energy_once)
+        reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
+                                                       dt=1e-2)}
+        assert np.isnan(reports["conservation_energy"].residual)
+        assert not reports["conservation_energy"].passed
+
+
+class TestInvariantsCatchMutatedStepper:
+    """Each conservation report fails for a stepper that breaks its law."""
+
+    @staticmethod
+    def _mutate(monkeypatch, e_half=None, nonlinear=None):
+        import boeq.timestepper as ts
+
+        class Mutated(ts._Stepper):
+            def __init__(self, n, dt, dealias=True):
+                super().__init__(n, dt, dealias)
+                if e_half is not None:
+                    self.e_half = self.e_half * e_half(np.arange(self.cut + 1), dt)
+                    self.e_full = self.e_half * self.e_half
+
+            def nonlinear(self, c):
+                out = super().nonlinear(c)
+                return out if nonlinear is None else nonlinear(out, c)
+
+        monkeypatch.setattr(ts, "_Stepper", Mutated)
+
+    def test_damped_linear_part_fails_l2_and_energy(self, monkeypatch):
+        self._mutate(monkeypatch, e_half=lambda k, dt: np.exp(-1e-7 * k * k * dt / 2.0))
+        reports = suite_invariants()
+        assert not reports["conservation_l2"].passed
+        assert not reports["conservation_energy"].passed
+
+    def test_scaled_nonlinear_term_fails_energy(self, monkeypatch):
+        self._mutate(monkeypatch, nonlinear=lambda out, c: out * (1.0 + 1e-6))
+        reports = suite_invariants()
+        assert reports["conservation_l2"].passed  # the mass law does not see the scale
+        assert not reports["conservation_energy"].passed
+
+    def test_leak_into_the_mean_fails_mean(self, monkeypatch):
+        # -ik (u^2)_k vanishes at k = 0; a term that survives there moves
+        # the mean, which the stepper otherwise keeps to the bit
+        def leak(out, c):
+            out = out.copy()
+            out[0] += 1e-9 * np.sum(np.abs(c) ** 2)
+            return out
+
+        self._mutate(monkeypatch, nonlinear=leak)
+        reports = suite_invariants()
+        assert not reports["conservation_mean"].passed
 
 
 class TestMarchTimes:
@@ -299,6 +417,25 @@ class TestStudiesAndSuite:
         res64 = max(r.residual for r in check_torus_commutators(u, 64))
         res96 = max(r.residual for r in check_torus_commutators(u, 96))
         assert res96 <= res64 + 1e-14
+
+    def test_default_suite_step_count(self, monkeypatch):
+        # every stepper step of the suite, counted as evolve takes them
+        import boeq.checks as checks
+        from boeq.timestepper import split_steps
+
+        steps = []
+
+        def counting(u0, t_final, dt, n=None, **kw):
+            full, partial = split_steps(abs(t_final), dt)
+            steps.append(full + (partial > 0))
+            return evolve(u0, t_final, dt, n, **kw)
+
+        monkeypatch.setattr(checks, "evolve", counting)
+        names = [r.name for r in default_suite()]
+        assert sum(steps) == 5378
+        assert len(names) == len(set(names)) == 26
+        for name in INVARIANT_NAMES:
+            assert name in names
 
     def test_default_suite_passes_and_is_deterministic(self):
         first = [r.to_dict() for r in default_suite()]

@@ -20,7 +20,6 @@ from boeq.line_operators import (
     toeplitz_apply,
     toeplitz_line,
     unweight_vector,
-    weight_vector,
 )
 from boeq.line_solution import evaluate_uhp
 from boeq.presets import line_preset
@@ -91,7 +90,7 @@ class TestGrid:
 def collocation_generator(grid):
     """f -> G f on raw samples, through the weighted product G_w."""
     apply = generator_apply(grid)
-    return lambda f: unweight_vector(apply(weight_vector(f, grid)), grid)
+    return lambda f: unweight_vector(apply(grid.sqrt_weights * f), grid)
 
 
 def band_to_dense(ab, lower, upper):
@@ -194,7 +193,7 @@ class TestToeplitzLine:
         grid = LineGrid(10.0, 0.25)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        via_matrix = unweight_vector(toeplitz_line(u0, grid) @ weight_vector(f, grid), grid)
+        via_matrix = unweight_vector(toeplitz_line(u0, grid) @ (grid.sqrt_weights * f), grid)
         vals = u0.two_sided(grid)
         m = grid.last
         w = grid.weights * grid.step
@@ -229,7 +228,7 @@ class TestToeplitzLine:
         grid = LineGrid(30.0, 0.02)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        out = unweight_vector(toeplitz_line(u0, grid) @ weight_vector(f, grid), grid)
+        out = unweight_vector(toeplitz_line(u0, grid) @ (grid.sqrt_weights * f), grid)
         j = grid.count // 3
         xi = grid.xi[j]
         oracle = quad(lambda s: np.exp(-abs(xi - s)) * np.exp(-s), 0.0, 30.0,
@@ -298,6 +297,36 @@ class TestMatrixFreeProducts:
         assert peak < 8 * 2 ** 20
 
 
+class TestSampledTransform:
+    # 2048 samples onto the default grid (M = 2001): the full phase matrix
+    # exp(-i xi x) would be 2001 x 2048 complex numbers, 62.5 MiB
+    X = np.linspace(-20.0, 20.0, 2048)
+
+    @classmethod
+    def _field(cls):
+        return LineField.from_samples(cls.X, np.exp(-cls.X ** 2) * (1.0 + 0.3 * cls.X))
+
+    def test_matches_direct_trapezoid_sum(self):
+        grid = LineGrid()
+        u = np.exp(-self.X ** 2) * (1.0 + 0.3 * self.X)
+        w = np.full(self.X.size, self.X[1] - self.X[0])
+        w[[0, -1]] *= 0.5
+        direct = np.exp(-1j * np.outer(grid.xi, self.X)) @ (w * u)
+        got = self._field().hardy(grid).values
+        assert np.linalg.norm(got - direct) <= 1e-14 * np.linalg.norm(direct)
+
+    def test_allocates_no_phase_matrix(self):
+        grid = LineGrid()
+        field = self._field()
+        tracemalloc.start()
+        try:
+            field.hardy(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
 class TestLaxLine:
     def test_zero_field_is_frequency_diagonal(self):
         zero = line_preset("zero").field
@@ -346,6 +375,24 @@ class TestResolventSolve:
         ev = ResolventEvaluator(lorentzian(), 0.0, LineGrid(40.0, 0.05))
         with pytest.raises(DomainError):
             ev.hardy_solution(1.0 - 0.1j)
+
+    @pytest.mark.parametrize("t", [0.0, 0.35])
+    @pytest.mark.parametrize("z", [complex(0.0, np.nan), complex(np.nan, 1.0),
+                                   complex(np.inf, 1.0), complex(0.0, np.inf)])
+    def test_non_finite_point_is_a_domain_error(self, t, z):
+        ev = ResolventEvaluator(lorentzian(), t, LineGrid(40.0, 0.08))
+        with pytest.raises(DomainError):
+            ev.value(z)
+
+    def test_nan_banded_solve_fails_residual_check(self, monkeypatch):
+        # a NaN residual must fail the check, not slip past a "> tol" test
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(lo, "sla", SimpleNamespace(
+            solve_banded=lambda lu, ab, b: np.full_like(b, np.nan)))
+        ev = ResolventEvaluator(lorentzian(), 0.0, LineGrid(40.0, 0.08))
+        with pytest.raises(ConditioningError):
+            ev.hardy_solution(1j)
 
     def test_tail_precondition(self):
         with pytest.raises(ConfigurationError):
@@ -522,4 +569,4 @@ class TestWeightedFrame:
     def test_weight_unweight_inverse(self):
         grid = LineGrid(5.0, 0.25)
         v = np.linspace(0, 1, grid.count).astype(complex)
-        np.testing.assert_allclose(unweight_vector(weight_vector(v, grid), grid), v, atol=1e-15)
+        np.testing.assert_allclose(unweight_vector(grid.sqrt_weights * v, grid), v, atol=1e-15)

@@ -112,7 +112,7 @@ class TestReconstructLine:
         # a gaussian is not a solitary wave: by t = 0.3 the profile has
         # deformed ~40% from any rigid shift, and the resolvent formula
         # still tracks the box-periodized stepper
-        from boeq.timestepper import evolve_line_on_box
+        from box_oracle import evolve_line_on_box
 
         preset = line_preset("gaussian", a=1.0, w=1.0)
         t = 0.3

@@ -3,12 +3,9 @@ import pytest
 
 from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples
-from boeq.timestepper import (
-    _Stepper,
-    conserved_quantities,
-    evolve,
-    evolve_line_on_box,
-)
+from boeq.timestepper import _Stepper, conserved_quantities, evolve
+
+from box_oracle import evolve_line_on_box
 
 
 def cos_field(n, a=1.0):

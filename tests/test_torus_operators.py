@@ -12,6 +12,11 @@ from boeq.torus_operators import (
 )
 
 
+def adjoint_defect(op):
+    """Largest entry of A - A^dagger."""
+    return float(np.max(np.abs(op.entries - op.entries.conj().T)))
+
+
 def two_cos(n=8):
     return TorusField.from_modes(n, {1: 1.0})  # 2 cos x
 
@@ -35,14 +40,14 @@ class TestToeplitz:
 
     def test_hermitian_iff_real(self, rng):
         real = TorusField.from_modes(4, {1: 0.3 + 0.2j, 2: -0.5j})
-        assert toeplitz_matrix(real, 8).adjoint_defect() == 0.0
+        assert adjoint_defect(toeplitz_matrix(real, 8)) == 0.0
         # complex symbol: break symmetry explicitly
         c = np.zeros(9, complex)
         c[4 + 1] = 1.0
         c[4 - 1] = 0.5
         t = toeplitz_matrix(TorusField(4, c), 8)
         assert t.tag == "general"
-        assert t.adjoint_defect() > 0.1
+        assert adjoint_defect(t) > 0.1
 
     def test_out_of_reach_modes_warn(self):
         b = TorusField.from_modes(6, {5: 1.0})
@@ -77,7 +82,7 @@ class TestLax:
     def test_exactly_hermitian(self, rng):
         modes = {k: rng.standard_normal() + 1j * rng.standard_normal() for k in range(1, 5)}
         u = TorusField.from_modes(6, modes)
-        assert lax_matrix(u, 12).adjoint_defect() == 0.0
+        assert adjoint_defect(lax_matrix(u, 12)) == 0.0
 
 
 class TestBMatrix:

@@ -67,12 +67,10 @@ class TestEigenMemo:
         u = cos_field(16)
         props = [propagator(u, t, 16) for t in (0.1, 0.5, 1.0)]
         assert eigh_calls == [17]
+        s = shift_adjoint(16).entries
         for prop in props:
-            np.testing.assert_allclose(
-                prop.evolution.entries,
-                hermitian_evolution(lax_matrix(u, 16), 2.0 * prop.t).entries,
-                atol=1e-13,
-            )
+            u_t = hermitian_evolution(lax_matrix(u, 16), 2.0 * prop.t).entries
+            np.testing.assert_allclose(prop.matrix, np.exp(1j * prop.t) * (u_t @ s), atol=1e-13)
 
     def test_changed_datum_or_truncation_recomputes(self, eigh_calls):
         u = cos_field(16)
@@ -85,9 +83,20 @@ class TestEigenMemo:
         assert eigh_calls == [17, 17, 17, 13]
 
     def test_matrix_is_phased_evolution_times_shift(self):
-        prop = propagator(cos_field(16), 0.9, 16)
-        expected = prop.phase * (prop.evolution.entries @ shift_adjoint(16).entries)
+        import boeq.torus_solution as ts
+
+        u = cos_field(16)
+        prop = propagator(u, 0.9, 16)
+        evolution = ts._lax_eigensystem(u, 16).evolution(2.0 * 0.9).entries
+        expected = np.exp(0.9j) * (evolution @ shift_adjoint(16).entries)
         np.testing.assert_allclose(prop.matrix, expected, rtol=0, atol=1e-15)
+
+    def test_propagator_holds_one_step_operator(self):
+        from dataclasses import fields
+
+        from boeq.torus_solution import TorusPropagator
+
+        assert [f.name for f in fields(TorusPropagator)] == ["t", "p0", "mean", "matrix"]
 
 
 class TestCoefficients:
@@ -165,6 +174,22 @@ class TestEvaluateDisc:
             evaluate_disc(prop, 1.0)
         with pytest.raises(DomainError):
             evaluate_disc(prop, 1.2j)
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.1, np.nan), np.nan,
+                                   complex(np.inf, 0.0)])
+    def test_non_finite_point_rejected(self, z):
+        prop = propagator(cos_field(8), 0.1, 8)
+        with pytest.raises(DomainError):
+            evaluate_disc(prop, z)
+
+    def test_nan_solve_fails_residual_check(self, monkeypatch):
+        # a NaN residual must fail the check, not slip past a "> tol" test
+        from boeq.errors import ConditioningError
+
+        prop = propagator(cos_field(8), 0.1, 8)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(ConditioningError):
+            evaluate_disc(prop, 0.3)
 
 
 class TestReconstruct:
@@ -265,7 +290,8 @@ class TestSubnormalFlush:
         es = ts._lax_eigensystem(u0, FLUSH_N)
         prop = propagator(u0, FLUSH_T, FLUSH_N)
         assert tiny_count(es.eigenvectors.entries) == 0
-        assert tiny_count(prop.evolution.entries) == 0
+        assert tiny_count(es.evolution(2.0 * FLUSH_T).entries) == 0
+        assert tiny_count(prop.matrix) == 0
 
     def test_entries_at_or_above_threshold_unchanged(self, localized):
         import boeq.torus_solution as ts
@@ -279,7 +305,7 @@ class TestSubnormalFlush:
         assert np.all(v[~keep] == 0)
         # U before its flush, formed exactly as EigenSystem.evolution forms it
         u_raw = (v * np.exp(2j * FLUSH_T * es.eigenvalues)) @ v.conj().T
-        u = propagator(u0, FLUSH_T, FLUSH_N).evolution.entries
+        u = es.evolution(2.0 * FLUSH_T).entries
         keep = np.abs(u_raw) >= FLUSH
         assert not keep.all()
         np.testing.assert_array_equal(u[keep], u_raw[keep])
