@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, line_solution
 from .checks import default_suite, formula_vs_solver_times, march_times
 from .errors import BoeqError, ConfigurationError, IngestionError
 from .fileio import (
@@ -101,9 +101,17 @@ def _positive(cfg: dict, key: str) -> float:
     return val
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integral or non-finite value exits 2."""
+    val = _finite(value, name)
+    if val != round(val):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(val)
+
+
 def _count(value, name: str) -> int:
-    """``value`` as an int; a count below 1 or a non-number exits 2."""
-    n = int(_finite(value, name))
+    """``value`` as an int; a count below 1 or a non-integer exits 2."""
+    n = _integer(value, name)
     if n < 1:
         raise ConfigurationError(f"{name} must be at least 1, got {value!r}")
     return n
@@ -129,15 +137,21 @@ def _scan_axes(spec: str) -> tuple[np.ndarray, np.ndarray]:
             np.linspace(parts[3], parts[4], _count(parts[5], "--scan nim")))
 
 
-def _torus_field(cfg: dict):
+def _read_datum(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The x, u samples of preset 'csv'; a missing or unreadable datum exits 2."""
+    if not cfg["datum"]:
+        raise IngestionError("preset 'csv' needs --datum PATH")
+    return read_samples_csv(Path(str(cfg["datum"])))
+
+
+def _torus_field(cfg: dict, n: int):
     name, params = parse_preset(str(cfg["preset"]))
-    n = int(cfg["n"])
     if name == "file":
         raise ConfigurationError("use datum=PATH with preset 'csv' for file input")
     if name == "csv":
         from .spectral import field_from_samples
 
-        x, u = read_samples_csv(Path(str(cfg["datum"])))
+        x, u = _read_datum(cfg)
         return field_from_samples(u, max_mode=n)
     return torus_preset(name, n, **params)
 
@@ -146,15 +160,16 @@ def _grid_samples(n_samples: int) -> np.ndarray:
     return TWO_PI * np.arange(n_samples) / n_samples
 
 
-def cmd_solve_torus(args: argparse.Namespace) -> int:
+def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _resolve(args, {
         "preset": "cos", "datum": "", "n": 128, "dt": 2e-4, "t": [0.5],
-        "method": "explicit", "k": None, "samples": 512, "out": "boeq-out",
+        "method": "explicit", "k": None, "samples": 512, "dump_operators": False,
+        "out": "boeq-out",
     })
     times = _times(cfg)
     n = _count(cfg["n"], "truncation n")
     dt = _positive(cfg, "dt")
-    k = None if cfg["k"] is None else int(_finite(cfg["k"], "k"))
+    k = None if cfg["k"] is None else _integer(cfg["k"], "k")
     if k is not None and not 0 <= k <= n:
         raise ConfigurationError(f"coefficient count k = {k} must lie in [0, n = {n}]")
     check_dense_budget(n)
@@ -168,13 +183,13 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"unknown method {method!r}")
     if method != "explicit" and any(t < 0 for t in times):
         raise ConfigurationError("times must be non-negative")
-    u0 = _torus_field(cfg)
+    u0 = _torus_field(cfg, n)
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
     x = _grid_samples(n_samples)
 
     write_field_json(outdir / "initial_field.json", u0)
-    if args.dump_operators:
+    if cfg["dump_operators"]:
         write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n).entries)
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n).entries)
 
@@ -210,10 +225,10 @@ def cmd_solve_torus(args: argparse.Namespace) -> int:
             diffs.append({"t": t, "rel_l2": rel})
     if diffs:
         write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})
-    return 0
+    return 0, cfg
 
 
-def cmd_solve_line(args: argparse.Namespace) -> int:
+def cmd_solve_line(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _resolve(args, {
         "preset": "lorentzian:c=1", "datum": "", "t": [0.0], "eps": 1e-3,
         "cutoff": 40.0, "h": 0.02, "xmin": -8.0, "xmax": 8.0, "nx": 161,
@@ -231,30 +246,29 @@ def cmd_solve_line(args: argparse.Namespace) -> int:
         grid = LineGrid(_positive(cfg, "cutoff"), _positive(cfg, "h"))
     except ValueError as exc:  # too few nodes
         raise ConfigurationError(str(exc)) from exc
-    outdir = Path(str(cfg["out"]))
-    outdir.mkdir(parents=True, exist_ok=True)
-
     name, params = parse_preset(str(cfg["preset"]))
     if name == "csv":
-        xs, us = read_samples_csv(Path(str(cfg["datum"])))
-        field = LineField.from_samples(xs, us)
+        field = LineField.from_samples(*_read_datum(cfg))
     else:
         field = line_preset(name, **params).field
+    outdir = Path(str(cfg["out"]))
+    outdir.mkdir(parents=True, exist_ok=True)
 
     hardy = field.hardy(grid)
     write_spectrum_csv(outdir / "initial_spectrum.csv", hardy.xi, hardy.values)
     for i, t in enumerate(times):
-        u = reconstruct_line(field, t, x, eps=eps, grid=grid,
-                             eps_refine=bool(cfg["eps_refine"]), tail_tol=tail_tol)
+        # one operator per time serves its samples and its scan; looked up at
+        # call time, so a subclass installed on the module builds it
+        evaluator = line_solution.ResolventEvaluator(field, t, grid, tail_tol=tail_tol)
+        u = reconstruct_line(evaluator, x, eps=eps, eps_refine=bool(cfg["eps_refine"]))
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
         if i == 0 and scan_axes is not None:
-            # scans the first time right after its samples, whose reduction it reuses
-            write_scan_csv(outdir / "uhp_scan.csv",
-                           uhp_grid_scan(field, t, *scan_axes, grid, tail_tol=tail_tol))
-    return 0
+            write_scan_csv(outdir / "uhp_scan.csv", uhp_grid_scan(evaluator, *scan_axes))
+        del evaluator  # released before the next time's operator is built
+    return 0, cfg
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _resolve(args, {"only": "", "n": 64, "out": "boeq-out"})
     n = _count(cfg["n"], "truncation n")
     check_dense_budget(n)
@@ -274,10 +288,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{r.name:<{width}}  residual {r.residual:10.3e}  tol {r.tolerance:9.3e}  {status}")
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-    return 1 if failed else 0
+    return (1 if failed else 0), cfg
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> tuple[int, dict]:
     cfg = _resolve(args, {
         "preset": "cos", "t": [0.1, 0.5, 1.0], "n_list": [128], "dt": 2e-4,
         "samples": 512, "out": "boeq-out",
@@ -308,7 +322,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         fh.write("t,n,dt,rel_l2\n")
         for t, n, dt, rel in rows:
             fh.write(f"{t!r},{n},{dt!r},{rel!r}\n")
-    return 0
+    return 0, cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["explicit", "spectral", "both"], default=None)
     sp.add_argument("--k", type=int, default=None, help="coefficient count (default N/2)")
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--dump-operators", action="store_true")
+    sp.add_argument("--dump-operators", action="store_const", const=True, default=None)
     sp.set_defaults(fn=cmd_solve_torus)
 
     sp = sub.add_parser("solve-line", help="solution on the line at given times")
@@ -378,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            code = args.fn(args)
+            code, cfg = args.fn(args)
             caught = [str(w.message) for w in seen]
     except (ConfigurationError, IngestionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -386,18 +400,12 @@ def main(argv: list[str] | None = None) -> int:
     except BoeqError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    outdir = getattr(args, "out", None)
-    cfg_echo = {
-        k: v for k, v in vars(args).items()
-        if k not in ("fn", "config") and v is not None
-    }
-    if outdir is None:
-        outdir = "boeq-out"
-    if Path(outdir).is_dir():
+    outdir = Path(str(cfg["out"]))
+    if outdir.is_dir():
         write_manifest(
-            Path(outdir),
+            outdir,
             command=args.command,
-            config=cfg_echo,
+            config=cfg,
             wall_time_s=time.perf_counter() - start,
             warnings_seen=caught,
             version=__version__,

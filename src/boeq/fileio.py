@@ -68,21 +68,26 @@ def write_samples_csv(path: Path, x: np.ndarray, u: np.ndarray):
 
 
 def read_samples_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """x and u columns of an 'x,u' CSV; a missing, unreadable or malformed
+    file raises :class:`IngestionError`."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read samples {path}: {exc}") from exc
     xs: list[float] = []
     us: list[float] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "u"]:
-            raise IngestionError(f"{path}: expected 'x,u' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                us.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise IngestionError(f"{path}: malformed row {row!r}") from exc
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["x", "u"]:
+        raise IngestionError(f"{path}: expected 'x,u' header")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            xs.append(float(row[0]))
+            us.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise IngestionError(f"{path}: malformed row {row!r}") from exc
     return np.asarray(xs), np.asarray(us)
 
 

@@ -342,16 +342,15 @@ def _gauge_operator(u0: LineField, t: float, grid: LineGrid) -> np.ndarray:
     return a
 
 
-def _gauge_rhs(u0: LineField, t: float, grid: LineGrid) -> np.ndarray:
-    hardy = u0.hardy(grid).values
-    return grid.sqrt_weights * (_gauge_phase(grid, t) * hardy)
+def _gauge_rhs(hardy: HalfLineSpectrum, t: float, grid: LineGrid) -> np.ndarray:
+    return grid.sqrt_weights * (_gauge_phase(grid, t) * hardy.values)
 
 
-def _check_tail(u0: LineField, grid: LineGrid, tol: float):
-    tail = u0.hardy(grid).tail_fraction()
+def _check_tail(hardy: HalfLineSpectrum, tol: float):
+    tail = hardy.tail_fraction()
     if tail > tol:
         raise ConfigurationError(
-            f"spectral tail {tail:.3e} at Xi = {grid.cutoff:g} exceeds {tol:g}; "
+            f"spectral tail {tail:.3e} at Xi = {hardy.cutoff:g} exceeds {tol:g}; "
             "enlarge the cutoff"
         )
 
@@ -403,9 +402,10 @@ class ResolventEvaluator:
     ):
         self.grid = grid or LineGrid()
         self.t = float(t)
-        _check_tail(u0, self.grid, tail_tol)
+        hardy = u0.hardy(self.grid)  # one evaluation of the datum for both uses
+        _check_tail(hardy, tail_tol)
         n = self.grid.count
-        self._rhs = _gauge_rhs(u0, self.t, self.grid)[:n - 1]
+        self._rhs = _gauge_rhs(hardy, self.t, self.grid)[:n - 1]
         self._phase_conj = np.conj(_gauge_phase(self.grid, self.t))
         if self.t == 0.0:
             self._band = None

@@ -9,13 +9,13 @@ discretization is second order in the grid step h.  For point evaluations
 that need more, :func:`evaluate_uhp` performs Richardson extrapolation over
 sub-grids h, h/2, ..., anchored at the grid passed in (eliminated orders 2
 then 3, matching the one-sided boundary stencils), with one evaluator per
-sub-grid.  Scans and reconstructions run on the single grid instead, one
-point after another through one evaluator per (u0, t, grid, tail_tol): the
-samples and the scan of one (u0, t) share its Hessenberg reduction.
+sub-grid.  :func:`reconstruct_line` and :func:`uhp_grid_scan` run on the
+single grid instead, one point after another through an evaluator that the
+caller builds: ``solve-line`` builds one per time, so the samples and the
+scan of one (u0, t) share its Hessenberg reduction.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +55,8 @@ def evaluate_uhp(
     level builds one :class:`ResolventEvaluator` on its grid and drops it.
     At t = 0 the sub-solves are banded and effectively free; for t != 0
     each level is a Hessenberg reduction at doubled size, so scans should
-    use :func:`reconstruct_line` / :func:`uhp_grid_scan` instead.
+    pass one evaluator to :func:`reconstruct_line` / :func:`uhp_grid_scan`
+    instead.
     """
     z = check_uhp(z)
     grids = [grid or LineGrid()]
@@ -78,54 +79,23 @@ def _richardson(levels: list[complex]) -> complex:
     return complex(row[0])
 
 
-# The evaluator of the last (u0, t, grid, tail_tol) seen: (key, evaluator).
-# One entry is enough for the callers that repeat a datum and time (the
-# samples, then the scan, of one solve-line run), and it never holds more
-# than one operator.
-_evaluator_memo: tuple[tuple, ResolventEvaluator] | None = None
-_evaluator_lock = threading.Lock()
-
-
-def _shared_evaluator(u0: LineField, t: float, grid: LineGrid | None,
-                      tail_tol: float) -> ResolventEvaluator:
-    """The evaluator of (u0, t, grid, tail_tol), reused for a repeated one.
-
-    The key is the datum's two-sided spectrum on the grid, the values the
-    operator, the right-hand side and the tail check are built from.
-    """
-    global _evaluator_memo
-    grid = grid or LineGrid()
-    # t by its bits: 0.0 and -0.0 compare equal but give different signed zeros
-    key = (u0.two_sided(grid).tobytes(), float(t).hex(), grid, float(tail_tol))
-    with _evaluator_lock:
-        if _evaluator_memo is None or _evaluator_memo[0] != key:
-            _evaluator_memo = None  # release the old operator before the next is built
-            # looked up at call time, so a wrapper installed on the module sees it
-            _evaluator_memo = (key, ResolventEvaluator(u0, t, grid, tail_tol=tail_tol))
-        return _evaluator_memo[1]
-
-
 def reconstruct_line(
-    u0: LineField,
-    t: float,
+    evaluator: ResolventEvaluator,
     x: np.ndarray,
     eps: float = DEFAULT_EPS,
-    grid: LineGrid | None = None,
     eps_refine: bool = False,
-    tail_tol: float = SPECTRAL_TAIL_TOL,
 ) -> np.ndarray:
-    """Samples ``2 Re Pu(t, x_j + i eps)`` of the real solution.
+    """Samples ``2 Re Pu(t, x_j + i eps)`` of the real solution at the
+    evaluator's (u0, t).
 
     The height shift biases the values by O(eps)*|du/dx|;
     ``eps_refine=True`` evaluates at eps and 2*eps and extrapolates
     linearly, reducing the bias to O(eps^2).  The points run one after
-    another on one factorization of the (u0, t) system, which a following
-    :func:`uhp_grid_scan` of the same (u0, t, grid, tail_tol) reuses.
+    another through the one evaluator.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    evaluator = _shared_evaluator(u0, t, grid, tail_tol)
 
     def one(xj: float) -> float:
         v1 = evaluator.value(xj + 1j * eps)
@@ -145,22 +115,17 @@ class ScanRow:
 
 
 def uhp_grid_scan(
-    u0: LineField,
-    t: float,
+    evaluator: ResolventEvaluator,
     re_axis: np.ndarray,
     im_axis: np.ndarray,
-    grid: LineGrid | None = None,
-    tail_tol: float = SPECTRAL_TAIL_TOL,
 ) -> list[ScanRow]:
-    """Pu(t, z) on a rectangle, row-major over (im, re).
+    """Pu(t, z) at the evaluator's (u0, t) on a rectangle, row-major over
+    (im, re).
 
-    Node failures are recorded per row and the scan continues.  The
-    factorization is shared with :func:`reconstruct_line` of the same
-    (u0, t, grid, tail_tol).
+    Node failures are recorded per row and the scan continues.
     """
     re_axis = np.atleast_1d(np.asarray(re_axis, dtype=float))
     im_axis = np.atleast_1d(np.asarray(im_axis, dtype=float))
-    evaluator = _shared_evaluator(u0, t, grid, tail_tol)
     rows: list[ScanRow] = []
     for im in im_axis:
         for re in re_axis:

@@ -19,7 +19,7 @@ from boeq.checks import (
 )
 from boeq.cli import main
 from boeq.fileio import sha256_of
-from boeq.line_operators import LineGrid
+from boeq.line_operators import LineGrid, ResolventEvaluator
 from boeq.line_solution import evaluate_uhp, reconstruct_line
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField, project_hardy, synthesize_torus
@@ -165,8 +165,8 @@ def test_criterion_6_line_dynamics_vs_box_solver():
     window = np.abs(box.x) <= 20.0
     x_cmp = box.x[window]
     u_box = box.u[window]
-    u_line = reconstruct_line(preset.field, t, x_cmp, eps=1e-3,
-                              grid=LineGrid(40.0, 0.02), eps_refine=True)
+    u_line = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.02)),
+                              x_cmp, eps=1e-3, eps_refine=True)
     rel = np.linalg.norm(u_line - u_box) / np.linalg.norm(u_box)
     assert rel <= 1e-3, rel
     elapsed = time.perf_counter() - start

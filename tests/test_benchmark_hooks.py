@@ -61,3 +61,24 @@ def test_propagator_matrix_and_snapshot_trajectory():
     traj = evolve(u0, 0.004, 1e-3, 8, snapshot_every=2)
     assert list(traj.times) == pytest.approx([0.0, 0.002, 0.004])
     assert len(traj.fields) == 3
+
+
+def test_solve_line_builds_its_evaluator_through_the_module_name(tmp_path, monkeypatch):
+    # the harness swaps line_solution.ResolventEvaluator for a traced
+    # subclass; solve-line must build every evaluator through that name
+    import boeq.line_solution as ls
+    from boeq.cli import main
+
+    built = []
+
+    class Counting(ls.ResolventEvaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ls, "ResolventEvaluator", Counting)
+    code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
+                 "--cutoff", "16", "--h", "0.08", "--tail-tol", "1e-6", "--nx", "5",
+                 "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
+    assert code == 0
+    assert built == [0.5]

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import boeq.line_solution as ls
 import boeq.spectral as spectral
 import boeq.torus_solution as ts
 from boeq.cli import main
@@ -16,6 +15,7 @@ from boeq.fileio import (
     write_field_json,
     write_samples_csv,
 )
+from boeq.line_operators import LineField
 from boeq.presets import parse_preset, torus_preset
 from boeq.spectral import TorusField
 
@@ -77,6 +77,11 @@ class TestFileFormats:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(IngestionError):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_samples_rejected(self, tmp_path, name):
+        with pytest.raises(IngestionError, match="cannot read samples"):
+            read_samples_csv(tmp_path / name)
 
 
 class TestSolveTorusCommand:
@@ -228,7 +233,6 @@ class TestSolveLineCommand:
             for run in ("a", "b"):
                 # each run factors afresh, as a new process would
                 monkeypatch.setattr(ts, "_eigen_memo", None)
-                monkeypatch.setattr(ls, "_evaluator_memo", None)
                 out = tmp_path / name / run
                 assert main(args + ["--out", str(out)]) == 0
                 outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
@@ -242,6 +246,46 @@ class TestSolveLineCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert set(manifest["outputs"]) == on_disk
+
+    @pytest.mark.parametrize("t, evaluations", [("0", 2), ("0.5", 3)])
+    def test_sampled_datum_evaluated_once_per_use(self, tmp_path, monkeypatch, t, evaluations):
+        # each evaluation of a sampled datum is an M x N direct sum: one for
+        # the initial spectrum, one for the evaluator's tail check and
+        # right-hand side, and at t != 0 one for the convolution kernel
+        real = LineField.from_samples
+        calls = []
+
+        def counted(x, u, label="sampled"):
+            field = real(x, u, label)
+
+            def fn(xi):
+                calls.append(np.size(xi))
+                return field.spectrum_fn(xi)
+
+            return LineField(spectrum_fn=fn, label=field.label)
+
+        monkeypatch.setattr(LineField, "from_samples", staticmethod(counted))
+        x = np.linspace(-30.0, 30.0, 601)
+        datum = tmp_path / "datum.csv"
+        write_samples_csv(datum, x, 2.0 / (1.0 + x ** 2))
+        code = main(["solve-line", "--preset", "csv", "--datum", str(datum), "--t", t,
+                     "--cutoff", "16", "--h", "0.05", "--tail-tol", "1e-4", "--nx", "5",
+                     "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("command", ["solve-line", "solve-torus"])
+    @pytest.mark.parametrize("datum", [None, "missing.csv", "."],
+                             ids=["absent", "missing", "directory"])
+    def test_unreadable_datum_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                         datum):
+        out = tmp_path / "r"
+        argv = [command, "--preset", "csv", "--out", str(out)]
+        if datum is not None:
+            argv += ["--datum", str(tmp_path / datum)]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_without_times_exits_2(self, tmp_path):
         code = main(["solve-line", "--preset", "zero", "--t", "", "--scan=0,1,2,0.5,1,2",
@@ -345,6 +389,35 @@ class TestConfigMerging:
         _, u = read_samples_csv(out / "solution_t00.csv")
         assert np.all(u == 0)  # flag beat the config file
 
+    def test_manifest_goes_to_the_config_file_out(self, tmp_path, monkeypatch):
+        # an earlier run's ./boeq-out must neither receive nor lose a manifest
+        monkeypatch.chdir(tmp_path)
+        stale = tmp_path / "boeq-out"
+        stale.mkdir()
+        (stale / "manifest.json").write_text("{}")
+        out = tmp_path / "from-config"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "t": [0.2], "out": str(out)}))
+        assert main(["solve-torus", "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+        assert set(manifest["outputs"]) == on_disk and len(on_disk) == 4
+        assert (stale / "manifest.json").read_text() == "{}"
+
+    def test_manifest_echoes_the_resolved_configuration(self, tmp_path):
+        # defaults, config-file keys and flags, each where it wins
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16, "t": [0.2], "samples": 64, "unknown": 1}))
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--config", str(cfg), "--samples", "128",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {
+            "preset": "cos", "datum": "", "n": 16, "dt": 2e-4, "t": [0.2],
+            "method": "explicit", "k": None, "samples": 128, "dump_operators": False,
+            "out": str(out),
+        }
+
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["solve-torus", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "r")])
@@ -380,6 +453,8 @@ class TestInvalidNumericFlags:
         ["solve-line", "--scan=-2,2,-3,0.2,2,2"],
         ["solve-line", "--scan=-2,2,21,0.2,2,nan"],
         ["solve-line", "--scan=-2,nan,21,0.2,2,10"],
+        ["solve-line", "--scan=-2,2,2.5,0.5,1.5,2"],
+        ["solve-line", "--scan=-2,2,21,0.2,2,1.5"],
         ["solve-line", "--h", "1e-9", "--t", "0"],
         ["solve-torus", "--n", "100000", "--samples", "200002", "--t", "0.1"],
         ["compare", "--n-list", "100000", "--samples", "200001"],
@@ -390,6 +465,7 @@ class TestInvalidNumericFlags:
             "torus-t-inf", "torus-spectral-t-nan", "torus-both-t-minus-inf", "compare-t-inf",
             "line-t-nan", "line-t-inf", "line-tail-tol-nan", "line-xmin-inf", "line-xmax-nan",
             "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound",
+            "line-scan-fractional-nre", "line-scan-fractional-nim",
             "line-grid-beyond-memory", "torus-n-beyond-memory", "compare-n-beyond-memory",
             "validate-n-beyond-memory"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
@@ -417,10 +493,19 @@ class TestInvalidNumericFlags:
         ("solve-line", {"xmax": float("nan")}),
         ("solve-line", {"nx": float("inf")}),
         ("validate", {"n": float("nan")}),
+        ("solve-torus", {"n": 16.7}),
+        ("solve-torus", {"n": 16, "samples": 64, "k": 2.5}),
+        ("solve-torus", {"n": 16, "samples": 64.5}),
+        ("solve-line", {"nx": 5.5}),
+        ("compare", {"n_list": [16.5]}),
+        ("validate", {"n": 8.2}),
     ], ids=["torus-t-nan", "torus-k-nan", "compare-t-inf", "compare-samples-nan", "line-t-scalar",
-            "line-t-nan", "line-tail-tol-nan", "line-xmax-nan", "line-nx-inf", "validate-n-nan"])
+            "line-t-nan", "line-tail-tol-nan", "line-xmax-nan", "line-nx-inf", "validate-n-nan",
+            "torus-n-fractional", "torus-k-fractional", "torus-samples-fractional",
+            "line-nx-fractional", "compare-n-list-fractional", "validate-n-fractional"])
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, command, config):
-        # JSON config files can hold NaN and Infinity, which no flag parser sees
+        # JSON config files can hold NaN, Infinity and fractional counts,
+        # which no flag parser sees
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "r"

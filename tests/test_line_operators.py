@@ -59,7 +59,7 @@ def resolvent_system(u0, t, z, grid):
     a[np.arange(n - 1), np.arange(n - 1)] -= z
     a[n - 1, :] = 0.0
     a[n - 1, n - 1] = 1.0
-    rhs = lo._gauge_rhs(u0, t, grid)
+    rhs = lo._gauge_rhs(u0.hardy(grid), t, grid)
     rhs[-1] = 0.0
     return LineResolventSystem(matrix=a, rhs=rhs, gauge=lo._gauge_phase(grid, t))
 
@@ -170,7 +170,7 @@ class TestGeneratorBand:
         # leave out the closure entry G_w[M, M-1]
         grid = LineGrid(25.0, 0.05)
         z = 0.2 + 0.8j
-        rhs = lo._gauge_rhs(lorentzian(), 0.0, grid)[:-1]
+        rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0, grid)[:-1]
         m = grid.last
         block = dense_generator(grid)[:m, :m] - z * np.eye(m)
         g = lo._solve_reduced_banded(grid, z, rhs)

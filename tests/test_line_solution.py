@@ -1,6 +1,5 @@
 import sys
-import threading
-import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -81,21 +80,23 @@ class TestReconstructLine:
         zero = line_preset("zero").field
         x = np.linspace(-3, 3, 11)
         np.testing.assert_array_equal(
-            reconstruct_line(zero, 0.2, x, grid=LineGrid(20.0, 0.05)), np.zeros(11)
+            reconstruct_line(ResolventEvaluator(zero, 0.2, LineGrid(20.0, 0.05)), x),
+            np.zeros(11)
         )
 
     def test_t0_matches_datum(self):
         preset = line_preset("lorentzian", c=1.0)
         x = np.linspace(-6, 6, 49)
-        u = reconstruct_line(preset.field, 0.0, x, eps=1e-3)
+        u = reconstruct_line(ResolventEvaluator(preset.field, 0.0), x, eps=1e-3)
         assert np.max(np.abs(u - preset.u_of_x(x))) < 5e-3
 
     def test_eps_refine_reduces_bias(self):
         preset = line_preset("lorentzian", c=1.0)
         x = np.linspace(-4, 4, 17)
         exact = preset.u_of_x(x)
-        raw = reconstruct_line(preset.field, 0.0, x, eps=4e-3)
-        refined = reconstruct_line(preset.field, 0.0, x, eps=4e-3, eps_refine=True)
+        ev = ResolventEvaluator(preset.field, 0.0)
+        raw = reconstruct_line(ev, x, eps=4e-3)
+        refined = reconstruct_line(ev, x, eps=4e-3, eps_refine=True)
         assert np.max(np.abs(refined - exact)) < 0.5 * np.max(np.abs(raw - exact))
 
     def test_soliton_translates_right(self):
@@ -103,8 +104,8 @@ class TestReconstructLine:
         preset = line_preset("lorentzian", c=1.0)
         t = 0.25
         x = np.linspace(-5, 5, 41)
-        u = reconstruct_line(preset.field, t, x, eps=1e-3, grid=LineGrid(40.0, 0.08),
-                             eps_refine=True)
+        u = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.08)), x,
+                             eps=1e-3, eps_refine=True)
         assert np.max(np.abs(u - preset.u_of_x(x - t))) < 8e-3
         assert np.max(np.abs(u - preset.u_of_x(x + t))) > 0.1
 
@@ -119,8 +120,8 @@ class TestReconstructLine:
         box = evolve_line_on_box(preset.u_of_x, t, half_width=60.0, n_modes=384)
         window = np.abs(box.x) <= 10.0
         x_cmp, u_box = box.x[window], box.u[window]
-        u_line = reconstruct_line(preset.field, t, x_cmp, eps=1e-3,
-                                  grid=LineGrid(40.0, 0.04), eps_refine=True)
+        u_line = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.04)),
+                                  x_cmp, eps=1e-3, eps_refine=True)
         rel = np.linalg.norm(u_line - u_box) / np.linalg.norm(u_box)
         assert rel < 2e-3
         shift_rel = np.linalg.norm(u_box - preset.u_of_x(x_cmp - t)) / np.linalg.norm(u_box)
@@ -242,29 +243,23 @@ class TestScan:
     def test_single_node_reduces_to_evaluate(self):
         field = line_preset("lorentzian", c=1.0).field
         grid = LineGrid(40.0, 0.05)
-        rows = uhp_grid_scan(field, 0.0, [0.3], [0.9], grid)
+        rows = uhp_grid_scan(ResolventEvaluator(field, 0.0, grid), [0.3], [0.9])
         direct = evaluate_uhp(field, 0.0, 0.3 + 0.9j, grid, refinements=0)
         assert rows[0].value == pytest.approx(direct)
 
     def test_zero_datum_scan(self):
         zero = line_preset("zero").field
-        rows = uhp_grid_scan(zero, 0.1, np.linspace(-1, 1, 3), [0.5, 1.0], LineGrid(20.0, 0.05))
+        rows = uhp_grid_scan(ResolventEvaluator(zero, 0.1, LineGrid(20.0, 0.05)),
+                             np.linspace(-1, 1, 3), [0.5, 1.0])
         assert len(rows) == 6
         assert all(r.value == 0 for r in rows)
 
     def test_failures_recorded_per_row(self):
         field = line_preset("lorentzian", c=1.0).field
-        rows = uhp_grid_scan(field, 0.0, [0.0], [-0.5, 0.5], LineGrid(40.0, 0.05))
+        rows = uhp_grid_scan(ResolventEvaluator(field, 0.0, LineGrid(40.0, 0.05)),
+                             [0.0], [-0.5, 0.5])
         assert rows[0].value is None and "Im z" in rows[0].error
         assert rows[1].value is not None and rows[1].error is None
-
-
-@pytest.fixture
-def fresh_memo():
-    """No evaluator cached before the test, and none kept after it."""
-    ls._evaluator_memo = None
-    yield
-    ls._evaluator_memo = None
 
 
 class TestSharedEvaluator:
@@ -274,7 +269,7 @@ class TestSharedEvaluator:
 
     @pytest.mark.parametrize("times, reductions", [("0.5", 1), ("0.5,0.3", 2)])
     def test_solve_line_with_scan_reduces_once_per_time(self, times, reductions, tmp_path,
-                                                        monkeypatch, fresh_memo):
+                                                        monkeypatch):
         from boeq.cli import main
 
         real = sla.hessenberg
@@ -292,42 +287,33 @@ class TestSharedEvaluator:
         assert (tmp_path / "r" / "uhp_scan.csv").is_file()
         assert calls == [(400, 400)] * reductions
 
-    def test_each_part_of_the_key_rebuilds(self, monkeypatch, fresh_memo):
-        built = []
+    def test_solve_line_holds_one_evaluator_at_a_time(self, tmp_path, monkeypatch):
+        # each time's operator is released before the next one is built
+        from boeq.cli import main
 
-        class Counting(ResolventEvaluator):
+        alive = weakref.WeakSet()
+        held = []  # evaluators alive when each one was built
+
+        class Watched(ResolventEvaluator):
             def __init__(self, *args, **kwargs):
-                built.append(args[1])
+                held.append(len(alive))
                 super().__init__(*args, **kwargs)
+                alive.add(self)
 
-        monkeypatch.setattr(ls, "ResolventEvaluator", Counting)
-        lorentzian = lambda c: line_preset("lorentzian", c=c).field
-        coarse = LineGrid(16.0, 0.05)
-        steps = [
-            # (datum, t, grid, tail_tol, rebuilt?)
-            (lorentzian(1.0), 0.5, self.GRID, self.TAIL_TOL, True),
-            (lorentzian(1.0), 0.5, self.GRID, self.TAIL_TOL, False),  # same content, new object
-            (lorentzian(1.0), 0.3, self.GRID, self.TAIL_TOL, True),
-            (lorentzian(1.0), 0.3, coarse, self.TAIL_TOL, True),
-            (lorentzian(1.0), 0.3, coarse, 1e-5, True),
-            (lorentzian(1.01), 0.3, coarse, 1e-5, True),
-        ]
-        for u0, t, grid, tol, rebuilt in steps:
-            before = len(built)
-            reconstruct_line(u0, t, [0.0], grid=grid, tail_tol=tol)
-            assert len(built) - before == int(rebuilt), (t, grid, tol)
-        # the scan of the last (u0, t, grid, tail_tol) reuses its evaluator
-        uhp_grid_scan(lorentzian(1.01), 0.3, [0.0], [0.5], coarse, tail_tol=1e-5)
-        assert len(built) == 5
+        monkeypatch.setattr(ls, "ResolventEvaluator", Watched)
+        code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5,0.3,0",
+                     "--cutoff", "16", "--h", "0.08", "--tail-tol", "1e-6", "--nx", "5",
+                     "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert held == [0, 0, 0]
 
     @pytest.mark.parametrize("eps_refine", [False, True])
-    def test_reconstruct_equals_per_point_values(self, eps_refine, fresh_memo):
+    def test_reconstruct_equals_per_point_values(self, eps_refine):
         u0 = line_preset("lorentzian", c=1.0).field
         x = np.linspace(-2.0, 2.0, 7)
         eps = 1e-3
-        got = reconstruct_line(u0, 0.5, x, eps=eps, grid=self.GRID, eps_refine=eps_refine,
-                               tail_tol=self.TAIL_TOL)
         ev = ResolventEvaluator(u0, 0.5, self.GRID, tail_tol=self.TAIL_TOL)
+        got = reconstruct_line(ev, x, eps=eps, eps_refine=eps_refine)
         v1 = np.array([ev.value(xj + 1j * eps) for xj in x])
         if eps_refine:
             v2 = np.array([ev.value(xj + 2j * eps) for xj in x])
@@ -350,39 +336,3 @@ class TestSharedEvaluator:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-
-    def test_threads_alternating_keys_build_one_at_a_time(self, monkeypatch, fresh_memo):
-        # threads asking for two (u0, t) in turn each get their own values,
-        # and no two operators are ever built (held) at once
-        guard = threading.Lock()
-        active = [0, 0]  # builds running now, most seen at once
-
-        class Watched(ResolventEvaluator):
-            def __init__(self, *args, **kwargs):
-                with guard:
-                    active[0] += 1
-                    active[1] = max(active)
-                time.sleep(0.005)  # widen the window in which a second build could start
-                super().__init__(*args, **kwargs)
-                with guard:
-                    active[0] -= 1
-
-        u0 = line_preset("lorentzian", c=1.0).field
-        grid = LineGrid(16.0, 0.08)
-        x = np.linspace(-1.0, 1.0, 3)
-        times = [0.5, 0.3] * 6
-        serial = {t: reconstruct_line(u0, t, x, grid=grid, tail_tol=self.TAIL_TOL)
-                  for t in set(times)}
-        monkeypatch.setattr(ls, "ResolventEvaluator", Watched)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(reconstruct_line, u0, t, x, grid=grid,
-                                       tail_tol=self.TAIL_TOL) for t in times]
-                threaded = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for t, got in zip(times, threaded):
-            np.testing.assert_array_equal(got, serial[t])
-        assert active[1] == 1
