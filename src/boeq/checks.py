@@ -9,6 +9,14 @@ order is measured by refinement ladders.  Their operator products are formed
 matrix-free (the generator from its stencil in O(M), the Toeplitz operator by
 circulant FFT in O(M log M)), so no M x M array is allocated.
 
+The stepper-based checks share their marches: the Lax ladder reads all
+three difference steps from one march at the finest step
+(:func:`check_lax_ladder`), the flow invariants read every time from one
+march (:func:`check_invariants`), and the stepper's temporal order is
+measured against the explicit formula rather than a fine stepper run.
+``boeq compare`` marches all its truncations together
+(:func:`formula_vs_solver_stack`).
+
 Reports are plain records (name, residual, tolerance, passed, parameters)
 that serialize to JSON; the default suite is deterministic, fixed seeds
 included, so repeated runs produce byte-identical reports.
@@ -31,7 +39,7 @@ from .line_operators import (
 )
 from .presets import line_preset, torus_preset
 from .spectral import TWO_PI, TorusField, project_hardy, synthesize_torus
-from .timestepper import conserved_quantities, evolve, split_steps
+from .timestepper import conserved_quantities, evolve, evolve_stack, split_steps
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
 from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
 
@@ -39,12 +47,14 @@ __all__ = [
     "CheckReport",
     "check_torus_commutators",
     "check_lax_evolution",
+    "check_lax_ladder",
     "check_invariants",
     "check_formula_isospectrality",
     "check_line_identities",
     "march_times",
+    "march_stack",
     "formula_vs_solver",
-    "formula_vs_solver_times",
+    "formula_vs_solver_stack",
     "convergence_study",
     "StudyRow",
     "default_suite",
@@ -160,40 +170,66 @@ def check_lax_evolution(
     n: int,
     tolerance: float = LAX_EVOLUTION_TOL,
 ) -> CheckReport:
-    """Central difference of t -> L_{u(t)} against [B_{u(t)}, L_{u(t)}].
+    """Central difference of t -> L_{u(t)} against [B_{u(t)}, L_{u(t)}]:
+    :func:`check_lax_ladder` with the one difference step dt."""
+    return check_lax_ladder(u0, t, [dt], n, tolerance)[0]
 
-    The solver marches with the same dt used for the difference, through
-    the three stencil times only (:func:`march_times`), so the residual is
-    dominated by the O(dt^2) differencing error on margin columns of the
-    effective band.
+
+def check_lax_ladder(
+    u0: TorusField,
+    t: float,
+    levels: Sequence[float],
+    n: int,
+    tolerance: float = LAX_EVOLUTION_TOL,
+) -> list[CheckReport]:
+    """One ``lax_evolution`` report per difference step dt in ``levels``.
+
+    Each compares the central difference of t -> L_{u(t)} with step dt about
+    t_mid = round(t / dt) dt against [B_{u(t_mid)}, L_{u(t_mid)}] on margin
+    columns of the effective band, so its residual is dominated by the
+    O(dt^2) differencing error.  The solver marches once, at the finest dt,
+    through the stencil times of every level (:func:`march_times`); each
+    stencil time must be a whole number of those steps, so every field has
+    the bits of one ``evolve`` from t = 0 at the finest dt.
     """
-    steps_mid = int(round(t / dt))
-    if steps_mid < 1:
-        raise ConfigurationError("t must be at least one time step")
-    t_mid = steps_mid * dt
-    stencil = (t_mid - dt, t_mid, t_mid + dt)
-    fields = march_times(u0, stencil, dt, n)
-    u_minus, u_mid, u_plus = (fields[s] for s in stencil)
+    step = min(levels)
+    stencils = []
+    for dt in levels:
+        steps_mid = int(round(t / dt))
+        if steps_mid < 1:
+            raise ConfigurationError("t must be at least one time step")
+        t_mid = steps_mid * dt
+        stencil = (t_mid - dt, t_mid, t_mid + dt)
+        if any(split_steps(s, step)[1] for s in stencil):
+            raise ConfigurationError(
+                f"the stencil of difference step {dt:g} is not on the grid of march step {step:g}"
+            )
+        stencils.append((dt, stencil))
+    fields = march_times(u0, [s for _, stencil in stencils for s in stencil], step, n)
 
-    m = max(u_mid.effective_band(rel_tol=1e-9), 1)
-    if n <= 6 * m:
-        raise ConfigurationError(
-            f"effective band {m} at t = {t_mid:g} leaves no margin columns at n = {n}; "
-            f"need n > {6 * m}"
-        )
-    cols = slice(3 * m, n - 3 * m + 1)
+    reports = []
+    for dt, stencil in stencils:
+        u_minus, u_mid, u_plus = (fields[s] for s in stencil)
+        m = max(u_mid.effective_band(rel_tol=1e-9), 1)
+        if n <= 6 * m:
+            raise ConfigurationError(
+                f"effective band {m} at t = {stencil[1]:g} leaves no margin columns at n = {n}; "
+                f"need n > {6 * m}"
+            )
+        cols = slice(3 * m, n - 3 * m + 1)
 
-    fd = (lax_matrix(u_plus, n).entries - lax_matrix(u_minus, n).entries) / (2.0 * dt)
-    lm = lax_matrix(u_mid, n).entries
-    bm = b_matrix(u_mid, n).entries
-    comm = bm @ lm - lm @ bm
-    residual = float(np.max(np.abs((fd - comm)[:, cols])))
-    return CheckReport.from_residual(
-        "lax_evolution",
-        residual,
-        tolerance,
-        n=n, dt=dt, t=t_mid, band=m,
-    )
+        fd = (lax_matrix(u_plus, n).entries - lax_matrix(u_minus, n).entries) / (2.0 * dt)
+        lm = lax_matrix(u_mid, n).entries
+        bm = b_matrix(u_mid, n).entries
+        comm = bm @ lm - lm @ bm
+        residual = float(np.max(np.abs((fd - comm)[:, cols])))
+        reports.append(CheckReport.from_residual(
+            "lax_evolution",
+            residual,
+            tolerance,
+            n=n, dt=dt, t=stencil[1], band=m, march_dt=step,
+        ))
+    return reports
 
 
 def _lowest_lax_eigenvalues(u: TorusField, n: int, count: int) -> np.ndarray:
@@ -382,52 +418,76 @@ def check_line_identities(
 # cross-oracle and studies
 # ---------------------------------------------------------------------------
 
-def march_times(u0: TorusField, times: Sequence[float], dt: float, n: int) -> dict[float, TorusField]:
-    """Stepper solutions at every distinct time, keyed by time.
+def _march(start, times: Sequence[float], dt: float, advance) -> dict:
+    """States at every distinct time, keyed by time, from
+    ``advance(state, span, step)``, which marches a state over the signed
+    ``span`` in steps of ``step``.
 
     Each side of t = 0 is marched once, outward in |t|, so no stretch is
     stepped twice.  Every time takes its whole-step count and its partial
     step from itself, as ``evolve(u0, t, dt, n)`` does (:func:`split_steps`):
     the march advances by whole-step segments from the previous time's count,
     and the partial step, if any, is taken on a copy that the march does not
-    continue from.  Each field therefore has the same bits as one ``evolve``
+    continue from.  Each state therefore has the same bits as one march
     from t = 0, however large t is.
     """
-    fields: dict[float, TorusField] = {}
+    states = {}
     forward = sorted({float(t) for t in times if t >= 0})
     backward = sorted({float(t) for t in times if t < 0}, reverse=True)
     for sign, side in ((1.0, forward), (-1.0, backward)):
-        current, done = u0, 0
+        current, done = start, 0
         for t in side:
             steps, remainder = split_steps(abs(t), dt)
-            current = evolve(current, sign * ((steps - done) * dt), dt, n).final()
+            current = advance(current, sign * ((steps - done) * dt), dt)
             done = steps
             # the partial step as one whole step of its own length: the same
             # bits as evolve's partial step, with no count to round
-            fields[t] = (evolve(current, sign * remainder, remainder, n).final()
-                         if remainder else current)
-    return fields
+            states[t] = advance(current, sign * remainder, remainder) if remainder else current
+    return states
 
 
-def formula_vs_solver_times(u0: TorusField, times: Sequence[float], n: int, dt: float,
-                            n_samples: int = 512) -> list[float]:
-    """Relative L^2 distance between the propagator reconstruction and the
-    time stepper at each of ``times``, from one march (:func:`march_times`)."""
-    fields = march_times(u0, times, dt, n)
-    out = []
-    for t in times:
-        u_ref = fields[float(t)]
-        ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
-        mine = reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)
-        scale = float(np.linalg.norm(ref))
-        out.append(float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny))
-    return out
+def march_times(u0: TorusField, times: Sequence[float], dt: float, n: int) -> dict[float, TorusField]:
+    """Stepper solutions at every distinct time, keyed by time, each with
+    the bits of one ``evolve(u0, t, dt, n)`` from t = 0 (:func:`_march`)."""
+    return _march(u0, times, dt, lambda u, span, step: evolve(u, span, step, n).final())
+
+
+def march_stack(fields: Sequence[TorusField], times: Sequence[float],
+                dt: float) -> list[dict[float, TorusField]]:
+    """:func:`march_times` for each field at its own truncation, all of them
+    in one stacked march (:func:`evolve_stack`); one dict per field, in order.
+
+    The largest truncation's fields have the bits of its own ``march_times``;
+    the others agree with theirs to rounding.
+    """
+    by_time = _march(list(fields), times, dt, evolve_stack)
+    return [{t: row[i] for t, row in by_time.items()} for i in range(len(fields))]
+
+
+def _relative_distance(u_ref: TorusField, u0: TorusField, t: float, n: int,
+                       n_samples: int) -> float:
+    """Relative L^2 distance between the propagator reconstruction of
+    u(t) at truncation n and the stepper field u_ref."""
+    ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
+    mine = reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)
+    scale = float(np.linalg.norm(ref))
+    return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
+
+
+def formula_vs_solver_stack(fields: Sequence[TorusField], times: Sequence[float], dt: float,
+                            n_samples: int = 512) -> list[list[float]]:
+    """:func:`formula_vs_solver` for each field, at its own truncation, at
+    each of ``times``, from one stacked march (:func:`march_stack`); one
+    list per field."""
+    marched = march_stack(fields, times, dt)
+    return [[_relative_distance(at[float(t)], u0, t, u0.max_mode, n_samples) for t in times]
+            for u0, at in zip(fields, marched)]
 
 
 def formula_vs_solver(u0: TorusField, t: float, n: int, dt: float, n_samples: int = 512) -> float:
     """Relative L^2 distance between the propagator reconstruction and the
     time stepper at time t."""
-    return formula_vs_solver_times(u0, [t], n, dt, n_samples)[0]
+    return _relative_distance(march_times(u0, [t], dt, n)[float(t)], u0, t, n, n_samples)
 
 
 @dataclass(frozen=True)
@@ -456,12 +516,17 @@ def convergence_study(
     return rows
 
 
-def _stepper_temporal_residual(u0: TorusField, t: float, n: int,
-                               levels: Sequence[float]) -> Callable[[float], float]:
-    """Coefficient-space distance of a dt run from one reference marched at
-    the finest level's dt/8, shared by every level of the ladder."""
-    ref = evolve(u0, t, min(levels) / 8, n).final().coeffs
-    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs - ref))
+def _stepper_temporal_residual(u0: TorusField, t: float, n: int) -> Callable[[float], float]:
+    """Distance on Hardy modes 0..n/2 of a dt stepper run from the explicit
+    formula's u(t), the one reference shared by every level of the ladder.
+
+    The formula carries no time-step error, so the residual falls at the
+    stepper's order until it meets the formula's own error; a formula that
+    drifts from the stepper flattens the ladder and fails the order check.
+    """
+    ref = evolve_coefficients(propagator(u0, t, n))
+    modes = slice(n, n + ref.size)
+    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs[modes] - ref))
 
 
 LINE_CHECK_NAMES = (
@@ -511,8 +576,8 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
     # Lax dynamics
     cos1 = torus_preset("cos", 2)
     lax_levels = [1e-3, 5e-4, 2.5e-4]
-    lax = {dt: check_lax_evolution(cos1, t=0.2, dt=dt, n=128) for dt in lax_levels}
-    reports.append(lax[1e-3])  # its run is also the first level of the order ladder
+    lax = dict(zip(lax_levels, check_lax_ladder(cos1, t=0.2, levels=lax_levels, n=128)))
+    reports.append(lax[1e-3])  # also the first level of the order ladder
     lax_rows = convergence_study(lambda dt: lax[dt].residual, lax_levels)
     reports.append(_order_report("lax_evolution_order", lax_rows, expected=2.0, window=0.3))
     # isospectrality and conservation, read from one march
@@ -527,9 +592,9 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
         rows = convergence_study(lambda h: per_level[h][idx].residual, levels)
         reports.append(_order_report(f"{name}_order", rows, expected=2.0, window=0.3))
 
-    # stepper temporal order (RK4: expect ~4)
+    # stepper temporal order against the explicit formula (RK4: expect ~4)
     rk_levels = [4e-3, 2e-3]
-    rk_rows = convergence_study(_stepper_temporal_residual(cos1, 0.5, 64, rk_levels), rk_levels)
+    rk_rows = convergence_study(_stepper_temporal_residual(cos1, 0.5, 64), rk_levels)
     reports.append(_order_report("stepper_temporal_order", rk_rows, expected=4.0, window=0.3))
 
     # the explicit formula's u(t) keeps the spectrum of L_{u0}

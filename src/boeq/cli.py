@@ -6,7 +6,7 @@ configuration and checksumming the other files.  Exit codes: 0 success,
 1 validation failure, 2 usage/configuration error, 3 numerical failure.
 
 A JSON config document (``--config``) supplies defaults; explicit CLI flags
-override its keys.
+override its keys, and a key the subcommand does not take exits 2.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, line_solution
-from .checks import default_suite, formula_vs_solver_times, march_times
+from .checks import default_suite, formula_vs_solver_stack, march_times
 from .errors import BoeqError, ConfigurationError, IngestionError
 from .fileio import (
     read_samples_csv,
@@ -36,7 +36,7 @@ from .fileio import (
     write_spectrum_csv,
     write_trajectory,
 )
-from .line_operators import LineField, LineGrid
+from .line_operators import LineField, LineGrid, check_tail
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
 from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
@@ -72,9 +72,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, keys: dict[str, object]) -> dict:
-    """Merge defaults <- config file <- explicitly passed flags."""
+    """Merge defaults <- config file <- explicitly passed flags.
+
+    A config-file key the subcommand does not take is a configuration error,
+    so a misspelt key cannot fall back to its default unnoticed.
+    """
     cfg = dict(keys)
-    cfg.update({k: v for k, v in _load_config(args.config).items() if k in keys})
+    loaded = _load_config(args.config)
+    unknown = sorted(k for k in loaded if k not in keys)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(keys)}"
+        )
+    cfg.update(loaded)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -251,10 +262,11 @@ def cmd_solve_line(args: argparse.Namespace) -> tuple[int, dict]:
         field = LineField.from_samples(*_read_datum(cfg))
     else:
         field = line_preset(name, **params).field
+    hardy = field.hardy(grid)
+    check_tail(hardy, tail_tol)  # before anything is written; each evaluator checks again
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    hardy = field.hardy(grid)
     write_spectrum_csv(outdir / "initial_spectrum.csv", hardy.xi, hardy.values)
     for i, t in enumerate(times):
         # one operator per time serves its samples and its scan; looked up at
@@ -313,11 +325,10 @@ def cmd_compare(args: argparse.Namespace) -> tuple[int, dict]:
     outdir.mkdir(parents=True, exist_ok=True)
 
     name, params = parse_preset(str(cfg["preset"]))
-    rows = []
-    for n in n_list:
-        u0 = torus_preset(name, n, **params)
-        rels = formula_vs_solver_times(u0, times, n, dt, n_samples)
-        rows += [(t, n, dt, rel) for t, rel in zip(times, rels)]
+    # every truncation in one stacked march, one row of the stack per n
+    table = formula_vs_solver_stack([torus_preset(name, n, **params) for n in n_list],
+                                    times, dt, n_samples)
+    rows = [(t, n, dt, rel) for n, rels in zip(n_list, table) for t, rel in zip(times, rels)]
     with (outdir / "compare.csv").open("w", newline="") as fh:
         fh.write("t,n,dt,rel_l2\n")
         for t, n, dt, rel in rows:

@@ -1,4 +1,5 @@
 """Exception and warning types shared across the package."""
+from __future__ import annotations
 
 
 class BoeqError(Exception):
@@ -38,11 +39,13 @@ class ConditioningError(BoeqError):
 
 
 class BlowUpError(BoeqError):
-    """The time stepper produced non-finite modes."""
+    """The time stepper produced non-finite modes at truncation n."""
 
-    def __init__(self, t: float):
-        super().__init__(f"solution blew up at t = {t:.6g}")
+    def __init__(self, t: float, n: int | None = None):
+        where = "" if n is None else f" at N = {n}"
+        super().__init__(f"solution blew up at t = {t:.6g}{where}")
         self.t = t
+        self.n = n
 
 
 class TruncationWarning(UserWarning):

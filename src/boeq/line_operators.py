@@ -40,11 +40,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.fft import next_fast_len
 
 from .accel import hessenberg_band, hessenberg_of_band, hessenberg_solve_shifted
 from .errors import ConditioningError, ConfigurationError, DomainError, IngestionError
-from .spectral import TWO_PI, HalfLineSpectrum, check_memory
+from .spectral import TWO_PI, HalfLineSpectrum, check_memory, next_fast_len
 
 __all__ = [
     "LineGrid",
@@ -55,6 +54,7 @@ __all__ = [
     "toeplitz_line",
     "toeplitz_apply",
     "iplus",
+    "check_tail",
     "ResolventEvaluator",
 ]
 
@@ -274,7 +274,7 @@ def toeplitz_apply(u0: LineField, grid: LineGrid) -> Callable[[np.ndarray], np.n
     the dense product up to rounding, and exactly zero for the zero field.
     """
     n, m = grid.count, grid.last
-    size = next_fast_len(2 * m + 1, real=True)
+    size = next_fast_len(2 * m + 1)
     vals = u0.two_sided(grid)
     column = np.zeros(size, dtype=np.complex128)
     column[:m + 1] = vals[m:]       # d = 0..M
@@ -346,7 +346,9 @@ def _gauge_rhs(hardy: HalfLineSpectrum, t: float, grid: LineGrid) -> np.ndarray:
     return grid.sqrt_weights * (_gauge_phase(grid, t) * hardy.values)
 
 
-def _check_tail(hardy: HalfLineSpectrum, tol: float):
+def check_tail(hardy: HalfLineSpectrum, tol: float):
+    """Refuse, by :class:`ConfigurationError`, a spectrum whose tail at the
+    cutoff exceeds ``tol`` of its peak."""
     tail = hardy.tail_fraction()
     if tail > tol:
         raise ConfigurationError(
@@ -403,7 +405,7 @@ class ResolventEvaluator:
         self.grid = grid or LineGrid()
         self.t = float(t)
         hardy = u0.hardy(self.grid)  # one evaluation of the datum for both uses
-        _check_tail(hardy, tail_tol)
+        check_tail(hardy, tail_tol)
         n = self.grid.count
         self._rhs = _gauge_rhs(hardy, self.t, self.grid)[:n - 1]
         self._phase_conj = np.conj(_gauge_phase(self.grid, self.t))

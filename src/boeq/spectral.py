@@ -261,6 +261,23 @@ class HalfLineSpectrum:
 # operations
 # ---------------------------------------------------------------------------
 
+def next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target, a length at which real FFTs run
+    fast; the value ``scipy.fft.next_fast_len(target, real=True)`` returns."""
+    if target < 1:
+        raise ValueError(f"target must be at least 1, got {target}")
+    best = 1 << (target - 1).bit_length()  # the power of two >= target
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-target // p35)  # ceil(target / p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def project_hardy(u: TorusField) -> HardyTorusVector:
     """Orthogonal projection onto non-negative modes: (c_0, ..., c_N)."""
     defect = u.symmetry_defect()

@@ -12,25 +12,35 @@ enough that every retained mode of the quadratic is alias-free, then cut
 with the 2/3 rule, so the dealiasing property "cut changes nothing for
 band-limited data" holds to the bit.  Complex (non-real) data are refused.
 
-Callers that need several times (``boeq compare``, ``solve-torus --method
-spectral``, the invariant checks of ``boeq validate``) march once through
-them in order in whole-step :func:`evolve` segments
-(``boeq.checks.march_times``); each time gets the bits of one ``evolve``
-from t = 0 (:func:`split_steps`).
+Callers that need several times (``solve-torus --method spectral``, the
+checks of ``boeq validate``) march once through them in order in whole-step
+:func:`evolve` segments (``boeq.checks.march_times``); each time gets the
+bits of one ``evolve`` from t = 0 (:func:`split_steps`).
+
+Several truncations of one datum (``boeq compare --n-list``) march together
+through :func:`evolve_stack`: the state gains a leading row axis, one row
+per truncation, and every row is transformed on the largest row's padded
+grid.  A row differentiates only its own retained modes, so it evolves as
+its own N does, to rounding: bit for bit for the largest N, within a few
+ulps for the others (their padded grid is longer).  A step of a small stack
+costs about what a step of one row costs, since the fixed cost of each FFT
+call dominates at these sizes.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import BlowUpError, InvalidFieldError, StabilityWarning
-from .spectral import SYMMETRY_TOL, TorusField
+from .spectral import SYMMETRY_TOL, TorusField, next_fast_len
 
 __all__ = [
     "Trajectory",
     "evolve",
+    "evolve_stack",
     "split_steps",
     "conserved_quantities",
 ]
@@ -53,23 +63,30 @@ class Trajectory:
 
 class _Stepper:
     """Precomputed tables and padded FFT buffer for repeated steps at fixed
-    (N, dt), acting on the retained half spectrum c_0..c_cut of a real field.
+    dt, acting on the retained half spectrum c_0..c_cut of a real field.
 
     Modes above the cut carry nothing into a step (the nonlinear term reads
     only modes 0..cut and the step output is cut), so the state is just the
-    cut + 1 retained modes; the negative ones are their conjugates.
+    cut + 1 retained modes; the negative ones are their conjugates.  For one
+    truncation ``n`` the state is that vector.  For a sequence of
+    truncations it is a stack with one row per truncation, ``cut`` is the
+    largest row's, and a row's -ik table is zero above its own cut, so its
+    modes there stay zero.
     """
 
-    def __init__(self, n: int, dt: float, dealias: bool = True):
+    def __init__(self, n: int | Sequence[int], dt: float, dealias: bool = True):
         self.dt = dt
-        self.cut = (2 * n) // 3 if dealias else n
+        ns = np.asarray(n)
+        self.cuts = (2 * ns) // 3 if dealias else ns
+        self.cut = int(np.max(self.cuts))
         k = np.arange(self.cut + 1)
-        self.minus_ik = -1j * k
+        self.minus_ik = (-1j * k if ns.ndim == 0
+                         else np.where(k <= self.cuts[:, None], -1j * k, 0.0))
         # u^2 reaches mode 2 * cut, which folds onto a kept mode only on
-        # grids of at most 3 * cut points; sizing by n keeps one grid for
-        # both cuts, so they round alike
-        self.pad = next_fast_len(3 * n + 1, real=True)
-        self.buf = np.zeros(self.pad // 2 + 1, dtype=np.complex128)
+        # grids of at most 3 * cut points; sizing by n (a stack's largest)
+        # keeps one grid for both cuts, so they round alike
+        self.pad = next_fast_len(3 * int(np.max(ns)) + 1)
+        self.buf = np.zeros(self.minus_ik.shape[:-1] + (self.pad // 2 + 1,), dtype=np.complex128)
         sym = 1j * k * k
         self.e_half = np.exp(sym * dt / 2.0)
         self.e_full = self.e_half * self.e_half
@@ -77,10 +94,10 @@ class _Stepper:
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of c (exact padded product)."""
         m = self.cut + 1
-        self.buf[:m] = c[:m]
+        self.buf[..., :m] = c[..., :m]
         u = np.fft.irfft(self.buf, self.pad, norm="forward")
         w = np.fft.rfft(u * u, norm="forward")
-        return self.minus_ik * w[:m]
+        return self.minus_ik * w[..., :m]
 
     def step(self, c: np.ndarray) -> np.ndarray:
         """One IF-RK4 step of the cut + 1 retained modes."""
@@ -106,17 +123,24 @@ def _check_cfl(dt: float, n: int, field: TorusField):
     number = abs(dt) * n * amp
     if number > CFL_MARGIN:
         warnings.warn(
-            f"nonlinear CFL number dt*N*max|u| ~ {number:.3g} exceeds "
+            f"nonlinear CFL number dt*N*max|u| ~ {number:.3g} at N = {n} exceeds "
             f"{CFL_MARGIN:g}; watch for blow-up",
             StabilityWarning,
             stacklevel=3,
         )
 
 
+def _check_finite(c: np.ndarray, ns: Sequence[int], t: float):
+    """Raise :class:`BlowUpError` naming the first row of c, one per
+    truncation in ``ns``, that holds a non-finite mode."""
+    if not np.all(np.isfinite(c)):
+        finite = np.atleast_1d(np.isfinite(c).all(axis=-1))
+        raise BlowUpError(t, ns[int(np.argmin(finite))])
+
+
 def _restore(c: np.ndarray, n: int, t: float) -> TorusField:
     """The real field at truncation n whose modes 0..len(c)-1 are c."""
-    if not np.all(np.isfinite(c)):
-        raise BlowUpError(t)
+    _check_finite(c, [n], t)
     m = c.size
     coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
     coeffs[n:n + m] = c
@@ -169,8 +193,7 @@ def evolve(
     for i in range(1, n_full + 1):
         c = eng.step(c)
         t = direction * i * dt
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(t)
+        _check_finite(c, [n], t)
         if snapshot_every and i % snapshot_every == 0 and i != n_full:
             times.append(t)
             fields.append(_restore(c, n, t))
@@ -183,6 +206,40 @@ def evolve(
     return Trajectory(np.asarray(times, float), fields)
 
 
+def evolve_stack(fields: Sequence[TorusField], t_final: float, dt: float) -> list[TorusField]:
+    """Each field marched to t_final at its own truncation (its ``max_mode``),
+    all of them in one stacked march; the final fields, in order.
+
+    Every row takes the steps of ``evolve(u, t_final, dt).final()``, with
+    the same partial step, and matches it bit for bit when it is the largest
+    truncation, to rounding otherwise.  The reality, CFL and blow-up checks
+    run per row, and their warning or error names the row's N.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ns = [u.max_mode for u in fields]
+    for u in fields:
+        _check_real(u)
+        _check_cfl(dt, u.max_mode, u)
+    direction = 1.0 if t_final >= 0 else -1.0
+    n_full, remainder = split_steps(abs(t_final), dt)
+    if not fields or not (n_full or remainder):
+        return list(fields)
+
+    eng = _Stepper(ns, direction * dt)
+    c = np.zeros((len(ns), eng.cut + 1), dtype=np.complex128)
+    for row, u, n, cut in zip(c, fields, ns, eng.cuts):
+        row[:cut + 1] = u.coeffs[n:n + cut + 1]
+    for i in range(1, n_full + 1):
+        c = eng.step(c)
+        _check_finite(c, ns, direction * i * dt)
+    t = direction * n_full * dt
+    if remainder:
+        c = _Stepper(ns, direction * remainder).step(c)
+        t = t_final
+    return [_restore(row[:cut + 1], n, t) for row, n, cut in zip(c, ns, eng.cuts)]
+
+
 def conserved_quantities(u: TorusField) -> dict[str, float]:
     """Mean, normalized L^2 mass, and the standard energy functional.
 
@@ -193,7 +250,7 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     ks = np.abs(np.arange(-n, n + 1))
     mean = float(u.coeff(0).real)
     l2sq = float(np.sum(np.abs(u.coeffs) ** 2))
-    grid = np.fft.irfft(u.coeffs[n:], next_fast_len(3 * n + 1, real=True), norm="forward")
+    grid = np.fft.irfft(u.coeffs[n:], next_fast_len(3 * n + 1), norm="forward")
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
     return {"mean": mean, "l2sq": l2sq, "energy": energy}

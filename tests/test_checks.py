@@ -8,11 +8,14 @@ from boeq.checks import (
     check_formula_isospectrality,
     check_invariants,
     check_lax_evolution,
+    check_lax_ladder,
     check_line_identities,
     check_torus_commutators,
     convergence_study,
     default_suite,
     formula_vs_solver,
+    formula_vs_solver_stack,
+    march_stack,
     march_times,
 )
 from boeq.errors import ConfigurationError
@@ -104,6 +107,44 @@ class TestLaxEvolution:
         assert len(seen) == 3
         for got, ref in zip(seen, expected):
             np.testing.assert_array_equal(got.coeffs, ref.coeffs)
+
+
+class TestLaxLadder:
+    def test_finest_level_is_the_single_level_check(self):
+        u0 = torus_preset("cos", 2)
+        ladder = check_lax_ladder(u0, t=0.2, levels=[1e-3, 5e-4, 2.5e-4], n=128)
+        single = check_lax_evolution(u0, t=0.2, dt=2.5e-4, n=128)
+        assert ladder[-1].residual == single.residual
+        assert [r.parameters["dt"] for r in ladder] == [1e-3, 5e-4, 2.5e-4]
+        assert all(r.parameters["march_dt"] == 2.5e-4 for r in ladder)
+        # the coarse levels read fields marched at the finest step, which
+        # are closer to the flow than their own marches: only the O(dt^2)
+        # differencing error is left
+        own = check_lax_evolution(u0, t=0.2, dt=1e-3, n=128)
+        assert ladder[0].residual == pytest.approx(own.residual, rel=1e-5)
+        assert all(r.passed for r in ladder)
+
+    def test_one_march_through_every_stencil_time(self, monkeypatch):
+        import boeq.checks as checks
+
+        marches = []
+        real = checks.march_times
+
+        def recording(u0, times, dt, n):
+            marches.append((sorted(set(times)), dt))
+            return real(u0, times, dt, n)
+
+        monkeypatch.setattr(checks, "march_times", recording)
+        check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 5e-4], n=128)
+        assert len(marches) == 1
+        times, dt = marches[0]
+        assert dt == 5e-4
+        assert times == pytest.approx([0.199, 0.1995, 0.2, 0.2005, 0.201])
+
+    def test_stencil_off_the_march_grid_is_refused(self):
+        # 0.199 is no whole number of 3e-4 steps
+        with pytest.raises(ConfigurationError, match="not on the grid"):
+            check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 3e-4], n=64)
 
 
 INVARIANT_NAMES = ["isospectrality", "conservation_mean", "conservation_l2",
@@ -239,6 +280,70 @@ class TestInvariantsCatchMutatedStepper:
         assert not reports["conservation_mean"].passed
 
 
+class TestSuiteCatchesMutatedStepper:
+    """The stepper reports of ``default_suite`` fail for a broken stepper."""
+
+    @staticmethod
+    def _suite_with(monkeypatch, stepper):
+        import boeq.timestepper as ts
+
+        monkeypatch.setattr(ts, "_Stepper", stepper)
+        return {r.name: r for r in default_suite()}
+
+    def test_third_order_stepper_fails_temporal_order(self, monkeypatch):
+        import boeq.timestepper as ts
+
+        class Kutta3(ts._Stepper):
+            """Kutta's third-order scheme in integrating-factor form."""
+
+            def step(self, c):
+                dt, eh, ef = self.dt, self.e_half, self.e_full
+                k1 = self.nonlinear(c)
+                k2 = self.nonlinear(eh * (c + 0.5 * dt * k1))
+                k3 = self.nonlinear(ef * (c - dt * k1) + 2.0 * dt * eh * k2)
+                return ef * c + (dt / 6.0) * (ef * k1 + 4.0 * eh * k2 + k3)
+
+        report = self._suite_with(monkeypatch, Kutta3)["stepper_temporal_order"]
+        assert not report.passed
+        assert report.parameters["orders"][0] == pytest.approx(3.0, abs=0.1)
+
+    def test_k3_for_k4_fails_temporal_order(self, monkeypatch):
+        # k4 replaced by k3 in the final combination: first order
+        import boeq.timestepper as ts
+
+        class NoK4(ts._Stepper):
+            def step(self, c):
+                dt, eh, ef = self.dt, self.e_half, self.e_full
+                k1 = self.nonlinear(c)
+                k2 = self.nonlinear(eh * (c + 0.5 * dt * k1))
+                k3 = self.nonlinear(eh * c + 0.5 * dt * k2)
+                return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k3)
+
+        assert not self._suite_with(monkeypatch, NoK4)["stepper_temporal_order"].passed
+
+    def test_scaled_nonlinear_term_fails_lax_evolution(self, monkeypatch):
+        import boeq.timestepper as ts
+
+        class Scaled(ts._Stepper):
+            def nonlinear(self, c):
+                return super().nonlinear(c) * (1.0 + 1e-3)
+
+        assert not self._suite_with(monkeypatch, Scaled)["lax_evolution"].passed
+
+    def test_formula_drifting_from_the_stepper_fails_temporal_order(self, monkeypatch):
+        # the reference is the formula: a coefficient error of 1e-8 puts a
+        # floor under both levels of the ladder
+        import boeq.checks as checks
+
+        real = checks.evolve_coefficients
+        monkeypatch.setattr(checks, "evolve_coefficients",
+                            lambda prop, *a: real(prop, *a) * (1.0 + 1e-8))
+        levels = [4e-3, 2e-3]
+        rows = convergence_study(
+            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64), levels)
+        assert not checks._order_report("stepper_temporal_order", rows, 4.0, 0.3).passed
+
+
 class TestMarchTimes:
     def test_one_segment_per_distinct_time_on_each_side(self, monkeypatch):
         import boeq.checks
@@ -279,6 +384,55 @@ class TestMarchTimes:
         fields = march_times(u0, [16.001, 16.002], 1e-3, 4)
         np.testing.assert_array_equal(fields[16.002].coeffs,
                                       evolve(u0, 16.002, 1e-3, 4).final().coeffs)
+
+
+class TestMarchStack:
+    NS = (32, 48)
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return [torus_preset("twomode", n, a=1.0, b=0.5) for n in self.NS]
+
+    def test_rows_match_their_own_march(self, fields):
+        # bit for bit for the largest truncation, to rounding for the others
+        times = [0.0105, 0.02, -0.011, 0.0]
+        stacked = march_stack(fields, times, 1e-3)
+        for u0, got in zip(fields, stacked):
+            alone = march_times(u0, times, 1e-3, u0.max_mode)
+            assert sorted(got) == sorted(alone)
+            for t in times:
+                if u0.max_mode == max(self.NS):
+                    np.testing.assert_array_equal(got[t].coeffs, alone[t].coeffs)
+                else:
+                    gap = np.max(np.abs(got[t].coeffs - alone[t].coeffs))
+                    assert gap <= 1e-15 * np.max(np.abs(alone[t].coeffs))
+
+    def test_one_stacked_segment_per_distinct_time(self, fields, monkeypatch):
+        import boeq.checks as checks
+
+        calls = []
+        real = checks.evolve_stack
+
+        def counting(rows, t_final, dt):
+            calls.append((len(rows), t_final))
+            return real(rows, t_final, dt)
+
+        monkeypatch.setattr(checks, "evolve_stack", counting)
+        march_stack(fields, [0.02, 0.01], 1e-3)
+        assert calls == [(2, pytest.approx(0.01)), (2, pytest.approx(0.01))]
+
+    def test_formula_vs_solver_stack_matches_per_truncation(self, fields):
+        times = [0.03, 0.01]
+        table = formula_vs_solver_stack(fields, times, 5e-4, 128)
+        for u0, rels in zip(fields, table):
+            alone = [formula_vs_solver(u0, t, u0.max_mode, 5e-4, 128) for t in times]
+            if u0.max_mode == max(self.NS):
+                assert rels == alone
+            else:
+                np.testing.assert_allclose(rels, alone, rtol=0, atol=1e-14)
+
+    def test_empty_stack(self):
+        assert march_stack([], [0.1], 1e-3) == []
 
 
 class TestFormulaIsospectrality:
@@ -371,19 +525,27 @@ class TestLineResidualsAgainstDense:
 
 class TestStudiesAndSuite:
     def test_stepper_order_study_marches_one_reference(self, monkeypatch):
+        # the reference is the explicit formula, built once for the ladder;
+        # the stepper runs only the ladder's own levels
         import boeq.checks as checks
 
-        dts = []
+        dts, refs = [], []
 
         def counting(u0, t_final, dt, *args, **kwargs):
             dts.append(dt)
             return evolve(u0, t_final, dt, *args, **kwargs)
 
+        def counting_propagator(*args, **kwargs):
+            refs.append(args)
+            return propagator(*args, **kwargs)
+
         monkeypatch.setattr(checks, "evolve", counting)
+        monkeypatch.setattr(checks, "propagator", counting_propagator)
         levels = [4e-3, 2e-3]
         rows = convergence_study(
-            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64, levels), levels)
-        assert dts == [2e-3 / 8, 4e-3, 2e-3]
+            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64), levels)
+        assert dts == [4e-3, 2e-3]
+        assert len(refs) == 1
         assert 3.7 <= rows[1].observed_order <= 4.3
 
     def test_convergence_study_shape(self):
@@ -432,7 +594,7 @@ class TestStudiesAndSuite:
 
         monkeypatch.setattr(checks, "evolve", counting)
         names = [r.name for r in default_suite()]
-        assert sum(steps) == 5378
+        assert sum(steps) == 2779
         assert len(names) == len(set(names)) == 26
         for name in INVARIANT_NAMES:
             assert name in names

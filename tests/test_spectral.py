@@ -12,6 +12,7 @@ from boeq.spectral import (
     eigen_system,
     field_from_samples,
     hermitian_evolution,
+    next_fast_len,
     project_hardy,
     synthesize_torus,
 )
@@ -30,6 +31,14 @@ def expm_series(a):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def test_next_fast_len_is_scipys_real_length():
+    # every pad and circulant length boeq picks, bit for bit as before
+    scipy_fft = pytest.importorskip("scipy.fft")
+    targets = range(1, 20001)
+    assert [next_fast_len(t) for t in targets] == [
+        scipy_fft.next_fast_len(t, real=True) for t in targets]
 
 
 class TestTorusField:

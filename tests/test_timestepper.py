@@ -3,7 +3,8 @@ import pytest
 
 from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples
-from boeq.timestepper import _Stepper, conserved_quantities, evolve
+from boeq.presets import torus_preset
+from boeq.timestepper import _Stepper, conserved_quantities, evolve, evolve_stack
 
 from box_oracle import evolve_line_on_box
 
@@ -201,6 +202,61 @@ class TestEvolve:
         a = evolve(u, 0.1003, 1e-3, 32).final().coeffs
         b = evolve(u, 0.1003, 1.003e-4, 32).final().coeffs
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs))
+
+
+class TestEvolveStack:
+    """Several truncations of one datum marched as the rows of one stack."""
+
+    @pytest.mark.parametrize("t_final", [0.1003, -0.05], ids=["partial-step", "backward"])
+    def test_rows_match_their_own_evolve(self, t_final):
+        # the largest row shares its padded grid with evolve, bit for bit;
+        # the others run on a longer grid and agree to rounding
+        ns = [32, 64, 48]
+        fields = [torus_preset("twomode", n, a=1.0, b=0.5) for n in ns]
+        stacked = evolve_stack(fields, t_final, 1e-3)
+        assert [f.max_mode for f in stacked] == ns
+        for u, got in zip(fields, stacked):
+            alone = evolve(u, t_final, 1e-3, u.max_mode).final()
+            if u.max_mode == max(ns):
+                np.testing.assert_array_equal(got.coeffs, alone.coeffs)
+            else:
+                assert _relative_gap(got, alone) <= 1e-15
+            assert got.symmetry_defect() == 0.0
+
+    def test_one_row_is_evolve_bitwise(self):
+        u = torus_preset("twomode", 40, a=1.0, b=0.5)
+        got = evolve_stack([u], 0.05, 1e-3)[0]
+        np.testing.assert_array_equal(got.coeffs, evolve(u, 0.05, 1e-3, 40).final().coeffs)
+
+    def test_zero_horizon_and_empty_stack(self):
+        u = cos_field(16)
+        assert evolve_stack([u], 0.0, 1e-3)[0] is u
+        assert evolve_stack([], 0.1, 1e-3) == []
+
+    def test_cfl_warning_names_the_row_that_exceeds_it(self):
+        # dt * N * max|u| = 0.08 at N = 16 and 1.28 at N = 256
+        with pytest.warns(StabilityWarning) as seen:
+            evolve_stack([cos_field(16), cos_field(256)], 0.005, 0.005)
+        assert len(seen) == 1 and "at N = 256" in str(seen[0].message)
+
+    @pytest.mark.parametrize("ns", [(2, 32), (32, 2)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route
+    @pytest.mark.filterwarnings("ignore::boeq.errors.StabilityWarning")
+    def test_blow_up_names_the_row_that_blew_up(self, ns):
+        # at N = 2 the cut keeps mode 1 only, where u^2 of a mean-free cos
+        # has no content: that row stays linear and finite
+        with pytest.raises(BlowUpError) as err:
+            evolve_stack([cos_field(n, a=5.0) for n in ns], 10.0, 0.5)
+        assert err.value.n == 32
+        assert "N = 32" in str(err.value)
+
+    def test_refuses_complex_row(self):
+        with pytest.raises(InvalidFieldError):
+            evolve_stack([cos_field(16), _complex_field(16)], 0.01, 1e-3)
 
 
 class TestConservedQuantities:
