@@ -1,5 +1,4 @@
 """Exception and warning types shared across the package."""
-from __future__ import annotations
 
 
 class BoeqError(Exception):
@@ -41,9 +40,8 @@ class ConditioningError(BoeqError):
 class BlowUpError(BoeqError):
     """The time stepper produced non-finite modes at truncation n."""
 
-    def __init__(self, t: float, n: int | None = None):
-        where = "" if n is None else f" at N = {n}"
-        super().__init__(f"solution blew up at t = {t:.6g}{where}")
+    def __init__(self, t: float, n: int):
+        super().__init__(f"solution blew up at t = {t:.6g} at N = {n}")
         self.t = t
         self.n = n
 

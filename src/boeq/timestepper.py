@@ -17,14 +17,16 @@ checks of ``boeq validate``) march once through them in order in whole-step
 :func:`evolve` segments (``boeq.checks.march_times``); each time gets the
 bits of one ``evolve`` from t = 0 (:func:`split_steps`).
 
-Several truncations of one datum (``boeq compare --n-list``) march together
-through :func:`evolve_stack`: the state gains a leading row axis, one row
-per truncation, and every row is transformed on the largest row's padded
+Every march is one loop over a stack of rows (:func:`_march`), one row
+per truncation: :func:`evolve` is a one-row stack, and several truncations
+of one datum (``boeq compare --n-list``) march together through
+:func:`evolve_stack`.  Every row is transformed on the largest row's padded
 grid.  A row differentiates only its own retained modes, so it evolves as
 its own N does, to rounding: bit for bit for the largest N, within a few
-ulps for the others (their padded grid is longer).  A step of a small stack
-costs about what a step of one row costs, since the fixed cost of each FFT
-call dominates at these sizes.
+ulps for the others (their padded grid is longer).  Up to N = 512 the fixed
+cost of each FFT call dominates, and a stack of rows is cheaper than
+separate marches; with a row at N = 1024 the small rows' long padded
+transforms make it dearer.
 """
 from __future__ import annotations
 
@@ -63,44 +65,43 @@ class Trajectory:
 
 class _Stepper:
     """Precomputed tables and padded FFT buffer for repeated steps at fixed
-    dt, acting on the retained half spectrum c_0..c_cut of a real field.
+    dt, acting on the retained half spectra c_0..c_cut of real fields.
 
     Modes above the cut carry nothing into a step (the nonlinear term reads
     only modes 0..cut and the step output is cut), so the state is just the
-    cut + 1 retained modes; the negative ones are their conjugates.  For one
-    truncation ``n`` the state is that vector.  For a sequence of
-    truncations it is a stack with one row per truncation, ``cut`` is the
+    cut + 1 retained modes; the negative ones are their conjugates.  The
+    state is a stack with one row per truncation in ``ns``: ``cut`` is the
     largest row's, and a row's -ik table is zero above its own cut, so its
     modes there stay zero.
     """
 
-    def __init__(self, n: int | Sequence[int], dt: float, dealias: bool = True):
+    def __init__(self, ns: Sequence[int], dt: float, dealias: bool = True):
         self.dt = dt
-        ns = np.asarray(n)
+        ns = np.asarray(ns)
         self.cuts = (2 * ns) // 3 if dealias else ns
         self.cut = int(np.max(self.cuts))
         k = np.arange(self.cut + 1)
-        self.minus_ik = (-1j * k if ns.ndim == 0
-                         else np.where(k <= self.cuts[:, None], -1j * k, 0.0))
+        self.minus_ik = np.where(k <= self.cuts[:, None], -1j * k, 0.0)
         # u^2 reaches mode 2 * cut, which folds onto a kept mode only on
-        # grids of at most 3 * cut points; sizing by n (a stack's largest)
-        # keeps one grid for both cuts, so they round alike
+        # grids of at most 3 * cut points; sizing by the largest n keeps
+        # one grid for both cuts, so they round alike
         self.pad = next_fast_len(3 * int(np.max(ns)) + 1)
-        self.buf = np.zeros(self.minus_ik.shape[:-1] + (self.pad // 2 + 1,), dtype=np.complex128)
+        self.buf = np.zeros((len(ns), self.pad // 2 + 1), dtype=np.complex128)
         sym = 1j * k * k
         self.e_half = np.exp(sym * dt / 2.0)
         self.e_full = self.e_half * self.e_half
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of c (exact padded product)."""
+        """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of each row of c
+        (exact padded product)."""
         m = self.cut + 1
-        self.buf[..., :m] = c[..., :m]
+        self.buf[:, :m] = c[:, :m]
         u = np.fft.irfft(self.buf, self.pad, norm="forward")
         w = np.fft.rfft(u * u, norm="forward")
-        return self.minus_ik * w[..., :m]
+        return self.minus_ik * w[:, :m]
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """One IF-RK4 step of the cut + 1 retained modes."""
+        """One IF-RK4 step of the cut + 1 retained modes of each row."""
         dt, eh, ef = self.dt, self.e_half, self.e_full
         k1 = self.nonlinear(c)
         k2 = self.nonlinear(eh * (c + 0.5 * dt * k1))
@@ -126,21 +127,20 @@ def _check_cfl(dt: float, n: int, field: TorusField):
             f"nonlinear CFL number dt*N*max|u| ~ {number:.3g} at N = {n} exceeds "
             f"{CFL_MARGIN:g}; watch for blow-up",
             StabilityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
 def _check_finite(c: np.ndarray, ns: Sequence[int], t: float):
     """Raise :class:`BlowUpError` naming the first row of c, one per
     truncation in ``ns``, that holds a non-finite mode."""
-    if not np.all(np.isfinite(c)):
-        finite = np.atleast_1d(np.isfinite(c).all(axis=-1))
+    finite = np.isfinite(c).all(axis=-1)
+    if not finite.all():
         raise BlowUpError(t, ns[int(np.argmin(finite))])
 
 
-def _restore(c: np.ndarray, n: int, t: float) -> TorusField:
+def _restore(c: np.ndarray, n: int) -> TorusField:
     """The real field at truncation n whose modes 0..len(c)-1 are c."""
-    _check_finite(c, [n], t)
     m = c.size
     coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
     coeffs[n:n + m] = c
@@ -157,63 +157,15 @@ def split_steps(total: float, dt: float) -> tuple[int, float]:
     return n_full, (remainder if remainder > 1e-14 * max(1.0, total) else 0.0)
 
 
-def evolve(
-    u0: TorusField,
-    t_final: float,
-    dt: float,
-    n: int | None = None,
-    snapshot_every: int = 0,
-) -> Trajectory:
-    """March to t_final (negative runs backward), collecting snapshots.
+def _march(fields: Sequence[TorusField], t_final: float, dt: float,
+           snapshot_every: int = 0) -> tuple[list[float], list[list[TorusField]]]:
+    """The one stepping loop: every field marched to t_final at its own
+    truncation (its ``max_mode``) as one row of a stacked state.
 
-    ``snapshot_every`` is in steps; 0 keeps only the endpoints.  The final
-    partial step, when t_final is not a multiple of dt, is taken exactly.
-    Raises :class:`InvalidFieldError` when u0 is not real (conjugate-symmetry
-    defect above ``SYMMETRY_TOL``).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_real(u0)
-    n = u0.max_mode if n is None else n
-    if n != u0.max_mode:
-        c = np.zeros(2 * n + 1, dtype=np.complex128)
-        m = min(n, u0.max_mode)
-        c[n - m:n + m + 1] = u0.coeffs[u0.max_mode - m:u0.max_mode + m + 1]
-        u0 = TorusField(n, c)
-    _check_cfl(dt, n, u0)
-
-    direction = 1.0 if t_final >= 0 else -1.0
-    n_full, remainder = split_steps(abs(t_final), dt)
-
-    times = [0.0]
-    fields = [u0]
-    eng = _Stepper(n, direction * dt)
-    c = u0.coeffs[n:n + eng.cut + 1]
-    t = 0.0
-    for i in range(1, n_full + 1):
-        c = eng.step(c)
-        t = direction * i * dt
-        _check_finite(c, [n], t)
-        if snapshot_every and i % snapshot_every == 0 and i != n_full:
-            times.append(t)
-            fields.append(_restore(c, n, t))
-    if remainder:
-        c = _Stepper(n, direction * remainder).step(c)
-        t = t_final
-    if times[-1] != t:
-        times.append(t)
-        fields.append(_restore(c, n, t))
-    return Trajectory(np.asarray(times, float), fields)
-
-
-def evolve_stack(fields: Sequence[TorusField], t_final: float, dt: float) -> list[TorusField]:
-    """Each field marched to t_final at its own truncation (its ``max_mode``),
-    all of them in one stacked march; the final fields, in order.
-
-    Every row takes the steps of ``evolve(u, t_final, dt).final()``, with
-    the same partial step, and matches it bit for bit when it is the largest
-    truncation, to rounding otherwise.  The reality, CFL and blow-up checks
-    run per row, and their warning or error names the row's N.
+    Returns the snapshot times, from 0.0 to t_final, and for each time the
+    fields of every row, in order.  ``snapshot_every`` is in steps; 0 keeps
+    only the endpoints.  The final partial step, when t_final is not a
+    multiple of dt, is taken exactly.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -223,21 +175,71 @@ def evolve_stack(fields: Sequence[TorusField], t_final: float, dt: float) -> lis
         _check_cfl(dt, u.max_mode, u)
     direction = 1.0 if t_final >= 0 else -1.0
     n_full, remainder = split_steps(abs(t_final), dt)
-    if not fields or not (n_full or remainder):
-        return list(fields)
+    times, snapshots = [0.0], [list(fields)]
+    if not fields:
+        return times, snapshots
 
     eng = _Stepper(ns, direction * dt)
     c = np.zeros((len(ns), eng.cut + 1), dtype=np.complex128)
     for row, u, n, cut in zip(c, fields, ns, eng.cuts):
         row[:cut + 1] = u.coeffs[n:n + cut + 1]
+
+    def restore():
+        return [_restore(row[:cut + 1], n) for row, n, cut in zip(c, ns, eng.cuts)]
+
+    t = 0.0
     for i in range(1, n_full + 1):
         c = eng.step(c)
-        _check_finite(c, ns, direction * i * dt)
-    t = direction * n_full * dt
+        t = direction * i * dt
+        _check_finite(c, ns, t)
+        if snapshot_every and i % snapshot_every == 0 and i != n_full:
+            times.append(t)
+            snapshots.append(restore())
     if remainder:
         c = _Stepper(ns, direction * remainder).step(c)
         t = t_final
-    return [_restore(row[:cut + 1], n, t) for row, n, cut in zip(c, ns, eng.cuts)]
+        _check_finite(c, ns, t)
+    if times[-1] != t:
+        times.append(t)
+        snapshots.append(restore())
+    return times, snapshots
+
+
+def evolve(
+    u0: TorusField,
+    t_final: float,
+    dt: float,
+    n: int | None = None,
+    snapshot_every: int = 0,
+) -> Trajectory:
+    """March u0, at truncation n (default its own), to t_final (negative
+    runs backward), collecting snapshots: a one-row :func:`_march`.
+
+    ``snapshot_every`` is in steps; 0 keeps only the endpoints.  The final
+    partial step, when t_final is not a multiple of dt, is taken exactly.
+    Raises :class:`InvalidFieldError` when u0 is not real (conjugate-symmetry
+    defect above ``SYMMETRY_TOL``).
+    """
+    n = u0.max_mode if n is None else n
+    if n != u0.max_mode:
+        c = np.zeros(2 * n + 1, dtype=np.complex128)
+        m = min(n, u0.max_mode)
+        c[n - m:n + m + 1] = u0.coeffs[u0.max_mode - m:u0.max_mode + m + 1]
+        u0 = TorusField(n, c)
+    times, snapshots = _march([u0], t_final, dt, snapshot_every)
+    return Trajectory(np.asarray(times, float), [rows[0] for rows in snapshots])
+
+
+def evolve_stack(fields: Sequence[TorusField], t_final: float, dt: float) -> list[TorusField]:
+    """Each field marched to t_final at its own truncation (its ``max_mode``),
+    all of them in one stacked :func:`_march`; the final fields, in order.
+
+    Every row takes the steps of ``evolve(u, t_final, dt).final()``, with
+    the same partial step, and matches it bit for bit when it is the largest
+    truncation, to rounding otherwise.  The reality, CFL and blow-up checks
+    run per row, and their warning or error names the row's N.
+    """
+    return _march(fields, t_final, dt)[1][-1]
 
 
 def conserved_quantities(u: TorusField) -> dict[str, float]:

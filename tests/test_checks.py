@@ -272,7 +272,7 @@ class TestInvariantsCatchMutatedStepper:
         # the mean, which the stepper otherwise keeps to the bit
         def leak(out, c):
             out = out.copy()
-            out[0] += 1e-9 * np.sum(np.abs(c) ** 2)
+            out[:, 0] += 1e-9 * np.sum(np.abs(c) ** 2, axis=-1)
             return out
 
         self._mutate(monkeypatch, nonlinear=leak)

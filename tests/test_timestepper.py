@@ -43,10 +43,10 @@ class TestStep:
         # the 2/3 cut, so cutting it changes nothing, bit for bit
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 3 + 1)})
-        half = u.coeffs[n:]  # c_0..c_N
-        eng = _Stepper(n, 1e-3, dealias=True)
-        with_cut = eng.nonlinear(half)
-        without = _Stepper(n, 1e-3, dealias=False).nonlinear(half)
+        half = u.coeffs[None, n:]  # c_0..c_N, a one-row stack
+        eng = _Stepper([n], 1e-3, dealias=True)
+        with_cut = eng.nonlinear(half)[0]
+        without = _Stepper([n], 1e-3, dealias=False).nonlinear(half)[0]
         assert with_cut.size == eng.cut + 1 and without.size == n + 1
         # retained modes bitwise identical; the cut removes only FFT roundoff
         np.testing.assert_array_equal(with_cut, without[:eng.cut + 1])
@@ -60,11 +60,11 @@ class TestStep:
         rng = np.random.default_rng(5)
         u = TorusField.from_modes(n, {k: (rng.standard_normal() + 1j * rng.standard_normal()) / k
                                       for k in range(1, n + 1)})
-        eng = _Stepper(n, 1e-3, dealias=dealias)
+        eng = _Stepper([n], 1e-3, dealias=dealias)
         m = eng.cut + 1
         kept = np.where(np.abs(np.arange(-n, n + 1)) < m, u.coeffs, 0.0)
         square = np.convolve(kept, kept)[2 * n:2 * n + m]  # modes 0..cut of u^2
-        np.testing.assert_allclose(eng.nonlinear(u.coeffs[n:]), -1j * np.arange(m) * square,
+        np.testing.assert_allclose(eng.nonlinear(u.coeffs[None, n:])[0], -1j * np.arange(m) * square,
                                    rtol=0, atol=1e-12)
 
     def test_dealias_cut_inert_for_band_limited_steps(self):
@@ -74,7 +74,7 @@ class TestStep:
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 6 + 1)})
         with_cut = one_step(u, 1e-3).final().coeffs[n:]  # c_0..c_N, zero above the cut
-        without = _Stepper(n, 1e-3, dealias=False).step(u.coeffs[n:])
+        without = _Stepper([n], 1e-3, dealias=False).step(u.coeffs[None, n:])[0]
         np.testing.assert_allclose(with_cut, without, atol=2e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route
