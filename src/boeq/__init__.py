@@ -67,7 +67,6 @@ from .line_solution import (
 from .checks import (
     CheckReport,
     check_invariants,
-    check_lax_evolution,
     check_line_identities,
     check_torus_commutators,
     convergence_study,

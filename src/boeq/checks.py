@@ -9,13 +9,13 @@ order is measured by refinement ladders.  Their operator products are formed
 matrix-free (the generator from its stencil in O(M), the Toeplitz operator by
 circulant FFT in O(M log M)), so no M x M array is allocated.
 
-The stepper-based checks share their marches: the Lax ladder reads all
-three difference steps from one march at the finest step
-(:func:`check_lax_ladder`), the flow invariants read every time from one
-march (:func:`check_invariants`), and the stepper's temporal order is
-measured against the explicit formula rather than a fine stepper run.
-``boeq compare`` marches all its truncations together
-(:func:`formula_vs_solver_stack`).
+The stepper-based checks land on their times through the stepper's one
+march (``timestepper.march``): the Lax ladder reads all three difference
+steps from one march at the finest step (:func:`check_lax_ladder`), the
+flow invariants read every time from one march (:func:`check_invariants`),
+and :func:`formula_vs_solver` marches all its truncations together, one
+row each.  The stepper's temporal order is measured against the explicit
+formula rather than a fine stepper run.
 
 Reports are plain records (name, residual, tolerance, passed, parameters)
 that serialize to JSON; the default suite is deterministic, fixed seeds
@@ -39,22 +39,18 @@ from .line_operators import (
 )
 from .presets import line_preset, torus_preset
 from .spectral import TWO_PI, TorusField, project_hardy, synthesize_torus
-from .timestepper import conserved_quantities, evolve, evolve_stack, split_steps
+from .timestepper import conserved_quantities, evolve, march, split_steps
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
 from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
 
 __all__ = [
     "CheckReport",
     "check_torus_commutators",
-    "check_lax_evolution",
     "check_lax_ladder",
     "check_invariants",
     "check_formula_isospectrality",
     "check_line_identities",
-    "march_times",
-    "march_stack",
     "formula_vs_solver",
-    "formula_vs_solver_stack",
     "convergence_study",
     "StudyRow",
     "default_suite",
@@ -163,18 +159,6 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     ]
 
 
-def check_lax_evolution(
-    u0: TorusField,
-    t: float,
-    dt: float,
-    n: int,
-    tolerance: float = LAX_EVOLUTION_TOL,
-) -> CheckReport:
-    """Central difference of t -> L_{u(t)} against [B_{u(t)}, L_{u(t)}]:
-    :func:`check_lax_ladder` with the one difference step dt."""
-    return check_lax_ladder(u0, t, [dt], n, tolerance)[0]
-
-
 def check_lax_ladder(
     u0: TorusField,
     t: float,
@@ -187,10 +171,11 @@ def check_lax_ladder(
     Each compares the central difference of t -> L_{u(t)} with step dt about
     t_mid = round(t / dt) dt against [B_{u(t_mid)}, L_{u(t_mid)}] on margin
     columns of the effective band, so its residual is dominated by the
-    O(dt^2) differencing error.  The solver marches once, at the finest dt,
-    through the stencil times of every level (:func:`march_times`); each
-    stencil time must be a whole number of those steps, so every field has
-    the bits of one ``evolve`` from t = 0 at the finest dt.
+    O(dt^2) differencing error.  The solver marches u0 at truncation n
+    once, at the finest dt, through the stencil times of every level
+    (``timestepper.march``); each stencil time must be a whole number of
+    those steps, so every field has the bits of one ``evolve`` from t = 0
+    at the finest dt.
     """
     step = min(levels)
     stencils = []
@@ -205,7 +190,7 @@ def check_lax_ladder(
                 f"the stencil of difference step {dt:g} is not on the grid of march step {step:g}"
             )
         stencils.append((dt, stencil))
-    fields = march_times(u0, [s for _, stencil in stencils for s in stencil], step, n)
+    fields = march([u0.truncated(n)], [s for _, stencil in stencils for s in stencil], step)[0]
 
     reports = []
     for dt, stencil in stencils:
@@ -259,7 +244,7 @@ def check_invariants(
     base = _lowest_lax_eigenvalues(u0, n, n_eigs)
     q0 = conserved_quantities(u0)
     drifts = []
-    for current in march_times(u0, times, dt, n).values():
+    for current in march([u0.truncated(n)], times, dt)[0].values():
         eigs = _lowest_lax_eigenvalues(current, n, n_eigs)
         q = conserved_quantities(current)
         drifts.append([np.max(np.abs(eigs - base)), abs(q["mean"] - q0["mean"]),
@@ -418,76 +403,20 @@ def check_line_identities(
 # cross-oracle and studies
 # ---------------------------------------------------------------------------
 
-def _march(start, times: Sequence[float], dt: float, advance) -> dict:
-    """States at every distinct time, keyed by time, from
-    ``advance(state, span, step)``, which marches a state over the signed
-    ``span`` in steps of ``step``.
-
-    Each side of t = 0 is marched once, outward in |t|, so no stretch is
-    stepped twice.  Every time takes its whole-step count and its partial
-    step from itself, as ``evolve(u0, t, dt, n)`` does (:func:`split_steps`):
-    the march advances by whole-step segments from the previous time's count,
-    and the partial step, if any, is taken on a copy that the march does not
-    continue from.  Each state therefore has the same bits as one march
-    from t = 0, however large t is.
-    """
-    states = {}
-    forward = sorted({float(t) for t in times if t >= 0})
-    backward = sorted({float(t) for t in times if t < 0}, reverse=True)
-    for sign, side in ((1.0, forward), (-1.0, backward)):
-        current, done = start, 0
-        for t in side:
-            steps, remainder = split_steps(abs(t), dt)
-            current = advance(current, sign * ((steps - done) * dt), dt)
-            done = steps
-            # the partial step as one whole step of its own length: the same
-            # bits as evolve's partial step, with no count to round
-            states[t] = advance(current, sign * remainder, remainder) if remainder else current
-    return states
-
-
-def march_times(u0: TorusField, times: Sequence[float], dt: float, n: int) -> dict[float, TorusField]:
-    """Stepper solutions at every distinct time, keyed by time, each with
-    the bits of one ``evolve(u0, t, dt, n)`` from t = 0 (:func:`_march`)."""
-    return _march(u0, times, dt, lambda u, span, step: evolve(u, span, step, n).final())
-
-
-def march_stack(fields: Sequence[TorusField], times: Sequence[float],
-                dt: float) -> list[dict[float, TorusField]]:
-    """:func:`march_times` for each field at its own truncation, all of them
-    in one stacked march (:func:`evolve_stack`); one dict per field, in order.
-
-    The largest truncation's fields have the bits of its own ``march_times``;
-    the others agree with theirs to rounding.
-    """
-    by_time = _march(list(fields), times, dt, evolve_stack)
-    return [{t: row[i] for t, row in by_time.items()} for i in range(len(fields))]
-
-
-def _relative_distance(u_ref: TorusField, u0: TorusField, t: float, n: int,
-                       n_samples: int) -> float:
-    """Relative L^2 distance between the propagator reconstruction of
-    u(t) at truncation n and the stepper field u_ref."""
-    ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
-    mine = reconstruct_torus(propagator(u0, t, n), n_samples=n_samples)
-    scale = float(np.linalg.norm(ref))
-    return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
-
-
-def formula_vs_solver_stack(fields: Sequence[TorusField], times: Sequence[float], dt: float,
-                            n_samples: int = 512) -> list[list[float]]:
-    """:func:`formula_vs_solver` for each field, at its own truncation, at
-    each of ``times``, from one stacked march (:func:`march_stack`); one
-    list per field."""
-    marched = march_stack(fields, times, dt)
-    return [[_relative_distance(at[float(t)], u0, t, u0.max_mode, n_samples) for t in times]
-            for u0, at in zip(fields, marched)]
-
-
-def formula_vs_solver(u0: TorusField, t: float, n: int, dt: float, n_samples: int = 512) -> float:
+def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: float,
+                      n_samples: int = 512) -> list[list[float]]:
     """Relative L^2 distance between the propagator reconstruction and the
-    time stepper at time t."""
-    return _relative_distance(march_times(u0, [t], dt, n)[float(t)], u0, t, n, n_samples)
+    time stepper, for each field at its own truncation, at each of
+    ``times``; one list per field, from one stacked march."""
+
+    def distance(u0: TorusField, t: float, u_ref: TorusField) -> float:
+        ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
+        mine = reconstruct_torus(propagator(u0, t, u0.max_mode), n_samples=n_samples)
+        scale = float(np.linalg.norm(ref))
+        return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
+
+    return [[distance(u0, t, at[float(t)]) for t in times]
+            for u0, at in zip(fields, march(fields, times, dt))]
 
 
 @dataclass(frozen=True)
@@ -529,9 +458,8 @@ def _stepper_temporal_residual(u0: TorusField, t: float, n: int) -> Callable[[fl
     return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs[modes] - ref))
 
 
-LINE_CHECK_NAMES = (
-    "line_gd", "line_toeplitz_bracket", "line_flow_bracket", "line_dissipativity",
-)
+LINE_CHECK_NAMES = tuple(LINE_C)
+
 
 def _order_report(name: str, rows: list[StudyRow], expected: float, window: float) -> CheckReport:
     orders = [r.observed_order for r in rows if r.observed_order is not None]
@@ -603,7 +531,7 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
 
     # cross-oracle
     reports.append(CheckReport.from_residual(
-        "formula_vs_solver", formula_vs_solver(cos1, t=0.3, n=64, dt=5e-4), 1e-6,
+        "formula_vs_solver", formula_vs_solver([cos1.truncated(64)], [0.3], 5e-4)[0][0], 1e-6,
         n=64, dt=5e-4, t=0.3))
 
     return reports

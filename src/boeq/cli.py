@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, line_solution
-from .checks import default_suite, formula_vs_solver_stack, march_times
+from .checks import default_suite, formula_vs_solver
 from .errors import BoeqError, ConfigurationError, IngestionError
 from .fileio import (
     read_samples_csv,
@@ -40,7 +40,7 @@ from .line_operators import LineField, LineGrid, check_tail
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
 from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
-from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
+from .timestepper import evolve, march  # noqa: F401  (evolve: traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, check_dense_budget, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
 
@@ -206,7 +206,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
 
     diffs = []
     if method != "explicit":
-        spectral_fields = march_times(u0, times, dt, n)
+        spectral_fields = march([u0], times, dt)[0]
         # synthesized once: the trajectory, solution_*.csv and u_ref read these
         samples_sets = [
             synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
@@ -326,8 +326,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[int, dict]:
 
     name, params = parse_preset(str(cfg["preset"]))
     # every truncation in one stacked march, one row of the stack per n
-    table = formula_vs_solver_stack([torus_preset(name, n, **params) for n in n_list],
-                                    times, dt, n_samples)
+    table = formula_vs_solver([torus_preset(name, n, **params) for n in n_list],
+                              times, dt, n_samples)
     rows = [(t, n, dt, rel) for n, rels in zip(n_list, table) for t, rel in zip(times, rels)]
     with (outdir / "compare.csv").open("w", newline="") as fh:
         fh.write("t,n,dt,rel_l2\n")

@@ -47,12 +47,12 @@ def write_field_json(path: Path, field: TorusField):
     write_json(Path(path), {"max_mode": field.max_mode, "coeffs": _pairs(field.coeffs)})
 
 
-def write_coeff_csv(path: Path, coeffs: np.ndarray, start_k: int = 0):
+def write_coeff_csv(path: Path, coeffs: np.ndarray):
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "re", "im"])
         for i, c in enumerate(np.asarray(coeffs, complex)):
-            w.writerow([start_k + i, repr(float(c.real)), repr(float(c.imag))])
+            w.writerow([i, repr(float(c.real)), repr(float(c.imag))])
 
 
 def write_solution_json(path: Path, t: float, coeffs: np.ndarray, mean: float):

@@ -132,7 +132,6 @@ class LineField:
     """
 
     spectrum_fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "line-field"
 
     def two_sided(self, grid: LineGrid) -> np.ndarray:
         """uhat on zeta = d*h for d = -M..M, conjugate-symmetric exactly."""
@@ -151,11 +150,7 @@ class LineField:
         return grid.spectrum(pos)
 
     @classmethod
-    def from_spectrum(cls, fn: Callable[[np.ndarray], np.ndarray], label: str = "line-field") -> "LineField":
-        return cls(spectrum_fn=fn, label=label)
-
-    @classmethod
-    def from_samples(cls, x: np.ndarray, u: np.ndarray, label: str = "sampled") -> "LineField":
+    def from_samples(cls, x: np.ndarray, u: np.ndarray) -> "LineField":
         """Trapezoid Fourier transform of uniformly sampled decaying data."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -181,7 +176,7 @@ class LineField:
                 vals[lo:lo + rows] = np.exp(phase, out=phase) @ wu
             return vals
 
-        return cls(spectrum_fn=fn, label=label)
+        return cls(fn)
 
 
 def abs_frequency_field(u: LineField) -> LineField:
@@ -190,7 +185,7 @@ def abs_frequency_field(u: LineField) -> LineField:
     def fn(xi: np.ndarray) -> np.ndarray:
         return np.abs(xi) * np.asarray(u.spectrum_fn(xi), dtype=np.complex128)
 
-    return LineField(spectrum_fn=fn, label=f"|D|({u.label})")
+    return LineField(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -117,16 +117,16 @@ def line_preset(name: str, **params: float) -> LinePreset:
     if name == "zero":
         return LinePreset(
             "zero",
-            LineField.from_spectrum(lambda z: np.zeros_like(np.asarray(z, float), dtype=complex), "zero"),
+            LineField(lambda z: np.zeros_like(np.asarray(z, float), dtype=complex)),
             lambda x: np.zeros_like(np.asarray(x, float)),
         )
     if name == "lorentzian":
         c = params.get("c", 1.0)
         u_of_x, spectrum = lorentzian_profile(c)
-        return LinePreset(f"lorentzian(c={c:g})", LineField.from_spectrum(spectrum, "lorentzian"), u_of_x)
+        return LinePreset(f"lorentzian(c={c:g})", LineField(spectrum), u_of_x)
     if name == "gaussian":
         a = params.get("a", 1.0)
         w = params.get("w", 1.0)
         u_of_x, spectrum = gaussian_profile(a, w)
-        return LinePreset(f"gaussian(a={a:g},w={w:g})", LineField.from_spectrum(spectrum, "gaussian"), u_of_x)
+        return LinePreset(f"gaussian(a={a:g},w={w:g})", LineField(spectrum), u_of_x)
     raise ConfigurationError(f"unknown line preset {name!r}; choose from {LINE_PRESETS}")

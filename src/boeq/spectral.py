@@ -114,6 +114,16 @@ class TorusField:
                 c[max_mode - k] = np.conj(val)
         return cls(max_mode, c)
 
+    def truncated(self, n: int) -> "TorusField":
+        """This field at truncation n: modes above n cut, missing ones zero;
+        the field itself when n is its own ``max_mode``."""
+        if n == self.max_mode:
+            return self
+        c = np.zeros(2 * n + 1, dtype=np.complex128)
+        m = min(n, self.max_mode)
+        c[n - m:n + m + 1] = self.coeffs[self.max_mode - m:self.max_mode + m + 1]
+        return TorusField(n, c)
+
     def coeff(self, k: int) -> complex:
         if abs(k) > self.max_mode:
             return 0.0 + 0.0j

@@ -12,24 +12,28 @@ enough that every retained mode of the quadratic is alias-free, then cut
 with the 2/3 rule, so the dealiasing property "cut changes nothing for
 band-limited data" holds to the bit.  Complex (non-real) data are refused.
 
-Callers that need several times (``solve-torus --method spectral``, the
-checks of ``boeq validate``) march once through them in order in whole-step
-:func:`evolve` segments (``boeq.checks.march_times``); each time gets the
-bits of one ``evolve`` from t = 0 (:func:`split_steps`).
-
 Every march is one loop over a stack of rows (:func:`_march`), one row
-per truncation: :func:`evolve` is a one-row stack, and several truncations
-of one datum (``boeq compare --n-list``) march together through
-:func:`evolve_stack`.  Every row is transformed on the largest row's padded
-grid.  A row differentiates only its own retained modes, so it evolves as
-its own N does, to rounding: bit for bit for the largest N, within a few
-ulps for the others (their padded grid is longer).  Up to N = 512 the fixed
-cost of each FFT call dominates, and a stack of rows is cheaper than
-separate marches; with a row at N = 1024 the small rows' long padded
-transforms make it dearer.
+per truncation, that stops at a sorted list of step counts and returns
+every row at every stop.  :func:`evolve` is a one-row march with its
+snapshot stops; :func:`march` lands several fields on several times, each
+side of t = 0 marched once, and every caller that needs more than one time
+or more than one truncation goes through it (``solve-torus --method
+spectral``, the checks of ``boeq validate``, ``boeq compare --n-list``).
+Each time gets the whole steps and partial step of one ``evolve`` from
+t = 0 (:func:`split_steps`); a partial step is taken on a copy that the
+march does not continue from.
+
+Every row is transformed on the largest row's padded grid.  A row
+differentiates only its own retained modes, so it evolves as its own N
+does, to rounding: bit for bit for the largest N, within a few ulps for
+the others (their padded grid is longer).  Up to N = 512 the fixed cost of
+each FFT call dominates, and a stack of rows is cheaper than separate
+marches; with a row at N = 1024 the small rows' long padded transforms
+make it dearer.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +46,7 @@ from .spectral import SYMMETRY_TOL, TorusField, next_fast_len
 __all__ = [
     "Trajectory",
     "evolve",
-    "evolve_stack",
+    "march",
     "split_steps",
     "conserved_quantities",
 ]
@@ -157,52 +161,47 @@ def split_steps(total: float, dt: float) -> tuple[int, float]:
     return n_full, (remainder if remainder > 1e-14 * max(1.0, total) else 0.0)
 
 
-def _march(fields: Sequence[TorusField], t_final: float, dt: float,
-           snapshot_every: int = 0) -> tuple[list[float], list[list[TorusField]]]:
-    """The one stepping loop: every field marched to t_final at its own
-    truncation (its ``max_mode``) as one row of a stacked state.
+def _march(fields: Sequence[TorusField], stops: Sequence[tuple[int, float]],
+           dt: float) -> list[list[TorusField]]:
+    """The one stepping loop: every field, at its own truncation (its
+    ``max_mode``), as one row of a stacked state, stepped by the signed dt.
 
-    Returns the snapshot times, from 0.0 to t_final, and for each time the
-    fields of every row, in order.  ``snapshot_every`` is in steps; 0 keeps
-    only the endpoints.  The final partial step, when t_final is not a
-    multiple of dt, is taken exactly.
+    Each stop is a (whole steps, partial step) pair, the whole steps
+    non-decreasing from one stop to the next; the result holds, for each
+    stop, every row after that many steps and then the partial step (its
+    length, taken in the direction of dt; 0.0 for none).  A partial step is
+    taken on a copy that the march does not continue from, so each stop has
+    the bits of one march straight to it.  The stop (0, 0.0) hands back the
+    fields themselves.  The reality and CFL checks run once per row, and a
+    blow-up names its row's N.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    ns = [u.max_mode for u in fields]
     for u in fields:
         _check_real(u)
         _check_cfl(dt, u.max_mode, u)
-    direction = 1.0 if t_final >= 0 else -1.0
-    n_full, remainder = split_steps(abs(t_final), dt)
-    times, snapshots = [0.0], [list(fields)]
     if not fields:
-        return times, snapshots
-
-    eng = _Stepper(ns, direction * dt)
+        return [[] for _ in stops]
+    ns = [u.max_mode for u in fields]
+    eng = _Stepper(ns, dt)
     c = np.zeros((len(ns), eng.cut + 1), dtype=np.complex128)
     for row, u, n, cut in zip(c, fields, ns, eng.cuts):
         row[:cut + 1] = u.coeffs[n:n + cut + 1]
 
-    def restore():
-        return [_restore(row[:cut + 1], n) for row, n, cut in zip(c, ns, eng.cuts)]
-
-    t = 0.0
-    for i in range(1, n_full + 1):
-        c = eng.step(c)
-        t = direction * i * dt
-        _check_finite(c, ns, t)
-        if snapshot_every and i % snapshot_every == 0 and i != n_full:
-            times.append(t)
-            snapshots.append(restore())
-    if remainder:
-        c = _Stepper(ns, direction * remainder).step(c)
-        t = t_final
-        _check_finite(c, ns, t)
-    if times[-1] != t:
-        times.append(t)
-        snapshots.append(restore())
-    return times, snapshots
+    out, done = [], 0
+    for whole, partial in stops:
+        for i in range(done + 1, whole + 1):
+            c = eng.step(c)
+            _check_finite(c, ns, i * dt)
+        done = whole
+        if not (whole or partial):
+            out.append(list(fields))
+            continue
+        end = c
+        if partial:
+            partial = math.copysign(partial, dt)
+            end = _Stepper(ns, partial).step(c)
+            _check_finite(end, ns, whole * dt + partial)
+        out.append([_restore(row[:cut + 1], n) for row, n, cut in zip(end, ns, eng.cuts)])
+    return out
 
 
 def evolve(
@@ -220,26 +219,45 @@ def evolve(
     Raises :class:`InvalidFieldError` when u0 is not real (conjugate-symmetry
     defect above ``SYMMETRY_TOL``).
     """
-    n = u0.max_mode if n is None else n
-    if n != u0.max_mode:
-        c = np.zeros(2 * n + 1, dtype=np.complex128)
-        m = min(n, u0.max_mode)
-        c[n - m:n + m + 1] = u0.coeffs[u0.max_mode - m:u0.max_mode + m + 1]
-        u0 = TorusField(n, c)
-    times, snapshots = _march([u0], t_final, dt, snapshot_every)
-    return Trajectory(np.asarray(times, float), [rows[0] for rows in snapshots])
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    u0 = u0.truncated(u0.max_mode if n is None else n)
+    direction = 1.0 if t_final >= 0 else -1.0
+    n_full, remainder = split_steps(abs(t_final), dt)
+    # snapshot stops by step count: times rebuilt from floats would round
+    # differently from the march's own count
+    every = range(snapshot_every, n_full, snapshot_every) if snapshot_every > 0 else []
+    stops = [(0, 0.0)] + [(i, 0.0) for i in every]
+    times = [0.0] + [direction * i * dt for i in every]
+    if n_full or remainder:
+        stops.append((n_full, remainder))
+        times.append(t_final if remainder else direction * n_full * dt)
+    fields = _march([u0], stops, direction * dt)
+    return Trajectory(np.asarray(times, float), [rows[0] for rows in fields])
 
 
-def evolve_stack(fields: Sequence[TorusField], t_final: float, dt: float) -> list[TorusField]:
-    """Each field marched to t_final at its own truncation (its ``max_mode``),
-    all of them in one stacked :func:`_march`; the final fields, in order.
+def march(fields: Sequence[TorusField], times: Sequence[float],
+          dt: float) -> list[dict[float, TorusField]]:
+    """Each field, at its own truncation (its ``max_mode``), at every
+    distinct time of ``times``, all of them rows of one stacked march; one
+    dict per field, keyed by time.
 
-    Every row takes the steps of ``evolve(u, t_final, dt).final()``, with
-    the same partial step, and matches it bit for bit when it is the largest
-    truncation, to rounding otherwise.  The reality, CFL and blow-up checks
-    run per row, and their warning or error names the row's N.
+    Each side of t = 0 is marched once, outward in |t|, and a side with no
+    times runs nothing.  Every time takes its whole steps and its partial
+    step from itself (:func:`split_steps`), so the largest truncation's
+    fields have the bits of ``evolve(u, t, dt).final()`` and the others
+    agree with theirs to rounding.
     """
-    return _march(fields, t_final, dt)[1][-1]
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    by_time: dict[float, list[TorusField]] = {}
+    forward = sorted({float(t) for t in times if t >= 0})
+    backward = sorted({float(t) for t in times if t < 0}, reverse=True)
+    for sign, side in ((1.0, forward), (-1.0, backward)):
+        if side:
+            stops = [split_steps(abs(t), dt) for t in side]
+            by_time.update(zip(side, _march(fields, stops, sign * dt)))
+    return [{t: rows[i] for t, rows in by_time.items()} for i in range(len(fields))]
 
 
 def conserved_quantities(u: TorusField) -> dict[str, float]:

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from boeq.checks import (
     check_invariants,
-    check_lax_evolution,
+    check_lax_ladder,
     check_line_identities,
     check_torus_commutators,
     convergence_study,
@@ -107,11 +107,11 @@ def test_criterion_4_lax_pair_dynamics():
     invariants (isospectrality, mean, mass, energy) from one march."""
     start = time.perf_counter()
     cos1 = torus_preset("cos", 2)
-    rep = check_lax_evolution(cos1, t=0.2, dt=1e-3, n=128)
+    (rep,) = check_lax_ladder(cos1, t=0.2, levels=[1e-3], n=128)
     assert rep.residual <= 1e-4, rep.residual
     rows = convergence_study(
-        lambda dt: check_lax_evolution(cos1, t=0.2, dt=dt, n=128,
-                                       tolerance=np.inf).residual,
+        lambda dt: check_lax_ladder(cos1, t=0.2, levels=[dt], n=128,
+                                    tolerance=np.inf)[0].residual,
         levels=[1e-3, 5e-4, 2.5e-4],
     )
     orders = [r.observed_order for r in rows[1:]]

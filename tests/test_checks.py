@@ -7,16 +7,12 @@ from boeq.checks import (
     CheckReport,
     check_formula_isospectrality,
     check_invariants,
-    check_lax_evolution,
     check_lax_ladder,
     check_line_identities,
     check_torus_commutators,
     convergence_study,
     default_suite,
     formula_vs_solver,
-    formula_vs_solver_stack,
-    march_stack,
-    march_times,
 )
 from boeq.errors import ConfigurationError
 from boeq.line_operators import (
@@ -27,7 +23,7 @@ from boeq.line_operators import (
 )
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
-from boeq.timestepper import evolve
+from boeq.timestepper import evolve, march
 from boeq.torus_operators import lax_matrix
 from boeq.torus_solution import evolve_coefficients, propagator
 
@@ -56,20 +52,26 @@ class TestTorusCommutators:
             check_torus_commutators(u, 6)
 
 
+def lax_evolution(u0, t, dt, n, **kwargs):
+    """The ``lax_evolution`` report of the one difference step dt."""
+    (report,) = check_lax_ladder(u0, t, [dt], n, **kwargs)
+    return report
+
+
 class TestLaxEvolution:
     def test_zero_field_exact(self):
-        rep = check_lax_evolution(TorusField.zero(16), t=0.05, dt=1e-2, n=16)
+        rep = lax_evolution(TorusField.zero(16), t=0.05, dt=1e-2, n=16)
         assert rep.residual == 0.0
 
     def test_constant_field_stationary(self):
-        rep = check_lax_evolution(torus_preset("constant", 4, c=0.7), t=0.05, dt=1e-3, n=32)
+        rep = lax_evolution(torus_preset("constant", 4, c=0.7), t=0.05, dt=1e-3, n=32)
         assert rep.residual < 1e-12
 
     def test_cos_residual_and_order(self):
-        rep = check_lax_evolution(torus_preset("cos", 2), t=0.2, dt=1e-3, n=128)
+        rep = lax_evolution(torus_preset("cos", 2), t=0.2, dt=1e-3, n=128)
         assert rep.passed and rep.residual <= 1e-4
         rows = convergence_study(
-            lambda dt: check_lax_evolution(
+            lambda dt: lax_evolution(
                 torus_preset("cos", 2), t=0.2, dt=dt, n=128, tolerance=np.inf
             ).residual,
             levels=[1e-3, 5e-4, 2.5e-4],
@@ -80,27 +82,27 @@ class TestLaxEvolution:
     @pytest.mark.parametrize("t,dt", [(0.2, 1e-3), (0.2, 2.5e-4), (1e-3, 1e-3)])
     def test_stencil_fields_match_every_step_march(self, monkeypatch, t, dt):
         # u(t_mid - dt), u(t_mid), u(t_mid + dt) come from a march through
-        # those three times, with no snapshot asked of the stepper, and equal
-        # the fields of one march that keeps every step, bit for bit
+        # those three times only, and equal the fields of one march that
+        # keeps every step, bit for bit
         import boeq.checks as checks
 
         u0, n = torus_preset("cos", 2), 128
-        snapshots, seen = [], []
+        asked, seen = [], []
 
-        def no_snapshots(*args, **kwargs):
-            snapshots.append(kwargs.get("snapshot_every", args[4] if len(args) > 4 else 0))
-            return evolve(*args, **kwargs)
+        def recording_march(fields, times, step):
+            asked.append(sorted(times))
+            return march(fields, times, step)
 
         def recording(u, size):
             seen.append(u)
             return lax_matrix(u, size)
 
-        monkeypatch.setattr(checks, "evolve", no_snapshots)
+        monkeypatch.setattr(checks, "march", recording_march)
         monkeypatch.setattr(checks, "lax_matrix", recording)
-        check_lax_evolution(u0, t=t, dt=dt, n=n)
-        assert snapshots and not any(snapshots)
+        lax_evolution(u0, t=t, dt=dt, n=n)
 
         steps_mid = int(round(t / dt))
+        assert asked == [pytest.approx([(steps_mid + j) * dt for j in (-1, 0, 1)])]
         every = evolve(u0, steps_mid * dt + dt, dt, n, snapshot_every=1).fields
         # lax_matrix reads u_plus, u_minus, then u_mid
         expected = [every[steps_mid + 1], every[steps_mid - 1], every[steps_mid]]
@@ -113,14 +115,14 @@ class TestLaxLadder:
     def test_finest_level_is_the_single_level_check(self):
         u0 = torus_preset("cos", 2)
         ladder = check_lax_ladder(u0, t=0.2, levels=[1e-3, 5e-4, 2.5e-4], n=128)
-        single = check_lax_evolution(u0, t=0.2, dt=2.5e-4, n=128)
+        single = lax_evolution(u0, t=0.2, dt=2.5e-4, n=128)
         assert ladder[-1].residual == single.residual
         assert [r.parameters["dt"] for r in ladder] == [1e-3, 5e-4, 2.5e-4]
         assert all(r.parameters["march_dt"] == 2.5e-4 for r in ladder)
         # the coarse levels read fields marched at the finest step, which
         # are closer to the flow than their own marches: only the O(dt^2)
         # differencing error is left
-        own = check_lax_evolution(u0, t=0.2, dt=1e-3, n=128)
+        own = lax_evolution(u0, t=0.2, dt=1e-3, n=128)
         assert ladder[0].residual == pytest.approx(own.residual, rel=1e-5)
         assert all(r.passed for r in ladder)
 
@@ -128,17 +130,17 @@ class TestLaxLadder:
         import boeq.checks as checks
 
         marches = []
-        real = checks.march_times
+        real = checks.march
 
-        def recording(u0, times, dt, n):
-            marches.append((sorted(set(times)), dt))
-            return real(u0, times, dt, n)
+        def recording(fields, times, dt):
+            marches.append(([u.max_mode for u in fields], sorted(set(times)), dt))
+            return real(fields, times, dt)
 
-        monkeypatch.setattr(checks, "march_times", recording)
+        monkeypatch.setattr(checks, "march", recording)
         check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 5e-4], n=128)
         assert len(marches) == 1
-        times, dt = marches[0]
-        assert dt == 5e-4
+        ns, times, dt = marches[0]
+        assert ns == [128] and dt == 5e-4
         assert times == pytest.approx([0.199, 0.1995, 0.2, 0.2005, 0.201])
 
     def test_stencil_off_the_march_grid_is_refused(self):
@@ -186,29 +188,30 @@ class TestInvariants:
         import boeq.checks as checks
 
         calls = []
+        real = checks.march
 
-        def counting(u0, t_final, dt, n=None, **kw):
-            calls.append(t_final)
-            return evolve(u0, t_final, dt, n, **kw)
+        def counting(fields, times, dt):
+            calls.append(([u.max_mode for u in fields], list(times), dt))
+            return real(fields, times, dt)
 
-        monkeypatch.setattr(checks, "evolve", counting)
+        monkeypatch.setattr(checks, "march", counting)
         check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32, dt=1e-2)
-        assert calls == pytest.approx([0.5, 0.5])
+        assert calls == [([32], [0.5, 1.0], 1e-2)]
 
     def test_conservation_drift_is_largest_over_times(self, monkeypatch):
         # a march whose mass jumps at t = 0.5 and comes back by t = 1 must
         # fail: the drift is the worst over the times, not the last one
         import boeq.checks as checks
 
-        real = checks.march_times
+        real = checks.march
 
-        def bumped(u0, times, dt, n):
-            fields = real(u0, times, dt, n)
-            u = fields[0.5]
-            fields[0.5] = TorusField(u.max_mode, u.coeffs * (1.0 + 1e-6))
-            return fields
+        def bumped(fields, times, dt):
+            marched = real(fields, times, dt)
+            u = marched[0][0.5]
+            marched[0][0.5] = TorusField(u.max_mode, u.coeffs * (1.0 + 1e-6))
+            return marched
 
-        monkeypatch.setattr(checks, "march_times", bumped)
+        monkeypatch.setattr(checks, "march", bumped)
         reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
                                                        dt=1e-2)}
         assert not reports["conservation_l2"].passed
@@ -344,27 +347,38 @@ class TestSuiteCatchesMutatedStepper:
         assert not checks._order_report("stepper_temporal_order", rows, 4.0, 0.3).passed
 
 
+def march_one(u0, times, dt, n):
+    """``march`` of the one field u0 at truncation n; its dict of times."""
+    return march([u0.truncated(n)], times, dt)[0]
+
+
+def step_counter(monkeypatch):
+    """(rows, dt) of every stepper step taken from here on, in order."""
+    import boeq.timestepper as ts
+
+    dts = []
+    real = ts._Stepper.step
+
+    def counting(self, c):
+        dts.append((len(c), self.dt))
+        return real(self, c)
+
+    monkeypatch.setattr(ts._Stepper, "step", counting)
+    return dts
+
+
 class TestMarchTimes:
-    def test_one_segment_per_distinct_time_on_each_side(self, monkeypatch):
-        import boeq.checks
-
-        calls = []
-        real_evolve = boeq.checks.evolve
-
-        def counting(u0, t_final, dt, n=None, **kw):
-            calls.append(t_final)
-            return real_evolve(u0, t_final, dt, n, **kw)
-
-        monkeypatch.setattr(boeq.checks, "evolve", counting)
+    def test_one_march_per_side_of_zero(self, monkeypatch):
+        steps = step_counter(monkeypatch)
         u0 = torus_preset("cos", 32)
-        fields = march_times(u0, [0.02, -0.01, 0.01, 0.02, 0.0], 1e-3, 32)
+        fields = march_one(u0, [0.02, -0.01, 0.01, 0.02, 0.0], 1e-3, 32)
         assert sorted(fields) == [-0.01, 0.0, 0.01, 0.02]
-        # 0 -> 0 -> 0.01 -> 0.02 forward, then 0 -> -0.01 backward
-        assert calls == pytest.approx([0.0, 0.01, 0.01, -0.01])
+        # 0 -> 0.01 -> 0.02 forward in 20 steps, then 0 -> -0.01 in 10
+        assert steps == [(1, 1e-3)] * 20 + [(1, -1e-3)] * 10
 
     def test_grid_times_match_one_march_bitwise(self):
         u0 = torus_preset("twomode", 32, a=1.0, b=0.5)
-        fields = march_times(u0, [0.05, 0.02, -0.03], 1e-3, 32)
+        fields = march_one(u0, [0.05, 0.02, -0.03], 1e-3, 32)
         for t in (0.05, 0.02, -0.03):
             np.testing.assert_array_equal(fields[t].coeffs, evolve(u0, t, 1e-3, 32).final().coeffs)
 
@@ -373,7 +387,7 @@ class TestMarchTimes:
         # the march goes on from the whole-step field, not the partial one
         u0 = torus_preset("twomode", 32, a=1.0, b=0.5)
         times = [0.0105, 0.0237, 0.024, -0.0042, -0.011]
-        fields = march_times(u0, times, 1e-3, 32)
+        fields = march_one(u0, times, 1e-3, 32)
         for t in times:
             np.testing.assert_array_equal(fields[t].coeffs, evolve(u0, t, 1e-3, 32).final().coeffs)
 
@@ -381,7 +395,7 @@ class TestMarchTimes:
         # 16.002 - 16.001 rounds below one step at dt = 1e-3; the march
         # must still land on the bits of one evolve from t = 0
         u0 = torus_preset("cos", 4)
-        fields = march_times(u0, [16.001, 16.002], 1e-3, 4)
+        fields = march_one(u0, [16.001, 16.002], 1e-3, 4)
         np.testing.assert_array_equal(fields[16.002].coeffs,
                                       evolve(u0, 16.002, 1e-3, 4).final().coeffs)
 
@@ -396,9 +410,9 @@ class TestMarchStack:
     def test_rows_match_their_own_march(self, fields):
         # bit for bit for the largest truncation, to rounding for the others
         times = [0.0105, 0.02, -0.011, 0.0]
-        stacked = march_stack(fields, times, 1e-3)
+        stacked = march(fields, times, 1e-3)
         for u0, got in zip(fields, stacked):
-            alone = march_times(u0, times, 1e-3, u0.max_mode)
+            alone = march_one(u0, times, 1e-3, u0.max_mode)
             assert sorted(got) == sorted(alone)
             for t in times:
                 if u0.max_mode == max(self.NS):
@@ -407,32 +421,24 @@ class TestMarchStack:
                     gap = np.max(np.abs(got[t].coeffs - alone[t].coeffs))
                     assert gap <= 1e-15 * np.max(np.abs(alone[t].coeffs))
 
-    def test_one_stacked_segment_per_distinct_time(self, fields, monkeypatch):
-        import boeq.checks as checks
+    def test_one_stacked_march_per_side(self, fields, monkeypatch):
+        steps = step_counter(monkeypatch)
+        march(fields, [0.02, 0.01], 1e-3)
+        assert steps == [(2, 1e-3)] * 20
 
-        calls = []
-        real = checks.evolve_stack
-
-        def counting(rows, t_final, dt):
-            calls.append((len(rows), t_final))
-            return real(rows, t_final, dt)
-
-        monkeypatch.setattr(checks, "evolve_stack", counting)
-        march_stack(fields, [0.02, 0.01], 1e-3)
-        assert calls == [(2, pytest.approx(0.01)), (2, pytest.approx(0.01))]
-
-    def test_formula_vs_solver_stack_matches_per_truncation(self, fields):
+    def test_stacked_formula_vs_solver_matches_per_truncation(self, fields):
         times = [0.03, 0.01]
-        table = formula_vs_solver_stack(fields, times, 5e-4, 128)
+        table = formula_vs_solver(fields, times, 5e-4, 128)
         for u0, rels in zip(fields, table):
-            alone = [formula_vs_solver(u0, t, u0.max_mode, 5e-4, 128) for t in times]
+            alone = formula_vs_solver([u0], times, 5e-4, 128)[0]
             if u0.max_mode == max(self.NS):
                 assert rels == alone
             else:
                 np.testing.assert_allclose(rels, alone, rtol=0, atol=1e-14)
 
     def test_empty_stack(self):
-        assert march_stack([], [0.1], 1e-3) == []
+        assert march([], [0.1], 1e-3) == []
+        assert formula_vs_solver([], [0.1], 1e-3) == []
 
 
 class TestFormulaIsospectrality:
@@ -555,7 +561,7 @@ class TestStudiesAndSuite:
         assert rows[2].observed_order == pytest.approx(2.0)
 
     def test_formula_vs_solver_small(self):
-        rel = formula_vs_solver(torus_preset("cos", 2), t=0.2, n=48, dt=5e-4)
+        [[rel]] = formula_vs_solver([torus_preset("cos", 48)], [0.2], 5e-4)
         assert rel < 1e-6
 
     def test_report_serialization(self):
@@ -567,8 +573,8 @@ class TestStudiesAndSuite:
     def test_truncation_error_decreases_with_n_to_solver_floor(self):
         # study over N: the formula-vs-solver distance falls monotonically
         # (within a machine-level floor) as the truncation grows
-        u0 = torus_preset("cos", 2)
-        residuals = [formula_vs_solver(u0, t=0.3, n=n, dt=5e-4) for n in (16, 24, 32, 48)]
+        table = formula_vs_solver([torus_preset("cos", n) for n in (16, 24, 32, 48)], [0.3], 5e-4)
+        residuals = [rels[0] for rels in table]
         floor = 1e-11
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a + floor, residuals
@@ -581,20 +587,10 @@ class TestStudiesAndSuite:
         assert res96 <= res64 + 1e-14
 
     def test_default_suite_step_count(self, monkeypatch):
-        # every stepper step of the suite, counted as evolve takes them
-        import boeq.checks as checks
-        from boeq.timestepper import split_steps
-
-        steps = []
-
-        def counting(u0, t_final, dt, n=None, **kw):
-            full, partial = split_steps(abs(t_final), dt)
-            steps.append(full + (partial > 0))
-            return evolve(u0, t_final, dt, n, **kw)
-
-        monkeypatch.setattr(checks, "evolve", counting)
+        # every stepper step of the suite, counted where the stepper takes it
+        steps = step_counter(monkeypatch)
         names = [r.name for r in default_suite()]
-        assert sum(steps) == 2779
+        assert len(steps) == 2779
         assert len(names) == len(set(names)) == 26
         for name in INVARIANT_NAMES:
             assert name in names

@@ -158,6 +158,18 @@ class TestSolveTorusCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["warnings"]) == 2
 
+    def test_spectral_cfl_warning_recorded_once_per_march(self, tmp_path):
+        # the stepper checks the CFL number once, on the datum, as one march
+        # to the last time does, not again at each later requested time
+        out = tmp_path / "run"
+        code = main(["solve-torus", "--preset", "cos:a=3", "--n", "64", "--dt", "0.01",
+                     "--t", "0.1,0.2,0.3", "--samples", "256", "--method", "spectral",
+                     "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "nonlinear CFL number dt*N*max|u| ~ 1.92 at N = 64 exceeds 1; watch for blow-up"]
+
     def test_multi_time_run_matches_single_time_runs(self, tmp_path, monkeypatch):
         import boeq.torus_solution as ts
 
@@ -258,14 +270,14 @@ class TestSolveLineCommand:
         real = LineField.from_samples
         calls = []
 
-        def counted(x, u, label="sampled"):
-            field = real(x, u, label)
+        def counted(x, u):
+            field = real(x, u)
 
             def fn(xi):
                 calls.append(np.size(xi))
                 return field.spectrum_fn(xi)
 
-            return LineField(spectrum_fn=fn, label=field.label)
+            return LineField(fn)
 
         monkeypatch.setattr(LineField, "from_samples", staticmethod(counted))
         x = np.linspace(-30.0, 30.0, 601)
@@ -371,7 +383,7 @@ class TestCompareCommand:
             (t, n) for n in (32, 48) for t in (0.3, 0.1, 0.25)]
         for t, n, dt, rel in rows:
             u0 = torus_preset("twomode", int(n), a=1.0, b=0.5)
-            alone = formula_vs_solver(u0, float(t), int(n), float(dt), 128)
+            [[alone]] = formula_vs_solver([u0], [float(t)], float(dt), 128)
             if int(n) == 48:
                 assert float(rel) == alone
             else:
@@ -390,8 +402,8 @@ class TestCompareCommand:
         rels = [float(r[3]) for r in rows]
         assert all(r <= 1e-6 for r in rels)
         u0 = torus_preset("cos", 48)
-        assert rels[0] == formula_vs_solver(u0, 0.1003, 48, 5e-4, 128)
-        assert rels[1] == pytest.approx(formula_vs_solver(u0, 0.2, 48, 5e-4, 128), rel=1e-3)
+        assert rels[0] == formula_vs_solver([u0], [0.1003], 5e-4, 128)[0][0]
+        assert rels[1] == pytest.approx(formula_vs_solver([u0], [0.2], 5e-4, 128)[0][0], rel=1e-3)
 
 
 class TestConfigMerging:

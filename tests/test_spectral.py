@@ -55,6 +55,16 @@ class TestTorusField:
         f = TorusField.from_modes(8, {2: 1.0, 5: 1e-20})
         assert f.effective_band() == 2
 
+    def test_truncated_pads_cuts_and_keeps_itself(self):
+        f = TorusField.from_modes(4, {0: 0.5, 1: 0.3 + 0.7j, 3: -0.2j})
+        assert f.truncated(4) is f
+        wide = f.truncated(6)
+        assert wide.max_mode == 6
+        assert [wide.coeff(k) for k in range(-6, 7)] == [f.coeff(k) for k in range(-6, 7)]
+        narrow = f.truncated(2)
+        assert narrow.max_mode == 2
+        np.testing.assert_array_equal(narrow.coeffs, f.coeffs[2:7])
+
 
 class TestProjectHardy:
     def test_two_cos(self):

@@ -4,7 +4,7 @@ import pytest
 from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples
 from boeq.presets import torus_preset
-from boeq.timestepper import _Stepper, conserved_quantities, evolve, evolve_stack
+from boeq.timestepper import _Stepper, conserved_quantities, evolve, march
 
 from box_oracle import evolve_line_on_box
 
@@ -208,6 +208,11 @@ def _relative_gap(a, b):
     return np.max(np.abs(a.coeffs - b.coeffs)) / np.max(np.abs(b.coeffs))
 
 
+def march_to(fields, t_final, dt):
+    """Every field of a stacked :func:`march` at the one time t_final."""
+    return [at[float(t_final)] for at in march(fields, [t_final], dt)]
+
+
 class TestEvolveStack:
     """Several truncations of one datum marched as the rows of one stack."""
 
@@ -217,7 +222,7 @@ class TestEvolveStack:
         # the others run on a longer grid and agree to rounding
         ns = [32, 64, 48]
         fields = [torus_preset("twomode", n, a=1.0, b=0.5) for n in ns]
-        stacked = evolve_stack(fields, t_final, 1e-3)
+        stacked = march_to(fields, t_final, 1e-3)
         assert [f.max_mode for f in stacked] == ns
         for u, got in zip(fields, stacked):
             alone = evolve(u, t_final, 1e-3, u.max_mode).final()
@@ -229,18 +234,18 @@ class TestEvolveStack:
 
     def test_one_row_is_evolve_bitwise(self):
         u = torus_preset("twomode", 40, a=1.0, b=0.5)
-        got = evolve_stack([u], 0.05, 1e-3)[0]
+        got = march_to([u], 0.05, 1e-3)[0]
         np.testing.assert_array_equal(got.coeffs, evolve(u, 0.05, 1e-3, 40).final().coeffs)
 
     def test_zero_horizon_and_empty_stack(self):
         u = cos_field(16)
-        assert evolve_stack([u], 0.0, 1e-3)[0] is u
-        assert evolve_stack([], 0.1, 1e-3) == []
+        assert march_to([u], 0.0, 1e-3)[0] is u
+        assert march([], [0.1], 1e-3) == []
 
     def test_cfl_warning_names_the_row_that_exceeds_it(self):
         # dt * N * max|u| = 0.08 at N = 16 and 1.28 at N = 256
         with pytest.warns(StabilityWarning) as seen:
-            evolve_stack([cos_field(16), cos_field(256)], 0.005, 0.005)
+            march_to([cos_field(16), cos_field(256)], 0.005, 0.005)
         assert len(seen) == 1 and "at N = 256" in str(seen[0].message)
 
     @pytest.mark.parametrize("ns", [(2, 32), (32, 2)])
@@ -250,13 +255,38 @@ class TestEvolveStack:
         # at N = 2 the cut keeps mode 1 only, where u^2 of a mean-free cos
         # has no content: that row stays linear and finite
         with pytest.raises(BlowUpError) as err:
-            evolve_stack([cos_field(n, a=5.0) for n in ns], 10.0, 0.5)
+            march_to([cos_field(n, a=5.0) for n in ns], 10.0, 0.5)
         assert err.value.n == 32
         assert "N = 32" in str(err.value)
 
     def test_refuses_complex_row(self):
         with pytest.raises(InvalidFieldError):
-            evolve_stack([cos_field(16), _complex_field(16)], 0.01, 1e-3)
+            march_to([cos_field(16), _complex_field(16)], 0.01, 1e-3)
+
+
+class TestMarch:
+    """``march`` lands fields on times; one row and no rows behave as before."""
+
+    def test_one_row_behaves_as_evolve(self):
+        # every time, on either side of 0 and off the step grid, has the bits
+        # of one evolve from t = 0; t = 0 hands back the datum itself
+        u = torus_preset("twomode", 32, a=1.0, b=0.5)
+        times = [0.0, 0.0105, 0.02, -0.0042, -0.011]
+        (got,) = march([u], times, 1e-3)
+        assert list(got) == [0.0, 0.0105, 0.02, -0.0042, -0.011]
+        assert got[0.0] is u is evolve(u, 0.0, 1e-3).final()
+        for t in times[1:]:
+            np.testing.assert_array_equal(got[t].coeffs, evolve(u, t, 1e-3).final().coeffs)
+
+    def test_empty_field_list_and_no_times(self):
+        assert march([], [0.1, -0.1], 1e-3) == []
+        assert march([cos_field(16)], [], 1e-3) == [{}]
+
+    def test_refuses_non_positive_dt(self):
+        with pytest.raises(ValueError):
+            march([cos_field(16)], [0.1], 0.0)
+        with pytest.raises(ValueError):
+            evolve(cos_field(16), 0.1, -1e-3)
 
 
 class TestConservedQuantities:

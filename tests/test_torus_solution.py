@@ -234,15 +234,15 @@ class TestReconstruct:
         # flow cost the stepper 30k steps and still agree to solver accuracy
         from boeq.checks import formula_vs_solver
 
-        rel = formula_vs_solver(cos_field(2), t=3.0, n=192, dt=1e-4)
+        [[rel]] = formula_vs_solver([cos_field(192)], [3.0], 1e-4)
         assert rel < 1e-8
 
     def test_twomode_datum(self):
         from boeq.checks import formula_vs_solver
         from boeq.presets import torus_preset
 
-        u0 = torus_preset("twomode", 4, a=1.0, b=0.5)
-        assert formula_vs_solver(u0, t=0.4, n=96, dt=2e-4) < 1e-8
+        u0 = torus_preset("twomode", 96, a=1.0, b=0.5)
+        assert formula_vs_solver([u0], [0.4], 2e-4)[0][0] < 1e-8
 
     def test_disc_resolvent_exact_near_boundary(self):
         # dense solve stays machine-exact where a power series barely converges
