@@ -136,7 +136,7 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
 
     # [S*, T_u] = <.|1> S* Pu : zero on columns with no e_0 component,
     # and exactly S* Pu against e_0 (checked as column 0 of the residual)
-    hardy = np.array([u.coeff(k) for k in range(n + 1)], dtype=np.complex128)
+    hardy = u.truncated(n).coeffs[n:]
     rhs = np.zeros((n + 1, n + 1), dtype=np.complex128)
     rhs[:, 0] = np.append(hardy[1:], 0.0)
     comm_ts = s @ t - t @ s - rhs

@@ -226,7 +226,7 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
         if method == "spectral":
             f = spectral_fields[t]
             mean = float(f.coeff(0).real)
-            coeffs_sp = np.array([f.coeff(kk) for kk in range(n // 2 + 1)])
+            coeffs_sp = f.truncated(n // 2).coeffs[n // 2:]
             write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs_sp, mean)
             write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs_sp)
             write_samples_csv(outdir / f"solution_{tag}.csv", x, samples_sets[i])

@@ -30,7 +30,8 @@ class LinearAlgebraError(BoeqError):
 
 
 class ConditioningError(BoeqError):
-    """A linear solve left a residual above tolerance."""
+    """A solve left a residual above tolerance, or a series needs more terms
+    than its cap."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")

@@ -226,6 +226,19 @@ def test_criterion_9_determinism_and_exit_contract(tmp_path, monkeypatch):
     h1 = sha256_of(out1 / "validation_report.json")
     h2 = sha256_of(out2 / "validation_report.json")
     assert h1 == h2
+    # the explicit torus payload is the same with the eigensystem memo cold
+    # and warm
+    import boeq.torus_solution as ts
+
+    monkeypatch.setattr(ts, "_eigen_memo", None)
+    torus = ["solve-torus", "--preset", "twomode:a=1,b=0.5", "--n", "64",
+             "--t", "0.1,0.5", "--method", "explicit", "--out"]
+    hashes = []
+    for run in ("cold", "warm"):
+        assert main(torus + [str(tmp_path / run)]) == 0
+        hashes.append({p.name: sha256_of(p) for p in sorted((tmp_path / run).iterdir())
+                       if p.name != "manifest.json"})
+    assert hashes[0] == hashes[1] and len(hashes[0]) == 7
     # usage/config error -> 2
     assert main(["validate", "--only", "no-such-check", "--out", str(tmp_path / "c")]) == 2
     # a failing check -> 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,14 +184,128 @@ class TestEvaluateDisc:
         with pytest.raises(DomainError):
             evaluate_disc(prop, z)
 
-    def test_nan_solve_fails_residual_check(self, monkeypatch):
-        # a NaN residual must fail the check, not slip past a "> tol" test
+    def test_nan_step_operator_fails_finite_check(self):
+        # a NaN series must fail the check, not come back as a value
         from boeq.errors import ConditioningError
 
         prop = propagator(cos_field(8), 0.1, 8)
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        matrix = prop.matrix.copy()
+        matrix[0, 1] = np.nan  # meets Pu0's mode 1 in the first product
         with pytest.raises(ConditioningError):
-            evaluate_disc(prop, 0.3)
+            evaluate_disc(replace(prop, matrix=matrix), 0.3)
+
+
+class CountingMatrix(np.ndarray):
+    """A step operator that counts its products with a vector."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+def counted(prop):
+    """prop with a fresh power sequence whose products are counted."""
+    matrix = prop.matrix.view(CountingMatrix)
+    matrix.products = 0
+    return replace(prop, matrix=matrix)
+
+
+def dense_disc(prop, z):
+    """Reference disc value: <(I - zM)^-1 Pu0 | 1> by a dense solve."""
+    a = np.eye(prop.max_mode + 1) - z * prop.matrix
+    return complex(np.linalg.solve(a, prop.p0.coeffs)[0])
+
+
+RING = [0.5 * np.exp(2j * np.pi * j / 8) for j in range(8)]
+
+
+class TestDiscSeries:
+    def test_terms_from_tail_bound(self):
+        from boeq.torus_solution import _last_term
+
+        eps = np.finfo(float).eps
+        for r in (0.0, 1e-300, 0.1, 0.5, 0.9, 0.99, 0.997):
+            k = _last_term(r)
+            assert r ** (k + 1) / (1.0 - r) <= eps
+            assert k == 0 or r ** k / (1.0 - r) > eps
+        assert _last_term(0.5) == 52
+
+    def test_ring_runs_one_recurrence(self):
+        prop = counted(propagator(cos_field(32), 0.7, 32))
+        for z in RING:
+            evaluate_disc(prop, z)
+        assert prop.matrix.products == 52
+
+    def test_point_past_cap_raises_before_any_product(self):
+        from boeq.errors import ConditioningError
+        from boeq.torus_solution import DISC_MAX_TERMS, _last_term
+
+        assert _last_term(0.9999) > DISC_MAX_TERMS
+        prop = counted(propagator(cos_field(8), 0.4, 8))
+        with pytest.raises(ConditioningError, match="terms"):
+            evaluate_disc(prop, 0.9999j)
+        assert prop.matrix.products == 0
+
+    def test_series_continues_past_n(self):
+        # |z| = 0.9 takes 363 terms on an N = 8 propagator
+        prop = counted(propagator(cos_field(8, a=1.5), 0.4, 8))
+        for z in (0.9, -0.6 + 0.6j):
+            ref = dense_disc(prop, z)
+            assert abs(evaluate_disc(prop, z) - ref) <= 1e-14 * abs(ref)
+        assert prop.matrix.products == 363
+
+    def test_value_independent_of_earlier_points(self):
+        u = TorusField.from_modes(32, {1: 0.4, 2: 0.2j})
+        fresh = [evaluate_disc(propagator(u, 0.8, 32), z) for z in RING]
+        prop = propagator(u, 0.8, 32)
+        assert [evaluate_disc(prop, z) for z in RING] == fresh
+        assert [evaluate_disc(prop, z) for z in RING[::-1]] == fresh[::-1]
+        prop = propagator(u, 0.8, 32)
+        evaluate_disc(prop, 0.9)
+        assert [evaluate_disc(prop, z) for z in RING] == fresh
+
+    def test_point_sums_only_its_own_terms(self):
+        # under M = 3 I the terms 3^k c_0 z^k grow, so a ring point that
+        # summed the 364 terms a |z| = 0.9 point left behind would be far off
+        prop = propagator(TorusField.from_modes(8, {0: 0.5, 1: 0.2}), 0.3, 8)
+        prop = replace(prop, matrix=3.0 * np.eye(9, dtype=complex))
+        evaluate_disc(prop, 0.9)
+        for z in RING:
+            value = 0j
+            for k in range(52, -1, -1):
+                value = value * z + 0.5 * 3.0 ** k
+            assert evaluate_disc(prop, z) == pytest.approx(value, rel=1e-12)
+
+    def test_threads_extend_one_recurrence(self):
+        import sys
+        import threading
+
+        u = TorusField.from_modes(16, {1: 0.4, 3: 0.1})
+        # each point asks for a few more terms than the one before
+        points = [0.3 + 0.004 * j for j in range(151)]
+        reference = propagator(u, 0.5, 16)
+        serial = [evaluate_disc(reference, z) for z in points]
+
+        def worker(prop, got, i):
+            got[i] = [evaluate_disc(prop, z) for z in points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # a lost update shows in most rounds, not all
+                prop = counted(propagator(u, 0.5, 16))
+                got = [None] * 8
+                threads = [threading.Thread(target=worker, args=(prop, got, i))
+                           for i in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert got == [serial] * 8
+                assert prop.matrix.products == 363  # K at |z| = 0.9
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReconstruct:
@@ -245,13 +361,11 @@ class TestReconstruct:
         assert formula_vs_solver([u0], [0.4], 2e-4)[0][0] < 1e-8
 
     def test_disc_resolvent_exact_near_boundary(self):
-        # dense solve stays machine-exact where a power series barely converges
+        # the series stays machine-exact where it needs hundreds of terms
         prop = propagator(cos_field(512), 0.6, 512)
-        coeffs = evolve_coefficients(prop, 256)
         for z in (0.9, 0.9j, -0.85 + 0.3j):
-            series = np.polyval(coeffs[::-1], z)
             tail = 2.0 * abs(z) ** 257 * prop.p0.norm()
-            assert abs(evaluate_disc(prop, z) - series) <= tail + 1e-12
+            assert abs(evaluate_disc(prop, z) - dense_disc(prop, z)) <= tail + 1e-12
 
 
 FLUSH = np.sqrt(np.finfo(float).tiny)
