@@ -1,11 +1,13 @@
-"""The shifted upper-Hessenberg solve behind many-point resolvent scans.
+"""A shifted upper-Hessenberg solve, which no boeq solver calls any more.
 
-After a one-time Hessenberg reduction A = Q H Q*, each evaluation point z
-costs one O(n^2) solve of (H - z I) instead of an O(n^3) LU.  An
-upper-Hessenberg matrix is a band matrix with (kl, ku) = (1, n - 1), so the
-solve is one LAPACK ``zgbsv`` call on a band buffer written once per
-operator by :func:`hessenberg_band`.  This module is the only one that knows
-that layout.
+The line resolvent used to reduce its dense operator once, A = Q H Q*, and
+to solve (H - z I) per point; it is now matrix-free GMRES
+(``line_operators.ResolventEvaluator``).  The kernel stays only because
+the benchmark harness in ``perfbench/`` wraps the name
+``line_operators.hessenberg_solve_shifted``, and the two stubs because its
+run record reads them.  An upper-Hessenberg matrix is a band matrix with
+(kl, ku) = (1, n - 1), so the solve is one LAPACK ``zgbsv`` call on a band
+buffer written by :func:`hessenberg_band`.
 """
 from __future__ import annotations
 

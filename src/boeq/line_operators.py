@@ -18,9 +18,9 @@ plain trapezoid collocation sum bit-for-bit, so no quadrature accuracy is
 traded for the symmetry.
 
 The weighted generator ``G_w = S G S^-1`` exists only as a band
-(:func:`_generator_band`), which the t = 0 solves, the t != 0 gauge operator
-and :func:`generator_apply` read.  :func:`toeplitz_apply` forms T_w v in
-O(M log M); the dense Toeplitz matrix serves the t != 0 solver only.
+(:func:`_generator_band`), which :func:`generator_apply` and the
+resolvent's product and preconditioner read.  :func:`toeplitz_apply` forms
+T_w v in O(M log M); no solver forms the dense Toeplitz matrix.
 
 The resolvent system ``(G - 2t L_{u0} - z) f = Pu0`` is solved in gauge
 variables ``ghat = e^{i t xi^2} fhat``, which removes the ``-2t xi`` diagonal
@@ -28,20 +28,21 @@ of ``G - 2t D`` exactly and moves phases ``e^{i t (xi^2 - eta^2)}`` into the
 convolution kernel.  The only boundary condition is the decay closure
 ``ghat(Xi) = 0``; no condition is imposed at ``xi = 0`` where a one-sided
 stencil runs.  :class:`ResolventEvaluator` is the one solver of that system:
-banded O(M) solves at t = 0, otherwise one Hessenberg reduction per
-(u0, t, grid) and one band solve per point.
+one matrix-free GMRES per point, preconditioned by the band of G_w - z, in
+O(M log M) time and O(M) memory at every t.
 """
 from __future__ import annotations
 
 import cmath
-import threading
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.linalg as sla  # noqa: F401  (swapped by perfbench/spans.py)
+from scipy.linalg import lapack
 
-from .accel import hessenberg_band, hessenberg_of_band, hessenberg_solve_shifted
+from .accel import hessenberg_solve_shifted  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import ConditioningError, ConfigurationError, DomainError, IngestionError
 from .spectral import TWO_PI, HalfLineSpectrum, check_memory, next_fast_len
 
@@ -62,14 +63,21 @@ DEFAULT_CUTOFF = 40.0
 DEFAULT_STEP = 0.02
 SPECTRAL_TAIL_TOL = 1e-10
 SOLVE_TOL = 1e-6
-# M x M complex arrays live at once at the peak of the dense t != 0 path
-# (tracemalloc, M = 801 and 1201): 3.07 in ResolventEvaluator's Hessenberg
-# reduction, 1.52 to assemble A.  3.1 arrays are 2.96 GiB at M = 8001.
-DENSE_PEAK_ARRAYS = 3.1
+# GMRES stops once its residual estimate is below GMRES_TOL ||b|| and raises
+# ConditioningError after GMRES_MAX_STEPS Arnoldi steps without it.
+GMRES_TOL = 1e-12
+GMRES_MAX_STEPS = 100
 # Bytes per node at the peak of a t = 0 solve-line run, with or without its
-# scan (tracemalloc, M = 2001 to 20001: 343 to 388).  Every line path holds
-# these O(M) arrays; the t != 0 solver adds the dense ones.
+# scan (tracemalloc, M = 2001 to 20001: 294 to 355).  Every line path holds
+# these O(M) arrays; LineGrid checks them before any line array is allocated.
 GRID_NODE_BYTES = 400
+# Bytes per node that a t != 0 resolvent adds: GMRES's Krylov basis of
+# GMRES_MAX_STEPS + 1 complex vectors (1616) and the coupling's FFT buffers.
+# A t != 0 run peaks at 2074 to 2170 bytes per node in all (tracemalloc,
+# solve-line at M = 2001 to 20001 and evaluate_uhp to M = 8001), 2260 for
+# one point at M = 801.  A t != 0 ResolventEvaluator checks GRID_NODE_BYTES
+# + KRYLOV_NODE_BYTES per node before it builds anything.
+KRYLOV_NODE_BYTES = 16 * (GMRES_MAX_STEPS + 1) + 400
 # Bytes of phase factors exp(-i xi x) that LineField.from_samples holds at
 # once: its transform runs over row blocks, so no M x N array is formed.
 SAMPLE_BLOCK_BYTES = 1 << 22
@@ -220,13 +228,13 @@ def _generator_band(grid: LineGrid) -> np.ndarray:
     return ab
 
 
-def _band_matvec(ab: np.ndarray, lower: int, v: np.ndarray) -> np.ndarray:
-    """A v for A in scipy's band layout with 2 super- and ``lower`` subdiagonals."""
+def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for A in scipy's band layout with 2 super- and 2 subdiagonals."""
     out = ab[2] * v
     out[:-1] += ab[1, 1:] * v[1:]
     out[:-2] += ab[0, 2:] * v[2:]
-    for k in range(1, lower + 1):
-        out[k:] += ab[2 + k, :-k] * v[:-k]
+    out[1:] += ab[3, :-1] * v[:-1]
+    out[2:] += ab[4, :-2] * v[:-2]
     return out
 
 
@@ -256,7 +264,7 @@ def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
     """v -> G_w v, the weighted generator applied in O(M) from its band."""
     _check_stencil_room(grid)
     ab = _generator_band(grid)
-    return lambda v: _band_matvec(ab, 2, v)
+    return lambda v: _band_matvec(ab, v)
 
 
 def toeplitz_apply(u0: LineField, grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
@@ -308,35 +316,6 @@ def _gauge_phase(grid: LineGrid, t: float) -> np.ndarray:
     return np.exp(1j * t * grid.xi ** 2)
 
 
-def _check_dense_budget(grid: LineGrid):
-    """Refuse a dense assembly whose estimated peak exceeds half the physical memory."""
-    check_memory(DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * grid.count ** 2,
-                 f"dense line operator at M = {grid.count}",
-                 "lower the cutoff or enlarge the step")
-
-
-def _gauge_operator(u0: LineField, t: float, grid: LineGrid) -> np.ndarray:
-    """A = G_w + 2t P T_w P* in the weighted gauge frame (without -z), built
-    in place in the Toeplitz matrix.
-
-    Raises :class:`ConfigurationError` before allocating when the dense
-    assembly would not fit the memory budget.
-    """
-    _check_dense_budget(grid)
-    _check_stencil_room(grid)
-    phase = _gauge_phase(grid, t)
-    a = toeplitz_line(u0, grid)
-    a *= phase[:, None]
-    a *= np.conj(phase)[None, :]
-    a *= 2.0 * t
-    ab = _generator_band(grid)
-    j = np.arange(grid.count)
-    for k in range(-2, 3):  # diagonal A[i, i + k] sits in band row 2 - k
-        cols = j[max(k, 0):grid.count + min(k, 0)]
-        a[cols - k, cols] += ab[2 - k, cols]
-    return a
-
-
 def _gauge_rhs(hardy: HalfLineSpectrum, t: float, grid: LineGrid) -> np.ndarray:
     return grid.sqrt_weights * (_gauge_phase(grid, t) * hardy.values)
 
@@ -352,20 +331,6 @@ def check_tail(hardy: HalfLineSpectrum, tol: float):
         )
 
 
-def _solve_reduced_banded(grid: LineGrid, z: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (G_w - z) g = rhs on rows and columns 0..M-1, O(M) in time and memory."""
-    m = grid.last
-    ab = _generator_band(grid)[:4, :m]  # the (l, u) = (1, 2) band of the leading block
-    ab[3, m - 1] = 0.0  # G_w[M, M-1] lies outside the block
-    ab[2] -= z
-    g = sla.solve_banded((1, 2), ab, rhs)
-    scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    residual = float(np.linalg.norm(_band_matvec(ab, 1, g) - rhs)) / scale
-    if not residual <= SOLVE_TOL:  # NaN fails too
-        raise ConditioningError("banded resolvent solve is ill-conditioned", residual)
-    return g
-
-
 def check_uhp(z: complex) -> complex:
     """``z`` as a complex number; a non-finite z or Im z <= 0 raises
     :class:`DomainError`."""
@@ -375,19 +340,96 @@ def check_uhp(z: complex) -> complex:
     return z
 
 
+def _band_preconditioner(band: np.ndarray, z: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (G_w - z)^-1 v on nodes 0..M-1, from one LAPACK band LU.
+
+    ``band`` is G_w's band in scipy's layout (:func:`_generator_band`).  The
+    (l, u) = (1, 2) band of its leading M x M block goes below the l rows
+    that ``zgbtrf`` wants on top for its fill-in.
+    """
+    m = band.shape[1] - 1
+    ab = np.zeros((5, m), dtype=np.complex128, order="F")
+    ab[1:] = band[:4, :m]
+    ab[4, m - 1] = 0.0  # G_w[M, M-1] lies outside the block
+    ab[3] -= z  # the diagonal
+    lu, piv, info = lapack.zgbtrf(ab, 1, 2, overwrite_ab=1)
+    if info != 0:
+        raise ConditioningError(f"preconditioner band is singular (zgbtrf info {info})", np.inf)
+    return lambda v: lapack.zgbtrs(lu, 1, 2, v, piv)[0]
+
+
+def _gmres(
+    operator: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    r: np.ndarray,
+    stop: float,
+) -> np.ndarray:
+    """Correction d with ||r - A d|| <= stop, by GMRES on A M^-1 from d = 0.
+
+    Right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+    7, 1986): each Arnoldi step orthogonalizes A M^-1 v_j by two classical
+    Gram-Schmidt passes, and Givens rotations keep the least-squares
+    residual of the Hessenberg problem, which is the residual of r - A d.
+    The iteration stops once that estimate is at most ``stop`` (or is NaN,
+    which the caller's residual check then refuses); after
+    ``GMRES_MAX_STEPS`` steps without it, :class:`ConditioningError`.
+    """
+    cap = GMRES_MAX_STEPS
+    basis = np.empty((cap + 1, r.size), dtype=np.complex128)
+    tri = np.zeros((cap, cap), dtype=np.complex128)  # R of the rotated Hessenberg matrix
+    rotations: list[tuple[float, complex]] = []
+    beta = float(np.linalg.norm(r))
+    g = [complex(beta)]
+    basis[0] = r / beta
+    for j in range(cap):
+        w = operator(precondition(basis[j]))
+        q = basis[:j + 1]
+        h = np.zeros(j + 1, dtype=np.complex128)
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = (q @ w.conj()).conj()
+            w -= c @ q
+            h += c
+        col = h.tolist()
+        sub = float(np.linalg.norm(w))
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                  cs * col[i + 1] - sn.conjugate() * col[i])
+        a = col[j]
+        rho = math.hypot(abs(a), sub)
+        if rho == 0.0:  # A M^-1 maps the Krylov space into a smaller one
+            raise ConditioningError("GMRES broke down on a singular operator", np.inf)
+        cs, sn = (abs(a) / rho, a / abs(a) * (sub / rho)) if a != 0 else (0.0, 1.0 + 0j)
+        rotations.append((cs, sn))
+        col[j] = cs * a + sn * sub
+        tri[:j + 1, j] = col
+        g[j], residual = cs * g[j], -sn.conjugate() * g[j]
+        g.append(residual)
+        if not abs(residual) > stop:
+            y = np.linalg.solve(tri[:j + 1, :j + 1], np.asarray(g[:j + 1]))
+            return precondition(y @ basis[:j + 1])
+        basis[j + 1] = w / sub
+    raise ConditioningError(f"GMRES did not converge in {cap} steps", abs(g[cap]) / beta)
+
+
 class ResolventEvaluator:
     """Solves (G - 2t L_{u0} - z) f = Pu0 for one (u0, t, grid) and any z.
 
     Gauge variables remove the -2t*xi diagonal exactly; the decay closure
-    ``ghat(Xi) = 0`` is eliminated, leaving a shifted square system.  At
-    t = 0 the convolution coefficient 2t vanishes and every shift is a
-    banded O(M) solve.  Otherwise a one-time Hessenberg reduction
-    ``A = Q H Q*`` of the dense operator is computed, unless its memory
-    estimate exceeds the budget (:class:`ConfigurationError`); H is kept in
-    LAPACK band storage, and each shift costs one LAPACK band solve of
-    ``(H - z I)``, O(M^2), checked by its own residual.  The solve
-    overwrites a work copy of the band that each calling thread allocates
-    once and reuses, so one evaluator may serve several threads at a time.
+    ``ghat(Xi) = 0`` is eliminated, leaving the square system
+    ``(A - z) g = b`` on nodes 0..M-1 with ``A = G_w + 2t P T_w P*``,
+    ``P = diag(e^{i t xi^2})``.  A is never formed: G_w is applied in O(M)
+    from its band and T_w by :func:`toeplitz_apply` in O(M log M).
+    Each point is one GMRES solve, right-preconditioned by the band LU of
+    ``G_w - z``, factored per point in O(M).  It starts from
+    ``x0 = (G_w - z)^-1 b``, which at t = 0 (where the preconditioner is the
+    operator) and for the zero datum is the solution: no Arnoldi step runs
+    there.  Every point checks its true residual against ``SOLVE_TOL``.
+    At t != 0 the evaluator first checks ``KRYLOV_NODE_BYTES`` per node,
+    the Krylov basis of at most ``GMRES_MAX_STEPS + 1`` vectors and the
+    coupling's buffers, on top of the grid's ``GRID_NODE_BYTES``
+    (:class:`ConfigurationError` when they do not fit).  A point allocates
+    its own work arrays, so one evaluator may serve several threads at a
+    time.
     """
 
     def __init__(
@@ -399,43 +441,50 @@ class ResolventEvaluator:
     ):
         self.grid = grid or LineGrid()
         self.t = float(t)
+        if self.t != 0.0:
+            check_memory((GRID_NODE_BYTES + KRYLOV_NODE_BYTES) * self.grid.count,
+                         f"the line resolvent's Krylov basis at M = {self.grid.count}",
+                         "lower the cutoff or enlarge the step")
         hardy = u0.hardy(self.grid)  # one evaluation of the datum for both uses
         check_tail(hardy, tail_tol)
-        n = self.grid.count
-        self._rhs = _gauge_rhs(hardy, self.t, self.grid)[:n - 1]
-        self._phase_conj = np.conj(_gauge_phase(self.grid, self.t))
-        if self.t == 0.0:
-            self._band = None
-            self._q = None
-        else:
-            a_red = _gauge_operator(u0, self.t, self.grid)[:n - 1, :n - 1]
-            hess, q = sla.hessenberg(a_red, calc_q=True)
-            del a_red  # free each n^2 array once consumed: the peak stays put
-            self._band = hessenberg_band(hess)
-            del hess
-            self._work = threading.local()  # one solve buffer per calling thread
-            self._q = q
-            self._qh_rhs = (self._rhs.conj() @ q).conj()  # Q* b without a conjugate copy of Q
+        m = self.grid.last
+        _check_stencil_room(self.grid)
+        self._band = _generator_band(self.grid)  # G_w, for the product and the preconditioner
+        self._rhs = _gauge_rhs(hardy, self.t, self.grid)[:m]
+        phase = _gauge_phase(self.grid, self.t)
+        phase_conj = self._phase_conj = np.conj(phase)
+        self._coupling = None  # 2t P T_w P*, which vanishes at t = 0
+        if self.t != 0.0:
+            toeplitz = toeplitz_apply(u0, self.grid)
+            weight = 2.0 * self.t * phase
+            self._coupling = lambda v: weight * toeplitz(phase_conj * v)
+
+    def _apply(self, x: np.ndarray, z: complex) -> np.ndarray:
+        """(A - z) x on nodes 0..M-1, with the closure node held at zero."""
+        v = np.zeros(self.grid.count, dtype=np.complex128)
+        v[:-1] = x
+        y = _band_matvec(self._band, v)
+        if self._coupling is not None:
+            y += self._coupling(v)
+        return y[:-1] - z * x
 
     def hardy_solution(self, z: complex) -> HalfLineSpectrum:
         """fhat samples of the resolvent output at z, Im z > 0."""
         z = check_uhp(z)
-        if self._band is None:
-            g = _solve_reduced_banded(self.grid, z, self._rhs)
-        else:
-            b = self._qh_rhs
-            work = getattr(self._work, "band", None)
-            if work is None:
-                work = self._work.band = np.empty_like(self._band, order="F")
-            y = hessenberg_solve_shifted(self._band, z, b, work)
-            scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
-            h_y = hessenberg_of_band(self._band) @ y
-            residual = float(np.linalg.norm(h_y - z * y - b)) / scale
-            if not residual <= SOLVE_TOL:
-                raise ConditioningError("shifted Hessenberg solve is ill-conditioned", residual)
-            g = self._q @ y
+        b = self._rhs
+        scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
+        stop = GMRES_TOL * scale
+        precondition = _band_preconditioner(self._band, z)
+        x = precondition(b)
+        r = b - self._apply(x, z)
+        if self._coupling is not None and np.linalg.norm(r) > stop:
+            x = x + _gmres(lambda v: self._apply(v, z), precondition, r, stop)
+            r = b - self._apply(x, z)
+        residual = float(np.linalg.norm(r)) / scale
+        if not residual <= SOLVE_TOL:  # NaN fails too
+            raise ConditioningError("line resolvent solve is ill-conditioned", residual)
         # closure zero g(Xi) = 0, unweight, un-gauge
-        return self.grid.spectrum(self._phase_conj * unweight_vector(np.append(g, 0.0), self.grid))
+        return self.grid.spectrum(self._phase_conj * unweight_vector(np.append(x, 0.0), self.grid))
 
     def value(self, z: complex) -> complex:
         """Pu(t, z): (1/2i pi) I+ of the resolvent output, extrapolated stencil."""

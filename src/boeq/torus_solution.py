@@ -18,10 +18,13 @@ double).  ``spectral`` sets those entries to zero where V and U are formed,
 before their checks: every product with V, U or M (the unitarity checks,
 the recurrence) then stays out of subnormal arithmetic, which is several
 times slower, while each dropped entry moves a result by less than 1e-150.
+The recurrence keeps its iterate out of it too, by exact power-of-two
+rescaling once the iterate's norm falls below 2^-400.
 """
 from __future__ import annotations
 
 import cmath
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -53,14 +56,42 @@ TAIL_WARN = 1e-8
 # Most power-series terms one disc point may take: r^(K+1) / (1 - r) <= eps
 # holds at K = 2^14 for r up to 0.9975, so |z| <= 0.997 is served.
 DISC_MAX_TERMS = 2 ** 14
+RESCALE_BELOW = 2.0 ** -400
 _EPS = float(np.finfo(float).eps)
 
 
 def _iterates(matrix: np.ndarray, v: np.ndarray):
-    """M v, M^2 v, ...: the power recurrence, one product per iterate."""
+    """(w, e) with M^k v = 2^e w for k = 1, 2, ...: the power recurrence, one
+    product per iterate.
+
+    Whenever ||w|| falls below ``RESCALE_BELOW`` = 2^-400, w is scaled by
+    the exact power of two that brings max|w| into [1/2, 1), and the
+    exponent is carried in e.  A decaying iterate's leading entries and
+    their products with M's entries (zero or above
+    ``spectral.FLUSH_BELOW`` = 2^-511) thus stay normal numbers, where the
+    plain recurrence runs in subnormal arithmetic, several times slower,
+    and loses bits; the scaling itself rounds nothing.  The test is one dot
+    product per step, whose square may underflow to zero, which still takes
+    the branch.  Iterates are not scaled down: a propagator has norm at
+    most 1.
+    """
+    e = 0
+    low = RESCALE_BELOW ** 2
     while True:
         v = matrix @ v
-        yield v
+        parts = v.view(np.float64)
+        if not parts.dot(parts) >= low:
+            peak = abs(parts).max()
+            if 0.0 < peak < math.inf:  # a zero or NaN iterate stays
+                shift = -math.frexp(peak)[1]  # 2^shift peak lies in [1/2, 1)
+                np.ldexp(parts, shift, out=parts)
+                e -= shift
+        yield v, e
+
+
+def _unscaled(c: complex, e: int) -> complex:
+    """2^e c, rounded once."""
+    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
 
 
 class _PowerSequence:
@@ -81,7 +112,8 @@ class _PowerSequence:
         with self._lock:
             missing = k + 1 - len(self._coeffs)
             if missing > 0:
-                self._coeffs.extend(complex(v[0]) for v in islice(self._iterates, missing))
+                self._coeffs.extend(_unscaled(complex(v[0]), e)
+                                    for v, e in islice(self._iterates, missing))
             return self._coeffs[:k + 1]
 
 
@@ -166,10 +198,11 @@ def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> n
     out[0] = prop.p0.coeffs[0]
     guard = n - k_max // 4
     worst_tail = 0.0
-    for k, v in enumerate(islice(_iterates(prop.matrix, prop.p0.coeffs), k_max), 1):
-        out[k] = v[0]
+    for k, (v, e) in enumerate(islice(_iterates(prop.matrix, prop.p0.coeffs), k_max), 1):
+        out[k] = _unscaled(complex(v[0]), e)
         if guard + 1 <= n:
-            worst_tail = max(worst_tail, float(np.linalg.norm(v[guard + 1:])))
+            tail = math.ldexp(float(np.linalg.norm(v[guard + 1:])), e)
+            worst_tail = max(worst_tail, tail)
     if worst_tail > TAIL_WARN:
         warnings.warn(
             f"iterate mass {worst_tail:.2e} beyond mode {guard}; "
@@ -198,8 +231,9 @@ def evaluate_disc(prop: TorusPropagator, z: complex) -> complex:
     (K = 52 at |z| = 0.5).  The recurrence runs past N when K does.  A point
     that needs more than ``DISC_MAX_TERMS`` = 2^14 terms (|z| above about
     0.997) raises ConditioningError before any product is taken, as does a
-    non-finite sum.  At N = 512 a point near the cap costs 2 s of products,
-    and several times that once the iterates decay into subnormal numbers.
+    non-finite sum.  At N = 512 a point near the cap costs 2 s of products;
+    decaying iterates are rescaled (:func:`_iterates`), which keeps most of
+    those products out of subnormal arithmetic.
     The terms come from the propagator's kept sequence, so a point after
     others of larger |z| takes no product, and the value does not depend on
     what was evaluated before.

@@ -321,12 +321,25 @@ class TestSolveLineCommand:
         assert "spectral tail" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dense_operator_over_memory_budget_exits_2(self, tmp_path, monkeypatch):
+    def test_krylov_basis_over_memory_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the t != 0 resolvent at M = 801, its Krylov basis included, does
+        # not fit half of a 1 MiB machine
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 ** 20)
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
                      "--cutoff", "16", "--tail-tol", "1e-6", "--nx", "3",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+        assert "Krylov basis at M = 801" in capsys.readouterr().err
+
+    def test_unconverged_line_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        import boeq.line_operators as lo
+
+        monkeypatch.setattr(lo, "GMRES_MAX_STEPS", 2)
+        code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5",
+                     "--cutoff", "16", "--tail-tol", "1e-6", "--nx", "3",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "GMRES did not converge" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 import boeq.line_operators as lo
 import boeq.spectral as spectral
-from boeq.accel import hessenberg_of_band
 from boeq.checks import check_line_identities
 from boeq.errors import ConditioningError, ConfigurationError, DomainError
 from boeq.line_operators import (
@@ -52,10 +51,27 @@ class LineResolventSystem:
     gauge: np.ndarray
 
 
+def gauge_operator(u0, t, grid):
+    """A = G_w + 2t P T_w P* in the weighted gauge frame (without -z), built
+    densely in place in the Toeplitz matrix: the reference for the
+    matrix-free products of ``ResolventEvaluator``."""
+    phase = lo._gauge_phase(grid, t)
+    a = toeplitz_line(u0, grid)
+    a *= phase[:, None]
+    a *= np.conj(phase)[None, :]
+    a *= 2.0 * t
+    ab = lo._generator_band(grid)
+    j = np.arange(grid.count)
+    for k in range(-2, 3):  # diagonal A[i, i + k] sits in band row 2 - k
+        cols = j[max(k, 0):grid.count + min(k, 0)]
+        a[cols - k, cols] += ab[2 - k, cols]
+    return a
+
+
 def resolvent_system(u0, t, z, grid):
     """Assemble the dense square system with its closure row."""
     n = grid.count
-    a = lo._gauge_operator(u0, t, grid).copy()
+    a = gauge_operator(u0, t, grid)
     a[np.arange(n - 1), np.arange(n - 1)] -= z
     a[n - 1, :] = 0.0
     a[n - 1, n - 1] = 1.0
@@ -148,32 +164,22 @@ class TestGeneratorBand:
     @pytest.mark.parametrize("grid", [LineGrid(20.0, 0.1), LineGrid(16.0, 0.02)],
                              ids=lambda g: f"M{g.count}")
     def test_gauge_operator_equals_dense_sum_bitwise(self, grid, t, dense_generator):
+        # the dense reference the matrix-free products are pinned to: its
+        # in-place band assembly equals the plain dense sum
         u0 = lorentzian()
-        a = lo._gauge_operator(u0, t, grid)
+        a = gauge_operator(u0, t, grid)
         assert np.array_equal(a, gauge_operator_reference(u0, t, grid, dense_generator(grid)))
 
-    def test_gauge_operator_peak_memory(self):
-        # the dense sum held four M x M arrays at its peak; in place it holds
-        # the Toeplitz kernel and, briefly, its real weights
-        grid = LineGrid(16.0, 0.02)  # M = 801
-        u0 = lorentzian()
-        tracemalloc.start()
-        try:
-            lo._gauge_operator(u0, 0.5, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 16 * grid.count ** 2
-
     def test_band_solve_matches_dense_stencil_block(self, dense_generator):
-        # the t = 0 solve factors rows/columns 0..M-1 of the band, which
+        # the preconditioner factors rows/columns 0..M-1 of the band, which
         # leave out the closure entry G_w[M, M-1]
         grid = LineGrid(25.0, 0.05)
         z = 0.2 + 0.8j
+        ev = ResolventEvaluator(lorentzian(), 0.0, grid)
         rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0, grid)[:-1]
         m = grid.last
         block = dense_generator(grid)[:m, :m] - z * np.eye(m)
-        g = lo._solve_reduced_banded(grid, z, rhs)
+        g = lo._band_preconditioner(ev._band, z)(rhs)
         assert np.linalg.norm(block @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -388,11 +394,13 @@ class TestResolventSolve:
         # a NaN residual must fail the check, not slip past a "> tol" test
         from types import SimpleNamespace
 
-        monkeypatch.setattr(lo, "sla", SimpleNamespace(
-            solve_banded=lambda lu, ab, b: np.full_like(b, np.nan)))
-        ev = ResolventEvaluator(lorentzian(), 0.0, LineGrid(40.0, 0.08))
-        with pytest.raises(ConditioningError):
-            ev.hardy_solution(1j)
+        monkeypatch.setattr(lo, "lapack", SimpleNamespace(
+            zgbtrf=lo.lapack.zgbtrf,
+            zgbtrs=lambda lu, kl, ku, b, piv: (np.full_like(b, np.nan), 0)))
+        for t in (0.0, 0.35):
+            ev = ResolventEvaluator(lorentzian(), t, LineGrid(40.0, 0.08))
+            with pytest.raises(ConditioningError):
+                ev.hardy_solution(1j)
 
     def test_tail_precondition(self):
         with pytest.raises(ConfigurationError):
@@ -443,7 +451,7 @@ class TestResolventSolve:
         assert f.values[-1] == 0.0
 
     def test_generator_row_at_cutoff_reaches_no_solver_output(self, monkeypatch):
-        # The t != 0 solver works on rows and columns 0..M-1 of the gauge
+        # The solver works on rows and columns 0..M-1 of the gauge
         # operator; the decay closure g(Xi) = 0 replaces the generator's
         # one-sided row at xi = Xi, so that row cannot move its outputs.
         grid = LineGrid(25.0, 0.1)
@@ -454,7 +462,7 @@ class TestResolventSolve:
             return [ev.hardy_solution(z).values for z in zs]
 
         before = outputs()
-        a_before = lo._gauge_operator(u0, t, grid)
+        a_before = gauge_operator(u0, t, grid)
         band = lo._generator_band
 
         def first_order_row(grid):
@@ -466,7 +474,7 @@ class TestResolventSolve:
             return ab
 
         monkeypatch.setattr(lo, "_generator_band", first_order_row)
-        a_after = lo._gauge_operator(u0, t, grid)
+        a_after = gauge_operator(u0, t, grid)
         assert not np.array_equal(a_after[-1], a_before[-1])  # the row did change
         np.testing.assert_array_equal(a_after[:-1], a_before[:-1])
         for value0, value1 in zip(before, outputs()):
@@ -481,28 +489,95 @@ class TestResolventSolve:
 
 
 class TestResolventEvaluator:
-    @pytest.mark.parametrize("t", [0.0, 0.35, -0.3])
+    @pytest.mark.parametrize("t", [0.0, 0.35, -0.3, 0.5, 2.0, 8.0])
     def test_matches_direct_solve(self, t):
+        # the dense system with its closure row, solved directly
         grid = LineGrid(40.0, 0.08)
         u0 = lorentzian()
         ev = ResolventEvaluator(u0, t, grid)
-        for z in (1j, 0.5 + 0.6j, -1.2 + 0.3j):
-            np.testing.assert_allclose(
-                ev.hardy_solution(z).values, dense_solution(u0, t, z, grid), atol=1e-9
-            )
+        for z in (1j, 0.5 + 0.6j, -1.2 + 0.3j, 0.3 + 1e-3j):
+            want = dense_solution(u0, t, z, grid)
+            got = ev.hardy_solution(z).values
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("corruption", ["nan_diagonal", "below_subdiagonal"])
-    def test_corrupted_band_fails_residual_check(self, corruption):
+    @pytest.mark.parametrize("t", [0.0, 0.5, -0.3])
+    def test_matrix_free_product_equals_dense_assembly(self, rng, t):
+        grid = LineGrid(16.0, 0.04)
+        u0 = lorentzian()
+        ev = ResolventEvaluator(u0, t, grid, tail_tol=1e-6)
+        m = grid.last
+        z = 0.2 + 0.7j
+        a = gauge_operator(u0, t, grid)[:m, :m] - z * np.eye(m)
+        for _ in range(3):
+            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            ref = a @ x
+            assert np.linalg.norm(ev._apply(x, z) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @staticmethod
+    def _corrupt_preconditioner(monkeypatch, entry, value):
+        # the product keeps reading the true band; only the band copy that
+        # is factored for the preconditioner changes
+        factor = lo._band_preconditioner
+
+        def corrupted(band, z):
+            band = band.copy()
+            band[entry] = value
+            return factor(band, z)
+
+        monkeypatch.setattr(lo, "_band_preconditioner", corrupted)
+
+    @pytest.mark.parametrize("corruption", ["nan_diagonal", "ill_conditioned"])
+    def test_corrupted_band_fails_residual_check(self, monkeypatch, corruption):
+        # right preconditioning leaves GMRES's residual that of the true
+        # system, but a NaN, or a band whose LU loses the digits the
+        # estimate counts on, must still be caught by the true residual
         ev = ResolventEvaluator(lorentzian(), 0.35, LineGrid(40.0, 0.08))
         ev.hardy_solution(0.5 + 0.6j)
-        h = hessenberg_of_band(ev._band)
         if corruption == "nan_diagonal":
-            h[3, 3] = np.nan
+            self._corrupt_preconditioner(monkeypatch, (2, 3), np.nan)
         else:
-            # the band solve never reads below the subdiagonal; H y does
-            h[6, 4] = np.max(np.abs(h))
-        with pytest.raises(ConditioningError):
+            self._corrupt_preconditioner(monkeypatch, (1, 5), 1e13)  # cond(G_w - z) near 1e13
+        with pytest.raises(ConditioningError, match="ill-conditioned"):
             ev.hardy_solution(0.5 + 0.6j)
+
+    def test_perturbed_preconditioner_changes_no_value(self, monkeypatch):
+        # the preconditioner steers the iteration only: a wrong but
+        # well-conditioned band costs steps, not accuracy
+        grid = LineGrid(40.0, 0.08)
+        z = 0.5 + 0.6j
+        ev = ResolventEvaluator(lorentzian(), 0.35, grid)
+        want = ev.value(z)
+        self._corrupt_preconditioner(monkeypatch, (1, 5), 1e3)
+        assert abs(ev.value(z) - want) <= 1e-12 * abs(want)
+
+    def test_too_small_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lo, "GMRES_MAX_STEPS", 2)
+        ev = ResolventEvaluator(lorentzian(), 0.5, LineGrid(40.0, 0.08))
+        with pytest.raises(ConditioningError, match="did not converge in 2 steps"):
+            ev.value(0.3 + 0.5j)
+
+    @pytest.mark.parametrize("case, t", [("t0", 0.0), ("zero_datum", 0.5), ("coupled", 0.5)])
+    def test_operator_products_per_point(self, monkeypatch, case, t):
+        # x0 = (G_w - z)^-1 b solves the system at t = 0 and for the zero
+        # datum, so a point there costs one product, its residual check;
+        # otherwise GMRES takes Arnoldi steps between two residual products
+        counted = []
+        apply = ResolventEvaluator._apply
+
+        def counting(self, x, z):
+            counted.append(z)
+            return apply(self, x, z)
+
+        monkeypatch.setattr(ResolventEvaluator, "_apply", counting)
+        field = line_preset("zero").field if case == "zero_datum" else lorentzian()
+        ev = ResolventEvaluator(field, t, LineGrid(40.0, 0.08))
+        for z in (1j, 0.5 + 1e-3j):
+            counted.clear()
+            ev.value(z)
+            if case == "coupled":
+                assert len(counted) > 3
+            else:
+                assert len(counted) == 1
 
     def test_value_is_scaled_boundary_functional(self):
         grid = LineGrid(40.0, 0.04)
@@ -514,18 +589,24 @@ class TestResolventEvaluator:
 
 
 class TestDenseMemoryBudget:
+    """What replaced the dense memory budget: the solver is matrix-free.
+    Every grid is charged ``GRID_NODE_BYTES`` per node, and a t != 0
+    evaluator ``KRYLOV_NODE_BYTES`` more, GMRES's Krylov basis among them,
+    before anything is allocated."""
+
     @pytest.fixture
     def tight_budget(self, monkeypatch):
-        # a 1 MiB machine; any dense assembly would fail the test loudly
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense operator assembled past the budget check")
+        # a 1 MiB machine: room for the grid arrays of M = 501 and 1001, not
+        # for a Krylov basis at M = 501; building the coupling fails loudly
+        def no_product(*args, **kwargs):
+            raise AssertionError("coupling built past the budget check")
 
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 ** 20)
-        monkeypatch.setattr(lo, "toeplitz_line", no_dense)
+        monkeypatch.setattr(lo, "toeplitz_apply", no_product)
 
     @pytest.mark.parametrize("path", ["evaluator", "evaluate_uhp"])
     def test_refused_before_allocation(self, tight_budget, path):
-        grid = LineGrid(40.0, 0.08)  # M = 501: 3.1 dense arrays need 12 MB
+        grid = LineGrid(40.0, 0.08)  # M = 501: the t != 0 resolvent needs 1.2 MB
         with pytest.raises(ConfigurationError, match="physical memory"):
             if path == "evaluator":
                 ResolventEvaluator(lorentzian(), 0.3, grid)
@@ -534,26 +615,37 @@ class TestDenseMemoryBudget:
 
     def test_banded_t0_paths_unaffected(self, tight_budget):
         # at t = 0 the evaluator and every Richardson level of evaluate_uhp
-        # are band solves
+        # are band solves, which need no Krylov basis
         grid = LineGrid(40.0, 0.08)
         ev = ResolventEvaluator(lorentzian(), 0.0, grid)
         assert abs(ev.value(1j) - 0.5) < 1e-3
         assert abs(evaluate_uhp(lorentzian(), 0.0, 1j, grid, refinements=1) - 0.5) < 1e-4
 
+    def test_fitting_resolvent_served_unchanged(self, monkeypatch):
+        # room for the t != 0 resolvent at M = 501 but not at M = 1001: the
+        # first gives the value of an unconstrained run, the second is refused
+        grid = LineGrid(40.0, 0.08)
+        want = ResolventEvaluator(lorentzian(), 0.3, grid).value(1j)
+        need = (lo.GRID_NODE_BYTES + lo.KRYLOV_NODE_BYTES) * grid.count
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 * need)
+        assert ResolventEvaluator(lorentzian(), 0.3, grid).value(1j) == want
+        with pytest.raises(ConfigurationError, match="Krylov basis at M = 1001"):
+            ResolventEvaluator(lorentzian(), 0.3, grid.refined(2))
+
     def test_estimate_scales_with_grid(self, monkeypatch):
         grid = LineGrid(40.0, 0.08)
-        need = lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
+        need = lo.GRID_NODE_BYTES * grid.count
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 * need)
-        lo._check_dense_budget(grid)
+        LineGrid(grid.cutoff, grid.step)
         with pytest.raises(ConfigurationError):
-            lo._check_dense_budget(grid.refined(2))
+            grid.refined(2)
 
     @pytest.mark.parametrize("path", ["assembly", "evaluator"])
     def test_peak_within_estimate(self, path):
         grid = LineGrid(16.0, 0.02)  # M = 801
         u0, t, z = lorentzian(), 0.5, 0.3 + 1j
         runs = {
-            "assembly": lambda: lo._gauge_operator(u0, t, grid),
+            "assembly": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6),
             "evaluator": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6).hardy_solution(z),
         }
         tracemalloc.start()
@@ -562,7 +654,22 @@ class TestDenseMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= lo.DENSE_PEAK_ARRAYS * 16 * grid.count ** 2
+        assert peak <= (lo.GRID_NODE_BYTES + lo.KRYLOV_NODE_BYTES) * grid.count
+
+    def test_default_evaluate_uhp_allocates_no_dense_array(self):
+        # the default Richardson levels reach M = 8001, where one M x M
+        # complex array alone would be 977 MiB
+        grid = LineGrid()
+        finest = grid.refined(4)
+        assert finest.count == 8001
+        tracemalloc.start()
+        try:
+            value = evaluate_uhp(lorentzian(), 0.5, 0.3 + 1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak <= (lo.GRID_NODE_BYTES + lo.KRYLOV_NODE_BYTES) * finest.count
 
 
 class TestWeightedFrame:

@@ -4,7 +4,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -198,13 +197,11 @@ class TestDetailedEvaluation:
         assert abs(value - 0.5) < 1e-5
 
     def test_invariant_rejects_lower_half_plane(self, monkeypatch):
-        # at t != 0 the lower half-plane is refused before any dense assembly
-        import boeq.line_operators as lo
+        # at t != 0 the lower half-plane is refused before any operator product
+        def no_product(*args, **kwargs):
+            raise AssertionError("operator applied for a lower-half-plane z")
 
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense operator assembled for a lower-half-plane z")
-
-        monkeypatch.setattr(lo, "_gauge_operator", no_dense)
+        monkeypatch.setattr(ResolventEvaluator, "_apply", no_product)
         with pytest.raises(DomainError):
             evaluate_uhp(line_preset("lorentzian").field, 0.3, 1.0 - 0.2j)
 
@@ -267,25 +264,28 @@ class TestSharedEvaluator:
     GRID = LineGrid(16.0, 0.04)
     TAIL_TOL = 1e-6
 
-    @pytest.mark.parametrize("times, reductions", [("0.5", 1), ("0.5,0.3", 2)])
-    def test_solve_line_with_scan_reduces_once_per_time(self, times, reductions, tmp_path,
+    @pytest.mark.parametrize("times, evaluators", [("0.5", 1), ("0.5,0.3", 2)])
+    def test_solve_line_with_scan_reduces_once_per_time(self, times, evaluators, tmp_path,
                                                         monkeypatch):
+        # the operator's set-up (band, gauge phase, Toeplitz kernel FFT) is
+        # done once per time by one evaluator, not once per scan point
         from boeq.cli import main
 
-        real = sla.hessenberg
-        calls = []
+        seen = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        class Counting(ResolventEvaluator):
+            def __init__(self, u0, t, grid, **kwargs):
+                seen.append((t, grid.count))
+                super().__init__(u0, t, grid, **kwargs)
 
-        monkeypatch.setattr(sla, "hessenberg", counting)
+        monkeypatch.setattr(ls, "ResolventEvaluator", Counting)
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", times,
                      "--cutoff", "16", "--h", "0.04", "--tail-tol", "1e-6", "--nx", "5",
                      "--eps-refine", "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
         assert code == 0
         assert (tmp_path / "r" / "uhp_scan.csv").is_file()
-        assert calls == [(400, 400)] * reductions
+        assert len(seen) == evaluators
+        assert seen == [(float(t), 401) for t in times.split(",")]
 
     def test_solve_line_holds_one_evaluator_at_a_time(self, tmp_path, monkeypatch):
         # each time's operator is released before the next one is built

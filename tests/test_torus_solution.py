@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -264,6 +265,9 @@ class TestDiscSeries:
         evaluate_disc(prop, 0.9)
         assert [evaluate_disc(prop, z) for z in RING] == fresh
 
+    # M = 3 I is no propagator (those have norm at most 1): the squared
+    # norm that the recurrence tests for rescaling overflows to inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     def test_point_sums_only_its_own_terms(self):
         # under M = 3 I the terms 3^k c_0 z^k grow, so a ring point that
         # summed the 364 terms a |z| = 0.9 point left behind would be far off
@@ -512,3 +516,66 @@ class TestSubnormalFlush:
         es = EigenSystem(w_raw, OperatorMatrix(v))
         with pytest.raises(ValueError, match="unitary defect"):
             es.evolution(2.0 * FLUSH_T)
+
+
+class TestIterateRescale:
+    """The power recurrence rescales a decaying iterate by exact powers of two."""
+
+    N, K = 128, 1500
+
+    @staticmethod
+    def _plain(matrix, v, k):
+        out = []
+        for _ in range(k):
+            v = matrix @ v
+            out.append(v)
+        return out
+
+    def test_iterates_stay_normal_and_match_plain_recurrence(self):
+        import boeq.torus_solution as ts
+
+        tiny = np.finfo(float).tiny
+        prop = propagator(cos_field(self.N), 1.0, self.N)
+        plain = self._plain(prop.matrix, prop.p0.coeffs, self.K)
+        # the datum decays into subnormal numbers without the rescale
+        assert np.max(np.abs(plain[-1].view(float))) < tiny
+        scaled = list(islice(ts._iterates(prop.matrix, prop.p0.coeffs), self.K))
+        for v, _ in scaled:
+            parts = np.abs(v.view(float))
+            assert np.all((parts == 0.0) | (parts >= tiny))
+        first_rescale = next(k for k, (_, e) in enumerate(scaled) if e != 0)
+        assert first_rescale < 500
+        # bit for bit while the plain recurrence is still exact in normal
+        # numbers: 500 and more coefficients past the first rescale
+        want = np.array([v[0] for v in plain])
+        got = np.array([ts._unscaled(complex(v[0]), e) for v, e in scaled])
+        kept = np.abs(want) >= 1e-280
+        assert np.count_nonzero(kept[first_rescale:]) > 500
+        np.testing.assert_array_equal(got[kept], want[kept])
+        assert np.all(np.isfinite(got))
+        # the disc power sequence reads the same coefficients
+        np.testing.assert_array_equal(np.array(prop._series.head(self.K)[1:])[kept], want[kept])
+
+    @pytest.mark.parametrize("amplitude, warns", [(0.4, True), (1e-12, False)])
+    def test_truncation_warning_reads_unscaled_tail(self, monkeypatch, amplitude, warns):
+        import warnings
+
+        import boeq.torus_solution as ts
+        from boeq.errors import TruncationWarning
+
+        # every mode up to the edge of a tiny truncation; at amplitude 1e-12
+        # the tail is far below TAIL_WARN, though not relative to the
+        # iterate's peak
+        u = TorusField.from_modes(16, {k: amplitude / k for k in range(1, 17)})
+        prop = propagator(u, 0.8, 16)
+        runs = []
+        for threshold in (ts.RESCALE_BELOW, 2.0 ** 60):  # the second rescales every iterate
+            monkeypatch.setattr(ts, "RESCALE_BELOW", threshold)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                coeffs = evolve_coefficients(prop, 16)
+            runs.append((coeffs, [(w.category, str(w.message)) for w in seen]))
+        for coeffs, seen in runs:
+            np.testing.assert_array_equal(coeffs, runs[0][0])
+            assert seen == runs[0][1]
+            assert [category for category, _ in seen] == ([TruncationWarning] if warns else [])
