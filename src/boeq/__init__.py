@@ -24,7 +24,6 @@ from .errors import (
 )
 from .spectral import (
     EigenSystem,
-    HalfLineSpectrum,
     HardyTorusVector,
     OperatorMatrix,
     TorusField,
@@ -53,6 +52,7 @@ from .timestepper import (
     evolve,
 )
 from .line_operators import (
+    HalfLineSpectrum,
     LineField,
     LineGrid,
     ResolventEvaluator,

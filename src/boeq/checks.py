@@ -32,7 +32,6 @@ from .errors import ConfigurationError
 from .line_operators import (
     LineField,
     LineGrid,
-    abs_frequency_field,
     generator_apply,
     iplus,
     toeplitz_apply,
@@ -322,7 +321,8 @@ def check_line_identities(
     supported inside (0, Xi); tolerances are C * h^2 with per-check C.
     G_w and T_w act through :func:`generator_apply` and
     :func:`toeplitz_apply`, the same products as the dense weighted
-    matrices up to rounding, in O(M) memory.
+    matrices up to rounding, in O(M) memory.  The datum is sampled once on
+    the grid; the kernel of T_{|D|u} is those samples times xi.
     """
     grid = grid or LineGrid()
     h = grid.step
@@ -332,9 +332,10 @@ def check_line_identities(
     interior = slice(2, n - 2)
 
     gw = generator_apply(grid)
-    tw = toeplitz_apply(u0, grid)
-    t_disp = toeplitz_apply(abs_frequency_field(u0), grid)
-    hardy = u0.hardy(grid).values
+    samples = u0.hardy(grid)
+    hardy = samples.values
+    tw = toeplitz_apply(samples)
+    t_disp = toeplitz_apply(grid.spectrum(xi * hardy))
 
     vectors = _line_test_vectors(grid)
     for name, raw in vectors:

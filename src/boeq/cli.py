@@ -160,9 +160,10 @@ def _torus_field(cfg: dict, n: int):
     if name == "file":
         raise ConfigurationError("use datum=PATH with preset 'csv' for file input")
     if name == "csv":
-        from .spectral import field_from_samples
+        from .spectral import field_from_samples, uniform_spacing
 
         x, u = _read_datum(cfg)
+        uniform_spacing(x)  # u must be samples on a uniform, increasing grid
         return field_from_samples(u, max_mode=n)
     return torus_preset(name, n, **params)
 
@@ -226,7 +227,8 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
         if method == "spectral":
             f = spectral_fields[t]
             mean = float(f.coeff(0).real)
-            coeffs_sp = f.truncated(n // 2).coeffs[n // 2:]
+            top = n // 2 if k is None else k  # the explicit method's K
+            coeffs_sp = f.coeffs[f.max_mode:f.max_mode + top + 1]
             write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs_sp, mean)
             write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs_sp)
             write_samples_csv(outdir / f"solution_{tag}.csv", x, samples_sets[i])
@@ -262,16 +264,17 @@ def cmd_solve_line(args: argparse.Namespace) -> tuple[int, dict]:
         field = LineField.from_samples(*_read_datum(cfg))
     else:
         field = line_preset(name, **params).field
-    hardy = field.hardy(grid)
-    check_tail(hardy, tail_tol)  # before anything is written; each evaluator checks again
+    hardy = field.hardy(grid)  # the one evaluation of the datum's transform
+    check_tail(hardy, tail_tol)  # before anything is written
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    write_spectrum_csv(outdir / "initial_spectrum.csv", hardy.xi, hardy.values)
+    write_spectrum_csv(outdir / "initial_spectrum.csv", grid.xi, hardy.values)
     for i, t in enumerate(times):
-        # one operator per time serves its samples and its scan; looked up at
-        # call time, so a subclass installed on the module builds it
-        evaluator = line_solution.ResolventEvaluator(field, t, grid, tail_tol=tail_tol)
+        # one operator per time, from the one sampling, serves its samples and
+        # its scan; looked up at call time, so a subclass installed on the
+        # module builds it
+        evaluator = line_solution.ResolventEvaluator(hardy, t, tail_tol=tail_tol)
         u = reconstruct_line(evaluator, x, eps=eps, eps_refine=bool(cfg["eps_refine"]))
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
         if i == 0 and scan_axes is not None:

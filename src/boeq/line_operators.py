@@ -1,7 +1,10 @@
 """Frequency-domain discretization of the line Hardy space.
 
 Functions live on the half-line frequency grid ``xi_j = j h``, ``j = 0..M``,
-``Xi = M h``.  Two frames are in play:
+``Xi = M h``.  The datum enters every operator as its samples there, a
+:class:`HalfLineSpectrum` that carries its grid, mirrored by
+``uhat(-xi) = conj(uhat(xi))`` where a kernel needs both sides.  Two frames
+are in play:
 
 - the *collocation* frame of raw samples ``fhat(xi_j)``, in which the
   generator ``G`` acts as ``i d/dxi`` through finite differences and the
@@ -44,12 +47,12 @@ from scipy.linalg import lapack
 
 from .accel import hessenberg_solve_shifted  # noqa: F401  (traced here by perfbench/spans.py)
 from .errors import ConditioningError, ConfigurationError, DomainError, IngestionError
-from .spectral import TWO_PI, HalfLineSpectrum, check_memory, next_fast_len
+from .spectral import TWO_PI, _readonly, check_memory, next_fast_len, uniform_spacing
 
 __all__ = [
     "LineGrid",
+    "HalfLineSpectrum",
     "LineField",
-    "abs_frequency_field",
     "generator_apply",
     "unweight_vector",
     "toeplitz_line",
@@ -126,36 +129,44 @@ class LineGrid:
     def refined(self, factor: int = 2) -> "LineGrid":
         return LineGrid(self.cutoff, self.step / factor)
 
-    def spectrum(self, values: np.ndarray) -> HalfLineSpectrum:
-        return HalfLineSpectrum(self.cutoff, self.step, values)
+    def spectrum(self, values: np.ndarray) -> "HalfLineSpectrum":
+        return HalfLineSpectrum(self, values)
+
+
+@dataclass(frozen=True)
+class HalfLineSpectrum:
+    """Samples ``values[j]`` of a line Hardy-space transform at ``grid.xi[j]``,
+    one per node of ``grid``."""
+
+    grid: LineGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.complex128)
+        if v.ndim != 1 or v.size != self.grid.count:
+            raise ValueError(f"need one value per node of the grid ({self.grid.count})")
+        object.__setattr__(self, "values", _readonly(v))
+
+    def tail_fraction(self) -> float:
+        top = float(np.max(np.abs(self.values)))
+        if top == 0.0:
+            return 0.0
+        return float(np.abs(self.values[-1])) / top
 
 
 @dataclass(frozen=True)
 class LineField:
     """Real decaying field on the line, stored through its transform.
 
-    ``two_sided(grid)`` evaluates uhat on the mirrored grid
-    ``zeta = d*h, d = -M..M`` (needed by the convolution); the Hardy datum
-    is its non-negative half.
+    The operators read it only through ``hardy(grid)``, its samples on
+    the half-line grid.
     """
 
     spectrum_fn: Callable[[np.ndarray], np.ndarray]
 
-    def two_sided(self, grid: LineGrid) -> np.ndarray:
-        """uhat on zeta = d*h for d = -M..M, conjugate-symmetric exactly."""
-        pos = np.asarray(self.spectrum_fn(grid.xi), dtype=np.complex128)
-        if pos.shape != (grid.count,):
-            raise ValueError("spectrum_fn must return one value per node")
-        out = np.empty(2 * grid.count - 1, dtype=np.complex128)
-        m = grid.last
-        out[m:] = pos
-        out[:m] = np.conj(pos[1:][::-1])
-        return out
-
     def hardy(self, grid: LineGrid) -> HalfLineSpectrum:
         """Transform of the Hardy part Pu0 on the half-line grid."""
-        pos = np.asarray(self.spectrum_fn(grid.xi), dtype=np.complex128)
-        return grid.spectrum(pos)
+        return grid.spectrum(np.asarray(self.spectrum_fn(grid.xi), dtype=np.complex128))
 
     @classmethod
     def from_samples(cls, x: np.ndarray, u: np.ndarray) -> "LineField":
@@ -164,12 +175,9 @@ class LineField:
         u = np.asarray(u, dtype=float)
         if x.ndim != 1 or x.shape != u.shape or x.size < 8:
             raise IngestionError("need matching 1-d x and u arrays with >= 8 samples")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        if not np.all(np.isfinite(u)):
             raise IngestionError("samples contain non-finite values")
-        dx = np.diff(x)
-        if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
-            raise IngestionError("x grid must be uniform")
-        w = np.full(x.size, dx[0])
+        w = np.full(x.size, uniform_spacing(x))
         w[0] *= 0.5
         w[-1] *= 0.5
 
@@ -185,15 +193,6 @@ class LineField:
             return vals
 
         return cls(fn)
-
-
-def abs_frequency_field(u: LineField) -> LineField:
-    """The field with transform |zeta| uhat(zeta), i.e. |D|u."""
-
-    def fn(xi: np.ndarray) -> np.ndarray:
-        return np.abs(xi) * np.asarray(u.spectrum_fn(xi), dtype=np.complex128)
-
-    return LineField(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +241,17 @@ def unweight_vector(g: np.ndarray, grid: LineGrid) -> np.ndarray:
     return g / grid.sqrt_weights
 
 
-def toeplitz_line(u0: LineField, grid: LineGrid) -> np.ndarray:
-    """Convolution matrix of T_{u0} in the weighted frame; exactly Hermitian
-    for real u0.
+def toeplitz_line(samples: HalfLineSpectrum) -> np.ndarray:
+    """Dense convolution matrix of T_{u0} in the weighted frame, from the
+    half-line samples of uhat0 on their grid; exactly Hermitian.
 
-    Entries ``(1/2pi) uhat(xi_j - xi_k) h sqrt(wt_j wt_k)``; applying
+    Entries ``(1/2pi) uhat(xi_j - xi_k) h sqrt(wt_j wt_k)``, with
+    ``uhat(-xi) = conj(uhat(xi))`` read from the mirrored samples; applying
     ``S^-1 T S`` to raw samples is the trapezoid collocation sum with
-    endpoint weights h/2.
+    endpoint weights h/2.  The reference for :func:`toeplitz_apply`.
     """
-    vals = u0.two_sided(grid)
+    grid = samples.grid
+    vals = np.concatenate([np.conj(samples.values[:0:-1]), samples.values])  # d = -M..M
     m = grid.last
     j = np.arange(grid.count)
     kernel = vals[j[:, None] - j[None, :] + m]
@@ -267,21 +268,23 @@ def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: _band_matvec(ab, v)
 
 
-def toeplitz_apply(u0: LineField, grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
+def toeplitz_apply(samples: HalfLineSpectrum) -> Callable[[np.ndarray], np.ndarray]:
     """v -> T_w v, the weighted Toeplitz matrix :func:`toeplitz_line` applied
-    in O(M log M) without forming it.
+    in O(M log M) without forming it, from the half-line samples of uhat0 on
+    their grid.
 
-    The two-sided kernel uhat(xi_d), d = -M..M, is embedded in a circulant of
-    5-smooth length >= 2M + 1 and transformed once; each product is then one
-    forward and one inverse FFT (Chan & Ng, SIAM Review 38, 1996).  Equal to
-    the dense product up to rounding, and exactly zero for the zero field.
+    The two-sided kernel uhat(xi_d), d = -M..M, the samples and their
+    conjugate mirror, is embedded in a circulant of 5-smooth length
+    >= 2M + 1 and transformed once; each product is then one forward and one
+    inverse FFT (Chan & Ng, SIAM Review 38, 1996).  Equal to the dense
+    product up to rounding, and exactly zero for the zero field.
     """
+    grid = samples.grid
     n, m = grid.count, grid.last
     size = next_fast_len(2 * m + 1)
-    vals = u0.two_sided(grid)
     column = np.zeros(size, dtype=np.complex128)
-    column[:m + 1] = vals[m:]       # d = 0..M
-    column[size - m:] = vals[:m]    # d = -M..-1, wrapped
+    column[:m + 1] = samples.values                       # d = 0..M
+    column[size - m:] = np.conj(samples.values[:0:-1])    # d = -M..-1, wrapped
     kernel = np.fft.fft(column)
     sw = grid.sqrt_weights
     scale = (grid.step / TWO_PI) * sw
@@ -316,17 +319,20 @@ def _gauge_phase(grid: LineGrid, t: float) -> np.ndarray:
     return np.exp(1j * t * grid.xi ** 2)
 
 
-def _gauge_rhs(hardy: HalfLineSpectrum, t: float, grid: LineGrid) -> np.ndarray:
+def _gauge_rhs(hardy: HalfLineSpectrum, t: float) -> np.ndarray:
+    grid = hardy.grid
     return grid.sqrt_weights * (_gauge_phase(grid, t) * hardy.values)
 
 
 def check_tail(hardy: HalfLineSpectrum, tol: float):
-    """Refuse, by :class:`ConfigurationError`, a spectrum whose tail at the
-    cutoff exceeds ``tol`` of its peak."""
+    """Refuse, by :class:`ConfigurationError`, a spectrum with a non-finite
+    sample or whose tail at the cutoff exceeds ``tol`` of its peak."""
+    if not np.all(np.isfinite(hardy.values)):
+        raise ConfigurationError("the datum's transform is not finite on the frequency grid")
     tail = hardy.tail_fraction()
-    if tail > tol:
+    if not tail <= tol:
         raise ConfigurationError(
-            f"spectral tail {tail:.3e} at Xi = {hardy.cutoff:g} exceeds {tol:g}; "
+            f"spectral tail {tail:.3e} at Xi = {hardy.grid.cutoff:g} exceeds {tol:g}; "
             "enlarge the cutoff"
         )
 
@@ -412,10 +418,13 @@ def _gmres(
 
 
 class ResolventEvaluator:
-    """Solves (G - 2t L_{u0} - z) f = Pu0 for one (u0, t, grid) and any z.
+    """Solves (G - 2t L_{u0} - z) f = Pu0 for one (u0, t) and any z.
 
-    Gauge variables remove the -2t*xi diagonal exactly; the decay closure
-    ``ghat(Xi) = 0`` is eliminated, leaving the square system
+    ``samples`` is ``u0.hardy(grid)``, checked against ``tail_tol``: the
+    right-hand side Pu0 and, mirrored, the kernel of L_{u0}, on their grid.
+    The evaluator never evaluates u0, so the times of one run share one
+    sampling.  Gauge variables remove the -2t*xi diagonal exactly; the decay
+    closure ``ghat(Xi) = 0`` is eliminated, leaving the square system
     ``(A - z) g = b`` on nodes 0..M-1 with ``A = G_w + 2t P T_w P*``,
     ``P = diag(e^{i t xi^2})``.  A is never formed: G_w is applied in O(M)
     from its band and T_w by :func:`toeplitz_apply` in O(M log M).
@@ -434,28 +443,26 @@ class ResolventEvaluator:
 
     def __init__(
         self,
-        u0: LineField,
+        samples: HalfLineSpectrum,
         t: float,
-        grid: LineGrid | None = None,
         tail_tol: float = SPECTRAL_TAIL_TOL,
     ):
-        self.grid = grid or LineGrid()
+        self.grid = samples.grid
         self.t = float(t)
         if self.t != 0.0:
             check_memory((GRID_NODE_BYTES + KRYLOV_NODE_BYTES) * self.grid.count,
                          f"the line resolvent's Krylov basis at M = {self.grid.count}",
                          "lower the cutoff or enlarge the step")
-        hardy = u0.hardy(self.grid)  # one evaluation of the datum for both uses
-        check_tail(hardy, tail_tol)
+        check_tail(samples, tail_tol)
         m = self.grid.last
         _check_stencil_room(self.grid)
         self._band = _generator_band(self.grid)  # G_w, for the product and the preconditioner
-        self._rhs = _gauge_rhs(hardy, self.t, self.grid)[:m]
+        self._rhs = _gauge_rhs(samples, self.t)[:m]
         phase = _gauge_phase(self.grid, self.t)
         phase_conj = self._phase_conj = np.conj(phase)
         self._coupling = None  # 2t P T_w P*, which vanishes at t = 0
         if self.t != 0.0:
-            toeplitz = toeplitz_apply(u0, self.grid)
+            toeplitz = toeplitz_apply(samples)
             weight = 2.0 * self.t * phase
             self._coupling = lambda v: weight * toeplitz(phase_conj * v)
 

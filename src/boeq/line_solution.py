@@ -4,15 +4,16 @@
 the real field is ``u = Pu + conj(Pu)``, sampled just above the axis at
 height eps with a documented O(eps) smoothing bias.
 
-Every value comes from :class:`ResolventEvaluator`.  The base
-discretization is second order in the grid step h.  For point evaluations
-that need more, :func:`evaluate_uhp` performs Richardson extrapolation over
-sub-grids h, h/2, ..., anchored at the grid passed in (eliminated orders 2
-then 3, matching the one-sided boundary stencils), with one evaluator per
-sub-grid.  :func:`reconstruct_line` and :func:`uhp_grid_scan` run on the
-single grid instead, one point after another through an evaluator that the
-caller builds: ``solve-line`` builds one per time, so the samples and the
-scan of one (u0, t) share its datum samples and convolution kernel.
+Every value comes from :class:`ResolventEvaluator`, built from the datum's
+samples on one grid (``u0.hardy(grid)``).  The base discretization is
+second order in the grid step h.  For point evaluations that need more,
+:func:`evaluate_uhp` performs Richardson extrapolation over sub-grids h,
+h/2, ..., anchored at the grid passed in (eliminated orders 2 then 3,
+matching the one-sided boundary stencils), with one sampling and one
+evaluator per sub-grid.  :func:`reconstruct_line` and :func:`uhp_grid_scan`
+run on the single grid instead, one point after another through an
+evaluator that the caller builds: ``solve-line`` samples its datum once and
+builds one evaluator per time from those samples.
 """
 from __future__ import annotations
 
@@ -52,17 +53,19 @@ def evaluate_uhp(
 
     ``refinements`` extra solves on grids h/2, h/4, ... feed a Richardson
     table (orders 2, 3, ...); 0 evaluates on the given grid only.  Each
-    level builds one :class:`ResolventEvaluator` on its grid and drops it,
-    so a level costs one point solve at doubled size: O(M) at t = 0, one
-    GMRES of O(M log M) products otherwise, in O(M) memory (the default
-    levels reach M = 8001 from the default grid).  Scans pass one
-    evaluator to :func:`reconstruct_line` / :func:`uhp_grid_scan` instead.
+    level samples u0 on its grid, builds one :class:`ResolventEvaluator`
+    from the samples and drops it, so a level costs one point solve at
+    doubled size: O(M) at t = 0, one GMRES of O(M log M) products otherwise,
+    in O(M) memory (the default levels reach M = 8001 from the default
+    grid).  Scans pass one evaluator to :func:`reconstruct_line` /
+    :func:`uhp_grid_scan` instead.
     """
     z = check_uhp(z)
     grids = [grid or LineGrid()]
     for _ in range(max(0, refinements)):
         grids.append(grids[-1].refined(2))
-    return _richardson([ResolventEvaluator(u0, t, g, tail_tol=tail_tol).value(z) for g in grids])
+    return _richardson([ResolventEvaluator(u0.hardy(g), t, tail_tol=tail_tol).value(z)
+                        for g in grids])
 
 
 def _richardson(levels: list[complex]) -> complex:

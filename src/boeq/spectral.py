@@ -8,7 +8,7 @@ Conventions used throughout the package:
 - A real field satisfies ``c_{-k} = conj(c_k)`` with real ``c_0``.
 - The Hardy part of a field is the vector ``(c_0, ..., c_N)``.
 - On the line, spectra are sampled on the half-line frequency grid
-  ``xi_j = j*h``, ``j = 0..M``.
+  ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
 - The dense torus factors, the eigenvectors V of ``eigen_system`` and the
   evolution U of ``EigenSystem.evolution``, have entries below
   ``FLUSH_BELOW`` set to exact zero before they are checked, so n^3
@@ -232,42 +232,6 @@ class EigenSystem:
 
 
 # ---------------------------------------------------------------------------
-# line spectrum samples
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HalfLineSpectrum:
-    """Samples of a line Hardy-space transform on xi_j = j*h, j = 0..M."""
-
-    cutoff: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("values must be a 1-d array with at least 2 samples")
-        m = v.size - 1
-        if not np.isclose(self.cutoff, m * self.step, rtol=1e-12, atol=1e-12):
-            raise ValueError("cutoff must equal M * step")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.arange(self.size) * self.step
-
-    def tail_fraction(self) -> float:
-        top = float(np.max(np.abs(self.values)))
-        if top == 0.0:
-            return 0.0
-        return float(np.abs(self.values[-1])) / top
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -319,6 +283,18 @@ def synthesize_torus(p: HardyTorusVector, mean: float, n_samples: int) -> np.nda
     if residue > 1e-12 * scale:
         raise LinearAlgebraError("synthesis produced a non-real field", residue)
     return samples.real
+
+
+def uniform_spacing(x: np.ndarray) -> float:
+    """The spacing of sample positions ``x``, which must be finite, strictly
+    increasing and uniform to 1e-9 of the spacing; otherwise
+    :class:`IngestionError`."""
+    dx = np.diff(np.asarray(x, dtype=float))
+    if not (dx.size and np.all(np.isfinite(dx)) and np.all(dx > 0)):
+        raise IngestionError("x column must be finite and increase strictly")
+    if np.max(np.abs(dx - dx[0])) > 1e-9 * dx[0]:
+        raise IngestionError("x grid must be uniform")
+    return float(dx[0])
 
 
 def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> TorusField:

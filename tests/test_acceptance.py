@@ -165,7 +165,7 @@ def test_criterion_6_line_dynamics_vs_box_solver():
     window = np.abs(box.x) <= 20.0
     x_cmp = box.x[window]
     u_box = box.u[window]
-    u_line = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.02)),
+    u_line = reconstruct_line(ResolventEvaluator(preset.field.hardy(LineGrid(40.0, 0.02)), t),
                               x_cmp, eps=1e-3, eps_refine=True)
     rel = np.linalg.norm(u_line - u_box) / np.linalg.norm(u_box)
     assert rel <= 1e-3, rel

@@ -17,7 +17,6 @@ from boeq.checks import (
 from boeq.errors import ConfigurationError
 from boeq.line_operators import (
     LineGrid,
-    abs_frequency_field,
     iplus,
     toeplitz_line,
 )
@@ -488,9 +487,10 @@ def dense_line_residuals(u0, grid, t, gw):
     the dense weighted generator ``gw`` and Toeplitz matrices."""
     n, h, xi, sw = grid.count, grid.step, grid.xi, grid.sqrt_weights
     inner = slice(2, n - 2)
-    tw = toeplitz_line(u0, grid)
-    t_disp = toeplitz_line(abs_frequency_field(u0), grid)
-    hardy = u0.hardy(grid).values
+    samples = u0.hardy(grid)
+    hardy = samples.values
+    tw = toeplitz_line(samples)
+    t_disp = toeplitz_line(grid.spectrum(xi * hardy))  # the kernel of |D|u
 
     def flow(g, conv, conv_disp):
         lax = lambda v: xi * v - conv @ v

@@ -128,6 +128,17 @@ class TestSolveTorusCommand:
         report = json.loads((out / "diff_report.json").read_text())
         assert report["diffs"][0]["rel_l2"] <= 1e-6
 
+    @pytest.mark.parametrize("method", ["explicit", "spectral"])
+    @pytest.mark.parametrize("k", [0, 4, None])
+    def test_coefficient_count_honoured_by_both_methods(self, tmp_path, method, k):
+        out = tmp_path / "run"
+        argv = ["solve-torus", "--preset", "cos", "--n", "16", "--dt", "1e-3", "--t", "0.1",
+                "--method", method, "--samples", "64", "--out", str(out)]
+        code = main(argv + ([] if k is None else ["--k", str(k)]))
+        assert code == 0
+        rows = (out / "coeffs_t00.csv").read_text().splitlines()[1:]
+        assert len(rows) == (16 // 2 if k is None else k) + 1
+
     def test_method_spectral_writes_solution_files(self, tmp_path):
         out = tmp_path / "run"
         code = main(["solve-torus", "--preset", "cos", "--n", "32", "--dt", "1e-3",
@@ -262,11 +273,11 @@ class TestSolveLineCommand:
         on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
         assert set(manifest["outputs"]) == on_disk
 
-    @pytest.mark.parametrize("t, evaluations", [("0", 2), ("0.5", 3)])
-    def test_sampled_datum_evaluated_once_per_use(self, tmp_path, monkeypatch, t, evaluations):
-        # each evaluation of a sampled datum is an M x N direct sum: one for
-        # the initial spectrum, one for the evaluator's tail check and
-        # right-hand side, and at t != 0 one for the convolution kernel
+    @pytest.mark.parametrize("t", ["0", "0.5", "0.5,1"])
+    def test_sampled_datum_evaluated_once_per_use(self, tmp_path, monkeypatch, t):
+        # each evaluation of a sampled datum is an M x N direct sum; one
+        # sampling serves the initial spectrum, the tail check and, at every
+        # time, the evaluator's right-hand side and convolution kernel
         real = LineField.from_samples
         calls = []
 
@@ -287,7 +298,7 @@ class TestSolveLineCommand:
                      "--cutoff", "16", "--h", "0.05", "--tail-tol", "1e-4", "--nx", "5",
                      "--scan=-1,1,3,0.5,1.0,2", "--out", str(tmp_path / "r")])
         assert code == 0
-        assert len(calls) == evaluations
+        assert calls == [321]  # one evaluation, on the M + 1 = 321 nodes
 
     @pytest.mark.parametrize("command", ["solve-line", "solve-torus"])
     @pytest.mark.parametrize("datum", [None, "missing.csv", "."],
@@ -312,6 +323,37 @@ class TestSolveLineCommand:
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0",
                      "--cutoff", "5", "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_non_finite_spectrum_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # a * w * sqrt(pi) overflows: the samples are inf, and NaN where the
+        # Gaussian factor underflows, so no tail fraction is defined
+        out = tmp_path / "r"
+        code = main(["solve-line", "--preset", "gaussian:a=1.5e308,w=1", "--t", "0.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, size", [("solve-line", ["--tail-tol", "1e-4"]),
+                                               ("solve-torus", ["--n", "32"])],
+                             ids=["solve-line", "solve-torus"])
+    @pytest.mark.parametrize("order, message", [("decreasing", "increase strictly"),
+                                                ("nonuniform", "must be uniform")],
+                             ids=["decreasing", "nonuniform"])
+    def test_sampled_x_must_increase_uniformly(self, tmp_path, capsys, command, size, order,
+                                               message):
+        # a decreasing x column would negate the line transform, and the
+        # torus transform reads u as uniform samples of one period
+        x = np.linspace(-30.0, 30.0, 601)
+        x = x[::-1] if order == "decreasing" else x + 0.01 * np.sin(x)
+        datum = tmp_path / "datum.csv"
+        write_samples_csv(datum, x, 2.0 / (1.0 + x ** 2))
+        out = tmp_path / "r"
+        code = main([command, "--preset", "csv", "--datum", str(datum), "--t", "0", *size,
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refused_tail_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "r"

@@ -13,7 +13,6 @@ from boeq.line_operators import (
     LineField,
     LineGrid,
     ResolventEvaluator,
-    abs_frequency_field,
     generator_apply,
     iplus,
     toeplitz_apply,
@@ -32,7 +31,7 @@ def lorentzian():
 
 def lax_line(u0, grid):
     """L_{u0} = D - T_{u0} with D = diag(xi_j), in the weighted frame."""
-    return np.diag(grid.xi) - toeplitz_line(u0, grid)
+    return np.diag(grid.xi) - toeplitz_line(u0.hardy(grid))
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def gauge_operator(u0, t, grid):
     densely in place in the Toeplitz matrix: the reference for the
     matrix-free products of ``ResolventEvaluator``."""
     phase = lo._gauge_phase(grid, t)
-    a = toeplitz_line(u0, grid)
+    a = toeplitz_line(u0.hardy(grid))
     a *= phase[:, None]
     a *= np.conj(phase)[None, :]
     a *= 2.0 * t
@@ -75,7 +74,7 @@ def resolvent_system(u0, t, z, grid):
     a[np.arange(n - 1), np.arange(n - 1)] -= z
     a[n - 1, :] = 0.0
     a[n - 1, n - 1] = 1.0
-    rhs = lo._gauge_rhs(u0.hardy(grid), t, grid)
+    rhs = lo._gauge_rhs(u0.hardy(grid), t)
     rhs[-1] = 0.0
     return LineResolventSystem(matrix=a, rhs=rhs, gauge=lo._gauge_phase(grid, t))
 
@@ -121,7 +120,8 @@ def band_to_dense(ab, lower, upper):
 def gauge_operator_reference(u0, t, grid, gw):
     """G_w + 2t P T_w P* as the dense expression the band assembly replaces."""
     phase = lo._gauge_phase(grid, t)
-    return gw + 2.0 * t * (phase[:, None] * toeplitz_line(u0, grid) * np.conj(phase)[None, :])
+    coupling = phase[:, None] * toeplitz_line(u0.hardy(grid)) * np.conj(phase)[None, :]
+    return gw + 2.0 * t * coupling
 
 
 class TestGMatrix:
@@ -175,23 +175,47 @@ class TestGeneratorBand:
         # leave out the closure entry G_w[M, M-1]
         grid = LineGrid(25.0, 0.05)
         z = 0.2 + 0.8j
-        ev = ResolventEvaluator(lorentzian(), 0.0, grid)
-        rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0, grid)[:-1]
+        ev = ResolventEvaluator(lorentzian().hardy(grid), 0.0)
+        rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0)[:-1]
         m = grid.last
         block = dense_generator(grid)[:m, :m] - z * np.eye(m)
         g = lo._band_preconditioner(ev._band, z)(rhs)
         assert np.linalg.norm(block @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def sampled_field():
+    x = np.linspace(-12.0, 12.0, 97)
+    return LineField.from_samples(x, np.exp(-x ** 2) * (1.0 + 0.3 * x))
+
+
+MATRIX_FREE_FIELDS = {
+    "lorentzian": lorentzian,
+    "gaussian": lambda: line_preset("gaussian", a=1.0, w=1.0).field,
+    "sampled": sampled_field,
+}
+
+
 class TestToeplitzLine:
     def test_zero_symbol(self):
         zero = line_preset("zero").field
-        t = toeplitz_line(zero, LineGrid(5.0, 0.5))
+        t = toeplitz_line(zero.hardy(LineGrid(5.0, 0.5)))
         assert np.all(t == 0)
 
     def test_exactly_hermitian(self):
-        t = toeplitz_line(lorentzian(), LineGrid(20.0, 0.05))
+        t = toeplitz_line(lorentzian().hardy(LineGrid(20.0, 0.05)))
         assert np.array_equal(t, t.conj().T)
+
+    @pytest.mark.parametrize("field", sorted(MATRIX_FREE_FIELDS))
+    def test_mirror_is_the_transform_at_negative_frequencies(self, field):
+        # the half-line samples, mirrored by conjugation, give the kernel
+        # uhat(xi_j - xi_k) that the datum's own transform gives there
+        u0 = MATRIX_FREE_FIELDS[field]()
+        grid = LineGrid(6.0, 0.25)
+        xi = grid.xi
+        kernel = np.asarray(u0.spectrum_fn((xi[:, None] - xi[None, :]).ravel()))
+        s = grid.sqrt_weights
+        want = kernel.reshape(grid.count, grid.count) * (grid.step / TWO_PI) * np.outer(s, s)
+        np.testing.assert_allclose(toeplitz_line(u0.hardy(grid)), want, rtol=1e-13, atol=1e-16)
 
     def test_weighted_action_is_trapezoid_collocation(self):
         # unweighting the weighted matvec must reproduce the literal
@@ -199,9 +223,9 @@ class TestToeplitzLine:
         grid = LineGrid(10.0, 0.25)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        via_matrix = unweight_vector(toeplitz_line(u0, grid) @ (grid.sqrt_weights * f), grid)
-        vals = u0.two_sided(grid)
+        via_matrix = unweight_vector(toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f), grid)
         m = grid.last
+        vals = u0.spectrum_fn(np.arange(-m, m + 1) * grid.step)  # uhat on both sides
         w = grid.weights * grid.step
         direct = np.array([
             np.sum(vals[j - np.arange(grid.count) + m] * f * w) / TWO_PI
@@ -234,24 +258,12 @@ class TestToeplitzLine:
         grid = LineGrid(30.0, 0.02)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        out = unweight_vector(toeplitz_line(u0, grid) @ (grid.sqrt_weights * f), grid)
+        out = unweight_vector(toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f), grid)
         j = grid.count // 3
         xi = grid.xi[j]
         oracle = quad(lambda s: np.exp(-abs(xi - s)) * np.exp(-s), 0.0, 30.0,
                       points=[xi], limit=400)[0]
         assert abs(out[j].real - oracle) < 5.0 * 0.02 ** 2
-
-
-def sampled_field():
-    x = np.linspace(-12.0, 12.0, 97)
-    return LineField.from_samples(x, np.exp(-x ** 2) * (1.0 + 0.3 * x))
-
-
-MATRIX_FREE_FIELDS = {
-    "lorentzian": lorentzian,
-    "gaussian": lambda: line_preset("gaussian", a=1.0, w=1.0).field,
-    "sampled": sampled_field,
-}
 
 
 class TestMatrixFreeProducts:
@@ -265,9 +277,9 @@ class TestMatrixFreeProducts:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
     @pytest.mark.parametrize("field", sorted(MATRIX_FREE_FIELDS))
     def test_toeplitz_apply_matches_dense(self, rng, grid, field):
-        u0 = MATRIX_FREE_FIELDS[field]()
-        dense = toeplitz_line(u0, grid)
-        apply = toeplitz_apply(u0, grid)
+        samples = MATRIX_FREE_FIELDS[field]().hardy(grid)  # one sampling for both
+        dense = toeplitz_line(samples)
+        apply = toeplitz_apply(samples)
         for v in self._random_vectors(rng, grid.count):
             ref = dense @ v
             assert np.linalg.norm(apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -282,7 +294,7 @@ class TestMatrixFreeProducts:
 
     def test_zero_field_gives_exact_zeros(self, rng):
         grid = LineGrid(8.0, 0.1)
-        apply = toeplitz_apply(line_preset("zero").field, grid)
+        apply = toeplitz_apply(line_preset("zero").field.hardy(grid))
         for v in self._random_vectors(rng, grid.count):
             assert np.all(apply(v) == 0.0)
 
@@ -374,11 +386,11 @@ class TestIPlus:
 class TestResolventSolve:
     def test_zero_datum_gives_zero(self):
         zero = line_preset("zero").field
-        f = ResolventEvaluator(zero, 0.0, LineGrid(10.0, 0.05)).hardy_solution(1j)
+        f = ResolventEvaluator(zero.hardy(LineGrid(10.0, 0.05)), 0.0).hardy_solution(1j)
         assert np.max(np.abs(f.values)) == 0.0
 
     def test_domain_error(self):
-        ev = ResolventEvaluator(lorentzian(), 0.0, LineGrid(40.0, 0.05))
+        ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.05)), 0.0)
         with pytest.raises(DomainError):
             ev.hardy_solution(1.0 - 0.1j)
 
@@ -386,7 +398,7 @@ class TestResolventSolve:
     @pytest.mark.parametrize("z", [complex(0.0, np.nan), complex(np.nan, 1.0),
                                    complex(np.inf, 1.0), complex(0.0, np.inf)])
     def test_non_finite_point_is_a_domain_error(self, t, z):
-        ev = ResolventEvaluator(lorentzian(), t, LineGrid(40.0, 0.08))
+        ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), t)
         with pytest.raises(DomainError):
             ev.value(z)
 
@@ -398,18 +410,18 @@ class TestResolventSolve:
             zgbtrf=lo.lapack.zgbtrf,
             zgbtrs=lambda lu, kl, ku, b, piv: (np.full_like(b, np.nan), 0)))
         for t in (0.0, 0.35):
-            ev = ResolventEvaluator(lorentzian(), t, LineGrid(40.0, 0.08))
+            ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), t)
             with pytest.raises(ConditioningError):
                 ev.hardy_solution(1j)
 
     def test_tail_precondition(self):
         with pytest.raises(ConfigurationError):
-            ResolventEvaluator(lorentzian(), 0.0, LineGrid(4.0, 0.05))
+            ResolventEvaluator(lorentzian().hardy(LineGrid(4.0, 0.05)), 0.0)
 
     def test_t0_against_closed_form(self):
         # i f' - i f = 2pi e^{-xi} with decay has f = i pi e^{-xi}
         grid = LineGrid(40.0, 0.001)
-        f = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(1j)
+        f = ResolventEvaluator(lorentzian().hardy(grid), 0.0).hardy_solution(1j)
         exact = 1j * np.pi * np.exp(-grid.xi)
         assert np.max(np.abs(f.values[:-1] - exact[:-1])) < 1e-6
 
@@ -417,7 +429,7 @@ class TestResolventSolve:
         # oracle: f(xi) = i int_xi^inf e^{i z (eta - xi)} ghat(eta) d eta
         grid = LineGrid(40.0, 0.002)
         z = 0.4 + 0.8j
-        f = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(z)
+        f = ResolventEvaluator(lorentzian().hardy(grid), 0.0).hardy_solution(z)
         for j in (0, 500, 3000):
             xi = grid.xi[j]
             val = 1j * quad(
@@ -430,7 +442,7 @@ class TestResolventSolve:
         u0 = lorentzian()
         vals = []
         for h in (0.08, 0.04, 0.02):
-            f = ResolventEvaluator(u0, 0.4, LineGrid(40.0, h)).hardy_solution(0.3 + 0.9j)
+            f = ResolventEvaluator(u0.hardy(LineGrid(40.0, h)), 0.4).hardy_solution(0.3 + 0.9j)
             vals.append(iplus(f, extrapolate=True))
         # successive-difference ratio is 4 for a clean O(h^2) scheme
         ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
@@ -442,12 +454,12 @@ class TestResolventSolve:
         assert np.max(np.abs(np.abs(sys.gauge) - 1.0)) < 1e-14
         assert sys.matrix.shape == (grid.count, grid.count)
         # full dense solve agrees with the fast path
-        fast = ResolventEvaluator(lorentzian(), 0.3, grid).hardy_solution(0.2 + 0.7j)
+        fast = ResolventEvaluator(lorentzian().hardy(grid), 0.3).hardy_solution(0.2 + 0.7j)
         np.testing.assert_allclose(dense_solution(lorentzian(), 0.3, 0.2 + 0.7j, grid),
                                    fast.values, atol=1e-10)
 
     def test_closure_node_is_zero(self):
-        f = ResolventEvaluator(lorentzian(), 0.2, LineGrid(40.0, 0.04)).hardy_solution(1j)
+        f = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.04)), 0.2).hardy_solution(1j)
         assert f.values[-1] == 0.0
 
     def test_generator_row_at_cutoff_reaches_no_solver_output(self, monkeypatch):
@@ -458,7 +470,7 @@ class TestResolventSolve:
         u0, t, zs = lorentzian(), 0.5, (1j, 0.5 + 0.6j)
 
         def outputs():
-            ev = ResolventEvaluator(u0, t, grid)
+            ev = ResolventEvaluator(u0.hardy(grid), t)
             return [ev.hardy_solution(z).values for z in zs]
 
         before = outputs()
@@ -483,7 +495,7 @@ class TestResolventSolve:
     def test_banded_t0_path_matches_dense_system(self):
         grid = LineGrid(25.0, 0.05)
         z = 0.1 + 0.9j
-        fast = ResolventEvaluator(lorentzian(), 0.0, grid).hardy_solution(z)
+        fast = ResolventEvaluator(lorentzian().hardy(grid), 0.0).hardy_solution(z)
         np.testing.assert_allclose(fast.values, dense_solution(lorentzian(), 0.0, z, grid),
                                    atol=1e-11)
 
@@ -494,7 +506,7 @@ class TestResolventEvaluator:
         # the dense system with its closure row, solved directly
         grid = LineGrid(40.0, 0.08)
         u0 = lorentzian()
-        ev = ResolventEvaluator(u0, t, grid)
+        ev = ResolventEvaluator(u0.hardy(grid), t)
         for z in (1j, 0.5 + 0.6j, -1.2 + 0.3j, 0.3 + 1e-3j):
             want = dense_solution(u0, t, z, grid)
             got = ev.hardy_solution(z).values
@@ -504,7 +516,7 @@ class TestResolventEvaluator:
     def test_matrix_free_product_equals_dense_assembly(self, rng, t):
         grid = LineGrid(16.0, 0.04)
         u0 = lorentzian()
-        ev = ResolventEvaluator(u0, t, grid, tail_tol=1e-6)
+        ev = ResolventEvaluator(u0.hardy(grid), t, tail_tol=1e-6)
         m = grid.last
         z = 0.2 + 0.7j
         a = gauge_operator(u0, t, grid)[:m, :m] - z * np.eye(m)
@@ -531,7 +543,7 @@ class TestResolventEvaluator:
         # right preconditioning leaves GMRES's residual that of the true
         # system, but a NaN, or a band whose LU loses the digits the
         # estimate counts on, must still be caught by the true residual
-        ev = ResolventEvaluator(lorentzian(), 0.35, LineGrid(40.0, 0.08))
+        ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), 0.35)
         ev.hardy_solution(0.5 + 0.6j)
         if corruption == "nan_diagonal":
             self._corrupt_preconditioner(monkeypatch, (2, 3), np.nan)
@@ -545,14 +557,14 @@ class TestResolventEvaluator:
         # well-conditioned band costs steps, not accuracy
         grid = LineGrid(40.0, 0.08)
         z = 0.5 + 0.6j
-        ev = ResolventEvaluator(lorentzian(), 0.35, grid)
+        ev = ResolventEvaluator(lorentzian().hardy(grid), 0.35)
         want = ev.value(z)
         self._corrupt_preconditioner(monkeypatch, (1, 5), 1e3)
         assert abs(ev.value(z) - want) <= 1e-12 * abs(want)
 
     def test_too_small_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lo, "GMRES_MAX_STEPS", 2)
-        ev = ResolventEvaluator(lorentzian(), 0.5, LineGrid(40.0, 0.08))
+        ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), 0.5)
         with pytest.raises(ConditioningError, match="did not converge in 2 steps"):
             ev.value(0.3 + 0.5j)
 
@@ -570,7 +582,7 @@ class TestResolventEvaluator:
 
         monkeypatch.setattr(ResolventEvaluator, "_apply", counting)
         field = line_preset("zero").field if case == "zero_datum" else lorentzian()
-        ev = ResolventEvaluator(field, t, LineGrid(40.0, 0.08))
+        ev = ResolventEvaluator(field.hardy(LineGrid(40.0, 0.08)), t)
         for z in (1j, 0.5 + 1e-3j):
             counted.clear()
             ev.value(z)
@@ -581,7 +593,7 @@ class TestResolventEvaluator:
 
     def test_value_is_scaled_boundary_functional(self):
         grid = LineGrid(40.0, 0.04)
-        ev = ResolventEvaluator(lorentzian(), 0.0, grid)
+        ev = ResolventEvaluator(lorentzian().hardy(grid), 0.0)
         f = ev.hardy_solution(1j)
         assert ev.value(1j) == pytest.approx(
             complex(iplus(f, extrapolate=True) / (2j * np.pi))
@@ -609,7 +621,7 @@ class TestDenseMemoryBudget:
         grid = LineGrid(40.0, 0.08)  # M = 501: the t != 0 resolvent needs 1.2 MB
         with pytest.raises(ConfigurationError, match="physical memory"):
             if path == "evaluator":
-                ResolventEvaluator(lorentzian(), 0.3, grid)
+                ResolventEvaluator(lorentzian().hardy(grid), 0.3)
             else:
                 evaluate_uhp(lorentzian(), 0.3, 1j, grid, refinements=0)
 
@@ -617,7 +629,7 @@ class TestDenseMemoryBudget:
         # at t = 0 the evaluator and every Richardson level of evaluate_uhp
         # are band solves, which need no Krylov basis
         grid = LineGrid(40.0, 0.08)
-        ev = ResolventEvaluator(lorentzian(), 0.0, grid)
+        ev = ResolventEvaluator(lorentzian().hardy(grid), 0.0)
         assert abs(ev.value(1j) - 0.5) < 1e-3
         assert abs(evaluate_uhp(lorentzian(), 0.0, 1j, grid, refinements=1) - 0.5) < 1e-4
 
@@ -625,12 +637,12 @@ class TestDenseMemoryBudget:
         # room for the t != 0 resolvent at M = 501 but not at M = 1001: the
         # first gives the value of an unconstrained run, the second is refused
         grid = LineGrid(40.0, 0.08)
-        want = ResolventEvaluator(lorentzian(), 0.3, grid).value(1j)
+        want = ResolventEvaluator(lorentzian().hardy(grid), 0.3).value(1j)
         need = (lo.GRID_NODE_BYTES + lo.KRYLOV_NODE_BYTES) * grid.count
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 * need)
-        assert ResolventEvaluator(lorentzian(), 0.3, grid).value(1j) == want
+        assert ResolventEvaluator(lorentzian().hardy(grid), 0.3).value(1j) == want
         with pytest.raises(ConfigurationError, match="Krylov basis at M = 1001"):
-            ResolventEvaluator(lorentzian(), 0.3, grid.refined(2))
+            ResolventEvaluator(lorentzian().hardy(grid.refined(2)), 0.3)
 
     def test_estimate_scales_with_grid(self, monkeypatch):
         grid = LineGrid(40.0, 0.08)
@@ -644,10 +656,8 @@ class TestDenseMemoryBudget:
     def test_peak_within_estimate(self, path):
         grid = LineGrid(16.0, 0.02)  # M = 801
         u0, t, z = lorentzian(), 0.5, 0.3 + 1j
-        runs = {
-            "assembly": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6),
-            "evaluator": lambda: ResolventEvaluator(u0, t, grid, tail_tol=1e-6).hardy_solution(z),
-        }
+        build = lambda: ResolventEvaluator(u0.hardy(grid), t, tail_tol=1e-6)
+        runs = {"assembly": build, "evaluator": lambda: build().hardy_solution(z)}
         tracemalloc.start()
         try:
             runs[path]()

@@ -79,21 +79,21 @@ class TestReconstructLine:
         zero = line_preset("zero").field
         x = np.linspace(-3, 3, 11)
         np.testing.assert_array_equal(
-            reconstruct_line(ResolventEvaluator(zero, 0.2, LineGrid(20.0, 0.05)), x),
+            reconstruct_line(ResolventEvaluator(zero.hardy(LineGrid(20.0, 0.05)), 0.2), x),
             np.zeros(11)
         )
 
     def test_t0_matches_datum(self):
         preset = line_preset("lorentzian", c=1.0)
         x = np.linspace(-6, 6, 49)
-        u = reconstruct_line(ResolventEvaluator(preset.field, 0.0), x, eps=1e-3)
+        u = reconstruct_line(ResolventEvaluator(preset.field.hardy(LineGrid()), 0.0), x, eps=1e-3)
         assert np.max(np.abs(u - preset.u_of_x(x))) < 5e-3
 
     def test_eps_refine_reduces_bias(self):
         preset = line_preset("lorentzian", c=1.0)
         x = np.linspace(-4, 4, 17)
         exact = preset.u_of_x(x)
-        ev = ResolventEvaluator(preset.field, 0.0)
+        ev = ResolventEvaluator(preset.field.hardy(LineGrid()), 0.0)
         raw = reconstruct_line(ev, x, eps=4e-3)
         refined = reconstruct_line(ev, x, eps=4e-3, eps_refine=True)
         assert np.max(np.abs(refined - exact)) < 0.5 * np.max(np.abs(raw - exact))
@@ -103,7 +103,7 @@ class TestReconstructLine:
         preset = line_preset("lorentzian", c=1.0)
         t = 0.25
         x = np.linspace(-5, 5, 41)
-        u = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.08)), x,
+        u = reconstruct_line(ResolventEvaluator(preset.field.hardy(LineGrid(40.0, 0.08)), t), x,
                              eps=1e-3, eps_refine=True)
         assert np.max(np.abs(u - preset.u_of_x(x - t))) < 8e-3
         assert np.max(np.abs(u - preset.u_of_x(x + t))) > 0.1
@@ -119,7 +119,7 @@ class TestReconstructLine:
         box = evolve_line_on_box(preset.u_of_x, t, half_width=60.0, n_modes=384)
         window = np.abs(box.x) <= 10.0
         x_cmp, u_box = box.x[window], box.u[window]
-        u_line = reconstruct_line(ResolventEvaluator(preset.field, t, LineGrid(40.0, 0.04)),
+        u_line = reconstruct_line(ResolventEvaluator(preset.field.hardy(LineGrid(40.0, 0.04)), t),
                                   x_cmp, eps=1e-3, eps_refine=True)
         rel = np.linalg.norm(u_line - u_box) / np.linalg.norm(u_box)
         assert rel < 2e-3
@@ -186,9 +186,9 @@ class TestDetailedEvaluation:
         grids = []
 
         class Recording(ResolventEvaluator):
-            def __init__(self, u0, t, grid, **kwargs):
-                grids.append(grid)
-                super().__init__(u0, t, grid, **kwargs)
+            def __init__(self, samples, t, **kwargs):
+                grids.append(samples.grid)
+                super().__init__(samples, t, **kwargs)
 
         monkeypatch.setattr(ls, "ResolventEvaluator", Recording)
         field = line_preset("lorentzian", c=1.0).field
@@ -240,20 +240,20 @@ class TestScan:
     def test_single_node_reduces_to_evaluate(self):
         field = line_preset("lorentzian", c=1.0).field
         grid = LineGrid(40.0, 0.05)
-        rows = uhp_grid_scan(ResolventEvaluator(field, 0.0, grid), [0.3], [0.9])
+        rows = uhp_grid_scan(ResolventEvaluator(field.hardy(grid), 0.0), [0.3], [0.9])
         direct = evaluate_uhp(field, 0.0, 0.3 + 0.9j, grid, refinements=0)
         assert rows[0].value == pytest.approx(direct)
 
     def test_zero_datum_scan(self):
         zero = line_preset("zero").field
-        rows = uhp_grid_scan(ResolventEvaluator(zero, 0.1, LineGrid(20.0, 0.05)),
+        rows = uhp_grid_scan(ResolventEvaluator(zero.hardy(LineGrid(20.0, 0.05)), 0.1),
                              np.linspace(-1, 1, 3), [0.5, 1.0])
         assert len(rows) == 6
         assert all(r.value == 0 for r in rows)
 
     def test_failures_recorded_per_row(self):
         field = line_preset("lorentzian", c=1.0).field
-        rows = uhp_grid_scan(ResolventEvaluator(field, 0.0, LineGrid(40.0, 0.05)),
+        rows = uhp_grid_scan(ResolventEvaluator(field.hardy(LineGrid(40.0, 0.05)), 0.0),
                              [0.0], [-0.5, 0.5])
         assert rows[0].value is None and "Im z" in rows[0].error
         assert rows[1].value is not None and rows[1].error is None
@@ -272,11 +272,13 @@ class TestSharedEvaluator:
         from boeq.cli import main
 
         seen = []
+        shared = []
 
         class Counting(ResolventEvaluator):
-            def __init__(self, u0, t, grid, **kwargs):
-                seen.append((t, grid.count))
-                super().__init__(u0, t, grid, **kwargs)
+            def __init__(self, samples, t, **kwargs):
+                seen.append((t, samples.grid.count))
+                shared.append(samples)
+                super().__init__(samples, t, **kwargs)
 
         monkeypatch.setattr(ls, "ResolventEvaluator", Counting)
         code = main(["solve-line", "--preset", "lorentzian:c=1", "--t", times,
@@ -286,6 +288,7 @@ class TestSharedEvaluator:
         assert (tmp_path / "r" / "uhp_scan.csv").is_file()
         assert len(seen) == evaluators
         assert seen == [(float(t), 401) for t in times.split(",")]
+        assert all(s is shared[0] for s in shared)  # every time reads one sampling
 
     def test_solve_line_holds_one_evaluator_at_a_time(self, tmp_path, monkeypatch):
         # each time's operator is released before the next one is built
@@ -312,7 +315,7 @@ class TestSharedEvaluator:
         u0 = line_preset("lorentzian", c=1.0).field
         x = np.linspace(-2.0, 2.0, 7)
         eps = 1e-3
-        ev = ResolventEvaluator(u0, 0.5, self.GRID, tail_tol=self.TAIL_TOL)
+        ev = ResolventEvaluator(u0.hardy(self.GRID), 0.5, tail_tol=self.TAIL_TOL)
         got = reconstruct_line(ev, x, eps=eps, eps_refine=eps_refine)
         v1 = np.array([ev.value(xj + 1j * eps) for xj in x])
         if eps_refine:
@@ -323,7 +326,7 @@ class TestSharedEvaluator:
         np.testing.assert_array_equal(got, want)
 
     def test_threads_sharing_one_evaluator_match_serial(self):
-        ev = ResolventEvaluator(line_preset("lorentzian", c=1.0).field, 0.5, self.GRID,
+        ev = ResolventEvaluator(line_preset("lorentzian", c=1.0).field.hardy(self.GRID), 0.5,
                                 tail_tol=self.TAIL_TOL)
         zs = [complex(x, 0.3) for x in np.linspace(-2.0, 2.0, 32)]
         serial = [ev.value(z) for z in zs]

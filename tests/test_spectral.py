@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from boeq.errors import IngestionError, InvalidFieldError
+from boeq.line_operators import HalfLineSpectrum, LineGrid
 from boeq.spectral import (
     TWO_PI,
-    HalfLineSpectrum,
     HardyTorusVector,
     OperatorMatrix,
     TorusField,
@@ -15,6 +15,7 @@ from boeq.spectral import (
     next_fast_len,
     project_hardy,
     synthesize_torus,
+    uniform_spacing,
 )
 
 
@@ -212,11 +213,32 @@ class TestHermitianEvolution:
 class TestHalfLineSpectrum:
     def test_grid_and_tail(self):
         vals = np.exp(-np.arange(11) * 4.0)
-        s = HalfLineSpectrum(10 * 0.5, 0.5, vals)
-        assert s.size == 11
-        assert s.xi[3] == 1.5
+        grid = LineGrid(10 * 0.5, 0.5)
+        s = grid.spectrum(vals)
+        assert s.grid is grid
+        assert s.grid.xi[3] == 1.5
         assert s.tail_fraction() == pytest.approx(np.exp(-40.0))
+        assert not s.values.flags.writeable
 
     def test_cutoff_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            HalfLineSpectrum(5.0, 0.5, np.zeros(7))
+        # the grid of cutoff 5 and step 0.5 has 11 nodes, not 7
+        with pytest.raises(ValueError, match="one value per node"):
+            HalfLineSpectrum(LineGrid(5.0, 0.5), np.zeros(7))
+        with pytest.raises(ValueError, match="one value per node"):
+            LineGrid(5.0, 0.5).spectrum(np.zeros((11, 1)))
+
+
+class TestUniformSpacing:
+    def test_spacing_of_a_uniform_grid(self):
+        assert uniform_spacing(np.linspace(-3.0, 3.0, 13)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(3.0, -3.0, 13),
+        np.array([0.0, 1.0, 2.0, 3.5, 4.5]),
+        np.array([0.0, 1.0, 1.0, 2.0]),
+        np.array([0.0, 1.0, np.nan, 3.0]),
+        np.array([0.0]),
+    ], ids=["decreasing", "nonuniform", "repeated", "nan", "single"])
+    def test_refused(self, x):
+        with pytest.raises(IngestionError):
+            uniform_spacing(x)
