@@ -24,13 +24,11 @@ from .errors import (
 )
 from .spectral import (
     EigenSystem,
-    HardyTorusVector,
     OperatorMatrix,
     TorusField,
     eigen_system,
     field_from_samples,
     hermitian_evolution,
-    project_hardy,
     synthesize_torus,
 )
 from .torus_operators import (

@@ -37,7 +37,7 @@ from .line_operators import (
     toeplitz_apply,
 )
 from .presets import line_preset, torus_preset
-from .spectral import TWO_PI, TorusField, project_hardy, synthesize_torus
+from .spectral import TWO_PI, TorusField, synthesize_torus
 from .timestepper import conserved_quantities, evolve, march, split_steps
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
 from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
@@ -135,7 +135,7 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
 
     # [S*, T_u] = <.|1> S* Pu : zero on columns with no e_0 component,
     # and exactly S* Pu against e_0 (checked as column 0 of the residual)
-    hardy = u.truncated(n).coeffs[n:]
+    hardy = u.truncated(n).hardy
     rhs = np.zeros((n + 1, n + 1), dtype=np.complex128)
     rhs[:, 0] = np.append(hardy[1:], 0.0)
     comm_ts = s @ t - t @ s - rhs
@@ -273,13 +273,11 @@ def check_formula_isospectrality(
     against those of L_{u0}.
 
     ``coeffs`` are the Hardy coefficients uhat(t, k), k = 0..K, returned by
-    :func:`evolve_coefficients`; the mean is their real k = 0 entry.  The
-    flow is isospectral, so the two spectra agree to rounding, and a wrong
+    :func:`evolve_coefficients`; the mean is their k = 0 entry.  The flow
+    is isospectral, so the two spectra agree to rounding, and a wrong
     coefficient, the mean included, moves them apart.
     """
-    modes = dict(enumerate(coeffs))
-    modes[0] = complex(coeffs[0]).real
-    u_t = TorusField.from_modes(len(coeffs) - 1, modes)
+    u_t = TorusField.from_hardy(coeffs)
     base = _lowest_lax_eigenvalues(u0, n, n_eigs)
     eigs = _lowest_lax_eigenvalues(u_t, n, n_eigs)
     return CheckReport.from_residual(
@@ -411,7 +409,7 @@ def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: 
     ``times``; one list per field, from one stacked march."""
 
     def distance(u0: TorusField, t: float, u_ref: TorusField) -> float:
-        ref = synthesize_torus(project_hardy(u_ref), float(u_ref.coeff(0).real), n_samples)
+        ref = synthesize_torus(u_ref.hardy, u_ref.mean, n_samples)
         mine = reconstruct_torus(propagator(u0, t, u0.max_mode), n_samples=n_samples)
         scale = float(np.linalg.norm(ref))
         return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
@@ -455,8 +453,7 @@ def _stepper_temporal_residual(u0: TorusField, t: float, n: int) -> Callable[[fl
     drifts from the stepper flattens the ladder and fails the order check.
     """
     ref = evolve_coefficients(propagator(u0, t, n))
-    modes = slice(n, n + ref.size)
-    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().coeffs[modes] - ref))
+    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().hardy[:ref.size] - ref))
 
 
 LINE_CHECK_NAMES = tuple(LINE_C)

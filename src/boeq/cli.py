@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, line_solution
 from .checks import default_suite, formula_vs_solver
-from .errors import BoeqError, ConfigurationError, IngestionError
+from .errors import BoeqError, ConfigurationError, IngestionError, TruncationWarning
 from .fileio import (
     read_samples_csv,
     write_coeff_csv,
@@ -39,8 +39,9 @@ from .fileio import (
 from .line_operators import LineField, LineGrid, check_tail
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
-from .spectral import TWO_PI, HardyTorusVector, project_hardy, synthesize_torus
-from .timestepper import evolve, march  # noqa: F401  (evolve: traced here by perfbench/spans.py)
+from .spectral import TWO_PI, field_from_samples, synthesize_torus, uniform_spacing
+from .timestepper import dealias_cut, march
+from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, check_dense_budget, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
 
@@ -160,16 +161,37 @@ def _torus_field(cfg: dict, n: int):
     if name == "file":
         raise ConfigurationError("use datum=PATH with preset 'csv' for file input")
     if name == "csv":
-        from .spectral import field_from_samples, uniform_spacing
-
         x, u = _read_datum(cfg)
-        uniform_spacing(x)  # u must be samples on a uniform, increasing grid
+        # u must sample one period on the uniform grid x_j = 2 pi j / len(x)
+        dx = uniform_spacing(x)
+        tol = 1e-9 * TWO_PI
+        if not (abs(x[0]) <= tol and abs(x[-1] + dx - TWO_PI) <= tol):
+            raise IngestionError(
+                f"x column must sample one period [0, 2pi): x[0] = 0 and "
+                f"x[-1] + dx = 2pi, got x[0] = {x[0]:.9g} and x[-1] + dx = {x[-1] + dx:.9g}"
+            )
         return field_from_samples(u, max_mode=n)
     return torus_preset(name, n, **params)
 
 
 def _grid_samples(n_samples: int) -> np.ndarray:
     return TWO_PI * np.arange(n_samples) / n_samples
+
+
+def _explicit_results(u0, times, n: int, k: int | None, n_samples: int):
+    """(coefficients, mean, samples) of the explicit formula at each time."""
+    for t in times:
+        prop = propagator(u0, t, n)
+        coeffs = evolve_coefficients(prop, k)
+        yield coeffs, prop.mean, synthesize_torus(coeffs, prop.mean, n_samples)
+
+
+def _spectral_results(u0, times, top: int, dt: float, n_samples: int) -> list:
+    """(coefficients 0..top, mean, samples) of the stepper at each time,
+    from one march."""
+    at = march([u0], times, dt)[0]
+    return [(f.hardy[:top + 1], f.mean, synthesize_torus(f.hardy, f.mean, n_samples))
+            for f in (at[t] for t in times)]
 
 
 def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
@@ -195,6 +217,16 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
         raise ConfigurationError(f"unknown method {method!r}")
     if method != "explicit" and any(t < 0 for t in times):
         raise ConfigurationError("times must be non-negative")
+    top = n // 2 if k is None else k  # the explicit method's K
+    cut = dealias_cut(n)
+    if method == "spectral" and top > cut:
+        warnings.warn(
+            f"coefficients k = {cut + 1}..{top} lie above the stepper's dealiasing "
+            f"cut 2N/3 = {cut} and are written as zeros; use k <= {cut} or "
+            "--method explicit",
+            TruncationWarning,
+            stacklevel=2,
+        )
     u0 = _torus_field(cfg, n)
     outdir = Path(str(cfg["out"]))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -205,36 +237,20 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
         write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n).entries)
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n).entries)
 
-    diffs = []
     if method != "explicit":
-        spectral_fields = march([u0], times, dt)[0]
-        # synthesized once: the trajectory, solution_*.csv and u_ref read these
-        samples_sets = [
-            synthesize_torus(project_hardy(f), float(f.coeff(0).real), n_samples)
-            for f in (spectral_fields[t] for t in times)
-        ]
-        write_trajectory(outdir, times, samples_sets, x)
-
-    for i, t in enumerate(times):
+        spectral = _spectral_results(u0, times, top, dt, n_samples)
+        write_trajectory(outdir, times, [u for _, _, u in spectral], x)
+    results = (spectral if method == "spectral"
+               else _explicit_results(u0, times, n, k, n_samples))
+    diffs = []
+    for i, (t, (coeffs, mean, u)) in enumerate(zip(times, results)):
         tag = f"t{i:02d}"
-        if method in ("explicit", "both"):
-            prop = propagator(u0, t, n)
-            coeffs = evolve_coefficients(prop, k)
-            write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs, prop.mean)
-            write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
-            u_exp = synthesize_torus(HardyTorusVector(coeffs), prop.mean, n_samples)
-            write_samples_csv(outdir / f"solution_{tag}.csv", x, u_exp)
-        if method == "spectral":
-            f = spectral_fields[t]
-            mean = float(f.coeff(0).real)
-            top = n // 2 if k is None else k  # the explicit method's K
-            coeffs_sp = f.coeffs[f.max_mode:f.max_mode + top + 1]
-            write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs_sp, mean)
-            write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs_sp)
-            write_samples_csv(outdir / f"solution_{tag}.csv", x, samples_sets[i])
+        write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs, mean)
+        write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
+        write_samples_csv(outdir / f"solution_{tag}.csv", x, u)
         if method == "both":
-            u_ref = samples_sets[i]
-            rel = float(np.linalg.norm(u_exp - u_ref) / max(np.linalg.norm(u_ref), 1e-300))
+            u_ref = spectral[i][2]
+            rel = float(np.linalg.norm(u - u_ref) / max(np.linalg.norm(u_ref), 1e-300))
             diffs.append({"t": t, "rel_l2": rel})
     if diffs:
         write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})

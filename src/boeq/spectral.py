@@ -5,8 +5,15 @@ Conventions used throughout the package:
 - Torus inner product ``<f|g> = (1/2pi) int_0^{2pi} f conj(g) dx`` so the
   exponentials ``e^{ikx}`` are orthonormal and coefficients are
   ``c_k = <u|e^{ikx}>``.
-- A real field satisfies ``c_{-k} = conj(c_k)`` with real ``c_0``.
-- The Hardy part of a field is the vector ``(c_0, ..., c_N)``.
+- A torus field is real: ``c_{-k} = conj(c_k)`` with real ``c_0``.
+  :class:`TorusField` is the one place that knows it: its constructor
+  refuses a conjugate-symmetry defect above ``SYMMETRY_TOL``
+  (:class:`InvalidFieldError`) and stores the symmetric part, so no
+  operator, stepper or check tests or repairs a field's reality again.
+- The Hardy part of a field, the projection ``Pu``, is the plain array
+  ``TorusField.hardy`` = ``(c_0, ..., c_N)``; the mean is ``c_0``.
+  :meth:`TorusField.from_hardy` builds the field back from it, and
+  :func:`synthesize_torus` and the propagator take it as it is.
 - On the line, spectra are sampled on the half-line frequency grid
   ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
 - The dense torus factors, the eigenvectors V of ``eigen_system`` and the
@@ -75,7 +82,15 @@ def check_memory(nbytes: float, what: str, remedy: str):
 
 @dataclass(frozen=True)
 class TorusField:
-    """Real periodic field stored as two-sided coefficients c_k, k = -N..N."""
+    """Real periodic field stored as two-sided coefficients c_k, k = -N..N.
+
+    Real by construction: the constructor refuses, by
+    :class:`InvalidFieldError`, coefficients whose conjugate-symmetry defect
+    ``max |c_{-k} - conj(c_k)|`` (which includes ``2 |Im c_0|``) exceeds
+    ``SYMMETRY_TOL`` or is NaN, and stores the symmetric part
+    ``(c + conj(c[::-1])) / 2``, which is the input bit for bit when the
+    input is exactly symmetric.  No other module checks or repairs it.
+    """
 
     max_mode: int
     coeffs: np.ndarray  # complex128, length 2*max_mode + 1, index k + max_mode
@@ -86,33 +101,60 @@ class TorusField:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.max_mode + 1,):
             raise ValueError("coeffs must have length 2*max_mode + 1")
-        object.__setattr__(self, "coeffs", _readonly(c))
+        mirror = np.conj(c[::-1])
+        defect = float(np.max(np.abs(c - mirror)))
+        if not defect <= SYMMETRY_TOL:  # NaN fails too
+            raise InvalidFieldError(
+                f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}; "
+                "a torus field is real"
+            )
+        half = c + mirror
+        half.real *= 0.5  # part by part, not times a complex 0.5, which would
+        half.imag *= 0.5  # flip the sign of some zero parts
+        half.setflags(write=False)
+        object.__setattr__(self, "coeffs", half)
 
     @classmethod
     def zero(cls, max_mode: int) -> "TorusField":
         return cls(max_mode, np.zeros(2 * max_mode + 1, dtype=np.complex128))
 
     @classmethod
-    def from_modes(cls, max_mode: int, modes: Mapping[int, complex]) -> "TorusField":
-        """Build a real field from coefficients on modes k >= 0.
+    def from_hardy(cls, hardy: np.ndarray, max_mode: int | None = None) -> "TorusField":
+        """The real field whose modes 0..K are ``hardy`` = (c_0, ..., c_K),
+        at truncation ``max_mode`` (default K); modes above K are zero and
+        the negative ones are the conjugates."""
+        h = np.asarray(hardy, dtype=np.complex128)
+        n = h.size - 1 if max_mode is None else max_mode
+        if h.ndim != 1 or not 1 <= h.size <= n + 1:
+            raise ValueError(f"need 1 to {n + 1} Hardy coefficients for max_mode {n}")
+        c = np.zeros(2 * n + 1, dtype=np.complex128)
+        c[n:n + h.size] = h
+        c[n - h.size + 1:n] = np.conj(h[:0:-1])
+        return cls(n, c)
 
-        Negative modes are filled with conjugates, so conjugate symmetry is
-        exact by construction.  The k = 0 entry must be real.
-        """
+    @classmethod
+    def from_modes(cls, max_mode: int, modes: Mapping[int, complex]) -> "TorusField":
+        """Build a real field from coefficients on modes k >= 0; each given
+        mode's negative is its conjugate, and the others are zero."""
         c = np.zeros(2 * max_mode + 1, dtype=np.complex128)
         for k, val in modes.items():
             if k < 0:
                 raise ValueError("specify modes k >= 0; negatives are implied")
             if k > max_mode:
                 raise ValueError(f"mode {k} exceeds max_mode {max_mode}")
-            if k == 0:
-                if abs(complex(val).imag) > 0:
-                    raise ValueError("c_0 must be real")
-                c[max_mode] = complex(val).real
-            else:
-                c[max_mode + k] = val
-                c[max_mode - k] = np.conj(val)
+            c[max_mode + k] = val
+            c[max_mode - k] = np.conj(val) if k else val
         return cls(max_mode, c)
+
+    @property
+    def hardy(self) -> np.ndarray:
+        """Read-only view of the Hardy half (c_0, ..., c_N), the projection Pu."""
+        return self.coeffs[self.max_mode:]
+
+    @property
+    def mean(self) -> float:
+        """The zeroth coefficient c_0, real."""
+        return float(self.coeffs[self.max_mode].real)
 
     def truncated(self, n: int) -> "TorusField":
         """This field at truncation n: modes above n cut, missing ones zero;
@@ -129,11 +171,6 @@ class TorusField:
             return 0.0 + 0.0j
         return complex(self.coeffs[self.max_mode + k])
 
-    def symmetry_defect(self) -> float:
-        """Max deviation from c_{-k} = conj(c_k), including |Im c_0|."""
-        c = self.coeffs
-        return float(np.max(np.abs(c[::-1] - np.conj(c))))
-
     def effective_band(self, rel_tol: float = 1e-12) -> int:
         """Largest |k| whose coefficient exceeds rel_tol * max |c|."""
         mags = np.abs(self.coeffs)
@@ -143,30 +180,6 @@ class TorusField:
         ks = np.abs(np.arange(-self.max_mode, self.max_mode + 1))
         live = mags > rel_tol * top
         return int(ks[live].max()) if live.any() else 0
-
-
-@dataclass(frozen=True)
-class HardyTorusVector:
-    """One-sided coefficient vector (v_0, ..., v_N) of a Hardy-space function."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-d array")
-        object.__setattr__(self, "coeffs", _readonly(c))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def max_mode(self) -> int:
-        return self.coeffs.size - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +265,23 @@ def next_fast_len(target: int) -> int:
     return best
 
 
-def project_hardy(u: TorusField) -> HardyTorusVector:
-    """Orthogonal projection onto non-negative modes: (c_0, ..., c_N)."""
-    defect = u.symmetry_defect()
-    if defect > SYMMETRY_TOL:
-        raise InvalidFieldError(
-            f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}"
-        )
-    return HardyTorusVector(u.coeffs[u.max_mode:])
-
-
-def synthesize_torus(p: HardyTorusVector, mean: float, n_samples: int) -> np.ndarray:
-    """Samples of ``p + conj(p) - mean`` on the uniform grid of [0, 2pi).
+def synthesize_torus(hardy: np.ndarray, mean: float, n_samples: int) -> np.ndarray:
+    """Samples of ``p + conj(p) - mean`` on the uniform grid of [0, 2pi),
+    where ``p`` has the Hardy coefficients ``hardy`` = (c_0, ..., c_N).
 
     ``mean`` is the conserved zeroth coefficient of the underlying real field.
     """
-    n_modes = p.max_mode
+    p = np.asarray(hardy, dtype=np.complex128)
+    n_modes = p.size - 1
     if n_samples < 2 * n_modes + 1:
         raise ValueError(
             f"need at least {2 * n_modes + 1} samples to resolve {n_modes} modes"
         )
     spec = np.zeros(n_samples, dtype=np.complex128)
-    spec[0] = p.coeffs[0] + np.conj(p.coeffs[0]) - mean
+    spec[0] = p[0] + np.conj(p[0]) - mean
     if n_modes >= 1:
-        spec[1:n_modes + 1] = p.coeffs[1:]
-        spec[-n_modes:] = np.conj(p.coeffs[1:][::-1])
+        spec[1:n_modes + 1] = p[1:]
+        spec[-n_modes:] = np.conj(p[1:][::-1])
     samples = np.fft.ifft(spec) * n_samples
     residue = float(np.max(np.abs(samples.imag)))
     scale = max(1.0, float(np.max(np.abs(samples.real))))
@@ -300,8 +305,9 @@ def uniform_spacing(x: np.ndarray) -> float:
 def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> TorusField:
     """Discrete Fourier coefficients of real samples on a uniform [0, 2pi) grid.
 
-    Uses ``c_k = (1/2pi) int u e^{-ikx} dx`` realized as an FFT; conjugate
-    symmetry is enforced exactly by averaging ``c_k`` with ``conj(c_{-k})``.
+    Uses ``c_k = (1/2pi) int u e^{-ikx} dx`` realized as an FFT, whose
+    rounding leaves ``c_k`` and ``conj(c_{-k})`` a few ulps apart; each
+    Hardy coefficient is their average.
     """
     s = np.asarray(samples)
     if not np.all(np.isfinite(s)):
@@ -318,12 +324,7 @@ def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> Toru
         )
     spec = np.fft.fft(s) / n
     ks = np.arange(max_mode + 1)
-    pos = 0.5 * (spec[ks] + np.conj(spec[(-ks) % n]))
-    pos[0] = pos[0].real
-    c = np.empty(2 * max_mode + 1, dtype=np.complex128)
-    c[max_mode:] = pos
-    c[:max_mode] = np.conj(pos[1:][::-1])
-    return TorusField(max_mode, c)
+    return TorusField.from_hardy(0.5 * (spec[ks] + np.conj(spec[(-ks) % n])))
 
 
 def eigen_system(a: OperatorMatrix) -> EigenSystem:

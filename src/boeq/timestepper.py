@@ -7,10 +7,11 @@ Trefethen, SISC 26 (2005) for the family of exponential steppers).  The
 field is real, so the stepper carries only the half spectrum c_0..c_N and
 forms products with real FFTs (``irfft``/``rfft``): the result is conjugate
 symmetric by construction, and the negative modes are filled in only when a
-field is handed back.  Products are formed on a zero-padded grid large
-enough that every retained mode of the quadratic is alias-free, then cut
-with the 2/3 rule, so the dealiasing property "cut changes nothing for
-band-limited data" holds to the bit.  Complex (non-real) data are refused.
+field is handed back (``TorusField.from_hardy``).  Products are formed on a
+zero-padded grid large enough that every retained mode of the quadratic is
+alias-free, then cut with the 2/3 rule (:func:`dealias_cut`), so the
+dealiasing property "cut changes nothing for band-limited data" holds to
+the bit, and a field handed back is zero above the cut.
 
 Every march is one loop over a stack of rows (:func:`_march`), one row
 per truncation, that stops at a sorted list of step counts and returns
@@ -40,14 +41,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidFieldError, StabilityWarning
-from .spectral import SYMMETRY_TOL, TorusField, next_fast_len
+from .errors import BlowUpError, StabilityWarning
+from .spectral import TorusField, next_fast_len
 
 __all__ = [
     "Trajectory",
     "evolve",
     "march",
     "split_steps",
+    "dealias_cut",
     "conserved_quantities",
 ]
 
@@ -67,6 +69,12 @@ class Trajectory:
         return self.fields[-1]
 
 
+def dealias_cut(n):
+    """Highest mode the stepper keeps at truncation n (the 2/3 rule); the
+    modes above it of every field it hands back are zero."""
+    return (2 * n) // 3
+
+
 class _Stepper:
     """Precomputed tables and padded FFT buffer for repeated steps at fixed
     dt, acting on the retained half spectra c_0..c_cut of real fields.
@@ -82,7 +90,7 @@ class _Stepper:
     def __init__(self, ns: Sequence[int], dt: float, dealias: bool = True):
         self.dt = dt
         ns = np.asarray(ns)
-        self.cuts = (2 * ns) // 3 if dealias else ns
+        self.cuts = dealias_cut(ns) if dealias else ns
         self.cut = int(np.max(self.cuts))
         k = np.arange(self.cut + 1)
         self.minus_ik = np.where(k <= self.cuts[:, None], -1j * k, 0.0)
@@ -114,15 +122,6 @@ class _Stepper:
         return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
 
 
-def _check_real(u: TorusField):
-    defect = u.symmetry_defect()
-    if defect > SYMMETRY_TOL:
-        raise InvalidFieldError(
-            f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}; "
-            "the stepper evolves real fields only"
-        )
-
-
 def _check_cfl(dt: float, n: int, field: TorusField):
     amp = float(np.sum(np.abs(field.coeffs)))  # bounds max|u|
     number = abs(dt) * n * amp
@@ -141,16 +140,6 @@ def _check_finite(c: np.ndarray, ns: Sequence[int], t: float):
     finite = np.isfinite(c).all(axis=-1)
     if not finite.all():
         raise BlowUpError(t, ns[int(np.argmin(finite))])
-
-
-def _restore(c: np.ndarray, n: int) -> TorusField:
-    """The real field at truncation n whose modes 0..len(c)-1 are c."""
-    m = c.size
-    coeffs = np.zeros(2 * n + 1, dtype=np.complex128)
-    coeffs[n:n + m] = c
-    coeffs[n] = c[0].real  # the input's c_0 may carry an imaginary part within SYMMETRY_TOL
-    coeffs[n - m + 1:n] = np.conj(c[:0:-1])
-    return TorusField(n, coeffs)
 
 
 def split_steps(total: float, dt: float) -> tuple[int, float]:
@@ -172,19 +161,18 @@ def _march(fields: Sequence[TorusField], stops: Sequence[tuple[int, float]],
     length, taken in the direction of dt; 0.0 for none).  A partial step is
     taken on a copy that the march does not continue from, so each stop has
     the bits of one march straight to it.  The stop (0, 0.0) hands back the
-    fields themselves.  The reality and CFL checks run once per row, and a
-    blow-up names its row's N.
+    fields themselves.  The CFL check runs once per row, and a blow-up
+    names its row's N.
     """
     for u in fields:
-        _check_real(u)
         _check_cfl(dt, u.max_mode, u)
     if not fields:
         return [[] for _ in stops]
     ns = [u.max_mode for u in fields]
     eng = _Stepper(ns, dt)
     c = np.zeros((len(ns), eng.cut + 1), dtype=np.complex128)
-    for row, u, n, cut in zip(c, fields, ns, eng.cuts):
-        row[:cut + 1] = u.coeffs[n:n + cut + 1]
+    for row, u, cut in zip(c, fields, eng.cuts):
+        row[:cut + 1] = u.hardy[:cut + 1]
 
     out, done = [], 0
     for whole, partial in stops:
@@ -200,7 +188,8 @@ def _march(fields: Sequence[TorusField], stops: Sequence[tuple[int, float]],
             partial = math.copysign(partial, dt)
             end = _Stepper(ns, partial).step(c)
             _check_finite(end, ns, whole * dt + partial)
-        out.append([_restore(row[:cut + 1], n) for row, n, cut in zip(end, ns, eng.cuts)])
+        out.append([TorusField.from_hardy(row[:cut + 1], n)
+                    for row, n, cut in zip(end, ns, eng.cuts)])
     return out
 
 
@@ -216,8 +205,6 @@ def evolve(
 
     ``snapshot_every`` is in steps; 0 keeps only the endpoints.  The final
     partial step, when t_final is not a multiple of dt, is taken exactly.
-    Raises :class:`InvalidFieldError` when u0 is not real (conjugate-symmetry
-    defect above ``SYMMETRY_TOL``).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -268,9 +255,9 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     """
     n = u.max_mode
     ks = np.abs(np.arange(-n, n + 1))
-    mean = float(u.coeff(0).real)
+    mean = u.mean
     l2sq = float(np.sum(np.abs(u.coeffs) ** 2))
-    grid = np.fft.irfft(u.coeffs[n:], next_fast_len(3 * n + 1), norm="forward")
+    grid = np.fft.irfft(u.hardy, next_fast_len(3 * n + 1), norm="forward")
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
     return {"mean": mean, "l2sq": l2sq, "energy": energy}

@@ -11,8 +11,8 @@ import warnings
 
 import numpy as np
 
-from .errors import InvalidFieldError, TruncationWarning
-from .spectral import SYMMETRY_TOL, OperatorMatrix, TorusField, check_memory
+from .errors import TruncationWarning
+from .spectral import OperatorMatrix, TorusField, check_memory
 
 __all__ = [
     "toeplitz_matrix",
@@ -34,31 +34,23 @@ def check_dense_budget(n: int):
                  f"dense torus operators at n = {n}", "lower the truncation n")
 
 
-def _diagonal_values(b: TorusField, n: int) -> tuple[np.ndarray, bool]:
-    """Coefficients b_hat(d) for d = -n..n, symmetrized when b is real.
+def _diagonal_values(b: TorusField, n: int) -> np.ndarray:
+    """Coefficients b_hat(d) for d = -n..n, indexed by d + n.
 
-    Returns (values indexed by d + n, is_real).  Symmetrizing the coefficient
-    array (not the assembled matrix) makes the Toeplitz matrix of a real
-    symbol exactly Hermitian.
+    The negative diagonals are the conjugates of the Hardy half, so the
+    Toeplitz matrix of the (real) symbol is exactly Hermitian.
     """
-    is_real = b.symmetry_defect() <= SYMMETRY_TOL
     vals = np.zeros(2 * n + 1, dtype=np.complex128)
     top = min(n, b.max_mode)
-    ks = np.arange(top + 1)
-    pos = b.coeffs[b.max_mode + ks]
-    if is_real:
-        pos = 0.5 * (pos + np.conj(b.coeffs[b.max_mode - ks]))
-        pos[0] = pos[0].real
-        vals[n:n + top + 1] = pos
-        vals[n - top:n] = np.conj(pos[1:][::-1])
-    else:
-        vals[n:n + top + 1] = pos
-        vals[n - top:n] = b.coeffs[b.max_mode - top:b.max_mode]
-    return vals, is_real
+    pos = b.hardy[:top + 1]
+    vals[n:n + top + 1] = pos
+    vals[n - top:n] = np.conj(pos[1:][::-1])
+    return vals
 
 
 def toeplitz_matrix(b: TorusField, n: int) -> OperatorMatrix:
-    """Truncated Toeplitz operator f -> P(b f): entries b_hat(j - k).
+    """Truncated Toeplitz operator f -> P(b f): entries b_hat(j - k);
+    exactly Hermitian, as every symbol is real.
 
     Modes of ``b`` beyond +-2n cannot reach the truncation and are ignored
     (with a warning when nonzero).
@@ -73,16 +65,13 @@ def toeplitz_matrix(b: TorusField, n: int) -> OperatorMatrix:
                 TruncationWarning,
                 stacklevel=2,
             )
-    vals, is_real = _diagonal_values(b, n)
+    vals = _diagonal_values(b, n)
     j = np.arange(n + 1)
-    t = vals[j[:, None] - j[None, :] + n]
-    return OperatorMatrix(t, tag="hermitian" if is_real else "general")
+    return OperatorMatrix(vals[j[:, None] - j[None, :] + n], tag="hermitian")
 
 
 def lax_matrix(u: TorusField, n: int) -> OperatorMatrix:
     """Truncated L_u = D - T_u with D = diag(0..n); exactly Hermitian."""
-    if u.symmetry_defect() > SYMMETRY_TOL:
-        raise InvalidFieldError("lax_matrix requires a real (conjugate-symmetric) field")
     t = toeplitz_matrix(u, n)
     entries = np.diag(np.arange(n + 1).astype(np.complex128)) - t.entries
     return OperatorMatrix(entries, tag="hermitian")
@@ -102,8 +91,6 @@ def b_matrix(u: TorusField, n: int) -> OperatorMatrix:
     is evaluated as its own symmetric part to remove matmul reassociation
     roundoff.
     """
-    if u.symmetry_defect() > SYMMETRY_TOL:
-        raise InvalidFieldError("b_matrix requires a real (conjugate-symmetric) field")
     t_disp = toeplitz_matrix(abs_derivative_field(u), n)
     t = toeplitz_matrix(u, n).entries
     sq = t @ t

@@ -36,7 +36,6 @@ from . import spectral
 from .errors import ConditioningError, DomainError, TruncationWarning
 from .spectral import (
     EigenSystem,
-    HardyTorusVector,
     TorusField,
     hermitian_evolution,  # noqa: F401  (traced here by perfbench/spans.py)
     synthesize_torus,
@@ -129,16 +128,16 @@ class TorusPropagator:
     """
 
     t: float
-    p0: HardyTorusVector
+    p0: np.ndarray  # the Hardy half (c_0, ..., c_N) of u0 at truncation N
     mean: float
     matrix: np.ndarray  # M = exp(it) exp(2it L_{u0}) S*
 
     def __post_init__(self):
-        object.__setattr__(self, "_series", _PowerSequence(self.matrix, self.p0.coeffs))
+        object.__setattr__(self, "_series", _PowerSequence(self.matrix, self.p0))
 
     @property
     def max_mode(self) -> int:
-        return self.p0.max_mode
+        return self.p0.size - 1
 
 
 # The eigensystem of the last datum seen: (key, EigenSystem).  One entry is
@@ -177,8 +176,8 @@ def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
     matrix *= phase
     return TorusPropagator(
         t=t,
-        p0=HardyTorusVector(u0.truncated(n).coeffs[n:]),
-        mean=float(u0.coeff(0).real),
+        p0=u0.truncated(n).hardy,
+        mean=u0.mean,
         matrix=matrix,
     )
 
@@ -195,10 +194,10 @@ def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> n
     if k_max < 0 or k_max > n:
         raise ValueError("coefficient count must lie in [0, N]")
     out = np.empty(k_max + 1, dtype=np.complex128)
-    out[0] = prop.p0.coeffs[0]
+    out[0] = prop.p0[0]
     guard = n - k_max // 4
     worst_tail = 0.0
-    for k, (v, e) in enumerate(islice(_iterates(prop.matrix, prop.p0.coeffs), k_max), 1):
+    for k, (v, e) in enumerate(islice(_iterates(prop.matrix, prop.p0), k_max), 1):
         out[k] = _unscaled(complex(v[0]), e)
         if guard + 1 <= n:
             tail = math.ldexp(float(np.linalg.norm(v[guard + 1:])), e)
@@ -267,4 +266,4 @@ def reconstruct_torus(
     the imaginary residue of the synthesis is checked below 1e-10 internally.
     """
     coeffs = evolve_coefficients(prop, n_coeffs)
-    return synthesize_torus(HardyTorusVector(coeffs), prop.mean, n_samples)
+    return synthesize_torus(coeffs, prop.mean, n_samples)

@@ -22,7 +22,7 @@ from boeq.fileio import sha256_of
 from boeq.line_operators import LineGrid, ResolventEvaluator
 from boeq.line_solution import evaluate_uhp, reconstruct_line
 from boeq.presets import line_preset, torus_preset
-from boeq.spectral import TorusField, project_hardy, synthesize_torus
+from boeq.spectral import TorusField, synthesize_torus
 from boeq.timestepper import conserved_quantities, evolve
 from boeq.torus_solution import evolve_coefficients, propagator, reconstruct_torus
 
@@ -56,8 +56,7 @@ def test_criterion_1_formula_matches_solver(torus_run):
     u0 = torus_run["u0"]
     worst = 0.0
     for t, ref_field in torus_run["fields"].items():
-        ref = synthesize_torus(project_hardy(ref_field),
-                               float(ref_field.coeff(0).real), 512)
+        ref = synthesize_torus(ref_field.hardy, ref_field.mean, 512)
         mine = reconstruct_torus(propagator(u0, t, 128), n_samples=512)
         rel = np.linalg.norm(mine - ref) / np.linalg.norm(ref)
         assert rel <= 1e-6, (t, rel)

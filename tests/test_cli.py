@@ -181,6 +181,50 @@ class TestSolveTorusCommand:
         assert manifest["warnings"] == [
             "nonlinear CFL number dt*N*max|u| ~ 1.92 at N = 64 exceeds 1; watch for blow-up"]
 
+    @pytest.mark.parametrize("k, warned", [(10, False), (16, True)])
+    def test_spectral_k_above_dealias_cut_warns(self, tmp_path, k, warned):
+        # the stepper keeps modes 0..2N/3 = 10 at N = 16; above them it writes zeros
+        out = tmp_path / "run"
+        code = main(["solve-torus", "--preset", "cos", "--n", "16", "--k", str(k),
+                     "--t", "0.5", "--method", "spectral", "--out", str(out)])
+        assert code == 0
+        seen = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert seen == (["coefficients k = 11..16 lie above the stepper's dealiasing cut "
+                         "2N/3 = 10 and are written as zeros; use k <= 10 or --method "
+                         "explicit"] if warned else [])
+        rows = (out / "coeffs_t00.csv").read_text().splitlines()[1:]
+        assert len(rows) == k + 1
+        assert all(row == f"{i},0.0,0.0" for i, row in enumerate(rows) if i > 10)
+
+    def test_periodic_sampled_datum(self, tmp_path):
+        x = 2 * np.pi * np.arange(64) / 64
+        u = np.exp(np.sin(x))
+        datum = tmp_path / "datum.csv"
+        write_samples_csv(datum, x, u)
+        out = tmp_path / "run"
+        code = main(["solve-torus", "--preset", "csv", "--datum", str(datum), "--n", "16",
+                     "--t", "0.2", "--out", str(out)])
+        assert code == 0
+        got = json.loads((out / "initial_field.json").read_text())["coeffs"]
+        want = spectral.field_from_samples(read_samples_csv(datum)[1], max_mode=16).coeffs
+        np.testing.assert_array_equal([complex(*c) for c in got], want)
+
+    @pytest.mark.parametrize("grid", ["shifted", "short", "long", "line"])
+    def test_sampled_x_must_cover_one_period(self, tmp_path, capsys, grid):
+        # x_j = 2 pi j / 64 shifted, without its last point, with 2 pi
+        # itself, or the line grid [-30, 30]: none samples one period
+        x = 2 * np.pi * np.arange(65) / 64
+        x = {"shifted": x[:64] + 0.1, "short": x[:63], "long": x,
+             "line": np.linspace(-30.0, 30.0, 601)}[grid]
+        datum = tmp_path / "datum.csv"
+        write_samples_csv(datum, x, 2.0 / (1.0 + x ** 2))
+        out = tmp_path / "r"
+        code = main(["solve-torus", "--preset", "csv", "--datum", str(datum), "--n", "16",
+                     "--out", str(out)])
+        assert code == 2
+        assert "one period" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multi_time_run_matches_single_time_runs(self, tmp_path, monkeypatch):
         import boeq.torus_solution as ts
 

@@ -4,19 +4,20 @@ from scipy.integrate import quad
 
 from boeq.errors import IngestionError, InvalidFieldError
 from boeq.line_operators import HalfLineSpectrum, LineGrid
+from boeq.presets import torus_preset
 from boeq.spectral import (
+    SYMMETRY_TOL,
     TWO_PI,
-    HardyTorusVector,
     OperatorMatrix,
     TorusField,
     eigen_system,
     field_from_samples,
     hermitian_evolution,
     next_fast_len,
-    project_hardy,
     synthesize_torus,
     uniform_spacing,
 )
+from boeq.timestepper import march
 
 
 def expm_series(a):
@@ -45,12 +46,67 @@ def test_next_fast_len_is_scipys_real_length():
 class TestTorusField:
     def test_from_modes_conjugate_symmetry_exact(self):
         f = TorusField.from_modes(4, {1: 0.3 + 0.7j, 3: -0.2j})
-        assert f.symmetry_defect() == 0.0
         assert f.coeff(-1) == np.conj(f.coeff(1))
+        assert f.coeff(-3) == np.conj(f.coeff(3))
 
     def test_from_modes_rejects_complex_mean(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidFieldError):
             TorusField.from_modes(2, {0: 1.0 + 0.5j})
+
+    @pytest.mark.parametrize("case", ["asymmetric", "complex_mean", "nan"])
+    def test_refuses_non_real(self, case):
+        c = np.zeros(5, complex)
+        if case == "asymmetric":
+            c[3] = 1.0  # k = 1 set, k = -1 missing
+        elif case == "complex_mean":
+            c[2] = 1.0 + 1e-9j
+        else:
+            c[1] = c[3] = np.nan
+        with pytest.raises(InvalidFieldError):
+            TorusField(2, c)
+
+    def test_within_tolerance_is_stored_exactly_symmetric(self):
+        c = np.array([0.5 - 0.25j, 0.1 + 0.2j, 2.0, 0.1 - 0.2j, 0.5 + 0.25j])
+        c[3] += 0.4 * SYMMETRY_TOL * (1 + 1j)
+        c[2] += 0.4j * SYMMETRY_TOL
+        f = TorusField(2, c)
+        np.testing.assert_array_equal(f.coeffs[::-1], np.conj(f.coeffs))
+        assert f.coeff(0).imag == 0.0
+        np.testing.assert_allclose(f.coeffs, c, rtol=0, atol=SYMMETRY_TOL)
+
+    def test_exactly_symmetric_is_kept_bit_for_bit(self, rng):
+        h = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        h[0] = h[0].real
+        h[3] = -0.0 - 2.0j
+        c = np.concatenate([np.conj(h[:0:-1]), h])
+        assert TorusField(6, c).coeffs.tobytes() == c.tobytes()
+
+    def test_hardy_is_a_read_only_view_and_mean_is_c0(self):
+        f = TorusField.from_modes(3, {0: 1.25, 2: 0.5j})
+        np.testing.assert_array_equal(f.hardy, [1.25, 0, 0.5j, 0])
+        assert f.mean == 1.25
+        with pytest.raises(ValueError):
+            f.hardy[1] = 1.0
+
+    @pytest.mark.parametrize("source", ["preset", "samples", "truncated", "march"])
+    def test_from_hardy_inverts_hardy(self, source):
+        u = torus_preset("twomode", 16, a=1.0, b=0.5)
+        if source == "samples":
+            x = TWO_PI * np.arange(40) / 40
+            u = field_from_samples(np.exp(np.sin(x)), max_mode=16)
+        elif source == "truncated":
+            u = u.truncated(24)
+        elif source == "march":
+            u = march([u], [0.05], 1e-3)[0][0.05]
+        back = TorusField.from_hardy(u.hardy, u.max_mode)
+        assert back.max_mode == u.max_mode
+        np.testing.assert_array_equal(back.coeffs, u.coeffs)
+
+    def test_from_hardy_pads_above_its_modes(self):
+        f = TorusField.from_hardy([0.5, 0.25j], 3)
+        np.testing.assert_array_equal(f.coeffs, [0, 0, -0.25j, 0.5, 0.25j, 0, 0])
+        with pytest.raises(ValueError):
+            TorusField.from_hardy([1.0, 0.0, 0.0], 1)
 
     def test_effective_band(self):
         f = TorusField.from_modes(8, {2: 1.0, 5: 1e-20})
@@ -68,54 +124,47 @@ class TestTorusField:
 
 
 class TestProjectHardy:
+    """The Hardy projection Pu, ``TorusField.hardy``."""
+
     def test_two_cos(self):
         u = TorusField.from_modes(4, {1: 1.0})  # 2 cos x
-        p = project_hardy(u)
-        assert np.allclose(p.coeffs, [0, 1, 0, 0, 0])
+        assert np.allclose(u.hardy, [0, 1, 0, 0, 0])
 
     def test_constant(self):
         u = TorusField.from_modes(3, {0: 2.5})
-        p = project_hardy(u)
-        assert np.allclose(p.coeffs, [2.5, 0, 0, 0])
+        assert np.allclose(u.hardy, [2.5, 0, 0, 0])
 
     def test_mixed_modes(self):
         # 2 cos x + 4 sin 2x has e^{2ix} coefficient -2i
         u = TorusField.from_modes(4, {1: 1.0, 2: -2.0j})
-        p = project_hardy(u)
-        assert np.allclose(p.coeffs, [0, 1, -2j, 0, 0])
-
-    def test_symmetry_violation_raises(self):
-        c = np.zeros(5, complex)
-        c[3] = 1.0  # k=1 set, k=-1 missing
-        with pytest.raises(InvalidFieldError):
-            project_hardy(TorusField(2, c))
+        assert np.allclose(u.hardy, [0, 1, -2j, 0, 0])
 
 
 class TestSynthesize:
     def test_single_mode_gives_cosine(self):
-        p = HardyTorusVector([0, 1, 0])
         x = TWO_PI * np.arange(16) / 16
-        np.testing.assert_allclose(synthesize_torus(p, 0.0, 16), 2 * np.cos(x), atol=1e-13)
+        np.testing.assert_allclose(synthesize_torus(np.array([0, 1, 0]), 0.0, 16), 2 * np.cos(x),
+                                   atol=1e-13)
 
     def test_constant(self):
-        p = HardyTorusVector([1.5, 0, 0])
-        np.testing.assert_allclose(synthesize_torus(p, 1.5, 8), np.full(8, 1.5), atol=1e-14)
+        np.testing.assert_allclose(synthesize_torus(np.array([1.5, 0, 0]), 1.5, 8), np.full(8, 1.5),
+                                   atol=1e-14)
 
     def test_roundtrip_random_field(self, rng):
         n = 12
         modes = {k: rng.standard_normal() + 1j * rng.standard_normal() for k in range(1, n + 1)}
         modes[0] = rng.standard_normal()
         u = TorusField.from_modes(n, modes)
-        samples = synthesize_torus(project_hardy(u), float(u.coeff(0).real), 64)
+        samples = synthesize_torus(u.hardy, u.mean, 64)
         back = field_from_samples(samples, max_mode=n)
         assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
     def test_roundtrip_on_band_limited_samples(self, rng):
         # band-limit first: 40 samples can only carry modes |k| <= 19
         raw = field_from_samples(rng.standard_normal(40))
-        samples = synthesize_torus(project_hardy(raw), float(raw.coeff(0).real), 40)
+        samples = synthesize_torus(raw.hardy, raw.mean, 40)
         f = field_from_samples(samples)
-        again = synthesize_torus(project_hardy(f), float(f.coeff(0).real), 40)
+        again = synthesize_torus(f.hardy, f.mean, 40)
         np.testing.assert_allclose(again, samples, atol=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boeq.errors import BlowUpError, InvalidFieldError, StabilityWarning
+from boeq.errors import BlowUpError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples
 from boeq.presets import torus_preset
 from boeq.timestepper import _Stepper, conserved_quantities, evolve, march
@@ -89,28 +89,14 @@ class TestStep:
             one_step(u, 0.02)
 
 
-def _complex_field(n):
-    """c_1 = 0.1 but c_-1 = 0: not the coefficients of a real field."""
-    c = np.zeros(2 * n + 1, dtype=np.complex128)
-    c[n + 1] = 0.1
-    return TorusField(n, c)
-
-
 class TestRealFieldGuard:
-    def test_evolve_refuses_complex_field(self):
-        with pytest.raises(InvalidFieldError):
-            evolve(_complex_field(16), 0.01, 1e-3, 16)
-
-    def test_step_refuses_complex_field(self):
-        with pytest.raises(InvalidFieldError):
-            one_step(_complex_field(16), 1e-3)
-
     def test_field_from_samples_datum_passes(self):
         x = 2 * np.pi * np.arange(64) / 64
         u = field_from_samples(np.exp(np.sin(x)) + 0.3 * np.cos(3 * x), max_mode=16)
-        traj = evolve(u, 0.01, 1e-3, 16)
-        assert traj.final().symmetry_defect() == 0.0
-        assert one_step(u, 1e-3).final().symmetry_defect() == 0.0
+        final = evolve(u, 0.01, 1e-3, 16).final()
+        assert final.max_mode == 16 and np.all(np.isfinite(final.coeffs))
+        assert abs(final.mean - u.mean) <= 1e-15
+        np.testing.assert_array_equal(one_step(u, 1e-3).final().hardy[11:], 0.0)
 
 
 def to_fft_layout(coeffs):
@@ -179,8 +165,10 @@ class TestEvolve:
 
     def test_snapshots_are_conjugate_symmetric(self):
         traj = evolve(cos_field(32), 0.05, 1e-3, 32, snapshot_every=10)
+        assert len(traj.fields) == 6
         for f in traj.fields:
-            assert f.symmetry_defect() == 0.0
+            # every snapshot is the real field of its own Hardy half
+            np.testing.assert_array_equal(TorusField.from_hardy(f.hardy, 32).coeffs, f.coeffs)
 
     def test_time_reversal_consistency(self):
         u = cos_field(128)
@@ -230,7 +218,6 @@ class TestEvolveStack:
                 np.testing.assert_array_equal(got.coeffs, alone.coeffs)
             else:
                 assert _relative_gap(got, alone) <= 1e-15
-            assert got.symmetry_defect() == 0.0
 
     def test_one_row_is_evolve_bitwise(self):
         u = torus_preset("twomode", 40, a=1.0, b=0.5)
@@ -258,10 +245,6 @@ class TestEvolveStack:
             march_to([cos_field(n, a=5.0) for n in ns], 10.0, 0.5)
         assert err.value.n == 32
         assert "N = 32" in str(err.value)
-
-    def test_refuses_complex_row(self):
-        with pytest.raises(InvalidFieldError):
-            march_to([cos_field(16), _complex_field(16)], 0.01, 1e-3)
 
 
 class TestMarch:
