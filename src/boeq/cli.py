@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``solve-torus``, ``solve-line``, ``validate``, ``compare``.
-Every run writes its outputs plus a ``manifest.json`` echoing the resolved
+Every run writes its outputs plus a ``manifest.json`` echoing the checked
 configuration and checksumming the other files.  Exit codes: 0 success,
 1 validation failure, 2 usage/configuration error, 3 numerical failure.
 
-A JSON config document (``--config``) supplies defaults; explicit CLI flags
-override its keys, and a key the subcommand does not take exits 2.
+Every option is a flag ``--key-name`` and a key ``key_name`` of the JSON
+config document given by ``--config``; a config key the subcommand does not
+take exits 2.  Values merge defaults <- config file <- flags, and each then
+passes its option's one check, wherever it came from.  Each option is
+declared once, as a row of ``OPTIONS``; checks that involve several options
+stay in the commands.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,20 +51,6 @@ from .torus_operators import b_matrix, check_dense_budget, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from exc
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -72,32 +63,39 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, keys: dict[str, object]) -> dict:
-    """Merge defaults <- config file <- explicitly passed flags.
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge defaults <- config file <- explicitly passed flags, and check
+    every value by its option's row, wherever it came from.
 
     A config-file key the subcommand does not take is a configuration error,
     so a misspelt key cannot fall back to its default unnoticed.
     """
-    cfg = dict(keys)
+    options = OPTIONS[args.command][2]
     loaded = _load_config(args.config)
+    keys = [opt.key for opt in options]
     unknown = sorted(k for k in loaded if k not in keys)
     if unknown:
         raise ConfigurationError(
             f"unknown config key(s) for {args.command}: {', '.join(map(repr, unknown))}; "
             f"known keys: {', '.join(keys)}"
         )
-    cfg.update(loaded)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
+    cfg = {}
+    for opt in options:
+        flag = getattr(args, opt.key)
+        cfg[opt.key] = opt.check(loaded.get(opt.key, opt.default) if flag is None else flag,
+                                 opt.key)
     return cfg
 
 
+# Each check takes a value, a string from a flag or any JSON value from a
+# config file, and the key to name; it returns the checked value or raises
+# ConfigurationError.
+
 def _finite(value, name: str) -> float:
-    """``value`` as a float; a non-number or non-finite value exits 2."""
+    """``value`` as a float; a non-number (JSON true and false included) or
+    non-finite value exits 2."""
     try:
-        val = float(value)
+        val = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         val = math.nan
     if not math.isfinite(val):
@@ -105,11 +103,11 @@ def _finite(value, name: str) -> float:
     return val
 
 
-def _positive(cfg: dict, key: str) -> float:
-    """``cfg[key]`` as a float; a non-positive or non-finite value exits 2."""
-    val = _finite(cfg[key], key)
+def _positive(value, name: str) -> float:
+    """``value`` as a float; a non-positive or non-finite value exits 2."""
+    val = _finite(value, name)
     if val <= 0:
-        raise ConfigurationError(f"{key} must be a positive number, got {cfg[key]!r}")
+        raise ConfigurationError(f"{name} must be a positive number, got {value!r}")
     return val
 
 
@@ -129,37 +127,61 @@ def _count(value, name: str) -> int:
     return n
 
 
-def _times(cfg: dict) -> list[float]:
-    """``cfg["t"]``, a list or a comma-separated string, as finite floats.
-
-    Checked after the merge: a JSON config file can hold NaN and Infinity.
-    """
-    raw = _parse_floats(cfg["t"]) if isinstance(cfg["t"], str) else cfg["t"]
-    if not isinstance(raw, list):
-        raise ConfigurationError(f"t must be a list of times, got {raw!r}")
-    return [_finite(v, "each time") for v in raw]
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{name} must be a string, got {value!r}")
+    return value
 
 
-def _scan_axes(spec: str) -> tuple[np.ndarray, np.ndarray]:
-    """The axes of a ``re0,re1,nre,im0,im1,nim`` scan; a bad spec exits 2."""
-    parts = [_finite(v, "each --scan value") for v in _parse_floats(spec)]
+def _switch(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _optional(check):
+    return lambda value, name: None if value is None else check(value, name)
+
+
+def _one_of(*choices: str):
+    def check(value, name: str) -> str:
+        if value not in choices:
+            raise ConfigurationError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
+def _list_of(check):
+    """A check of a list, or a comma-separated string, item by item."""
+    def checked(value, name: str) -> list:
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v.strip()]
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{name} must be a list or comma-separated, got {value!r}")
+        return [check(v, f"each {name} value") for v in value]
+    return checked
+
+
+def _scan(value, name: str) -> list | None:
+    """``re0,re1,nre,im0,im1,nim`` with counts nre, nim; None for no scan."""
+    if not value:
+        return None
+    parts = _list_of(_finite)(value, name)
     if len(parts) != 6:
-        raise ConfigurationError("--scan needs re0,re1,nre,im0,im1,nim")
-    return (np.linspace(parts[0], parts[1], _count(parts[2], "--scan nre")),
-            np.linspace(parts[3], parts[4], _count(parts[5], "--scan nim")))
+        raise ConfigurationError(f"{name} needs re0,re1,nre,im0,im1,nim, got {value!r}")
+    parts[2], parts[5] = _count(parts[2], f"{name} nre"), _count(parts[5], f"{name} nim")
+    return parts
 
 
 def _read_datum(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """The x, u samples of preset 'csv'; a missing or unreadable datum exits 2."""
     if not cfg["datum"]:
         raise IngestionError("preset 'csv' needs --datum PATH")
-    return read_samples_csv(Path(str(cfg["datum"])))
+    return read_samples_csv(Path(cfg["datum"]))
 
 
-def _torus_field(cfg: dict, n: int):
-    name, params = parse_preset(str(cfg["preset"]))
-    if name == "file":
-        raise ConfigurationError("use datum=PATH with preset 'csv' for file input")
+def _torus_field(cfg: dict):
+    name, params = parse_preset(cfg["preset"])
     if name == "csv":
         x, u = _read_datum(cfg)
         # u must sample one period on the uniform grid x_j = 2 pi j / len(x)
@@ -170,8 +192,8 @@ def _torus_field(cfg: dict, n: int):
                 f"x column must sample one period [0, 2pi): x[0] = 0 and "
                 f"x[-1] + dx = 2pi, got x[0] = {x[0]:.9g} and x[-1] + dx = {x[-1] + dx:.9g}"
             )
-        return field_from_samples(u, max_mode=n)
-    return torus_preset(name, n, **params)
+        return field_from_samples(u, max_mode=cfg["n"])
+    return torus_preset(name, cfg["n"], **params)
 
 
 def _grid_samples(n_samples: int) -> np.ndarray:
@@ -194,27 +216,16 @@ def _spectral_results(u0, times, top: int, dt: float, n_samples: int) -> list:
             for f in (at[t] for t in times)]
 
 
-def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
-    cfg = _resolve(args, {
-        "preset": "cos", "datum": "", "n": 128, "dt": 2e-4, "t": [0.5],
-        "method": "explicit", "k": None, "samples": 512, "dump_operators": False,
-        "out": "boeq-out",
-    })
-    times = _times(cfg)
-    n = _count(cfg["n"], "truncation n")
-    dt = _positive(cfg, "dt")
-    k = None if cfg["k"] is None else _integer(cfg["k"], "k")
+def cmd_solve_torus(cfg: dict) -> int:
+    times, n, k, dt, n_samples, method = (
+        cfg[key] for key in ("t", "n", "k", "dt", "samples", "method"))
     if k is not None and not 0 <= k <= n:
         raise ConfigurationError(f"coefficient count k = {k} must lie in [0, n = {n}]")
     check_dense_budget(n)
-    n_samples = _count(cfg["samples"], "samples")
     if n_samples < 2 * n + 2:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {n} modes; need at least {2 * n + 2}"
         )
-    method = str(cfg["method"])
-    if method not in ("explicit", "spectral", "both"):
-        raise ConfigurationError(f"unknown method {method!r}")
     if method != "explicit" and any(t < 0 for t in times):
         raise ConfigurationError("times must be non-negative")
     top = n // 2 if k is None else k  # the explicit method's K
@@ -227,8 +238,8 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
             TruncationWarning,
             stacklevel=2,
         )
-    u0 = _torus_field(cfg, n)
-    outdir = Path(str(cfg["out"]))
+    u0 = _torus_field(cfg)
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     x = _grid_samples(n_samples)
 
@@ -254,35 +265,23 @@ def cmd_solve_torus(args: argparse.Namespace) -> tuple[int, dict]:
             diffs.append({"t": t, "rel_l2": rel})
     if diffs:
         write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})
-    return 0, cfg
+    return 0
 
 
-def cmd_solve_line(args: argparse.Namespace) -> tuple[int, dict]:
-    cfg = _resolve(args, {
-        "preset": "lorentzian:c=1", "datum": "", "t": [0.0], "eps": 1e-3,
-        "cutoff": 40.0, "h": 0.02, "xmin": -8.0, "xmax": 8.0, "nx": 161,
-        "eps_refine": False, "scan": "", "tail_tol": 1e-10, "out": "boeq-out",
-    })
-    times = _times(cfg)
-    if cfg["scan"] and not times:
+def cmd_solve_line(cfg: dict) -> int:
+    times, scan, tail_tol = cfg["t"], cfg["scan"], cfg["tail_tol"]
+    if scan and not times:
         raise ConfigurationError("--scan runs at the first time of --t; give at least one")
-    scan_axes = _scan_axes(str(cfg["scan"])) if cfg["scan"] else None
-    eps = _positive(cfg, "eps")
-    nx = _count(cfg["nx"], "nx")
-    x = np.linspace(_finite(cfg["xmin"], "xmin"), _finite(cfg["xmax"], "xmax"), nx)
-    tail_tol = _positive(cfg, "tail_tol")
-    try:
-        grid = LineGrid(_positive(cfg, "cutoff"), _positive(cfg, "h"))
-    except ValueError as exc:  # too few nodes
-        raise ConfigurationError(str(exc)) from exc
-    name, params = parse_preset(str(cfg["preset"]))
+    x = np.linspace(cfg["xmin"], cfg["xmax"], cfg["nx"])
+    grid = LineGrid(cfg["cutoff"], cfg["h"])
+    name, params = parse_preset(cfg["preset"])
     if name == "csv":
         field = LineField.from_samples(*_read_datum(cfg))
     else:
         field = line_preset(name, **params).field
     hardy = field.hardy(grid)  # the one evaluation of the datum's transform
     check_tail(hardy, tail_tol)  # before anything is written
-    outdir = Path(str(cfg["out"]))
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
 
     write_spectrum_csv(outdir / "initial_spectrum.csv", grid.xi, hardy.values)
@@ -291,23 +290,23 @@ def cmd_solve_line(args: argparse.Namespace) -> tuple[int, dict]:
         # its scan; looked up at call time, so a subclass installed on the
         # module builds it
         evaluator = line_solution.ResolventEvaluator(hardy, t, tail_tol=tail_tol)
-        u = reconstruct_line(evaluator, x, eps=eps, eps_refine=bool(cfg["eps_refine"]))
+        u = reconstruct_line(evaluator, x, eps=cfg["eps"], eps_refine=cfg["eps_refine"])
         write_samples_csv(outdir / f"solution_t{i:02d}.csv", x, u)
-        if i == 0 and scan_axes is not None:
-            write_scan_csv(outdir / "uhp_scan.csv", uhp_grid_scan(evaluator, *scan_axes))
+        if i == 0 and scan:
+            re0, re1, nre, im0, im1, nim = scan
+            axes = np.linspace(re0, re1, nre), np.linspace(im0, im1, nim)
+            write_scan_csv(outdir / "uhp_scan.csv", uhp_grid_scan(evaluator, *axes))
         del evaluator  # released before the next time's operator is built
-    return 0, cfg
+    return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
-    cfg = _resolve(args, {"only": "", "n": 64, "out": "boeq-out"})
-    n = _count(cfg["n"], "truncation n")
-    check_dense_budget(n)
-    outdir = Path(str(cfg["out"]))
+def cmd_validate(cfg: dict) -> int:
+    check_dense_budget(cfg["n"])
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = default_suite(torus_n=n)
+    reports = default_suite(torus_n=cfg["n"])
     if cfg["only"]:
-        needle = str(cfg["only"]).lower()
+        needle = cfg["only"].lower()
         reports = [r for r in reports if needle in r.name.lower()]
         if not reports:
             raise ConfigurationError(f"no check matches --only {cfg['only']!r}")
@@ -319,31 +318,20 @@ def cmd_validate(args: argparse.Namespace) -> tuple[int, dict]:
         print(f"{r.name:<{width}}  residual {r.residual:10.3e}  tol {r.tolerance:9.3e}  {status}")
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
-    return (1 if failed else 0), cfg
+    return 1 if failed else 0
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[int, dict]:
-    cfg = _resolve(args, {
-        "preset": "cos", "t": [0.1, 0.5, 1.0], "n_list": [128], "dt": 2e-4,
-        "samples": 512, "out": "boeq-out",
-    })
-    times = _times(cfg)
-    if isinstance(cfg["n_list"], str):
-        cfg["n_list"] = _parse_ints(cfg["n_list"])
-    dt = _positive(cfg, "dt")
-    n_list = [_count(v, "truncation n") for v in cfg["n_list"]]
+def cmd_compare(cfg: dict) -> int:
+    times, n_list, dt, n_samples = (cfg[key] for key in ("t", "n_list", "dt", "samples"))
     if n_list:
         check_dense_budget(max(n_list))
-    n_samples = _count(cfg["samples"], "samples")
-    if n_list and n_samples < 2 * max(n_list) + 1:
-        raise ConfigurationError(
-            f"samples = {n_samples} cannot resolve {max(n_list)} modes; "
-            f"need at least {2 * max(n_list) + 1}"
-        )
-    outdir = Path(str(cfg["out"]))
+        if n_samples < 2 * max(n_list) + 1:
+            raise ConfigurationError(f"samples = {n_samples} cannot resolve {max(n_list)} "
+                                     f"modes; need at least {2 * max(n_list) + 1}")
+    outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    name, params = parse_preset(str(cfg["preset"]))
+    name, params = parse_preset(cfg["preset"])
     # every truncation in one stacked march, one row of the stack per n
     table = formula_vs_solver([torus_preset(name, n, **params) for n in n_list],
                               times, dt, n_samples)
@@ -352,77 +340,89 @@ def cmd_compare(args: argparse.Namespace) -> tuple[int, dict]:
         fh.write("t,n,dt,rel_l2\n")
         for t, n, dt, rel in rows:
             fh.write(f"{t!r},{n},{dt!r},{rel!r}\n")
-    return 0, cfg
+    return 0
+
+
+class Option(NamedTuple):
+    """One option: config key (flag ``--key``, ``-`` for ``_``), default,
+    check and help.  An option whose default is False is a switch."""
+
+    key: str
+    default: object
+    check: Callable[[object, str], object]
+    help: str | None = None
+
+
+OUT = Option("out", "boeq-out", _text, "output directory")
+
+# subcommand -> (help line, command, options)
+OPTIONS: dict[str, tuple[str, Callable[[dict], int], tuple[Option, ...]]] = {
+    "solve-torus": ("solution on the torus at given times", cmd_solve_torus, (
+        Option("preset", "cos", _text, "named datum, or 'csv' with --datum"),
+        Option("datum", "", _text, "CSV x,u samples for preset 'csv'"),
+        Option("n", 128, _count, "truncation (max mode)"),
+        Option("dt", 2e-4, _positive, "time step of the spectral method"),
+        Option("t", [0.5], _list_of(_finite), "comma-separated times"),
+        Option("method", "explicit", _one_of("explicit", "spectral", "both")),
+        Option("k", None, _optional(_integer), "coefficient count (default N/2)"),
+        Option("samples", 512, _count, "grid points of the written solution"),
+        Option("dump_operators", False, _switch, "write the Lax and B matrices"),
+        OUT,
+    )),
+    "solve-line": ("solution on the line at given times", cmd_solve_line, (
+        Option("preset", "lorentzian:c=1", _text, "named datum, or 'csv' with --datum"),
+        Option("datum", "", _text, "CSV x,u samples for preset 'csv'"),
+        Option("t", [0.0], _list_of(_finite), "comma-separated times"),
+        Option("eps", 1e-3, _positive, "evaluation height"),
+        Option("cutoff", 40.0, _positive, "frequency cutoff of the line grid"),
+        Option("h", 0.02, _positive, "frequency step of the line grid"),
+        Option("xmin", -8.0, _finite),
+        Option("xmax", 8.0, _finite),
+        Option("nx", 161, _count, "number of x samples"),
+        Option("eps_refine", False, _switch, "two-height Richardson in eps"),
+        Option("scan", None, _scan,
+               "re0,re1,nre,im0,im1,nim; write --scan=-2,... when re0 is negative"),
+        Option("tail_tol", 1e-10, _positive, "spectral tail tolerance at the cutoff"),
+        OUT,
+    )),
+    "validate": ("run the identity/conservation suite", cmd_validate, (
+        Option("only", "", _text, "substring filter on check names"),
+        Option("n", 64, _count, "truncation for the finite-section checks"),
+        OUT,
+    )),
+    "compare": ("explicit-vs-spectral diffs over (t, N)", cmd_compare, (
+        Option("preset", "cos", _text),
+        Option("t", [0.1, 0.5, 1.0], _list_of(_finite), "comma-separated times"),
+        Option("n_list", [128], _list_of(_count), "comma-separated truncations"),
+        Option("dt", 2e-4, _positive, "time step of the spectral method"),
+        Option("samples", 512, _count, "grid points of each compared solution"),
+        OUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="boeq", description=__doc__)
     p.add_argument("--version", action="version", version=f"boeq {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config document; flags override", default=None)
-        sp.add_argument("--out", help="output directory", default=None)
-
-    sp = sub.add_parser("solve-torus", help="solution on the torus at given times")
-    common(sp)
-    sp.add_argument("--preset", default=None)
-    sp.add_argument("--datum", default=None, help="CSV x,u samples for preset 'csv'")
-    sp.add_argument("--n", type=int, default=None, help="truncation (max mode)")
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t", type=str, default=None, help="comma-separated times")
-    sp.add_argument("--method", choices=["explicit", "spectral", "both"], default=None)
-    sp.add_argument("--k", type=int, default=None, help="coefficient count (default N/2)")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--dump-operators", action="store_const", const=True, default=None)
-    sp.set_defaults(fn=cmd_solve_torus)
-
-    sp = sub.add_parser("solve-line", help="solution on the line at given times")
-    common(sp)
-    sp.add_argument("--preset", default=None)
-    sp.add_argument("--datum", default=None)
-    sp.add_argument("--t", type=str, default=None)
-    sp.add_argument("--eps", type=float, default=None, help="evaluation height")
-    sp.add_argument("--eps-refine", action="store_const", const=True, default=None,
-                    help="two-height Richardson in eps")
-    sp.add_argument("--cutoff", type=float, default=None)
-    sp.add_argument("--h", type=float, default=None)
-    sp.add_argument("--xmin", type=float, default=None)
-    sp.add_argument("--xmax", type=float, default=None)
-    sp.add_argument("--nx", type=int, default=None)
-    sp.add_argument("--scan", type=str, default=None,
-                    help="re0,re1,nre,im0,im1,nim; write --scan=-2,... when re0 is negative")
-    sp.add_argument("--tail-tol", type=float, default=None,
-                    help="spectral tail tolerance at the cutoff (default 1e-10)")
-    sp.set_defaults(fn=cmd_solve_line)
-
-    sp = sub.add_parser("validate", help="run the identity/conservation suite")
-    common(sp)
-    sp.add_argument("--only", default=None, help="substring filter on check names")
-    sp.add_argument("--n", type=int, default=None,
-                    help="truncation for the finite-section checks (default 64)")
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("compare", help="explicit-vs-spectral diffs over (t, N)")
-    common(sp)
-    sp.add_argument("--preset", default=None)
-    sp.add_argument("--t", type=str, default=None)
-    sp.add_argument("--n-list", type=str, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.set_defaults(fn=cmd_compare)
+    for command, (text, _, options) in OPTIONS.items():
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("--config", help="JSON config document; flags override")
+        for opt in options:
+            switch = {"action": "store_const", "const": True} if opt.default is False else {}
+            sp.add_argument("--" + opt.key.replace("_", "-"), help=opt.help, **switch)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     caught: list[str] = []
     try:
+        cfg = _resolve(args)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            code, cfg = args.fn(args)
+            code = OPTIONS[args.command][1](cfg)
             caught = [str(w.message) for w in seen]
     except (ConfigurationError, IngestionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoeqError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    outdir = Path(str(cfg["out"]))
+    outdir = Path(cfg["out"])
     if outdir.is_dir():
         write_manifest(
             outdir,

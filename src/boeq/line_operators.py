@@ -88,7 +88,8 @@ SAMPLE_BLOCK_BYTES = 1 << 22
 
 @dataclass(frozen=True)
 class LineGrid:
-    """Half-line frequency grid xi_j = j*h, j = 0..M, with Xi = M*h."""
+    """Half-line frequency grid xi_j = j*h, j = 0..M, with Xi = M*h and M >= 8
+    (room for the generator's one-sided closures)."""
 
     cutoff: float = DEFAULT_CUTOFF
     step: float = DEFAULT_STEP
@@ -99,8 +100,9 @@ class LineGrid:
         nodes = self.cutoff / self.step + 1
         check_memory(GRID_NODE_BYTES * nodes, f"a line grid of {nodes:.4g} nodes",
                      "enlarge the step or lower the cutoff")
-        if self.count < 3:
-            raise ValueError("grid needs at least 3 nodes")
+        if self.count < 9:
+            raise ConfigurationError("the generator's difference stencils need "
+                                     f"M >= 8 (9 nodes), got M = {self.last}")
 
     @property
     def count(self) -> int:
@@ -199,11 +201,6 @@ class LineField:
 # operator matrices
 # ---------------------------------------------------------------------------
 
-def _check_stencil_room(grid: LineGrid):
-    if grid.count < 9:
-        raise ConfigurationError("differentiation needs M >= 8 nodes")
-
-
 def _generator_band(grid: LineGrid) -> np.ndarray:
     """G_w = S G S^-1 with G = i d/dxi, in scipy's band layout (l, u) = (2, 2).
 
@@ -263,7 +260,6 @@ def toeplitz_line(samples: HalfLineSpectrum) -> np.ndarray:
 
 def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
     """v -> G_w v, the weighted generator applied in O(M) from its band."""
-    _check_stencil_room(grid)
     ab = _generator_band(grid)
     return lambda v: _band_matvec(ab, v)
 
@@ -305,8 +301,6 @@ def iplus(f: HalfLineSpectrum, extrapolate: bool = False) -> complex:
     """
     v = f.values
     if extrapolate:
-        if v.size < 4:
-            raise ValueError("extrapolation needs at least 4 nodes")
         return complex(3.0 * v[1] - 3.0 * v[2] + v[3])
     return complex(v[0])
 
@@ -455,7 +449,6 @@ class ResolventEvaluator:
                          "lower the cutoff or enlarge the step")
         check_tail(samples, tail_tol)
         m = self.grid.last
-        _check_stencil_room(self.grid)
         self._band = _generator_band(self.grid)  # G_w, for the product and the preconditioner
         self._rhs = _gauge_rhs(samples, self.t)[:m]
         phase = _gauge_phase(self.grid, self.t)

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from boeq.fileio import (
     write_samples_csv,
 )
 from boeq.line_operators import LineField
-from boeq.presets import parse_preset, torus_preset
+from boeq.presets import line_preset, parse_preset, torus_preset
 from boeq.spectral import TorusField
 
 
@@ -40,9 +41,32 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="non-finite"):
             parse_preset(text)
 
+    @pytest.mark.parametrize("text", ["cos:a=1,a=2", "twomode:a=1,b=0.5,b=0.5"])
+    def test_repeated_param_rejected(self, text):
+        with pytest.raises(ConfigurationError, match="given twice"):
+            parse_preset(text)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
             torus_preset("sawtooth", 8)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("cos", {"amplitude": 3.0}, "'cos' takes only a; got 'amplitude'"),
+        ("twomode", {"a": 1.0, "c": 2.0}, "'twomode' takes only a, b; got 'c'"),
+        ("zero", {"c": 5.0}, "'zero' takes no parameters; got 'c'"),
+    ])
+    def test_torus_preset_refuses_unknown_param(self, name, params, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            torus_preset(name, 8, **params)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("lorentzian", {"speed": 2.0}, "'lorentzian' takes only c; got 'speed'"),
+        ("gaussian", {"a": 1.0, "b": 2.0}, "'gaussian' takes only a, w; got 'b'"),
+        ("zero", {"c": 5.0}, "'zero' takes no parameters; got 'c'"),
+    ])
+    def test_line_preset_refuses_unknown_param(self, name, params, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            line_preset(name, **params)
 
     def test_twomode_coefficients(self):
         u = torus_preset("twomode", 4, a=1.0, b=4.0)
@@ -600,6 +624,13 @@ class TestInvalidNumericFlags:
         ["solve-torus", "--n", "100000", "--samples", "200002", "--t", "0.1"],
         ["compare", "--n-list", "100000", "--samples", "200001"],
         ["validate", "--n", "100000"],
+        ["solve-torus", "--preset", "cos:amplitude=3", "--n", "16"],
+        ["solve-line", "--preset", "lorentzian:speed=2"],
+        ["solve-torus", "--preset", "zero:c=5", "--n", "16"],
+        ["solve-torus", "--preset", "cos:a=1,a=2", "--n", "16"],
+        ["solve-line", "--cutoff", "0.12", "--h", "0.02", "--t", "0", "--tail-tol", "1"],
+        ["solve-torus", "--n", "16.5"],
+        ["solve-torus", "--method", "bogus"],
     ], ids=["torus-n0", "torus-k-above-n", "torus-k-negative", "torus-dt0", "line-h0",
             "line-too-few-nodes", "line-eps0", "compare-dt-negative", "compare-n0",
             "compare-too-few-samples", "torus-nan-preset", "line-nx0", "torus-t-nan",
@@ -608,7 +639,10 @@ class TestInvalidNumericFlags:
             "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound",
             "line-scan-fractional-nre", "line-scan-fractional-nim",
             "line-grid-beyond-memory", "torus-n-beyond-memory", "compare-n-beyond-memory",
-            "validate-n-beyond-memory"])
+            "validate-n-beyond-memory", "torus-preset-unknown-param",
+            "line-preset-unknown-param", "torus-zero-preset-with-param",
+            "torus-preset-repeated-param", "line-seven-nodes", "torus-n-fractional",
+            "torus-method-unknown"])
     def test_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch, argv):
         # an 8 GiB machine wherever the suite runs: sizes that cannot fit
         # are refused before anything is allocated or written
@@ -640,10 +674,16 @@ class TestInvalidNumericFlags:
         ("solve-line", {"nx": 5.5}),
         ("compare", {"n_list": [16.5]}),
         ("validate", {"n": 8.2}),
+        ("solve-torus", {"n": 16, "samples": 64, "dump_operators": "no"}),
+        ("solve-line", {"nx": 3, "eps_refine": "false"}),
+        ("solve-torus", {"n": True, "samples": 64}),
+        ("compare", {"n_list": [16], "samples": 64, "t": [True]}),
     ], ids=["torus-t-nan", "torus-k-nan", "compare-t-inf", "compare-samples-nan", "line-t-scalar",
             "line-t-nan", "line-tail-tol-nan", "line-xmax-nan", "line-nx-inf", "validate-n-nan",
             "torus-n-fractional", "torus-k-fractional", "torus-samples-fractional",
-            "line-nx-fractional", "compare-n-list-fractional", "validate-n-fractional"])
+            "line-nx-fractional", "compare-n-list-fractional", "validate-n-fractional",
+            "torus-dump-operators-string", "line-eps-refine-string", "torus-n-boolean",
+            "compare-t-boolean"])
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys, command, config):
         # JSON config files can hold NaN, Infinity and fractional counts,
         # which no flag parser sees
@@ -653,6 +693,18 @@ class TestInvalidNumericFlags:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_integral_float_count_accepted(self, tmp_path, source):
+        # one check for both: 16.0 is the count 16 from a flag or a config file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 16.0} if source == "config" else {}))
+        argv = ["--n", "16.0"] if source == "flag" else []
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--config", str(cfg), *argv, "--samples", "64",
+                     "--t", "0.1", "--out", str(out)]) == 0
+        n = json.loads((out / "manifest.json").read_text())["config"]["n"]
+        assert n == 16 and isinstance(n, int)
 
 
 def test_cli_import_loads_no_scipy_fft():

@@ -299,8 +299,9 @@ class TestMatrixFreeProducts:
             assert np.all(apply(v) == 0.0)
 
     def test_generator_needs_stencil_room(self):
+        # the grid itself refuses fewer nodes than the stencils need
         with pytest.raises(ConfigurationError, match="M >= 8"):
-            generator_apply(LineGrid(7.0, 1.0))
+            LineGrid(7.0, 1.0)
 
     def test_line_identities_allocate_no_dense_matrix(self):
         # one M x M complex array at M = 2001 is 61 MiB; the products need
@@ -356,12 +357,13 @@ class TestLaxLine:
         lm = lax_line(lorentzian(), grid)
         assert np.max(np.abs(lm - lm.conj().T)) < 1e-12
 
-    def test_three_node_hand_values(self):
-        grid = LineGrid(2.0, 1.0)  # nodes 0, 1, 2
+    def test_nine_node_hand_values(self):
+        grid = LineGrid(8.0, 1.0)  # nodes 0..8, the fewest a grid takes
         lm = lax_line(lorentzian(), grid)
-        sw = np.sqrt([0.5, 1.0, 0.5])
-        kernel = np.exp(-np.abs(np.subtract.outer([0, 1, 2], [0, 1, 2])))
-        expected = np.diag([0.0, 1.0, 2.0]) - kernel * np.outer(sw, sw)
+        nodes = np.arange(9)
+        sw = np.sqrt([0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+        kernel = np.exp(-np.abs(np.subtract.outer(nodes, nodes)))
+        expected = np.diag(nodes.astype(float)) - kernel * np.outer(sw, sw)
         np.testing.assert_allclose(lm, expected, atol=1e-14)
 
 
