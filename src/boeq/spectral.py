@@ -16,10 +16,11 @@ Conventions used throughout the package:
   :func:`synthesize_torus` and the propagator take it as it is.
 - On the line, spectra are sampled on the half-line frequency grid
   ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
-- The dense torus factors, the eigenvectors V of ``eigen_system`` and the
-  evolution U of ``EigenSystem.evolution``, have entries below
-  ``FLUSH_BELOW`` set to exact zero before they are checked, so n^3
-  products with them never meet subnormal numbers.
+- The dense torus factors, the eigenvectors V of ``eigen_system``, the
+  eigenbasis coordinates of ``EigenSystem.coordinates`` and the evolution U
+  of ``EigenSystem.evolution``, have entries below ``FLUSH_BELOW`` set to
+  exact zero before they are checked, so n^3 products with them never meet
+  subnormal numbers.
 - :func:`check_memory` refuses, before it allocates, a job whose estimated
   peak exceeds half the physical memory (a configuration error, exit 2).
 """
@@ -232,6 +233,30 @@ class EigenSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, float)))
+
+    def coordinates(self, b: np.ndarray, refine: bool = False) -> np.ndarray:
+        """Read-only coordinates ``x = V* b`` of a vector, or of each column
+        of a matrix, in the eigenbasis.
+
+        With ``refine``, one refinement step ``x += V* (b - V x)`` follows,
+        which takes up most of the rounding by which V* misses V^-1.  Entries
+        below ``FLUSH_BELOW`` are flushed to zero, then x is checked by its
+        residual ``max |V x - b| <= EIG_TOL max |b|``; a larger or NaN one
+        raises :class:`LinearAlgebraError`.
+        """
+        v = self.eigenvectors.entries
+        x = v.conj().T @ b
+        if refine:
+            x += v.conj().T @ (b - v @ x)
+        _flush_tiny(x)
+        defect = v @ x
+        defect -= b
+        scale = max(float(np.max(np.abs(b))), np.finfo(float).tiny)
+        residual = float(np.max(np.abs(defect)))
+        if not residual <= EIG_TOL * scale:  # NaN fails too
+            raise LinearAlgebraError("eigenbasis coordinates residual above tolerance", residual)
+        x.setflags(write=False)
+        return x
 
     def evolution(self, tau: float) -> OperatorMatrix:
         """Unitary ``exp(i tau A) = V exp(i tau Lambda) V*``, checked as unitary.

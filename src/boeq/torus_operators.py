@@ -24,7 +24,9 @@ __all__ = [
 
 # (n + 1) x (n + 1) complex arrays live at once at the peak of a solve-torus
 # run (peak RSS above the imported interpreter's, two times, n = 1024 and
-# 2048: 6.30 and 6.20, LAPACK's eigh workspace included).
+# 2048: 6.35 and 5.21, and 6.36 at n = 1024 with k = n coefficients;
+# LAPACK's eigh workspace, the eigenbasis shift W with its residual check
+# and the recurrence's stored iterates included).
 DENSE_PEAK_ARRAYS = 6.4
 
 

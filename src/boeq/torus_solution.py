@@ -1,25 +1,28 @@
-"""Solution of the torus flow at time t from one eigendecomposition per datum.
+"""Solution of the torus flow at time t, in the eigenbasis of L_{u0}.
 
-Time enters the formula only through ``exp(2it L_{u0})``, so the checked
-eigensystem ``L_{u0} = V Lambda V*`` is computed once per (u0, N) and
-reused by every later propagator of the same datum.  A propagator stores
-one step operator, ``M = exp(it) exp(2it L_{u0}) S*`` with the unitary
-factor ``exp(2it L_{u0}) = V exp(2it Lambda) V*`` checked before M is
-formed, and the initial Hardy vector.  Fourier coefficients of the solution
-come from the power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >``.  Values on
-the disc, ``Pu(t, z) = < (I - z M)^{-1} Pu0 | 1 >``, are the power series
+Time enters the formula only through ``exp(2it L_{u0})``.  The checked
+eigensystem ``L_{u0} = V Lambda V*`` is computed once per (u0, N), and with
+it the two time-free parts of the recurrence in that basis: the shift
+``W = V* S* V`` and the start vector ``w0 = V* Pu0``, each checked by its
+residual.  Every later propagator of the same datum reuses them, and builds
+its step operator ``exp(it) exp(2it Lambda) W`` elementwise, with no n^3
+product: it is ``V* M V`` for the standard-basis step operator
+``M = exp(it) exp(2it L_{u0}) S*``.  Fourier coefficients of the solution
+come from the power recurrence ``uhat(t, k) = < M^k Pu0 | 1 >``, run on
+``w = V* M^k Pu0`` and read out as ``uhat(t, k) = (V w)_0``.  Values on the
+disc, ``Pu(t, z) = < (I - z M)^{-1} Pu0 | 1 >``, are the power series
 ``sum_k z^k uhat(t, k)`` of the same recurrence: ``||M||_2 <= 1`` bounds
 every ``|uhat(t, k)|`` by ``||Pu0||``, so the terms after K err by at most
 ``|z|^(K+1) ||Pu0|| / (1 - |z|)``.
 
-The eigenvectors of ``L_{u0}`` are localized in mode space, so V and U hold
+The eigenvectors of ``L_{u0}`` are localized in mode space, so V and W hold
 many entries far below ``spectral.FLUSH_BELOW`` (sqrt of the smallest normal
-double).  ``spectral`` sets those entries to zero where V and U are formed,
-before their checks: every product with V, U or M (the unitarity checks,
-the recurrence) then stays out of subnormal arithmetic, which is several
-times slower, while each dropped entry moves a result by less than 1e-150.
-The recurrence keeps its iterate out of it too, by exact power-of-two
-rescaling once the iterate's norm falls below 2^-400.
+double).  Those entries are set to zero where V, W, w0 and each step
+operator are formed, before their checks: every product with them (the
+checks, the recurrence) then stays out of subnormal arithmetic, which is
+several times slower, while each dropped entry moves a result by less than
+1e-150.  The recurrence keeps its iterate out of it too, by exact
+power-of-two rescaling once the iterate's norm falls below 2^-400.
 """
 from __future__ import annotations
 
@@ -101,18 +104,19 @@ class _PowerSequence:
     sequence was extended.
     """
 
-    def __init__(self, matrix: np.ndarray, p0: np.ndarray):
+    def __init__(self, prop: "TorusPropagator"):
         self._lock = threading.Lock()
-        self._coeffs = [complex(p0[0])]
-        self._iterates = _iterates(matrix, p0)
+        self._coeffs = [complex(prop.p0[0])]
+        self._row = prop.eigenvectors[0]
+        self._iterates = _iterates(prop.matrix, prop.w0)
 
     def head(self, k: int) -> list[complex]:
         """uhat(t, 0..k), stepping the recurrence as far as k if needed."""
         with self._lock:
             missing = k + 1 - len(self._coeffs)
             if missing > 0:
-                self._coeffs.extend(_unscaled(complex(v[0]), e)
-                                    for v, e in islice(self._iterates, missing))
+                self._coeffs.extend(_unscaled(complex(self._row @ w), e)
+                                    for w, e in islice(self._iterates, missing))
             return self._coeffs[:k + 1]
 
 
@@ -120,65 +124,87 @@ class _PowerSequence:
 class TorusPropagator:
     """Frozen data of the time-t solution operator for one initial field.
 
-    ``matrix`` is rebuilt per time from the eigensystem shared by every
-    propagator of the same (u0, N).  Each propagator also keeps the part of
-    its power sequence ``uhat(t, k)`` that :func:`evaluate_disc` has
-    computed, with the last iterate, so the points of a ring run one
-    recurrence between them.
+    ``matrix`` is the step operator in the eigenbasis of L_{u0}, rebuilt per
+    time from the parts shared by every propagator of the same (u0, N):
+    the eigenvectors V and the start vector w0 = V* Pu0, both read-only.
+    Each propagator also keeps the part of its power sequence ``uhat(t, k)``
+    that :func:`evaluate_disc` has computed, with the last iterate, so the
+    points of a ring run one recurrence between them.
     """
 
     t: float
     p0: np.ndarray  # the Hardy half (c_0, ..., c_N) of u0 at truncation N
     mean: float
-    matrix: np.ndarray  # M = exp(it) exp(2it L_{u0}) S*
+    matrix: np.ndarray  # V* M V = exp(it) exp(2it Lambda) W
+    eigenvectors: np.ndarray  # V, with L_{u0} = V Lambda V*
+    w0: np.ndarray  # V* Pu0
 
     def __post_init__(self):
-        object.__setattr__(self, "_series", _PowerSequence(self.matrix, self.p0))
+        object.__setattr__(self, "_series", _PowerSequence(self))
 
     @property
     def max_mode(self) -> int:
         return self.p0.size - 1
 
 
-# The eigensystem of the last datum seen: (key, EigenSystem).  One entry is
+@dataclass(frozen=True)
+class _LaxBasis:
+    """The time-free parts of every propagator of one (u0, N)."""
+
+    system: EigenSystem  # L_{u0} = V Lambda V*
+    step: np.ndarray  # W = V* S* V
+    start: np.ndarray  # w0 = V* Pu0
+
+
+# The eigenbasis of the last datum seen: (key, _LaxBasis).  One entry is
 # enough for the callers that repeat a datum (several times of one run), and
-# it never holds more than one n x n matrix.
-_eigen_memo: tuple[tuple[bytes, int], EigenSystem] | None = None
+# it never holds more than two n x n matrices, V and W.
+_eigen_memo: tuple[tuple[bytes, int], _LaxBasis] | None = None
 _eigen_lock = threading.Lock()
 
 
-def _lax_eigensystem(u0: TorusField, n: int) -> EigenSystem:
-    """Checked eigensystem of L_{u0} at truncation n, reused for a repeated datum."""
+def _lax_eigensystem(u0: TorusField, n: int) -> _LaxBasis:
+    """Checked eigensystem of L_{u0} at truncation n, with W and w0, reused
+    for a repeated datum."""
     global _eigen_memo
     key = (u0.coeffs.tobytes(), n)
     with _eigen_lock:
         if _eigen_memo is None or _eigen_memo[0] != key:
+            _eigen_memo = None  # never two datums' factors at once
             # looked up at call time, so a wrapper installed on the module sees it
-            _eigen_memo = (key, spectral.eigen_system(lax_matrix(u0, n)))
+            system = spectral.eigen_system(lax_matrix(u0, n))
+            v = system.eigenvectors.entries
+            shifted = np.zeros_like(v)  # S* V: the rows of V moved up by one
+            shifted[:-1] = v[1:]
+            step = system.coordinates(shifted)
+            del shifted
+            start = system.coordinates(u0.truncated(n).hardy, refine=True)
+            _eigen_memo = (key, _LaxBasis(system, step, start))
         return _eigen_memo[1]
 
 
 def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
     """Assemble the propagator for initial field u0 at time t, truncation n.
 
-    The eigensystem of L_{u0} is computed and checked on the first call for
-    a datum; calls at other times reuse it and build only
-    ``exp(2it L_{u0})``, whose unitarity is checked on every call.
+    The eigensystem of L_{u0}, W and w0 are computed and checked on the
+    first call for a datum; calls at other times reuse them.  Each call
+    scales the rows of W by the phases ``exp(it) exp(2it lambda)``, which
+    must be finite: a time so large that ``2t lambda`` overflows raises
+    :class:`ConditioningError` before the step operator is formed.
     """
-    evolution = _lax_eigensystem(u0, n).evolution(2.0 * t)
-    phase = complex(np.exp(1j * t))
-    # M = phase * evolution * S*, where S* moves column j - 1 to column j.
-    # Scaled in place: numpy rounds ``X *= phase`` and ``phase * X``
-    # differently, and the in-place form equals the dense phase * (U @ S*)
-    # bit for bit.
-    matrix = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    matrix[:, 1:] = evolution.entries[:, :-1]
-    matrix *= phase
+    basis = _lax_eigensystem(u0, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(1j * t) * np.exp(2j * t * basis.system.eigenvalues)
+    if not np.all(np.isfinite(phases)):
+        raise ConditioningError(f"the phases exp(it) exp(2it lambda) are not finite at t = {t:g}",
+                                math.inf)
     return TorusPropagator(
         t=t,
         p0=u0.truncated(n).hardy,
         mean=u0.mean,
-        matrix=matrix,
+        matrix=spectral._flush_tiny(phases[:, None] * basis.step),
+        eigenvectors=basis.system.eigenvectors.entries,
+        w0=basis.start,
     )
 
 
@@ -186,22 +212,28 @@ def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> n
     """Hardy coefficients uhat(t, k), k = 0..K, via the power recurrence.
 
     K defaults to N/2; each application of the shift consumes one mode of
-    headroom, and a truncation warning fires if the iterate keeps mass beyond
-    mode N - K/4.
+    headroom, and a truncation warning fires if the iterate ``V w`` keeps
+    mass beyond mode N - K/4.
     """
     n = prop.max_mode
     k_max = n // 2 if n_coeffs is None else int(n_coeffs)
     if k_max < 0 or k_max > n:
         raise ValueError("coefficient count must lie in [0, N]")
+    # the iterates w_k = 2^-e_k V* M^k Pu0, read out after the recurrence by
+    # one product for the coefficients and one for the tails
+    iterates = np.empty((k_max, n + 1), dtype=np.complex128)
+    exponents = np.empty(k_max, dtype=np.int64)
+    for k, (w, e) in enumerate(islice(_iterates(prop.matrix, prop.w0), k_max)):
+        iterates[k] = w
+        exponents[k] = e
     out = np.empty(k_max + 1, dtype=np.complex128)
     out[0] = prop.p0[0]
+    heads = iterates @ prop.eigenvectors[0]
+    out.real[1:] = np.ldexp(heads.real, exponents)
+    out.imag[1:] = np.ldexp(heads.imag, exponents)
     guard = n - k_max // 4
-    worst_tail = 0.0
-    for k, (v, e) in enumerate(islice(_iterates(prop.matrix, prop.p0), k_max), 1):
-        out[k] = _unscaled(complex(v[0]), e)
-        if guard + 1 <= n:
-            tail = math.ldexp(float(np.linalg.norm(v[guard + 1:])), e)
-            worst_tail = max(worst_tail, tail)
+    tails = np.linalg.norm(iterates @ prop.eigenvectors[guard + 1:].T, axis=1)
+    worst_tail = float(np.max(np.ldexp(tails, exponents), initial=0.0))
     if worst_tail > TAIL_WARN:
         warnings.warn(
             f"iterate mass {worst_tail:.2e} beyond mode {guard}; "

@@ -30,3 +30,29 @@ def _dense_weighted_generator(grid):
 def dense_generator():
     """grid -> the dense weighted generator, the reference for its band."""
     return _dense_weighted_generator
+
+
+@pytest.fixture
+def corrupt_next_step_operator(monkeypatch):
+    """(u0, n) -> make the next torus W = V* S* V formed for u0 at truncation
+    n carry a wrong entry, set after W is formed and flushed, before its
+    residual check."""
+    import boeq.spectral as spectral
+    import boeq.torus_solution as ts
+    from boeq.torus_operators import lax_matrix
+
+    def corrupt_for(u0, n):
+        system = spectral.eigen_system(lax_matrix(u0, n))
+        real_flush = spectral._flush_tiny
+
+        def corrupt(a):
+            real_flush(a)
+            if a.ndim == 2:  # W: the eigensystem was computed above, unpatched
+                a[3, 4] += 1e-9
+            return a
+
+        monkeypatch.setattr(ts, "_eigen_memo", None)
+        monkeypatch.setattr(spectral, "eigen_system", lambda a: system)
+        monkeypatch.setattr(spectral, "_flush_tiny", corrupt)
+
+    return corrupt_for

@@ -249,6 +249,21 @@ class TestSolveTorusCommand:
         assert "one period" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_time_exits_3_without_traceback(self, tmp_path, capsys):
+        # 2t lambda overflows to a non-finite phase: a numerical failure
+        code = main(["solve-torus", "--preset", "cos", "--n", "16", "--t", "1e308",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "phases" in err and "Traceback" not in err
+
+    def test_corrupted_step_operator_exits_3(self, tmp_path, capsys, corrupt_next_step_operator):
+        corrupt_next_step_operator(torus_preset("cos", 16), 16)
+        code = main(["solve-torus", "--preset", "cos", "--n", "16", "--t", "0.5",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "eigenbasis coordinates residual" in capsys.readouterr().err
+
     def test_multi_time_run_matches_single_time_runs(self, tmp_path, monkeypatch):
         import boeq.torus_solution as ts
 

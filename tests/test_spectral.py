@@ -259,6 +259,42 @@ class TestHermitianEvolution:
         assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) < 1e-12
 
 
+class TestCoordinates:
+    @staticmethod
+    def _system(rng, n=12):
+        h = rng.standard_normal((n, n))
+        return eigen_system(OperatorMatrix(((h + h.T) / 2).astype(complex), tag="hermitian"))
+
+    def test_vector_and_columns_read_only_with_small_residual(self, rng):
+        es = self._system(rng)
+        v = es.eigenvectors.entries
+        b = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        for x, rhs in [(es.coordinates(b), b), (es.coordinates(b[:, 0], refine=True), b[:, 0])]:
+            assert not x.flags.writeable
+            assert np.max(np.abs(v @ x - rhs)) < 1e-13
+
+    def test_refinement_does_not_grow_residual(self, rng):
+        es = self._system(rng, 200)
+        v = es.eigenvectors.entries
+        b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        plain = np.linalg.norm(v @ es.coordinates(b) - b)
+        refined = np.linalg.norm(v @ es.coordinates(b, refine=True) - b)
+        assert refined <= plain
+
+    @pytest.mark.parametrize("defect", [1e-8, np.nan])
+    def test_non_inverse_factor_fails_residual_check(self, rng, defect):
+        # V* is not V^-1 once a column of V is scaled: x = V* b misses b
+        from boeq.errors import LinearAlgebraError
+        from boeq.spectral import EigenSystem
+
+        es = self._system(rng)
+        v = es.eigenvectors.entries.copy()
+        v[:, 5] *= 1.0 + defect
+        bad = EigenSystem(es.eigenvalues, OperatorMatrix(v))
+        with pytest.raises(LinearAlgebraError, match="coordinates residual"):
+            bad.coordinates(np.ones(12, dtype=complex))
+
+
 class TestHalfLineSpectrum:
     def test_grid_and_tail(self):
         vals = np.exp(-np.arange(11) * 4.0)

@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from boeq.errors import DomainError
+from boeq.errors import ConditioningError, DomainError, LinearAlgebraError
 from boeq.spectral import (
     TWO_PI,
     TorusField,
@@ -27,6 +27,19 @@ def cos_field(n=64, a=1.0):
     return TorusField.from_modes(n, {1: a / 2.0})
 
 
+def standard_step(u0, t, n):
+    """Reference standard-basis step operator M = e^{it} exp(2itL_{u0}) S*,
+    built densely from its own eigendecomposition."""
+    u_t = hermitian_evolution(lax_matrix(u0, n), 2.0 * t).entries
+    return np.exp(1j * t) * (u_t @ shift_adjoint(n).entries)
+
+
+def in_standard_basis(prop):
+    """V (step operator) V*: the propagator's M in the standard basis."""
+    v = prop.eigenvectors
+    return v @ prop.matrix @ v.conj().T
+
+
 class TestPropagator:
     def test_zero_field_matrix_is_phased_shift(self):
         t = 0.37
@@ -38,14 +51,21 @@ class TestPropagator:
 
     def test_t_zero_matrix_is_shift(self):
         prop = propagator(cos_field(8), 0.0, 8)
-        np.testing.assert_allclose(prop.matrix, shift_adjoint(8).entries, atol=1e-14)
+        np.testing.assert_allclose(in_standard_basis(prop), shift_adjoint(8).entries, atol=1e-14)
 
     def test_norm_preserved_up_to_shift(self, rng):
+        # ||M V w|| = ||S* V w|| for eigenbasis coordinates w
         prop = propagator(cos_field(16), 0.9, 16)
         s = shift_adjoint(16).entries
         for _ in range(5):
-            v = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-            assert abs(np.linalg.norm(prop.matrix @ v) - np.linalg.norm(s @ v)) < 1e-10
+            w = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+            shifted = s @ (prop.eigenvectors @ w)
+            assert abs(np.linalg.norm(prop.matrix @ w) - np.linalg.norm(shifted)) < 1e-10
+
+    def test_huge_time_fails_phase_check(self):
+        # 2t lambda overflows: no NaN step operator is formed
+        with pytest.raises(ConditioningError, match="phases"):
+            propagator(cos_field(16), 1e308, 16)
 
 
 class TestEigenMemo:
@@ -65,14 +85,26 @@ class TestEigenMemo:
         monkeypatch.setattr(boeq.spectral, "eigen_system", counted)
         return calls
 
-    def test_one_eigensystem_for_three_times(self, eigh_calls):
+    def test_one_eigensystem_for_three_times(self, eigh_calls, monkeypatch):
+        from boeq.spectral import EigenSystem
+
+        formed = []  # the eigenbasis coordinates formed: W and w0, once each
+        real = EigenSystem.coordinates
+
+        def counted(self, b, refine=False):
+            formed.append((np.shape(b), refine))
+            return real(self, b, refine)
+
+        monkeypatch.setattr(EigenSystem, "coordinates", counted)
         u = cos_field(16)
         props = [propagator(u, t, 16) for t in (0.1, 0.5, 1.0)]
         assert eigh_calls == [17]
-        s = shift_adjoint(16).entries
+        assert formed == [((17, 17), False), ((17,), True)]
+        assert all(p.eigenvectors is props[0].eigenvectors and p.w0 is props[0].w0
+                   for p in props)
         for prop in props:
-            u_t = hermitian_evolution(lax_matrix(u, 16), 2.0 * prop.t).entries
-            np.testing.assert_allclose(prop.matrix, np.exp(1j * prop.t) * (u_t @ s), atol=1e-13)
+            np.testing.assert_allclose(in_standard_basis(prop), standard_step(u, prop.t, 16),
+                                       atol=1e-13)
 
     def test_changed_datum_or_truncation_recomputes(self, eigh_calls):
         u = cos_field(16)
@@ -85,12 +117,15 @@ class TestEigenMemo:
         assert eigh_calls == [17, 17, 17, 13]
 
     def test_matrix_is_phased_evolution_times_shift(self):
+        # V* M V = e^{it} e^{2it Lambda} V* S* V for M = e^{it} V e^{2it Lambda} V* S*
         import boeq.torus_solution as ts
 
         u = cos_field(16)
         prop = propagator(u, 0.9, 16)
-        evolution = ts._lax_eigensystem(u, 16).evolution(2.0 * 0.9).entries
-        expected = np.exp(0.9j) * (evolution @ shift_adjoint(16).entries)
+        lam = ts._lax_eigensystem(u, 16).system.eigenvalues
+        v = prop.eigenvectors
+        step = v.conj().T @ (shift_adjoint(16).entries @ v)
+        expected = (np.exp(0.9j) * np.exp(1.8j * lam))[:, None] * step
         np.testing.assert_allclose(prop.matrix, expected, rtol=0, atol=1e-15)
 
     def test_propagator_holds_one_step_operator(self):
@@ -98,7 +133,19 @@ class TestEigenMemo:
 
         from boeq.torus_solution import TorusPropagator
 
-        assert [f.name for f in fields(TorusPropagator)] == ["t", "p0", "mean", "matrix"]
+        assert [f.name for f in fields(TorusPropagator)] == [
+            "t", "p0", "mean", "matrix", "eigenvectors", "w0"]
+        prop = propagator(cos_field(16), 0.9, 16)
+        assert prop.matrix.shape == prop.eigenvectors.shape == (17, 17)
+        # the shared factors cannot be changed through one propagator
+        assert not prop.eigenvectors.flags.writeable and not prop.w0.flags.writeable
+        np.testing.assert_allclose(prop.eigenvectors @ prop.w0, prop.p0, rtol=0, atol=1e-15)
+
+    def test_corrupted_step_operator_fails_residual_check(self, corrupt_next_step_operator):
+        u = cos_field(16)
+        corrupt_next_step_operator(u, 16)
+        with pytest.raises(LinearAlgebraError, match="eigenbasis coordinates residual"):
+            propagator(u, 0.5, 16)
 
 
 class TestCoefficients:
@@ -141,6 +188,54 @@ class TestCoefficients:
         prop = propagator(u, 0.8, 16)
         with pytest.warns(TruncationWarning):
             evolve_coefficients(prop, 16)
+
+
+class TestPeriodicWave:
+    """Benjamin's periodic travelling wave, an exact solution at every t.
+
+    Hardy coefficients (b, q, q^2, ...) travel as uhat(t, k) = q^k e^{-ikct}
+    with c = 2b - 1 + 2q^2 / (1 - q^2); at N = 128 the truncation leaves
+    q^N <= 2e-20.
+    """
+
+    N = 128
+    CASES = [(0.3, 0.0), (0.5, 0.2), (0.7, -0.4)]
+
+    @staticmethod
+    def _datum(q, b, n, amplitude=1.0):
+        return TorusField.from_hardy(np.concatenate([[b], amplitude * q ** np.arange(1, n + 1)]))
+
+    @staticmethod
+    def _speed(q, b):
+        return 2.0 * b - 1.0 + 2.0 * q * q / (1.0 - q * q)
+
+    def _errors(self, q, b, t, c, amplitude=1.0):
+        """Relative errors of the coefficients 0..N/2 and of Pu(t, 0.5i)
+        against the wave of amplitude ``amplitude`` moving at speed c."""
+        prop = propagator(self._datum(q, b, self.N, amplitude), t, self.N)
+        k = np.arange(1, self.N // 2 + 1)
+        exact = np.concatenate([[b], amplitude * q ** k * np.exp(-1j * k * c * t)])
+        got = evolve_coefficients(prop)
+        z = 0.5j * q * np.exp(-1j * c * t)
+        exact_z = b + amplitude * z / (1.0 - z)
+        return (np.linalg.norm(got - exact) / np.linalg.norm(exact),
+                abs(evaluate_disc(prop, 0.5j) - exact_z) / abs(exact_z))
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("q, b", CASES)
+    def test_formula_matches_travelling_wave(self, q, b, t):
+        assert max(self._errors(q, b, t, self._speed(q, b))) <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("q, b", CASES)
+    def test_oracle_rejects_a_scaled_wave(self, q, b, t):
+        # 0.9 times the wave is no travelling wave: both values miss
+        assert min(self._errors(q, b, t, self._speed(q, b), amplitude=0.9)) > 1e-3
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("q, b", [case for case in CASES if case[1] != 0.0])
+    def test_oracle_rejects_speed_without_mean_term(self, q, b, t):
+        assert min(self._errors(q, b, t, self._speed(q, b) - 2.0 * b)) > 1e-2
 
 
 class TestEvaluateDisc:
@@ -190,7 +285,7 @@ class TestEvaluateDisc:
 
         prop = propagator(cos_field(8), 0.1, 8)
         matrix = prop.matrix.copy()
-        matrix[0, 1] = np.nan  # meets Pu0's mode 1 in the first product
+        matrix[0, 1] = np.nan  # meets w0's entry 1 in the first product
         with pytest.raises(ConditioningError):
             evaluate_disc(replace(prop, matrix=matrix), 0.3)
 
@@ -210,9 +305,10 @@ def counted(prop):
     return replace(prop, matrix=matrix)
 
 
-def dense_disc(prop, z):
-    """Reference disc value: <(I - zM)^-1 Pu0 | 1> by a dense solve."""
-    a = np.eye(prop.max_mode + 1) - z * prop.matrix
+def dense_disc(u0, prop, z):
+    """Reference disc value: <(I - zM)^-1 Pu0 | 1> by a dense solve, with
+    the standard-basis M built from its own eigendecomposition."""
+    a = np.eye(prop.max_mode + 1) - z * standard_step(u0, prop.t, prop.max_mode)
     return complex(np.linalg.solve(a, prop.p0)[0])
 
 
@@ -248,9 +344,10 @@ class TestDiscSeries:
 
     def test_series_continues_past_n(self):
         # |z| = 0.9 takes 363 terms on an N = 8 propagator
-        prop = counted(propagator(cos_field(8, a=1.5), 0.4, 8))
+        u = cos_field(8, a=1.5)
+        prop = counted(propagator(u, 0.4, 8))
         for z in (0.9, -0.6 + 0.6j):
-            ref = dense_disc(prop, z)
+            ref = dense_disc(u, prop, z)
             assert abs(evaluate_disc(prop, z) - ref) <= 1e-14 * abs(ref)
         assert prop.matrix.products == 363
 
@@ -365,10 +462,11 @@ class TestReconstruct:
 
     def test_disc_resolvent_exact_near_boundary(self):
         # the series stays machine-exact where it needs hundreds of terms
-        prop = propagator(cos_field(512), 0.6, 512)
+        u = cos_field(512)
+        prop = propagator(u, 0.6, 512)
         for z in (0.9, 0.9j, -0.85 + 0.3j):
             tail = 2.0 * abs(z) ** 257 * np.linalg.norm(prop.p0)
-            assert abs(evaluate_disc(prop, z) - dense_disc(prop, z)) <= tail + 1e-12
+            assert abs(evaluate_disc(prop, z) - dense_disc(u, prop, z)) <= tail + 1e-12
 
 
 FLUSH = np.sqrt(np.finfo(float).tiny)
@@ -404,29 +502,40 @@ class TestSubnormalFlush:
 
         u0, _, v_raw = localized
         assert tiny_count(v_raw) > 1000  # the datum exercises the flush
-        es = ts._lax_eigensystem(u0, FLUSH_N)
+        basis = ts._lax_eigensystem(u0, FLUSH_N)
         prop = propagator(u0, FLUSH_T, FLUSH_N)
-        assert tiny_count(es.eigenvectors.entries) == 0
-        assert tiny_count(es.evolution(2.0 * FLUSH_T).entries) == 0
+        assert tiny_count(basis.system.eigenvectors.entries) == 0
+        assert tiny_count(basis.system.evolution(2.0 * FLUSH_T).entries) == 0
+        assert tiny_count(basis.step) == 0
+        assert tiny_count(basis.start) == 0
+        assert tiny_count(prop.w0) == 0
         assert tiny_count(prop.matrix) == 0
 
     def test_entries_at_or_above_threshold_unchanged(self, localized):
         import boeq.torus_solution as ts
 
         u0, w_raw, v_raw = localized
-        es = ts._lax_eigensystem(u0, FLUSH_N)
+        basis = ts._lax_eigensystem(u0, FLUSH_N)
+        es = basis.system
         np.testing.assert_array_equal(es.eigenvalues, w_raw)
         v = es.eigenvectors.entries
         keep = np.abs(v_raw) >= FLUSH
         np.testing.assert_array_equal(v[keep], v_raw[keep])
         assert np.all(v[~keep] == 0)
-        # U before its flush, formed exactly as EigenSystem.evolution forms it
+        # each factor before its flush, formed exactly as boeq forms it
         u_raw = (v * np.exp(2j * FLUSH_T * es.eigenvalues)) @ v.conj().T
-        u = es.evolution(2.0 * FLUSH_T).entries
-        keep = np.abs(u_raw) >= FLUSH
-        assert not keep.all()
-        np.testing.assert_array_equal(u[keep], u_raw[keep])
-        assert np.all(u[~keep] == 0)
+        shifted = np.zeros_like(v)
+        shifted[:-1] = v[1:]
+        w_step = v.conj().T @ shifted
+        phases = np.exp(1j * FLUSH_T) * np.exp(2j * FLUSH_T * es.eigenvalues)
+        for raw, flushed in [(u_raw, es.evolution(2.0 * FLUSH_T).entries),
+                             (w_step, basis.step),
+                             (phases[:, None] * basis.step,
+                              propagator(u0, FLUSH_T, FLUSH_N).matrix)]:
+            keep = np.abs(raw) >= FLUSH
+            assert not keep.all()
+            np.testing.assert_array_equal(flushed[keep], raw[keep])
+            assert np.all(flushed[~keep] == 0)
 
     def test_outputs_match_unflushed_reference(self, localized):
         u0, w_raw, v_raw = localized
@@ -535,10 +644,11 @@ class TestIterateRescale:
 
         tiny = np.finfo(float).tiny
         prop = propagator(cos_field(self.N), 1.0, self.N)
-        plain = self._plain(prop.matrix, prop.p0, self.K)
+        row = prop.eigenvectors[0]  # uhat(t, k) = (V w)_0 for the iterate w
+        plain = self._plain(prop.matrix, prop.w0, self.K)
         # the datum decays into subnormal numbers without the rescale
         assert np.max(np.abs(plain[-1].view(float))) < tiny
-        scaled = list(islice(ts._iterates(prop.matrix, prop.p0), self.K))
+        scaled = list(islice(ts._iterates(prop.matrix, prop.w0), self.K))
         for v, _ in scaled:
             parts = np.abs(v.view(float))
             assert np.all((parts == 0.0) | (parts >= tiny))
@@ -546,8 +656,8 @@ class TestIterateRescale:
         assert first_rescale < 500
         # bit for bit while the plain recurrence is still exact in normal
         # numbers: 500 and more coefficients past the first rescale
-        want = np.array([v[0] for v in plain])
-        got = np.array([ts._unscaled(complex(v[0]), e) for v, e in scaled])
+        want = np.array([row @ v for v in plain])
+        got = np.array([ts._unscaled(complex(row @ v), e) for v, e in scaled])
         kept = np.abs(want) >= 1e-280
         assert np.count_nonzero(kept[first_rescale:]) > 500
         np.testing.assert_array_equal(got[kept], want[kept])
