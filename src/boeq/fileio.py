@@ -47,12 +47,24 @@ def write_field_json(path: Path, field: TorusField):
     write_json(Path(path), {"max_mode": field.max_mode, "coeffs": _pairs(field.coeffs)})
 
 
-def write_coeff_csv(path: Path, coeffs: np.ndarray):
+# rows formatted per write: bounds the Python floats and lines held at once
+_ROWS_PER_WRITE = 256
+
+
+def _write_columns(path: Path, header: Sequence[str], *columns: np.ndarray):
+    """A CSV of the header and one row per entry of the columns, each field
+    the repr of the entry as a Python int or float: the bytes ``csv.writer``
+    writes for them (no such repr needs quoting; lines end in CR LF)."""
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
-        for i, c in enumerate(np.asarray(coeffs, complex)):
-            w.writerow([i, repr(float(c.real)), repr(float(c.imag))])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            block = zip(*(col[i:i + _ROWS_PER_WRITE].tolist() for col in columns))
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+
+
+def write_coeff_csv(path: Path, coeffs: np.ndarray):
+    c = np.asarray(coeffs, complex)
+    _write_columns(path, ["k", "re", "im"], np.arange(c.size), c.real, c.imag)
 
 
 def write_solution_json(path: Path, t: float, coeffs: np.ndarray, mean: float):
@@ -60,11 +72,7 @@ def write_solution_json(path: Path, t: float, coeffs: np.ndarray, mean: float):
 
 
 def write_samples_csv(path: Path, x: np.ndarray, u: np.ndarray):
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u"])
-        for xi, ui in zip(x, u):
-            w.writerow([repr(float(xi)), repr(float(ui))])
+    _write_columns(path, ["x", "u"], np.asarray(x, float), np.asarray(u, float))
 
 
 def read_samples_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -92,11 +100,8 @@ def read_samples_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_spectrum_csv(path: Path, xi: np.ndarray, values: np.ndarray):
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi", "re", "im"])
-        for x, v in zip(xi, np.asarray(values, complex)):
-            w.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])
+    v = np.asarray(values, complex)
+    _write_columns(path, ["xi", "re", "im"], np.asarray(xi, float), v.real, v.imag)
 
 
 def write_scan_csv(path: Path, rows: Iterable):

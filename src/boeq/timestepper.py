@@ -4,14 +4,18 @@ The linear part ``d/dx |D|`` has symbol ``i k |k|`` and is integrated exactly
 through an integrating factor; the quadratic term is advanced with classical
 RK4 on the transformed variable (integrating-factor RK4, cf. Kassam &
 Trefethen, SISC 26 (2005) for the family of exponential steppers).  The
-field is real, so the stepper carries only the half spectrum c_0..c_N and
-forms products with real FFTs (``irfft``/``rfft``): the result is conjugate
+field is real, so the stepper carries only the half spectrum and forms
+products with real FFTs (``irfft``/``rfft``): the result is conjugate
 symmetric by construction, and the negative modes are filled in only when a
-field is handed back (``TorusField.from_hardy``).  Products are formed on a
-zero-padded grid large enough that every retained mode of the quadratic is
-alias-free, then cut with the 2/3 rule (:func:`dealias_cut`), so the
-dealiasing property "cut changes nothing for band-limited data" holds to
-the bit, and a field handed back is zero above the cut.
+field is handed back (``TorusField.from_hardy``).
+
+At truncation N the stepper keeps the modes 0..cut of the 2/3 rule
+(:func:`dealias_cut`, cut = floor(2N/3)); the modes above it of every field
+it hands back are zero.  Products are formed on ``next_fast_len(3 cut + 1)``
+points, about 2N, the smallest fast grid on which the square of the kept
+band is alias-free: u^2 reaches mode 2 cut, and on P points mode j folds
+onto j - P, which misses 0..cut once P > 3 cut.  The stepper at N is
+therefore the plain alias-free stepper of the band 0..cut.
 
 Every march is one loop over a stack of rows (:func:`_march`), one row
 per truncation, that stops at a sorted list of step counts and returns
@@ -24,13 +28,13 @@ Each time gets the whole steps and partial step of one ``evolve`` from
 t = 0 (:func:`split_steps`); a partial step is taken on a copy that the
 march does not continue from.
 
-Every row is transformed on the largest row's padded grid.  A row
-differentiates only its own retained modes, so it evolves as its own N
-does, to rounding: bit for bit for the largest N, within a few ulps for
-the others (their padded grid is longer).  Up to N = 512 the fixed cost of
-each FFT call dominates, and a stack of rows is cheaper than separate
-marches; with a row at N = 1024 the small rows' long padded transforms
-make it dearer.
+Every row is transformed on the largest row's grid.  A row differentiates
+only its own retained modes, so it evolves as its own N does, to rounding:
+bit for bit for the largest N, within a few ulps for the others (their
+grid is longer).  Up to N = 512 the fixed cost of each FFT call
+dominates, and a stack of rows is cheaper than separate marches; with a row
+at N = 1024 the small rows' long transforms cost about what the stack
+saves.
 """
 from __future__ import annotations
 
@@ -76,8 +80,8 @@ def dealias_cut(n):
 
 
 class _Stepper:
-    """Precomputed tables and padded FFT buffer for repeated steps at fixed
-    dt, acting on the retained half spectra c_0..c_cut of real fields.
+    """Precomputed tables for repeated steps at fixed dt, acting on the
+    retained half spectra c_0..c_cut of real fields.
 
     Modes above the cut carry nothing into a step (the nonlinear term reads
     only modes 0..cut and the step output is cut), so the state is just the
@@ -87,39 +91,56 @@ class _Stepper:
     modes there stay zero.
     """
 
-    def __init__(self, ns: Sequence[int], dt: float, dealias: bool = True):
+    def __init__(self, ns: Sequence[int], dt: float):
         self.dt = dt
-        ns = np.asarray(ns)
-        self.cuts = dealias_cut(ns) if dealias else ns
+        self.cuts = dealias_cut(np.asarray(ns))
         self.cut = int(np.max(self.cuts))
         k = np.arange(self.cut + 1)
         self.minus_ik = np.where(k <= self.cuts[:, None], -1j * k, 0.0)
-        # u^2 reaches mode 2 * cut, which folds onto a kept mode only on
-        # grids of at most 3 * cut points; sizing by the largest n keeps
-        # one grid for both cuts, so they round alike
-        self.pad = next_fast_len(3 * int(np.max(ns)) + 1)
-        self.buf = np.zeros((len(ns), self.pad // 2 + 1), dtype=np.complex128)
+        # u^2 of modes |k| <= cut reaches mode 2 * cut, which folds onto a
+        # kept mode only on grids of at most 3 * cut points
+        self.pad = next_fast_len(3 * self.cut + 1)
         sym = 1j * k * k
         self.e_half = np.exp(sym * dt / 2.0)
         self.e_full = self.e_half * self.e_half
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of each row of c
-        (exact padded product)."""
+        (exact padded product; modes of c above the cut are not read)."""
         m = self.cut + 1
-        self.buf[:, :m] = c[:, :m]
-        u = np.fft.irfft(self.buf, self.pad, norm="forward")
-        w = np.fft.rfft(u * u, norm="forward")
-        return self.minus_ik * w[:, :m]
+        u = np.fft.irfft(c[:, :m], self.pad, norm="forward")  # zero-pads
+        u *= u
+        w = np.fft.rfft(u, norm="forward")[:, :m]
+        w *= self.minus_ik
+        return w
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        """One IF-RK4 step of the cut + 1 retained modes of each row."""
+        """One IF-RK4 step of the cut + 1 retained modes of each row; c
+        itself is left as it is."""
         dt, eh, ef = self.dt, self.e_half, self.e_full
+        ehc, efc = eh * c, ef * c
         k1 = self.nonlinear(c)
-        k2 = self.nonlinear(eh * (c + 0.5 * dt * k1))
-        k3 = self.nonlinear(eh * c + 0.5 * dt * k2)
-        k4 = self.nonlinear(ef * c + dt * eh * k3)
-        return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+        s = k1 * (0.5 * dt)
+        s += c
+        s *= eh
+        k2 = self.nonlinear(s)
+        s = k2 * (0.5 * dt)
+        s += ehc
+        k3 = self.nonlinear(s)
+        s = k3 * eh
+        s *= dt
+        s += efc
+        k4 = self.nonlinear(s)
+        # ef c + dt/6 (ef k1 + 2 eh (k2 + k3) + k4), accumulated in k1
+        k2 += k3
+        k2 *= eh
+        k2 *= 2.0
+        k1 *= ef
+        k1 += k2
+        k1 += k4
+        k1 *= dt / 6.0
+        k1 += efc
+        return k1
 
 
 def _check_cfl(dt: float, n: int, field: TorusField):

@@ -1,10 +1,30 @@
 import numpy as np
 import pytest
 
+from boeq.spectral import TorusField
+
 
 def rel_l2(a, b):
     denom = max(float(np.linalg.norm(b)), 1e-300)
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) / denom
+
+
+def wave_datum(q, b, n, amplitude=1.0):
+    """Benjamin's periodic travelling wave at t = 0, truncated at n: Hardy
+    coefficients (b, q, q^2, ...), those above the mean times ``amplitude``."""
+    return TorusField.from_hardy(np.concatenate([[b], amplitude * q ** np.arange(1, n + 1)]))
+
+
+def wave_speed(q, b):
+    """Speed c of the travelling wave of :func:`wave_datum`."""
+    return 2.0 * b - 1.0 + 2.0 * q * q / (1.0 - q * q)
+
+
+def wave_hardy(q, b, t, c, k_max, amplitude=1.0):
+    """Hardy coefficients 0..k_max of the wave of :func:`wave_datum` moved
+    at speed c for time t: (b, q^k e^{-ikct} times ``amplitude``)."""
+    k = np.arange(1, k_max + 1)
+    return np.concatenate([[b], amplitude * q ** k * np.exp(-1j * k * c * t)])
 
 
 @pytest.fixture

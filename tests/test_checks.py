@@ -245,8 +245,8 @@ class TestInvariantsCatchMutatedStepper:
         import boeq.timestepper as ts
 
         class Mutated(ts._Stepper):
-            def __init__(self, n, dt, dealias=True):
-                super().__init__(n, dt, dealias)
+            def __init__(self, ns, dt):
+                super().__init__(ns, dt)
                 if e_half is not None:
                     self.e_half = self.e_half * e_half(np.arange(self.cut + 1), dt)
                     self.e_full = self.e_half * self.e_half

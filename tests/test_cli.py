@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -16,8 +17,10 @@ from boeq.errors import ConfigurationError, IngestionError
 from boeq.fileio import (
     read_samples_csv,
     sha256_of,
+    write_coeff_csv,
     write_field_json,
     write_samples_csv,
+    write_spectrum_csv,
 )
 from boeq.line_operators import LineField
 from boeq.presets import line_preset, parse_preset, torus_preset
@@ -98,6 +101,37 @@ class TestFileFormats:
         x2, u2 = read_samples_csv(path)
         np.testing.assert_array_equal(x2, x)
         np.testing.assert_array_equal(u2, u)
+
+    def test_csv_writers_write_the_bytes_of_csv_writer(self, tmp_path):
+        # the reference writes one row at a time through csv.writer, with
+        # repr fields; the edge values must come out the same
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                0.1, 1.0 / 3.0, 2.0 ** 60, 1e-5, 123456789.125]
+        # more rows than one block of the writers, so rows cross a block edge
+        x = np.asarray(edge + list(np.random.default_rng(3).standard_normal(600)))
+        values = np.empty(x.size, complex)
+        values.real, values.imag = x[::-1], x
+
+        def reference(header, rows):
+            path = tmp_path / "reference.csv"
+            with path.open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                for row in rows:
+                    w.writerow([f if isinstance(f, int) else repr(float(f)) for f in row])
+            return path.read_bytes()
+
+        cases = [
+            (write_samples_csv, (x, x[::-1]), ["x", "u"], zip(x, x[::-1])),
+            (write_coeff_csv, (values,), ["k", "re", "im"],
+             ((k, v.real, v.imag) for k, v in enumerate(values))),
+            (write_spectrum_csv, (x, values), ["xi", "re", "im"],
+             ((xi, v.real, v.imag) for xi, v in zip(x, values))),
+        ]
+        for writer, args, header, rows in cases:
+            path = tmp_path / f"{writer.__name__}.csv"
+            writer(path, *args)
+            assert path.read_bytes() == reference(header, rows), writer.__name__
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from boeq.errors import BlowUpError, StabilityWarning
-from boeq.spectral import TorusField, field_from_samples
+from boeq.spectral import TorusField, field_from_samples, next_fast_len
 from boeq.presets import torus_preset
-from boeq.timestepper import _Stepper, conserved_quantities, evolve, march
+from boeq.timestepper import _Stepper, conserved_quantities, dealias_cut, evolve, march
 
 from box_oracle import evolve_line_on_box
+from conftest import wave_datum, wave_hardy, wave_speed
 
 
 def cos_field(n, a=1.0):
@@ -16,6 +17,21 @@ def cos_field(n, a=1.0):
 def one_step(u, dt):
     """One IF-RK4 step: evolve over a horizon of exactly dt."""
     return evolve(u, dt, dt, u.max_mode)
+
+
+def full_band_field(n, seed=5):
+    """Random field whose modes reach the truncation n."""
+    rng = np.random.default_rng(seed)
+    return TorusField.from_modes(n, {k: (rng.standard_normal() + 1j * rng.standard_normal()) / k
+                                     for k in range(1, n + 1)})
+
+
+def exact_nonlinear(u, m):
+    """-ik (u^2)_k, k = 0..m-1, of the modes |k| < m of u: the direct
+    convolution of its coefficients with themselves."""
+    n = u.max_mode
+    kept = np.where(np.abs(np.arange(-n, n + 1)) < m, u.coeffs, 0.0)
+    return -1j * np.arange(m) * np.convolve(kept, kept)[2 * n:2 * n + m]
 
 
 class TestStep:
@@ -38,43 +54,31 @@ class TestStep:
         ratio = traj.final().coeff(1) / a
         assert abs(ratio - np.exp(1j * 1.0)) < 5 * a
 
-    def test_dealias_cut_inert_on_quadratic_product(self):
-        # for data band-limited to N/3 the quadratic product reaches exactly
-        # the 2/3 cut, so cutting it changes nothing, bit for bit
-        n = 24
-        u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 3 + 1)})
-        half = u.coeffs[None, n:]  # c_0..c_N, a one-row stack
-        eng = _Stepper([n], 1e-3, dealias=True)
-        with_cut = eng.nonlinear(half)[0]
-        without = _Stepper([n], 1e-3, dealias=False).nonlinear(half)[0]
-        assert with_cut.size == eng.cut + 1 and without.size == n + 1
-        # retained modes bitwise identical; the cut removes only FFT roundoff
-        np.testing.assert_array_equal(with_cut, without[:eng.cut + 1])
-        assert np.max(np.abs(without[eng.cut + 1:])) < 1e-15
-
     @pytest.mark.parametrize("dealias", [True, False])
     def test_nonlinear_term_is_the_exact_product(self, dealias):
-        # full-band data: u^2 reaches mode 2N, and no aliased mode may land
-        # on a kept one; the reference is the direct convolution of c with c
+        # full-band data: u^2 reaches twice the highest mode read, and no
+        # aliased mode may land on a kept one; the reference is the direct
+        # convolution of c with c.  With the cut it is the stepper's term,
+        # without it the textbook complex-FFT term on the full band
         n = 30
-        rng = np.random.default_rng(5)
-        u = TorusField.from_modes(n, {k: (rng.standard_normal() + 1j * rng.standard_normal()) / k
-                                      for k in range(1, n + 1)})
-        eng = _Stepper([n], 1e-3, dealias=dealias)
-        m = eng.cut + 1
-        kept = np.where(np.abs(np.arange(-n, n + 1)) < m, u.coeffs, 0.0)
-        square = np.convolve(kept, kept)[2 * n:2 * n + m]  # modes 0..cut of u^2
-        np.testing.assert_allclose(eng.nonlinear(u.coeffs[None, n:])[0], -1j * np.arange(m) * square,
-                                   rtol=0, atol=1e-12)
+        u = full_band_field(n)
+        if dealias:
+            m = dealias_cut(n) + 1
+            got = _Stepper([n], 1e-3).nonlinear(u.coeffs[None, n:])[0]
+        else:
+            m = n + 1
+            got = _complex_nonlinear(to_fft_layout(u.coeffs), n, n)[:m]
+        np.testing.assert_allclose(got, exact_nonlinear(u, m), rtol=0, atol=1e-12)
 
     def test_dealias_cut_inert_for_band_limited_steps(self):
         # each RK4 stage doubles the band of the stage inputs, so the modes
         # the cut removes from a full step carry only machine-level mass for
-        # narrow-band data; the step agrees to machine precision either way
+        # narrow-band data; the step agrees to machine precision with the
+        # textbook step on the full band
         n = 24
         u = TorusField.from_modes(n, {k: 0.1 / (k + 1) for k in range(1, n // 6 + 1)})
         with_cut = one_step(u, 1e-3).final().coeffs[n:]  # c_0..c_N, zero above the cut
-        without = _Stepper([n], 1e-3, dealias=False).step(u.coeffs[None, n:])[0]
+        without = from_fft_layout(_full_complex_step(to_fft_layout(u.coeffs), n, 1e-3, cut=n))[n:]
         np.testing.assert_allclose(with_cut, without, atol=2e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route
@@ -87,6 +91,82 @@ class TestStep:
         u = cos_field(64)
         with pytest.warns(StabilityWarning):
             one_step(u, 0.02)
+
+
+class TestGrid:
+    """Products are formed on the smallest fast grid on which the square of
+    the kept band is alias-free."""
+
+    @pytest.mark.parametrize("ns, pad", [([64], 128), ([128], 256), ([256], 512),
+                                         ([96, 128], 256), ([32, 64, 48], 128), ([2, 32], 64)])
+    def test_pad_is_the_fast_length_above_three_cuts(self, ns, pad):
+        cut = max(dealias_cut(n) for n in ns)
+        assert _Stepper(ns, 1e-3).pad == next_fast_len(3 * cut + 1) == pad
+
+    def test_grid_of_three_cuts_aliases_onto_kept_modes(self):
+        # on 3 * cut points mode 2 * cut of u^2 folds onto mode -cut, so
+        # the kept mode cut is wrong by the square of c_cut
+        class Short(_Stepper):
+            def __init__(self, ns, dt):
+                super().__init__(ns, dt)
+                self.pad = 3 * self.cut
+
+        n = 30
+        u = full_band_field(n)
+        got = Short([n], 1e-3).nonlinear(u.coeffs[None, n:])[0]
+        assert np.max(np.abs(got - exact_nonlinear(u, dealias_cut(n) + 1))) > 1e-3
+
+    def test_nonlinear_reads_only_the_kept_modes(self):
+        n = 30
+        eng = _Stepper([n], 1e-3)
+        full = full_band_field(n).coeffs[None, n:]  # c_0..c_N
+        zeroed = np.where(np.arange(n + 1) <= eng.cut, full, 0.0)
+        got = eng.nonlinear(full)
+        np.testing.assert_array_equal(got, eng.nonlinear(zeroed))
+        np.testing.assert_array_equal(got, eng.nonlinear(full[:, :eng.cut + 1]))
+
+    def test_step_leaves_its_input_alone(self):
+        # a partial step is taken on the state the march continues from
+        n = 30
+        eng = _Stepper([n, 24], 1e-3)
+        c = np.stack([full_band_field(n, seed).hardy[:eng.cut + 1] for seed in (5, 6)])
+        before = c.copy()
+        eng.step(c)
+        np.testing.assert_array_equal(c, before)
+
+
+class TestPeriodicWaveMarch:
+    """Benjamin's periodic travelling wave, (q, b) = (0.5, 0.2) at N = 128,
+    marched by the stepper: its Hardy coefficients 0..N/2 travel exactly as
+    q^k e^{-ikct}, a reference that is neither the formula nor the stepper.
+    """
+
+    N, Q, B = 128, 0.5, 0.2
+    TIMES = (0.5, 2.0)
+    # relative l2 error of coefficients 0..N/2 at each of TIMES: twice the
+    # error measured on the 3N + 1 point grid of the earlier stepper
+    BOUNDS = {1e-3: (2 * 1.19e-9, 2 * 2.45e-9), 5e-4: (2 * 7.39e-11, 2 * 1.48e-10)}
+
+    def _errors(self, dt, amplitude=1.0):
+        (got,) = march([wave_datum(self.Q, self.B, self.N, amplitude)], self.TIMES, dt)
+        c = wave_speed(self.Q, self.B)
+        errs = []
+        for t in self.TIMES:
+            exact = wave_hardy(self.Q, self.B, t, c, self.N // 2, amplitude)
+            errs.append(np.linalg.norm(got[t].hardy[:self.N // 2 + 1] - exact) / np.linalg.norm(exact))
+        return errs
+
+    def test_march_matches_travelling_wave_at_fourth_order(self):
+        errs = {dt: self._errors(dt) for dt in self.BOUNDS}
+        for dt, bounds in self.BOUNDS.items():
+            for err, bound in zip(errs[dt], bounds):
+                assert err <= bound, (dt, err, bound)
+        for coarse, fine in zip(errs[1e-3], errs[5e-4]):
+            assert 3.7 <= np.log2(coarse / fine) <= 4.3
+
+    def test_oracle_rejects_a_scaled_wave(self):
+        # 0.9 times the wave is no travelling wave
+        assert min(self._errors(1e-3, amplitude=0.9)) > 1e-3
 
 
 class TestRealFieldGuard:
@@ -111,30 +191,40 @@ def from_fft_layout(cf):
     return np.concatenate([cf[n + 1:], cf[:n + 1]])
 
 
-def _full_complex_step(cf, n, dt):
-    """One IF-RK4 step written on the two-sided spectrum in numpy FFT order
-    (0..N, -N..-1) with complex FFTs, the textbook form of the scheme."""
+def _complex_nonlinear(v, n, cut):
+    """-ik (u^2)_k on the two-sided spectrum v in numpy FFT order (0..N,
+    -N..-1), reading and keeping the modes |k| <= cut, with complex FFTs on
+    4N + 2 points."""
     k = np.concatenate([np.arange(0, n + 1), np.arange(-n, 0)])
-    mask = np.abs(k) <= (2 * n) // 3
+    mask = np.abs(k) <= cut
     pad = 4 * n + 2
+    v = np.where(mask, v, 0.0)
+    big = np.zeros(pad, dtype=np.complex128)
+    big[:n + 1] = v[:n + 1]
+    big[-n:] = v[-n:]
+    u = np.fft.ifft(big) * pad
+    w = np.fft.fft(u * u) / pad
+    return -1j * k * np.where(mask, np.concatenate([w[:n + 1], w[-n:]]), 0.0)
+
+
+def _full_complex_step(cf, n, dt, cut=None):
+    """One IF-RK4 step written on the two-sided spectrum in numpy FFT order
+    with complex FFTs, the textbook form of the scheme; it keeps the modes
+    |k| <= cut (default the 2/3 rule's)."""
+    cut = dealias_cut(n) if cut is None else cut
+    k = np.concatenate([np.arange(0, n + 1), np.arange(-n, 0)])
     e_half = np.exp(1j * k * np.abs(k) * dt / 2.0)
     e_full = e_half * e_half
 
     def nonlinear(v):
-        v = np.where(mask, v, 0.0)
-        big = np.zeros(pad, dtype=np.complex128)
-        big[:n + 1] = v[:n + 1]
-        big[-n:] = v[-n:]
-        u = np.fft.ifft(big) * pad
-        w = np.fft.fft(u * u) / pad
-        return -1j * k * np.where(mask, np.concatenate([w[:n + 1], w[-n:]]), 0.0)
+        return _complex_nonlinear(v, n, cut)
 
     k1 = nonlinear(cf)
     k2 = nonlinear(e_half * (cf + 0.5 * dt * k1))
     k3 = nonlinear(e_half * cf + 0.5 * dt * k2)
     k4 = nonlinear(e_full * cf + dt * e_half * k3)
     out = e_full * cf + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return np.where(mask, out, 0.0)
+    return np.where(np.abs(k) <= cut, out, 0.0)
 
 
 class TestFullComplexOracle:

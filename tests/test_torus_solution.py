@@ -20,7 +20,7 @@ from boeq.torus_solution import (
     reconstruct_torus,
 )
 
-from conftest import rel_l2
+from conftest import rel_l2, wave_datum, wave_hardy, wave_speed
 
 
 def cos_field(n=64, a=1.0):
@@ -201,20 +201,11 @@ class TestPeriodicWave:
     N = 128
     CASES = [(0.3, 0.0), (0.5, 0.2), (0.7, -0.4)]
 
-    @staticmethod
-    def _datum(q, b, n, amplitude=1.0):
-        return TorusField.from_hardy(np.concatenate([[b], amplitude * q ** np.arange(1, n + 1)]))
-
-    @staticmethod
-    def _speed(q, b):
-        return 2.0 * b - 1.0 + 2.0 * q * q / (1.0 - q * q)
-
     def _errors(self, q, b, t, c, amplitude=1.0):
         """Relative errors of the coefficients 0..N/2 and of Pu(t, 0.5i)
         against the wave of amplitude ``amplitude`` moving at speed c."""
-        prop = propagator(self._datum(q, b, self.N, amplitude), t, self.N)
-        k = np.arange(1, self.N // 2 + 1)
-        exact = np.concatenate([[b], amplitude * q ** k * np.exp(-1j * k * c * t)])
+        prop = propagator(wave_datum(q, b, self.N, amplitude), t, self.N)
+        exact = wave_hardy(q, b, t, c, self.N // 2, amplitude)
         got = evolve_coefficients(prop)
         z = 0.5j * q * np.exp(-1j * c * t)
         exact_z = b + amplitude * z / (1.0 - z)
@@ -224,18 +215,18 @@ class TestPeriodicWave:
     @pytest.mark.parametrize("t", [0.5, 2.0])
     @pytest.mark.parametrize("q, b", CASES)
     def test_formula_matches_travelling_wave(self, q, b, t):
-        assert max(self._errors(q, b, t, self._speed(q, b))) <= 1e-13
+        assert max(self._errors(q, b, t, wave_speed(q, b))) <= 1e-13
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     @pytest.mark.parametrize("q, b", CASES)
     def test_oracle_rejects_a_scaled_wave(self, q, b, t):
         # 0.9 times the wave is no travelling wave: both values miss
-        assert min(self._errors(q, b, t, self._speed(q, b), amplitude=0.9)) > 1e-3
+        assert min(self._errors(q, b, t, wave_speed(q, b), amplitude=0.9)) > 1e-3
 
     @pytest.mark.parametrize("t", [0.5, 2.0])
     @pytest.mark.parametrize("q, b", [case for case in CASES if case[1] != 0.0])
     def test_oracle_rejects_speed_without_mean_term(self, q, b, t):
-        assert min(self._errors(q, b, t, self._speed(q, b) - 2.0 * b)) > 1e-2
+        assert min(self._errors(q, b, t, wave_speed(q, b) - 2.0 * b)) > 1e-2
 
 
 class TestEvaluateDisc:
