@@ -105,17 +105,14 @@ def write_spectrum_csv(path: Path, xi: np.ndarray, values: np.ndarray):
 
 
 def write_scan_csv(path: Path, rows: Iterable):
-    """Rows of (z, value-or-None, error-or-None) as re_z,im_z,re_val,im_val."""
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re_z", "im_z", "re_val", "im_val"])
-        for row in rows:
-            z = complex(row.z)
-            if row.value is None:
-                w.writerow([repr(z.real), repr(z.imag), "nan", "nan"])
-            else:
-                v = complex(row.value)
-                w.writerow([repr(z.real), repr(z.imag), repr(v.real), repr(v.imag)])
+    """Rows of (z, value-or-None, error-or-None) as re_z,im_z,re_val,im_val;
+    a failed point's value is written as nan, nan."""
+    rows = list(rows)
+    z = np.array([complex(row.z) for row in rows], dtype=complex)
+    failed = complex(np.nan, np.nan)
+    v = np.array([failed if row.value is None else complex(row.value) for row in rows],
+                 dtype=complex)
+    _write_columns(path, ["re_z", "im_z", "re_val", "im_val"], z.real, z.imag, v.real, v.imag)
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray):

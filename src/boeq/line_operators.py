@@ -23,7 +23,9 @@ traded for the symmetry.
 The weighted generator ``G_w = S G S^-1`` exists only as a band
 (:func:`_generator_band`), which :func:`generator_apply` and the
 resolvent's product and preconditioner read.  :func:`toeplitz_apply` forms
-T_w v in O(M log M); no solver forms the dense Toeplitz matrix.
+T_w v in O(M log M) from the circulant of :func:`_circulant_kernel`, which
+the resolvent's product reads too; no solver forms the dense Toeplitz
+matrix.
 
 The resolvent system ``(G - 2t L_{u0} - z) f = Pu0`` is solved in gauge
 variables ``ghat = e^{i t xi^2} fhat``, which removes the ``-2t xi`` diagonal
@@ -31,8 +33,8 @@ of ``G - 2t D`` exactly and moves phases ``e^{i t (xi^2 - eta^2)}`` into the
 convolution kernel.  The only boundary condition is the decay closure
 ``ghat(Xi) = 0``; no condition is imposed at ``xi = 0`` where a one-sided
 stencil runs.  :class:`ResolventEvaluator` is the one solver of that system:
-one matrix-free GMRES per point, preconditioned by the band of G_w - z, in
-O(M log M) time and O(M) memory at every t.
+one matrix-free GMRES per point, preconditioned by a tridiagonal LU of
+G_w - z, in O(M log M) time and O(M) memory at every t.
 """
 from __future__ import annotations
 
@@ -71,13 +73,13 @@ SOLVE_TOL = 1e-6
 GMRES_TOL = 1e-12
 GMRES_MAX_STEPS = 100
 # Bytes per node at the peak of a t = 0 solve-line run, with or without its
-# scan (tracemalloc, M = 2001 to 20001: 294 to 355).  Every line path holds
+# scan (tracemalloc, M = 2001 to 20001: 263 to 299).  Every line path holds
 # these O(M) arrays; LineGrid checks them before any line array is allocated.
 GRID_NODE_BYTES = 400
 # Bytes per node that a t != 0 resolvent adds: GMRES's Krylov basis of
 # GMRES_MAX_STEPS + 1 complex vectors (1616) and the coupling's FFT buffers.
-# A t != 0 run peaks at 2074 to 2170 bytes per node in all (tracemalloc,
-# solve-line at M = 2001 to 20001 and evaluate_uhp to M = 8001), 2260 for
+# A t != 0 run peaks at 2006 to 2051 bytes per node in all (tracemalloc,
+# solve-line at M = 2001 to 20001 and evaluate_uhp to M = 8001), 2016 for
 # one point at M = 801.  A t != 0 ResolventEvaluator checks GRID_NODE_BYTES
 # + KRYLOV_NODE_BYTES per node before it builds anything.
 KRYLOV_NODE_BYTES = 16 * (GMRES_MAX_STEPS + 1) + 400
@@ -264,29 +266,33 @@ def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: _band_matvec(ab, v)
 
 
-def toeplitz_apply(samples: HalfLineSpectrum) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> T_w v, the weighted Toeplitz matrix :func:`toeplitz_line` applied
-    in O(M log M) without forming it, from the half-line samples of uhat0 on
-    their grid.
-
-    The two-sided kernel uhat(xi_d), d = -M..M, the samples and their
-    conjugate mirror, is embedded in a circulant of 5-smooth length
-    >= 2M + 1 and transformed once; each product is then one forward and one
-    inverse FFT (Chan & Ng, SIAM Review 38, 1996).  Equal to the dense
-    product up to rounding, and exactly zero for the zero field.
-    """
-    grid = samples.grid
-    n, m = grid.count, grid.last
+def _circulant_kernel(samples: HalfLineSpectrum) -> np.ndarray:
+    """FFT of the two-sided kernel uhat(xi_d), d = -M..M, the samples and
+    their conjugate mirror, embedded in a circulant of 5-smooth length
+    >= 2M + 1: T_w v is then one forward and one inverse FFT of that length
+    (Chan & Ng, SIAM Review 38, 1996)."""
+    m = samples.grid.last
     size = next_fast_len(2 * m + 1)
     column = np.zeros(size, dtype=np.complex128)
     column[:m + 1] = samples.values                       # d = 0..M
     column[size - m:] = np.conj(samples.values[:0:-1])    # d = -M..-1, wrapped
-    kernel = np.fft.fft(column)
+    return np.fft.fft(column)
+
+
+def toeplitz_apply(samples: HalfLineSpectrum) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> T_w v, the weighted Toeplitz matrix :func:`toeplitz_line` applied
+    in O(M log M) without forming it, from the half-line samples of uhat0 on
+    their grid, through :func:`_circulant_kernel`.  Equal to the dense
+    product up to rounding, and exactly zero for the zero field.
+    """
+    grid = samples.grid
+    n = grid.count
+    kernel = _circulant_kernel(samples)
     sw = grid.sqrt_weights
     scale = (grid.step / TWO_PI) * sw
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return scale * np.fft.ifft(kernel * np.fft.fft(sw * v, size))[:n]
+        return scale * np.fft.ifft(kernel * np.fft.fft(sw * v, kernel.size))[:n]
 
     return apply
 
@@ -340,22 +346,40 @@ def check_uhp(z: complex) -> complex:
     return z
 
 
-def _band_preconditioner(band: np.ndarray, z: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> (G_w - z)^-1 v on nodes 0..M-1, from one LAPACK band LU.
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector (NaN stays NaN)."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _tridiagonal_preconditioner(band: np.ndarray, z: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (G_w - z)^-1 v on nodes 0..M-1, from one LAPACK tridiagonal LU.
 
     ``band`` is G_w's band in scipy's layout (:func:`_generator_band`).  The
-    (l, u) = (1, 2) band of its leading M x M block goes below the l rows
-    that ``zgbtrf`` wants on top for its fill-in.
+    leading M x M block of G_w - z is tridiagonal but for the closure entry
+    G_w[0, 2]; subtracting ``alpha = G_w[0, 2] / G_w[1, 2]`` (= -sqrt(wt_0 /
+    wt_1) for the stencil, whatever z) times row 1 from row 0 removes it.
+    The same row operation is applied to every right-hand side, and the
+    tridiagonal rest is factored by ``zgttrf`` (LU with partial pivoting)
+    and solved by ``zgttrs``.  An exactly singular factor raises
+    :class:`ConditioningError`.
     """
     m = band.shape[1] - 1
-    ab = np.zeros((5, m), dtype=np.complex128, order="F")
-    ab[1:] = band[:4, :m]
-    ab[4, m - 1] = 0.0  # G_w[M, M-1] lies outside the block
-    ab[3] -= z  # the diagonal
-    lu, piv, info = lapack.zgbtrf(ab, 1, 2, overwrite_ab=1)
+    alpha = band[0, 2] / band[1, 2]
+    sub = band[3, :m - 1].copy()   # G_w[i + 1, i]
+    diag = band[2, :m] - z
+    sup = band[1, 1:m].copy()      # G_w[i, i + 1]
+    diag[0] -= alpha * sub[0]      # row 0 -= alpha * row 1
+    sup[0] -= alpha * diag[1]
+    sub, diag, sup, sup2, piv, info = lapack.zgttrf(sub, diag, sup, 1, 1, 1)
     if info != 0:
-        raise ConditioningError(f"preconditioner band is singular (zgbtrf info {info})", np.inf)
-    return lambda v: lapack.zgbtrs(lu, 1, 2, v, piv)[0]
+        raise ConditioningError(f"preconditioner is singular (zgttrf info {info})", np.inf)
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        rhs = v.copy()
+        rhs[0] -= alpha * v[1]
+        return lapack.zgttrs(sub, diag, sup, sup2, piv, rhs, overwrite_b=1)[0]
+
+    return solve
 
 
 def _gmres(
@@ -378,9 +402,9 @@ def _gmres(
     basis = np.empty((cap + 1, r.size), dtype=np.complex128)
     tri = np.zeros((cap, cap), dtype=np.complex128)  # R of the rotated Hessenberg matrix
     rotations: list[tuple[float, complex]] = []
-    beta = float(np.linalg.norm(r))
+    beta = _norm(r)
     g = [complex(beta)]
-    basis[0] = r / beta
+    np.divide(r, beta, out=basis[0])
     for j in range(cap):
         w = operator(precondition(basis[j]))
         q = basis[:j + 1]
@@ -390,7 +414,7 @@ def _gmres(
             w -= c @ q
             h += c
         col = h.tolist()
-        sub = float(np.linalg.norm(w))
+        sub = _norm(w)
         for i, (cs, sn) in enumerate(rotations):
             col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
                                   cs * col[i + 1] - sn.conjugate() * col[i])
@@ -407,7 +431,7 @@ def _gmres(
         if not abs(residual) > stop:
             y = np.linalg.solve(tri[:j + 1, :j + 1], np.asarray(g[:j + 1]))
             return precondition(y @ basis[:j + 1])
-        basis[j + 1] = w / sub
+        np.divide(w, sub, out=basis[j + 1])
     raise ConditioningError(f"GMRES did not converge in {cap} steps", abs(g[cap]) / beta)
 
 
@@ -420,19 +444,22 @@ class ResolventEvaluator:
     sampling.  Gauge variables remove the -2t*xi diagonal exactly; the decay
     closure ``ghat(Xi) = 0`` is eliminated, leaving the square system
     ``(A - z) g = b`` on nodes 0..M-1 with ``A = G_w + 2t P T_w P*``,
-    ``P = diag(e^{i t xi^2})``.  A is never formed: G_w is applied in O(M)
-    from its band and T_w by :func:`toeplitz_apply` in O(M log M).
-    Each point is one GMRES solve, right-preconditioned by the band LU of
-    ``G_w - z``, factored per point in O(M).  It starts from
-    ``x0 = (G_w - z)^-1 b``, which at t = 0 (where the preconditioner is the
-    operator) and for the zero datum is the solution: no Arnoldi step runs
-    there.  Every point checks its true residual against ``SOLVE_TOL``.
-    At t != 0 the evaluator first checks ``KRYLOV_NODE_BYTES`` per node,
-    the Krylov basis of at most ``GMRES_MAX_STEPS + 1`` vectors and the
-    coupling's buffers, on top of the grid's ``GRID_NODE_BYTES``
-    (:class:`ConfigurationError` when they do not fit).  A point allocates
-    its own work arrays, so one evaluator may serve several threads at a
-    time.
+    ``P = diag(e^{i t xi^2})``.  A is never formed and acts on the M-node
+    block only: G_w from the three diagonals and the corner entry of its
+    band in O(M), and 2t P T_w P* as one circulant FFT product in
+    O(M log M), with P, the sqrt(wt) scalings and 2t h/2pi folded into one
+    vector on each side of it.  Each point is one GMRES solve,
+    right-preconditioned by the tridiagonal LU of ``G_w - z``
+    (:func:`_tridiagonal_preconditioner`), factored per point in O(M).  It
+    starts from ``x0 = (G_w - z)^-1 b``, which at t = 0 (where the
+    preconditioner is the operator) and for the zero datum is the solution:
+    no Arnoldi step runs there.  Every point checks its true residual
+    against ``SOLVE_TOL``.  At t != 0 the evaluator first checks
+    ``KRYLOV_NODE_BYTES`` per node, the Krylov basis of at most
+    ``GMRES_MAX_STEPS + 1`` vectors and the coupling's buffers, on top of
+    the grid's ``GRID_NODE_BYTES`` (:class:`ConfigurationError` when they
+    do not fit).  A point allocates its own work arrays, so one evaluator
+    may serve several threads at a time.
     """
 
     def __init__(
@@ -441,50 +468,57 @@ class ResolventEvaluator:
         t: float,
         tail_tol: float = SPECTRAL_TAIL_TOL,
     ):
-        self.grid = samples.grid
+        grid = self.grid = samples.grid
         self.t = float(t)
         if self.t != 0.0:
-            check_memory((GRID_NODE_BYTES + KRYLOV_NODE_BYTES) * self.grid.count,
-                         f"the line resolvent's Krylov basis at M = {self.grid.count}",
+            check_memory((GRID_NODE_BYTES + KRYLOV_NODE_BYTES) * grid.count,
+                         f"the line resolvent's Krylov basis at M = {grid.count}",
                          "lower the cutoff or enlarge the step")
         check_tail(samples, tail_tol)
-        m = self.grid.last
-        self._band = _generator_band(self.grid)  # G_w, for the product and the preconditioner
+        m = grid.last
+        band = self._band = _generator_band(grid)  # G_w, for the product and the preconditioner
+        self._diag, self._sup, self._sub = band[2, :m], band[1, 1:m], band[3, :m - 1]
+        self._corner = band[0, 2]  # G_w[0, 2], the one entry off the three diagonals
         self._rhs = _gauge_rhs(samples, self.t)[:m]
-        phase = _gauge_phase(self.grid, self.t)
-        phase_conj = self._phase_conj = np.conj(phase)
-        self._coupling = None  # 2t P T_w P*, which vanishes at t = 0
+        self._rhs_norm = max(_norm(self._rhs), np.finfo(float).tiny)
+        phase = _gauge_phase(grid, self.t)[:m]
+        sw = grid.sqrt_weights[:m]
+        self._unweight = np.conj(phase) / sw  # g -> fhat: unweight, un-gauge
+        self._kernel = None  # of 2t P T_w P*, which vanishes at t = 0
         if self.t != 0.0:
-            toeplitz = toeplitz_apply(samples)
-            weight = 2.0 * self.t * phase
-            self._coupling = lambda v: weight * toeplitz(phase_conj * v)
+            self._kernel = _circulant_kernel(samples)
+            self._inner = sw * np.conj(phase)
+            self._outer = (2.0 * self.t * grid.step / TWO_PI) * sw * phase
 
     def _apply(self, x: np.ndarray, z: complex) -> np.ndarray:
         """(A - z) x on nodes 0..M-1, with the closure node held at zero."""
-        v = np.zeros(self.grid.count, dtype=np.complex128)
-        v[:-1] = x
-        y = _band_matvec(self._band, v)
-        if self._coupling is not None:
-            y += self._coupling(v)
-        return y[:-1] - z * x
+        y = self._diag - z
+        y *= x
+        y[:-1] += self._sup * x[1:]
+        y[1:] += self._sub * x[:-1]
+        y[0] += self._corner * x[2]
+        if self._kernel is not None:
+            v = np.fft.ifft(self._kernel * np.fft.fft(self._inner * x, self._kernel.size))
+            y += self._outer * v[:x.size]
+        return y
 
     def hardy_solution(self, z: complex) -> HalfLineSpectrum:
         """fhat samples of the resolvent output at z, Im z > 0."""
         z = check_uhp(z)
         b = self._rhs
-        scale = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
-        stop = GMRES_TOL * scale
-        precondition = _band_preconditioner(self._band, z)
+        stop = GMRES_TOL * self._rhs_norm
+        precondition = _tridiagonal_preconditioner(self._band, z)
         x = precondition(b)
         r = b - self._apply(x, z)
-        if self._coupling is not None and np.linalg.norm(r) > stop:
-            x = x + _gmres(lambda v: self._apply(v, z), precondition, r, stop)
+        if self._kernel is not None and _norm(r) > stop:
+            x += _gmres(lambda v: self._apply(v, z), precondition, r, stop)
             r = b - self._apply(x, z)
-        residual = float(np.linalg.norm(r)) / scale
+        residual = _norm(r) / self._rhs_norm
         if not residual <= SOLVE_TOL:  # NaN fails too
             raise ConditioningError("line resolvent solve is ill-conditioned", residual)
-        # closure zero g(Xi) = 0, unweight, un-gauge
-        return self.grid.spectrum(self._phase_conj * unweight_vector(np.append(x, 0.0), self.grid))
+        values = np.zeros(self.grid.count, dtype=np.complex128)  # closure zero g(Xi) = 0
+        np.multiply(self._unweight, x, out=values[:-1])
+        return self.grid.spectrum(values)
 
     def value(self, z: complex) -> complex:
         """Pu(t, z): (1/2i pi) I+ of the resolvent output, extrapolated stencil."""

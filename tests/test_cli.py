@@ -20,9 +20,11 @@ from boeq.fileio import (
     write_coeff_csv,
     write_field_json,
     write_samples_csv,
+    write_scan_csv,
     write_spectrum_csv,
 )
 from boeq.line_operators import LineField
+from boeq.line_solution import ScanRow
 from boeq.presets import line_preset, parse_preset, torus_preset
 from boeq.spectral import TorusField
 
@@ -121,15 +123,23 @@ class TestFileFormats:
                     w.writerow([f if isinstance(f, int) else repr(float(f)) for f in row])
             return path.read_bytes()
 
+        # a scan whose every third point failed: its value is written as nan
+        scan = [ScanRow(z=complex(a, b), value=None if k % 3 == 0 else complex(b, a),
+                        error="failed" if k % 3 == 0 else None)
+                for k, (a, b) in enumerate(zip(x, x[::-1]))]
         cases = [
+            (write_scan_csv, (scan,), ["re_z", "im_z", "re_val", "im_val"],
+             ((r.z.real, r.z.imag, np.nan, np.nan) if r.value is None
+              else (r.z.real, r.z.imag, r.value.real, r.value.imag) for r in scan)),
+            (write_scan_csv, ([],), ["re_z", "im_z", "re_val", "im_val"], []),
             (write_samples_csv, (x, x[::-1]), ["x", "u"], zip(x, x[::-1])),
             (write_coeff_csv, (values,), ["k", "re", "im"],
              ((k, v.real, v.imag) for k, v in enumerate(values))),
             (write_spectrum_csv, (x, values), ["xi", "re", "im"],
              ((xi, v.real, v.imag) for xi, v in zip(x, values))),
         ]
-        for writer, args, header, rows in cases:
-            path = tmp_path / f"{writer.__name__}.csv"
+        for k, (writer, args, header, rows) in enumerate(cases):
+            path = tmp_path / f"{writer.__name__}{k}.csv"
             writer(path, *args)
             assert path.read_bytes() == reference(header, rows), writer.__name__
 

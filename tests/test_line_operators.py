@@ -170,17 +170,35 @@ class TestGeneratorBand:
         a = gauge_operator(u0, t, grid)
         assert np.array_equal(a, gauge_operator_reference(u0, t, grid, dense_generator(grid)))
 
+    # Im z from near the real axis to far above it, with |Re z| inside and
+    # beyond the stencil's bandwidth 1/h = 20
+    BLOCK_POINTS = [0.2 + 0.8j, 0.2 + 1e-3j, 25.0 + 1e-3j, -25.0 + 0.8j, 21.0 + 50.0j,
+                    -30.0 + 50.0j, 0.2 + 50.0j]
+
     def test_band_solve_matches_dense_stencil_block(self, dense_generator):
         # the preconditioner factors rows/columns 0..M-1 of the band, which
         # leave out the closure entry G_w[M, M-1]
         grid = LineGrid(25.0, 0.05)
-        z = 0.2 + 0.8j
-        ev = ResolventEvaluator(lorentzian().hardy(grid), 0.0)
         rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0)[:-1]
         m = grid.last
-        block = dense_generator(grid)[:m, :m] - z * np.eye(m)
-        g = lo._band_preconditioner(ev._band, z)(rhs)
-        assert np.linalg.norm(block @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        gw, band = dense_generator(grid)[:m, :m], lo._generator_band(grid)
+        for z in self.BLOCK_POINTS:
+            g = lo._tridiagonal_preconditioner(band, z)(rhs)
+            assert np.linalg.norm((gw - z * np.eye(m)) @ g - rhs) <= 1e-12 * np.linalg.norm(rhs), z
+
+    def test_row_zero_elimination_keeps_the_dense_solution(self, rng, dense_generator):
+        # row 0 minus alpha times row 1 drops G_w[0, 2] from the factor; the
+        # same operation on the right-hand side leaves the solution of the
+        # untouched block
+        grid = LineGrid(25.0, 0.05)
+        m = grid.last
+        gw, band = dense_generator(grid)[:m, :m], lo._generator_band(grid)
+        assert band[0, 2] != 0.0
+        rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for z in self.BLOCK_POINTS:
+            want = np.linalg.solve(gw - z * np.eye(m), rhs)
+            got = lo._tridiagonal_preconditioner(band, z)(rhs)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), z
 
 
 def sampled_field():
@@ -409,8 +427,8 @@ class TestResolventSolve:
         from types import SimpleNamespace
 
         monkeypatch.setattr(lo, "lapack", SimpleNamespace(
-            zgbtrf=lo.lapack.zgbtrf,
-            zgbtrs=lambda lu, kl, ku, b, piv: (np.full_like(b, np.nan), 0)))
+            zgttrf=lo.lapack.zgttrf,
+            zgttrs=lambda dl, d, du, du2, piv, b, **kw: (np.full_like(b, np.nan), 0)))
         for t in (0.0, 0.35):
             ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), t)
             with pytest.raises(ConditioningError):
@@ -531,14 +549,14 @@ class TestResolventEvaluator:
     def _corrupt_preconditioner(monkeypatch, entry, value):
         # the product keeps reading the true band; only the band copy that
         # is factored for the preconditioner changes
-        factor = lo._band_preconditioner
+        factor = lo._tridiagonal_preconditioner
 
         def corrupted(band, z):
             band = band.copy()
             band[entry] = value
             return factor(band, z)
 
-        monkeypatch.setattr(lo, "_band_preconditioner", corrupted)
+        monkeypatch.setattr(lo, "_tridiagonal_preconditioner", corrupted)
 
     @pytest.mark.parametrize("corruption", ["nan_diagonal", "ill_conditioned"])
     def test_corrupted_band_fails_residual_check(self, monkeypatch, corruption):
@@ -593,6 +611,30 @@ class TestResolventEvaluator:
             else:
                 assert len(counted) == 1
 
+    def test_gmres_step_ceiling_at_benchmark_configuration(self, monkeypatch):
+        # the line workloads' grid (Xi = 16, h = 0.02, M = 801) at t = 0.5,
+        # near the real axis: every point takes at most 16 Arnoldi steps
+        # (14 at most when written), two products fewer than it makes
+        counted = []
+        apply = ResolventEvaluator._apply
+
+        def counting(self, x, z):
+            counted.append(z)
+            return apply(self, x, z)
+
+        monkeypatch.setattr(ResolventEvaluator, "_apply", counting)
+        grid = LineGrid(16.0, 0.02)
+        steps = []
+        for c in (0.9, 1.0, 1.1):
+            ev = ResolventEvaluator(line_preset("lorentzian", c=c).field.hardy(grid), 0.5,
+                                    tail_tol=1e-6)
+            for x in np.linspace(-10.0, 10.0, 41):
+                for eps in (1e-3, 2e-3):
+                    counted.clear()
+                    ev.value(x + 1j * eps)
+                    steps.append(len(counted) - 2)
+        assert min(steps) > 0 and max(steps) <= 16
+
     def test_value_is_scaled_boundary_functional(self):
         grid = LineGrid(40.0, 0.04)
         ev = ResolventEvaluator(lorentzian().hardy(grid), 0.0)
@@ -616,7 +658,7 @@ class TestDenseMemoryBudget:
             raise AssertionError("coupling built past the budget check")
 
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 ** 20)
-        monkeypatch.setattr(lo, "toeplitz_apply", no_product)
+        monkeypatch.setattr(lo, "_circulant_kernel", no_product)
 
     @pytest.mark.parametrize("path", ["evaluator", "evaluate_uhp"])
     def test_refused_before_allocation(self, tight_budget, path):
