@@ -9,13 +9,18 @@ order is measured by refinement ladders.  Their operator products are formed
 matrix-free (the generator from its stencil in O(M), the Toeplitz operator by
 circulant FFT in O(M log M)), so no M x M array is allocated.
 
-The stepper-based checks land on their times through the stepper's one
-march (``timestepper.march``): the Lax ladder reads all three difference
-steps from one march at the finest step (:func:`check_lax_ladder`), the
-flow invariants read every time from one march (:func:`check_invariants`),
-and :func:`formula_vs_solver` marches all its truncations together, one
-row each.  The stepper's temporal order is measured against the explicit
-formula rather than a fine stepper run.
+Each stepper-based check is two parts: the runs it asks of the stepper
+(a :class:`_Request`: field, times and dt per run) and a report computed
+from the marched fields.  A public check runs its own request; the default
+suite gathers the requests of all its stepper checks and answers them with
+one lockstep march (``timestepper.march_runs``), one row per run with its
+own dt.  The Lax ladder reads all three difference steps from one run at
+the finest step (:func:`check_lax_ladder`), the flow invariants read every
+time from one run (:func:`check_invariants`), :func:`formula_vs_solver`
+runs each of its truncations as one row, and the stepper's temporal order
+is measured against the explicit formula rather than a fine stepper run.
+Benjamin's periodic travelling wave checks the formula alone against its
+closed form (:func:`check_periodic_wave`).
 
 Reports are plain records (name, residual, tolerance, passed, parameters)
 that serialize to JSON; the default suite is deterministic, fixed seeds
@@ -24,7 +29,7 @@ included, so repeated runs produce byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +43,8 @@ from .line_operators import (
 )
 from .presets import line_preset, torus_preset
 from .spectral import TWO_PI, TorusField, synthesize_torus
-from .timestepper import conserved_quantities, evolve, march, split_steps
+from .timestepper import Run, conserved_quantities, march_runs, split_steps
+from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
 from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
 
@@ -48,17 +54,20 @@ __all__ = [
     "check_lax_ladder",
     "check_invariants",
     "check_formula_isospectrality",
+    "check_periodic_wave",
     "check_line_identities",
     "formula_vs_solver",
     "convergence_study",
     "StudyRow",
     "default_suite",
+    "SUITE_NAMES",
 ]
 
 FINITE_SECTION_TOL = 1e-12
 LAX_EVOLUTION_TOL = 1e-4
 ISOSPECTRAL_TOL = 1e-6
 FORMULA_ISOSPECTRAL_TOL = 1e-10
+PERIODIC_WAVE_TOL = 1e-13
 # absolute for the mean, relative to the datum's value for mass and energy
 CONSERVATION_MEAN_TOL = 1e-12
 CONSERVATION_L2_TOL = 1e-9
@@ -99,6 +108,24 @@ class CheckReport:
             "passed": self.passed,
             "parameters": self.parameters,
         }
+
+
+class _Request(NamedTuple):
+    """A stepper-based check's runs, and its report computed from their
+    marched fields (one dict of times per run, in the order of ``runs``)."""
+
+    runs: list[Run]
+    report: Callable[[list[dict[float, TorusField]]], Any]
+
+    def run(self) -> Any:
+        """The report, from a march of this request's runs alone."""
+        return self.report(march_runs(self.runs))
+
+
+def _answer(requests: Sequence[_Request]) -> list:
+    """Every request's report, from one lockstep march of all their runs."""
+    marched = iter(march_runs([run for r in requests for run in r.runs]))
+    return [r.report([next(marched) for _ in r.runs]) for r in requests]
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +198,16 @@ def check_lax_ladder(
     t_mid = round(t / dt) dt against [B_{u(t_mid)}, L_{u(t_mid)}] on margin
     columns of the effective band, so its residual is dominated by the
     O(dt^2) differencing error.  The solver marches u0 at truncation n
-    once, at the finest dt, through the stencil times of every level
-    (``timestepper.march``); each stencil time must be a whole number of
-    those steps, so every field has the bits of one ``evolve`` from t = 0
-    at the finest dt.
+    once, at the finest dt, through the stencil times of every level; each
+    stencil time must be a whole number of those steps, so every field has
+    the bits of one ``evolve`` from t = 0 at the finest dt.
     """
+    return _lax_ladder(u0, t, levels, n, tolerance).run()
+
+
+def _lax_ladder(u0: TorusField, t: float, levels: Sequence[float], n: int,
+                tolerance: float = LAX_EVOLUTION_TOL) -> _Request:
+    """:func:`check_lax_ladder` as a request: its one run and its reports."""
     step = min(levels)
     stencils = []
     for dt in levels:
@@ -189,31 +221,35 @@ def check_lax_ladder(
                 f"the stencil of difference step {dt:g} is not on the grid of march step {step:g}"
             )
         stencils.append((dt, stencil))
-    fields = march([u0.truncated(n)], [s for _, stencil in stencils for s in stencil], step)[0]
 
-    reports = []
-    for dt, stencil in stencils:
-        u_minus, u_mid, u_plus = (fields[s] for s in stencil)
-        m = max(u_mid.effective_band(rel_tol=1e-9), 1)
-        if n <= 6 * m:
-            raise ConfigurationError(
-                f"effective band {m} at t = {stencil[1]:g} leaves no margin columns at n = {n}; "
-                f"need n > {6 * m}"
-            )
-        cols = slice(3 * m, n - 3 * m + 1)
+    def report(marched: list[dict[float, TorusField]]) -> list[CheckReport]:
+        (fields,) = marched
+        reports = []
+        for dt, stencil in stencils:
+            u_minus, u_mid, u_plus = (fields[s] for s in stencil)
+            m = max(u_mid.effective_band(rel_tol=1e-9), 1)
+            if n <= 6 * m:
+                raise ConfigurationError(
+                    f"effective band {m} at t = {stencil[1]:g} leaves no margin columns at "
+                    f"n = {n}; need n > {6 * m}"
+                )
+            cols = slice(3 * m, n - 3 * m + 1)
 
-        fd = (lax_matrix(u_plus, n).entries - lax_matrix(u_minus, n).entries) / (2.0 * dt)
-        lm = lax_matrix(u_mid, n).entries
-        bm = b_matrix(u_mid, n).entries
-        comm = bm @ lm - lm @ bm
-        residual = float(np.max(np.abs((fd - comm)[:, cols])))
-        reports.append(CheckReport.from_residual(
-            "lax_evolution",
-            residual,
-            tolerance,
-            n=n, dt=dt, t=stencil[1], band=m, march_dt=step,
-        ))
-    return reports
+            fd = (lax_matrix(u_plus, n).entries - lax_matrix(u_minus, n).entries) / (2.0 * dt)
+            lm = lax_matrix(u_mid, n).entries
+            bm = b_matrix(u_mid, n).entries
+            comm = bm @ lm - lm @ bm
+            residual = float(np.max(np.abs((fd - comm)[:, cols])))
+            reports.append(CheckReport.from_residual(
+                "lax_evolution",
+                residual,
+                tolerance,
+                n=n, dt=dt, t=stencil[1], band=m, march_dt=step,
+            ))
+        return reports
+
+    times = [s for _, stencil in stencils for s in stencil]
+    return _Request([Run(u0.truncated(n), times, step)], report)
 
 
 def _lowest_lax_eigenvalues(u: TorusField, n: int, count: int) -> np.ndarray:
@@ -240,26 +276,36 @@ def check_invariants(
     the largest drift over the march times, relative to the datum's value
     for the mass and the energy.
     """
-    base = _lowest_lax_eigenvalues(u0, n, n_eigs)
-    q0 = conserved_quantities(u0)
-    drifts = []
-    for current in march([u0.truncated(n)], times, dt)[0].values():
-        eigs = _lowest_lax_eigenvalues(current, n, n_eigs)
-        q = conserved_quantities(current)
-        drifts.append([np.max(np.abs(eigs - base)), abs(q["mean"] - q0["mean"]),
-                       _relative_drift(q["l2sq"], q0["l2sq"]),
-                       _relative_drift(q["energy"], q0["energy"])])
-    # np.max keeps a NaN drift, where the builtin max would drop it
-    spectrum, mean, l2, energy = np.max(np.reshape(drifts, (-1, 4)), axis=0, initial=0.0)
-    params = {"n": n, "dt": dt, "times": list(map(float, times))}
-    return [
-        CheckReport.from_residual("isospectrality", spectrum, ISOSPECTRAL_TOL,
-                                  n_eigs=n_eigs, **params),
-        CheckReport.from_residual("conservation_mean", mean, CONSERVATION_MEAN_TOL, **params),
-        CheckReport.from_residual("conservation_l2", l2, CONSERVATION_L2_TOL, **params),
-        CheckReport.from_residual("conservation_energy", energy, CONSERVATION_ENERGY_TOL,
-                                  **params),
-    ]
+    return _invariants(u0, times, n, n_eigs, dt).run()
+
+
+def _invariants(u0: TorusField, times: Sequence[float], n: int, n_eigs: int = 10,
+                dt: float = 1e-3) -> _Request:
+    """:func:`check_invariants` as a request: its one run and its reports."""
+
+    def report(marched: list[dict[float, TorusField]]) -> list[CheckReport]:
+        base = _lowest_lax_eigenvalues(u0, n, n_eigs)
+        q0 = conserved_quantities(u0)
+        drifts = []
+        for current in marched[0].values():
+            eigs = _lowest_lax_eigenvalues(current, n, n_eigs)
+            q = conserved_quantities(current)
+            drifts.append([np.max(np.abs(eigs - base)), abs(q["mean"] - q0["mean"]),
+                           _relative_drift(q["l2sq"], q0["l2sq"]),
+                           _relative_drift(q["energy"], q0["energy"])])
+        # np.max keeps a NaN drift, where the builtin max would drop it
+        spectrum, mean, l2, energy = np.max(np.reshape(drifts, (-1, 4)), axis=0, initial=0.0)
+        params = {"n": n, "dt": dt, "times": list(map(float, times))}
+        return [
+            CheckReport.from_residual("isospectrality", spectrum, ISOSPECTRAL_TOL,
+                                      n_eigs=n_eigs, **params),
+            CheckReport.from_residual("conservation_mean", mean, CONSERVATION_MEAN_TOL, **params),
+            CheckReport.from_residual("conservation_l2", l2, CONSERVATION_L2_TOL, **params),
+            CheckReport.from_residual("conservation_energy", energy, CONSERVATION_ENERGY_TOL,
+                                      **params),
+        ]
+
+    return _Request([Run(u0.truncated(n), times, dt)], report)
 
 
 def check_formula_isospectrality(
@@ -286,6 +332,35 @@ def check_formula_isospectrality(
         tolerance,
         n=n, n_eigs=n_eigs, modes=len(coeffs) - 1,
     )
+
+
+def check_periodic_wave(
+    u0: TorusField,
+    q: float,
+    b: float,
+    times: Sequence[float] = (0.5, 2.0),
+    tolerance: float = PERIODIC_WAVE_TOL,
+) -> CheckReport:
+    """The explicit formula against Benjamin's periodic travelling wave
+    (J. Fluid Mech. 29, 1967), with no stepper.
+
+    The wave of the ``wave:q=...,b=...`` preset has Hardy coefficients
+    (b, q, q^2, ...) and moves at speed c = 2b - 1 + 2q^2/(1 - q^2), so
+    uhat(t, k) = q^k e^{-ikct}.  The formula's coefficients 0..n/2 of u0 at
+    its truncation n are compared with that closed form at each time; the
+    residual is the largest relative l2 error.  A datum whose amplitude or
+    mean is not the wave's of (q, b) misses it.
+    """
+    n = u0.max_mode
+    c = 2.0 * b - 1.0 + 2.0 * q * q / (1.0 - q * q)
+    k = np.arange(n // 2 + 1)
+    errors = []
+    for t in times:
+        exact = np.where(k == 0, b, q ** k * np.exp(-1j * k * c * t))
+        got = evolve_coefficients(propagator(u0, t, n))
+        errors.append(np.linalg.norm(got - exact) / np.linalg.norm(exact))
+    return CheckReport.from_residual("periodic_wave", np.max(errors), tolerance,
+                                     n=n, q=q, b=b, c=c, times=list(map(float, times)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +482,12 @@ def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: 
     """Relative L^2 distance between the propagator reconstruction and the
     time stepper, for each field at its own truncation, at each of
     ``times``; one list per field, from one stacked march."""
+    return _formula_vs_solver(fields, times, dt, n_samples).run()
+
+
+def _formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: float,
+                       n_samples: int = 512) -> _Request:
+    """:func:`formula_vs_solver` as a request: one run per field."""
 
     def distance(u0: TorusField, t: float, u_ref: TorusField) -> float:
         ref = synthesize_torus(u_ref.hardy, u_ref.mean, n_samples)
@@ -414,8 +495,10 @@ def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: 
         scale = float(np.linalg.norm(ref))
         return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
 
-    return [[distance(u0, t, at[float(t)]) for t in times]
-            for u0, at in zip(fields, march(fields, times, dt))]
+    def report(marched: list[dict[float, TorusField]]) -> list[list[float]]:
+        return [[distance(u0, t, at[float(t)]) for t in times] for u0, at in zip(fields, marched)]
+
+    return _Request([Run(u, times, dt) for u in fields], report)
 
 
 @dataclass(frozen=True)
@@ -444,16 +527,24 @@ def convergence_study(
     return rows
 
 
-def _stepper_temporal_residual(u0: TorusField, t: float, n: int) -> Callable[[float], float]:
-    """Distance on Hardy modes 0..n/2 of a dt stepper run from the explicit
-    formula's u(t), the one reference shared by every level of the ladder.
+def _stepper_temporal_study(u0: TorusField, t: float, n: int,
+                            levels: Sequence[float]) -> _Request:
+    """The stepper's temporal ladder as a request: one run per dt of
+    ``levels``, and the study of their distances on Hardy modes 0..n/2 from
+    the explicit formula's u(t), the one reference shared by every level.
 
     The formula carries no time-step error, so the residual falls at the
     stepper's order until it meets the formula's own error; a formula that
     drifts from the stepper flattens the ladder and fails the order check.
     """
     ref = evolve_coefficients(propagator(u0, t, n))
-    return lambda dt: float(np.linalg.norm(evolve(u0, t, dt, n).final().hardy[:ref.size] - ref))
+
+    def report(marched: list[dict[float, TorusField]]) -> list[StudyRow]:
+        residual = {dt: float(np.linalg.norm(at[float(t)].hardy[:ref.size] - ref))
+                    for dt, at in zip(levels, marched)}
+        return convergence_study(residual.__getitem__, levels)
+
+    return _Request([Run(u0.truncated(n), [t], dt) for dt in levels], report)
 
 
 LINE_CHECK_NAMES = tuple(LINE_C)
@@ -486,11 +577,32 @@ def _random_band_field(max_mode: int, band: int, seed: int, amplitude: float = 0
     return TorusField.from_modes(max_mode, modes)
 
 
+SUITE_NAMES = (
+    *(f"{name}[{label}]" for label in ("zero", "cos", "random")
+      for name in ("torus_leibniz", "torus_toeplitz_shift", "torus_lax_bracket")),
+    "lax_evolution",
+    "lax_evolution_order",
+    "isospectrality",
+    "conservation_mean",
+    "conservation_l2",
+    "conservation_energy",
+    *LINE_CHECK_NAMES,
+    *(f"{name}_order" for name in LINE_CHECK_NAMES),
+    "stepper_temporal_order",
+    "formula_isospectrality",
+    "periodic_wave",
+    "formula_vs_solver",
+)
+"""The report names of :func:`default_suite`, in order, known before it runs."""
+
+
 def default_suite(torus_n: int = 64) -> list[CheckReport]:
     """The deterministic validation battery behind ``boeq validate``.
 
     ``torus_n`` overrides the truncation of the finite-section checks; too
     small a value trips their margin precondition (a configuration error).
+    The five stepper runs (the Lax ladder's, the invariants', the two of the
+    temporal ladder and the cross-oracle's) are one lockstep march.
     """
     reports: list[CheckReport] = []
 
@@ -499,15 +611,26 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
     reports += check_torus_commutators(torus_preset("cos", 4, a=2.0), torus_n, label="cos")
     reports += check_torus_commutators(_random_band_field(8, 4, seed=7), torus_n, label="random")
 
-    # Lax dynamics
     cos1 = torus_preset("cos", 2)
+    # the explicit formula's u(t) keeps the spectrum of L_{u0}; formed next
+    # to the temporal ladder's reference, which reuses its eigensystem
+    coeffs = evolve_coefficients(propagator(cos1, 1.0, 64))
     lax_levels = [1e-3, 5e-4, 2.5e-4]
-    lax = dict(zip(lax_levels, check_lax_ladder(cos1, t=0.2, levels=lax_levels, n=128)))
+    rk_levels = [4e-3, 2e-3]
+    lax_ladder, invariants, rk_rows, [[cross]] = _answer([
+        _lax_ladder(cos1, t=0.2, levels=lax_levels, n=128),
+        _invariants(cos1, times=[0.5, 1.0], n=256, n_eigs=10, dt=1e-3),
+        _stepper_temporal_study(cos1, 0.5, 64, rk_levels),
+        _formula_vs_solver([cos1.truncated(64)], [0.3], 5e-4),
+    ])
+
+    # Lax dynamics
+    lax = dict(zip(lax_levels, lax_ladder))
     reports.append(lax[1e-3])  # also the first level of the order ladder
     lax_rows = convergence_study(lambda dt: lax[dt].residual, lax_levels)
     reports.append(_order_report("lax_evolution_order", lax_rows, expected=2.0, window=0.3))
-    # isospectrality and conservation, read from one march
-    reports += check_invariants(cos1, times=[0.5, 1.0], n=256, n_eigs=10, dt=1e-3)
+    # isospectrality and conservation, read from one run
+    reports += invariants
 
     # line identities at the default grid, plus their h-orders
     lorentz = line_preset("lorentzian", c=1.0).field
@@ -519,17 +642,14 @@ def default_suite(torus_n: int = 64) -> list[CheckReport]:
         reports.append(_order_report(f"{name}_order", rows, expected=2.0, window=0.3))
 
     # stepper temporal order against the explicit formula (RK4: expect ~4)
-    rk_levels = [4e-3, 2e-3]
-    rk_rows = convergence_study(_stepper_temporal_residual(cos1, 0.5, 64), rk_levels)
     reports.append(_order_report("stepper_temporal_order", rk_rows, expected=4.0, window=0.3))
 
-    # the explicit formula's u(t) keeps the spectrum of L_{u0}
-    coeffs = evolve_coefficients(propagator(cos1, 1.0, 64))
     reports.append(check_formula_isospectrality(cos1, coeffs, n=64))
+    # the formula moves Benjamin's periodic wave as its closed form does
+    reports.append(check_periodic_wave(torus_preset("wave", 64, q=0.5, b=0.2), q=0.5, b=0.2))
 
     # cross-oracle
     reports.append(CheckReport.from_residual(
-        "formula_vs_solver", formula_vs_solver([cos1.truncated(64)], [0.3], 5e-4)[0][0], 1e-6,
-        n=64, dt=5e-4, t=0.3))
+        "formula_vs_solver", cross, 1e-6, n=64, dt=5e-4, t=0.3))
 
     return reports

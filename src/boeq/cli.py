@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, line_solution
-from .checks import default_suite, formula_vs_solver
+from .checks import SUITE_NAMES, default_suite, formula_vs_solver
 from .errors import BoeqError, ConfigurationError, IngestionError, TruncationWarning
 from .fileio import (
     read_samples_csv,
@@ -302,14 +302,13 @@ def cmd_solve_line(cfg: dict) -> int:
 
 def cmd_validate(cfg: dict) -> int:
     check_dense_budget(cfg["n"])
+    needle = cfg["only"].lower()
+    # refused before the suite runs or the output directory exists
+    if not any(needle in name.lower() for name in SUITE_NAMES):
+        raise ConfigurationError(f"no check matches --only {cfg['only']!r}")
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    reports = default_suite(torus_n=cfg["n"])
-    if cfg["only"]:
-        needle = cfg["only"].lower()
-        reports = [r for r in reports if needle in r.name.lower()]
-        if not reports:
-            raise ConfigurationError(f"no check matches --only {cfg['only']!r}")
+    reports = [r for r in default_suite(torus_n=cfg["n"]) if needle in r.name.lower()]
     payload = [r.to_dict() for r in reports]
     write_json(outdir / "validation_report.json", {"reports": payload})
     width = max(len(r.name) for r in reports)

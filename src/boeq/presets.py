@@ -11,6 +11,11 @@ Torus presets (real 2pi-periodic fields):
 - ``constant`` with c (default 1): u0 = c
 - ``cos`` with a (default 1): u0 = a cos x
 - ``twomode`` with a, b (defaults 1, 1): u0 = a cos x + b sin 2x
+- ``wave`` with q, b, |q| < 1 (defaults 0.5, 0): Benjamin's periodic
+  travelling wave u0 = b + sum_{k != 0} q^|k| e^{ikx}
+  = b - 1 + (1 - q^2)/(1 - 2q cos x + q^2), Hardy coefficients
+  (b, q, q^2, ...); it travels rigidly at speed c = 2b - 1 + 2q^2/(1 - q^2)
+  (J. Fluid Mech. 29, 1967), so uhat(t, k) = q^k e^{-ikct}.
 
 Line presets (real decaying fields with closed-form transforms):
 
@@ -64,12 +69,19 @@ def _gaussian(a: float, w: float) -> LinePreset:
     )
 
 
+def _wave(n: int, q: float, b: float) -> TorusField:
+    if not abs(q) < 1.0:
+        raise ConfigurationError("wave parameter q must satisfy |q| < 1")
+    return TorusField.from_hardy(np.concatenate([[b], q ** np.arange(1, n + 1)]))
+
+
 TORUS_PRESETS = {
     "zero": ({}, TorusField.zero),
     "constant": ({"c": 1.0}, lambda n, c: TorusField.from_modes(n, {0: c})),
     "cos": ({"a": 1.0}, lambda n, a: TorusField.from_modes(n, {1: a / 2.0})),
     "twomode": ({"a": 1.0, "b": 1.0},
                 lambda n, a, b: TorusField.from_modes(n, {1: a / 2.0, 2: -0.5j * b})),
+    "wave": ({"q": 0.5, "b": 0.0}, _wave),
 }
 
 LINE_PRESETS = {

@@ -27,6 +27,22 @@ def wave_hardy(q, b, t, c, k_max, amplitude=1.0):
     return np.concatenate([[b], amplitude * q ** k * np.exp(-1j * k * c * t)])
 
 
+def step_counter(monkeypatch):
+    """(rows, the dt of each row) of every stepper step taken from here on,
+    in order."""
+    import boeq.timestepper as ts
+
+    dts = []
+    real = ts._Stepper.step
+
+    def counting(self, c):
+        dts.append((len(c), tuple(self.dt[:, 0])))
+        return real(self, c)
+
+    monkeypatch.setattr(ts._Stepper, "step", counting)
+    return dts
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240805)

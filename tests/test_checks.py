@@ -11,6 +11,8 @@ from boeq.checks import (
     check_line_identities,
     check_torus_commutators,
     convergence_study,
+    SUITE_NAMES,
+    check_periodic_wave,
     default_suite,
     formula_vs_solver,
 )
@@ -22,9 +24,11 @@ from boeq.line_operators import (
 )
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
-from boeq.timestepper import evolve, march
+from boeq.timestepper import evolve, march, march_runs
 from boeq.torus_operators import lax_matrix
 from boeq.torus_solution import evolve_coefficients, propagator
+
+from conftest import step_counter, wave_datum
 
 
 class TestTorusCommutators:
@@ -88,15 +92,15 @@ class TestLaxEvolution:
         u0, n = torus_preset("cos", 2), 128
         asked, seen = [], []
 
-        def recording_march(fields, times, step):
-            asked.append(sorted(times))
-            return march(fields, times, step)
+        def recording_march(runs):
+            asked.extend(sorted(run.times) for run in runs)
+            return march_runs(runs)
 
         def recording(u, size):
             seen.append(u)
             return lax_matrix(u, size)
 
-        monkeypatch.setattr(checks, "march", recording_march)
+        monkeypatch.setattr(checks, "march_runs", recording_march)
         monkeypatch.setattr(checks, "lax_matrix", recording)
         lax_evolution(u0, t=t, dt=dt, n=n)
 
@@ -129,17 +133,17 @@ class TestLaxLadder:
         import boeq.checks as checks
 
         marches = []
-        real = checks.march
+        real = checks.march_runs
 
-        def recording(fields, times, dt):
-            marches.append(([u.max_mode for u in fields], sorted(set(times)), dt))
-            return real(fields, times, dt)
+        def recording(runs):
+            marches.append([(u.max_mode, sorted(set(times)), dt) for u, times, dt in runs])
+            return real(runs)
 
-        monkeypatch.setattr(checks, "march", recording)
+        monkeypatch.setattr(checks, "march_runs", recording)
         check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 5e-4], n=128)
-        assert len(marches) == 1
-        ns, times, dt = marches[0]
-        assert ns == [128] and dt == 5e-4
+        assert len(marches) == 1 and len(marches[0]) == 1
+        ((n, times, dt),) = marches[0]
+        assert n == 128 and dt == 5e-4
         assert times == pytest.approx([0.199, 0.1995, 0.2, 0.2005, 0.201])
 
     def test_stencil_off_the_march_grid_is_refused(self):
@@ -187,30 +191,30 @@ class TestInvariants:
         import boeq.checks as checks
 
         calls = []
-        real = checks.march
+        real = checks.march_runs
 
-        def counting(fields, times, dt):
-            calls.append(([u.max_mode for u in fields], list(times), dt))
-            return real(fields, times, dt)
+        def counting(runs):
+            calls.append([(u.max_mode, list(times), dt) for u, times, dt in runs])
+            return real(runs)
 
-        monkeypatch.setattr(checks, "march", counting)
+        monkeypatch.setattr(checks, "march_runs", counting)
         check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32, dt=1e-2)
-        assert calls == [([32], [0.5, 1.0], 1e-2)]
+        assert calls == [[(32, [0.5, 1.0], 1e-2)]]
 
     def test_conservation_drift_is_largest_over_times(self, monkeypatch):
         # a march whose mass jumps at t = 0.5 and comes back by t = 1 must
         # fail: the drift is the worst over the times, not the last one
         import boeq.checks as checks
 
-        real = checks.march
+        real = checks.march_runs
 
-        def bumped(fields, times, dt):
-            marched = real(fields, times, dt)
+        def bumped(runs):
+            marched = real(runs)
             u = marched[0][0.5]
             marched[0][0.5] = TorusField(u.max_mode, u.coeffs * (1.0 + 1e-6))
             return marched
 
-        monkeypatch.setattr(checks, "march", bumped)
+        monkeypatch.setattr(checks, "march_runs", bumped)
         reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
                                                        dt=1e-2)}
         assert not reports["conservation_l2"].passed
@@ -245,15 +249,15 @@ class TestInvariantsCatchMutatedStepper:
         import boeq.timestepper as ts
 
         class Mutated(ts._Stepper):
-            def __init__(self, ns, dt):
-                super().__init__(ns, dt)
+            def __init__(self, ns, dts):
+                super().__init__(ns, dts)
                 if e_half is not None:
-                    self.e_half = self.e_half * e_half(np.arange(self.cut + 1), dt)
+                    self.e_half = self.e_half * e_half(np.arange(self.cut + 1), self.dt)
                     self.e_full = self.e_half * self.e_half
 
-            def nonlinear(self, c):
-                out = super().nonlinear(c)
-                return out if nonlinear is None else nonlinear(out, c)
+            def nonlinear(self, c, out=None):
+                got = super().nonlinear(c, out)
+                return got if nonlinear is None else nonlinear(got, c)
 
         monkeypatch.setattr(ts, "_Stepper", Mutated)
 
@@ -327,8 +331,8 @@ class TestSuiteCatchesMutatedStepper:
         import boeq.timestepper as ts
 
         class Scaled(ts._Stepper):
-            def nonlinear(self, c):
-                return super().nonlinear(c) * (1.0 + 1e-3)
+            def nonlinear(self, c, out=None):
+                return super().nonlinear(c, out) * (1.0 + 1e-3)
 
         assert not self._suite_with(monkeypatch, Scaled)["lax_evolution"].passed
 
@@ -340,9 +344,7 @@ class TestSuiteCatchesMutatedStepper:
         real = checks.evolve_coefficients
         monkeypatch.setattr(checks, "evolve_coefficients",
                             lambda prop, *a: real(prop, *a) * (1.0 + 1e-8))
-        levels = [4e-3, 2e-3]
-        rows = convergence_study(
-            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64), levels)
+        rows = checks._stepper_temporal_study(torus_preset("cos", 2), 0.5, 64, [4e-3, 2e-3]).run()
         assert not checks._order_report("stepper_temporal_order", rows, 4.0, 0.3).passed
 
 
@@ -351,29 +353,15 @@ def march_one(u0, times, dt, n):
     return march([u0.truncated(n)], times, dt)[0]
 
 
-def step_counter(monkeypatch):
-    """(rows, dt) of every stepper step taken from here on, in order."""
-    import boeq.timestepper as ts
-
-    dts = []
-    real = ts._Stepper.step
-
-    def counting(self, c):
-        dts.append((len(c), self.dt))
-        return real(self, c)
-
-    monkeypatch.setattr(ts._Stepper, "step", counting)
-    return dts
-
-
 class TestMarchTimes:
-    def test_one_march_per_side_of_zero(self, monkeypatch):
+    def test_both_sides_of_zero_in_one_march(self, monkeypatch):
         steps = step_counter(monkeypatch)
         u0 = torus_preset("cos", 32)
         fields = march_one(u0, [0.02, -0.01, 0.01, 0.02, 0.0], 1e-3, 32)
         assert sorted(fields) == [-0.01, 0.0, 0.01, 0.02]
-        # 0 -> 0.01 -> 0.02 forward in 20 steps, then 0 -> -0.01 in 10
-        assert steps == [(1, 1e-3)] * 20 + [(1, -1e-3)] * 10
+        # one row per side: 0 -> 0.01 -> 0.02 forward in 20 steps and
+        # 0 -> -0.01 backward in 10, the backward row leaving after 10
+        assert steps == [(2, (1e-3, -1e-3))] * 10 + [(1, (1e-3,))] * 10
 
     def test_grid_times_match_one_march_bitwise(self):
         u0 = torus_preset("twomode", 32, a=1.0, b=0.5)
@@ -423,7 +411,7 @@ class TestMarchStack:
     def test_one_stacked_march_per_side(self, fields, monkeypatch):
         steps = step_counter(monkeypatch)
         march(fields, [0.02, 0.01], 1e-3)
-        assert steps == [(2, 1e-3)] * 20
+        assert steps == [(2, (1e-3, 1e-3))] * 20
 
     def test_stacked_formula_vs_solver_matches_per_truncation(self, fields):
         times = [0.03, 0.01]
@@ -458,6 +446,25 @@ class TestFormulaIsospectrality:
         bad = coeffs.copy()
         bad[k] += 1e-6
         assert not check_formula_isospectrality(u0, bad, n=64).passed
+
+
+class TestPeriodicWaveCheck:
+    """``periodic_wave``: the formula against Benjamin's closed form."""
+
+    Q, B, N = 0.5, 0.2, 64
+
+    def test_preset_wave_passes(self):
+        report = check_periodic_wave(torus_preset("wave", self.N, q=self.Q, b=self.B), self.Q, self.B)
+        assert report.passed and report.residual <= 1e-14
+        assert report.parameters["times"] == [0.5, 2.0]
+
+    @pytest.mark.parametrize("amplitude, mean", [(0.9, 0.2), (1.0, 0.25)],
+                             ids=["amplitude-off", "mean-off"])
+    def test_datum_off_the_wave_fails(self, amplitude, mean):
+        # 0.9 times the wave, or the wave with a wrong mean, is not the
+        # wave of (q, b): the formula moves it away from the closed form
+        report = check_periodic_wave(wave_datum(self.Q, mean, self.N, amplitude), self.Q, self.B)
+        assert not report.passed and report.residual > 1e-3
 
 
 class TestLineIdentities:
@@ -537,19 +544,18 @@ class TestStudiesAndSuite:
 
         dts, refs = [], []
 
-        def counting(u0, t_final, dt, *args, **kwargs):
-            dts.append(dt)
-            return evolve(u0, t_final, dt, *args, **kwargs)
+        def counting(runs):
+            dts.extend(run.dt for run in runs)
+            return march_runs(runs)
 
         def counting_propagator(*args, **kwargs):
             refs.append(args)
             return propagator(*args, **kwargs)
 
-        monkeypatch.setattr(checks, "evolve", counting)
+        monkeypatch.setattr(checks, "march_runs", counting)
         monkeypatch.setattr(checks, "propagator", counting_propagator)
         levels = [4e-3, 2e-3]
-        rows = convergence_study(
-            checks._stepper_temporal_residual(torus_preset("cos", 2), 0.5, 64), levels)
+        rows = checks._stepper_temporal_study(torus_preset("cos", 2), 0.5, 64, levels).run()
         assert dts == [4e-3, 2e-3]
         assert len(refs) == 1
         assert 3.7 <= rows[1].observed_order <= 4.3
@@ -587,13 +593,20 @@ class TestStudiesAndSuite:
         assert res96 <= res64 + 1e-14
 
     def test_default_suite_step_count(self, monkeypatch):
-        # every stepper step of the suite, counted where the stepper takes it
+        # every stepper step of the suite, counted where the stepper takes
+        # it: one lockstep march of five rows, the longest 1 000 steps, the
+        # rows 804 + 1 000 + 600 + 125 + 250 steps in all
         steps = step_counter(monkeypatch)
         names = [r.name for r in default_suite()]
-        assert len(steps) == 2779
-        assert len(names) == len(set(names)) == 26
+        assert len(steps) == 1000
+        assert sum(rows for rows, _ in steps) == 2779
+        assert steps[0] == (5, (1e-3, 2.5e-4, 5e-4, 2e-3, 4e-3))
+        assert len(names) == len(set(names)) == 27
         for name in INVARIANT_NAMES:
             assert name in names
+
+    def test_suite_names_are_known_before_it_runs(self):
+        assert list(SUITE_NAMES) == [r.name for r in default_suite()]
 
     def test_default_suite_passes_and_is_deterministic(self):
         first = [r.to_dict() for r in default_suite()]

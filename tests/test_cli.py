@@ -28,6 +28,8 @@ from boeq.line_solution import ScanRow
 from boeq.presets import line_preset, parse_preset, torus_preset
 from boeq.spectral import TorusField
 
+from conftest import step_counter, wave_datum
+
 
 class TestPresets:
     def test_parse_with_params(self):
@@ -72,6 +74,14 @@ class TestPresets:
     def test_line_preset_refuses_unknown_param(self, name, params, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             line_preset(name, **params)
+
+    def test_wave_is_benjamins_datum(self):
+        np.testing.assert_array_equal(torus_preset("wave", 16, q=0.5, b=0.2).coeffs,
+                                      wave_datum(0.5, 0.2, 16).coeffs)
+        np.testing.assert_array_equal(torus_preset("wave", 8).hardy,
+                                      np.concatenate([[0.0], 0.5 ** np.arange(1, 9)]))
+        with pytest.raises(ConfigurationError, match=r"\|q\| < 1"):
+            torus_preset("wave", 8, q=-1.0)
 
     def test_twomode_coefficients(self):
         u = torus_preset("twomode", 4, a=1.0, b=4.0)
@@ -525,9 +535,13 @@ class TestValidateCommand:
         code = main(["validate", "--n", "16", "--out", str(tmp_path / "r")])
         assert code == 2
 
-    def test_unmatched_filter_exits_2(self, tmp_path):
+    def test_unmatched_filter_exits_2(self, tmp_path, monkeypatch):
+        # refused from the suite's names, before it runs or writes anything
+        steps = step_counter(monkeypatch)
         code = main(["validate", "--only", "nonexistent-check", "--out", str(tmp_path / "r")])
         assert code == 2
+        assert not (tmp_path / "r").exists()
+        assert steps == []
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

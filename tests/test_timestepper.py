@@ -4,10 +4,11 @@ import pytest
 from boeq.errors import BlowUpError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples, next_fast_len
 from boeq.presets import torus_preset
-from boeq.timestepper import _Stepper, conserved_quantities, dealias_cut, evolve, march
+from boeq.timestepper import (Run, _check_finite, _Stepper, conserved_quantities, dealias_cut,
+                              evolve, march, march_runs)
 
 from box_oracle import evolve_line_on_box
-from conftest import wave_datum, wave_hardy, wave_speed
+from conftest import step_counter, wave_datum, wave_hardy, wave_speed
 
 
 def cos_field(n, a=1.0):
@@ -335,6 +336,110 @@ class TestEvolveStack:
             march_to([cos_field(n, a=5.0) for n in ns], 10.0, 0.5)
         assert err.value.n == 32
         assert "N = 32" in str(err.value)
+
+
+class TestLockstep:
+    """Runs with their own truncations, times and dts as the rows of one
+    lockstep march."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [
+            # sets the grid; a partial step at 0.0105
+            Run(torus_preset("twomode", 48, a=1.0, b=0.5), [0.0105, 0.03], 1e-3),
+            # a backward row, and the longest row
+            Run(torus_preset("twomode", 32, a=1.0, b=0.5), [-0.004, 0.05], 5e-4),
+            # leaves after 3 steps
+            Run(cos_field(24), [0.006], 2e-3),
+        ]
+
+    def test_rows_match_their_own_evolve(self, runs):
+        # the row whose cut sets the first grid keeps the bits of its own
+        # evolve; the others, on longer grids for part of the march, agree
+        # with theirs to rounding
+        marched = march_runs(runs)
+        for (u, times, dt), got in zip(runs, marched):
+            assert list(got) == sorted(t for t in times if t >= 0) + [t for t in times if t < 0]
+            for t in times:
+                alone = evolve(u, t, dt).final()
+                if u.max_mode == 48:
+                    np.testing.assert_array_equal(got[t].coeffs, alone.coeffs)
+                else:
+                    assert _relative_gap(got[t], alone) <= 1e-15
+
+    def test_rows_leave_in_order_of_their_last_step(self, runs, monkeypatch):
+        steps = step_counter(monkeypatch)
+        march_runs(runs)
+        # the stack holds rows 100, 30, 8 and 3 steps long, the longest first;
+        # the partial step at 0.0105 is one more step of one row
+        partial = (1, (0.0105 - 10 * 1e-3,))
+        assert partial in steps
+        steps.remove(partial)
+        assert [rows for rows, _ in steps] == [4] * 3 + [3] * 5 + [2] * 22 + [1] * 70
+        assert steps[0][1] == (5e-4, 1e-3, -5e-4, 2e-3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route
+    @pytest.mark.filterwarnings("ignore::boeq.errors.StabilityWarning")
+    def test_blow_up_names_the_row_at_its_own_time(self):
+        # N = 32 at dt = 0.5 blows up; the row beside it steps 0.1 at a time
+        with pytest.raises(BlowUpError) as err:
+            march_runs([Run(cos_field(8, a=0.1), [20.0], 0.1), Run(cos_field(32, a=5.0), [10.0], 0.5)])
+        with pytest.raises(BlowUpError) as alone:
+            evolve(cos_field(32, a=5.0), 10.0, 0.5)
+        assert err.value.n == 32
+        assert err.value.t == alone.value.t < 10.0
+
+    def test_returned_state_survives_further_steps(self):
+        eng = _Stepper([30, 24], [1e-3, -2e-3])
+        c = np.stack([full_band_field(30, seed).hardy[:eng.cut + 1] for seed in (5, 6)])
+        first = eng.step(c)
+        kept = first.copy()
+        eng.step(eng.step(first))
+        np.testing.assert_array_equal(first, kept)
+
+    def test_one_step_makes_eight_real_transforms(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(np.fft, name)
+
+            def transform(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return transform
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(name))
+        eng = _Stepper([30, 24, 16], [1e-3, 2e-3, -1e-3])
+        eng.step(np.stack([full_band_field(30, seed).hardy[:eng.cut + 1] for seed in (5, 6, 7)]))
+        assert sorted(calls) == ["irfft"] * 4 + ["rfft"] * 4
+
+
+class TestFiniteCheck:
+    """One sum tests the stack; a row search names the row that blew up."""
+
+    NS, TIMES = {3: 16, 7: 32}, {3: 0.25, 7: -0.5}
+
+    def stack(self, row, col, *values):
+        c = np.ones((2, 5), dtype=np.complex128)
+        for j, v in enumerate(values):
+            c[row, col + j] = v
+        return c
+
+    @pytest.mark.parametrize("values", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf),
+                                        (complex(0, np.inf),)],
+                             ids=["nan", "inf", "-inf", "inf-inf", "imag-inf"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sum
+    def test_non_finite_row_is_named(self, values):
+        with pytest.raises(BlowUpError) as err:
+            _check_finite(self.stack(1, 2, *values), [3, 7], self.NS, self.TIMES.get)
+        assert (err.value.n, err.value.t) == (32, -0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sum overflows
+    def test_finite_stack_whose_sum_overflows_passes(self):
+        c = self.stack(0, 0, 1e308, 1e308, 1e308)
+        assert not np.isfinite(c.sum())
+        _check_finite(c, [3, 7], self.NS, self.TIMES.get)
 
 
 class TestMarch:
