@@ -1,9 +1,10 @@
 """Benjamin-Ono solutions from spectral resolvent formulas.
 
-The torus flow is evaluated through Hermitian matrix exponentials built
-from one eigendecomposition per initial field, shared by every time, and a
-shift-resolvent recurrence for the Fourier coefficients; the line flow through a frequency-side generator/convolution
-system solved in gauge variables on the upper half-plane.  An independent
+The torus flow is evaluated in the eigenbasis of the Lax operator L_{u0},
+factored once per initial field and shared by every time, with a
+shift-resolvent power recurrence for the Fourier coefficients; the line
+flow through a frequency-side generator/convolution system solved in gauge
+variables on the upper half-plane.  An independent
 integrating-factor RK4 pseudo-spectral stepper cross-checks both, and a
 validation suite asserts the operator identities the formulas rest on.
 """
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .spectral import (
     EigenSystem,
-    OperatorMatrix,
     TorusField,
     eigen_system,
     field_from_samples,

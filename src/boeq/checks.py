@@ -150,11 +150,11 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     suffix = f"[{label}]" if label else ""
     cols = _margin_columns(n, m)
 
-    s = shift_adjoint(n).entries
+    s = shift_adjoint(n)
     d = np.diag(np.arange(n + 1).astype(np.complex128))
-    t = toeplitz_matrix(u, n).entries
-    lm = lax_matrix(u, n).entries
-    bm = b_matrix(u, n).entries
+    t = toeplitz_matrix(u, n)
+    lm = lax_matrix(u, n)
+    bm = b_matrix(u, n)
     eye = np.eye(n + 1)
 
     # S* D = D S* + S*, exact at every column of every truncation
@@ -235,9 +235,9 @@ def _lax_ladder(u0: TorusField, t: float, levels: Sequence[float], n: int,
                 )
             cols = slice(3 * m, n - 3 * m + 1)
 
-            fd = (lax_matrix(u_plus, n).entries - lax_matrix(u_minus, n).entries) / (2.0 * dt)
-            lm = lax_matrix(u_mid, n).entries
-            bm = b_matrix(u_mid, n).entries
+            fd = (lax_matrix(u_plus, n) - lax_matrix(u_minus, n)) / (2.0 * dt)
+            lm = lax_matrix(u_mid, n)
+            bm = b_matrix(u_mid, n)
             comm = bm @ lm - lm @ bm
             residual = float(np.max(np.abs((fd - comm)[:, cols])))
             reports.append(CheckReport.from_residual(
@@ -254,7 +254,7 @@ def _lax_ladder(u0: TorusField, t: float, levels: Sequence[float], n: int,
 
 def _lowest_lax_eigenvalues(u: TorusField, n: int, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of L_u at truncation n, ascending."""
-    return np.linalg.eigvalsh(lax_matrix(u, n).entries)[:count]
+    return np.linalg.eigvalsh(lax_matrix(u, n))[:count]
 
 
 def _relative_drift(now: float, start: float) -> float:

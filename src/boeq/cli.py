@@ -245,8 +245,8 @@ def cmd_solve_torus(cfg: dict) -> int:
 
     write_field_json(outdir / "initial_field.json", u0)
     if cfg["dump_operators"]:
-        write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n).entries)
-        write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n).entries)
+        write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n))
+        write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n))
 
     if method != "explicit":
         spectral = _spectral_results(u0, times, top, dt, n_samples)

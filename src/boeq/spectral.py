@@ -16,9 +16,12 @@ Conventions used throughout the package:
   :func:`synthesize_torus` and the propagator take it as it is.
 - On the line, spectra are sampled on the half-line frequency grid
   ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
+- Dense torus operators are plain read-only arrays, exactly Hermitian or
+  anti-Hermitian by construction; :func:`eigen_system` refuses one that is
+  not exactly Hermitian and checks its own factors.
 - The dense torus factors, the eigenvectors V of ``eigen_system``, the
-  eigenbasis coordinates of ``EigenSystem.coordinates`` and the evolution U
-  of ``EigenSystem.evolution``, have entries below ``FLUSH_BELOW`` set to
+  eigenbasis coordinates of ``EigenSystem.coordinates`` and the evolution
+  of ``hermitian_evolution``, have entries below ``FLUSH_BELOW`` set to
   exact zero before they are checked, so n^3 products with them never meet
   subnormal numbers.
 - :func:`check_memory` refuses, before it allocates, a job whose estimated
@@ -27,7 +30,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -184,55 +187,27 @@ class TorusField:
 
 
 # ---------------------------------------------------------------------------
-# operator matrices
+# eigensystems
 # ---------------------------------------------------------------------------
 
-_TAGS = ("hermitian", "antihermitian", "unitary", "general")
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense truncated operator with a structural tag.
-
-    Tags ``hermitian``/``antihermitian`` assert the symmetry *exactly*;
-    constructors must therefore produce symmetric entries by construction
-    (coefficient symmetrization, symmetric products), not by patching the
-    matrix afterwards.  ``unitary`` is checked to ``UNITARY_TOL``.
-    """
-
-    entries: np.ndarray
-    tag: str = "general"
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if self.tag == "hermitian" and not np.array_equal(a, a.conj().T):
-            raise ValueError("hermitian tag requires exact A == A^dagger")
-        if self.tag == "antihermitian" and not np.array_equal(a, -a.conj().T):
-            raise ValueError("antihermitian tag requires exact A == -A^dagger")
-        if self.tag == "unitary":
-            defect = np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0])))
-            if not defect <= UNITARY_TOL:  # NaN fails too
-                raise ValueError(f"unitary defect {defect:.3e} above {UNITARY_TOL:g}")
-        object.__setattr__(self, "entries", _readonly(a))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+def _checked_unitary(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` made read-only, once ``max |A* A - I| <= UNITARY_TOL``;
+    otherwise, or on NaN, :class:`LinearAlgebraError`."""
+    gram = a.conj().T @ a
+    gram.flat[::a.shape[0] + 1] -= 1.0
+    defect = float(np.max(np.abs(gram)))
+    if not defect <= UNITARY_TOL:  # NaN fails too
+        raise LinearAlgebraError(f"{what} unitary defect above tolerance", defect)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of a Hermitian OperatorMatrix."""
+    """Checked ``A = V Lambda V*`` of a Hermitian array, from :func:`eigen_system`."""
 
     eigenvalues: np.ndarray
-    eigenvectors: OperatorMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, float)))
+    eigenvectors: np.ndarray
 
     def coordinates(self, b: np.ndarray, refine: bool = False) -> np.ndarray:
         """Read-only coordinates ``x = V* b`` of a vector, or of each column
@@ -244,7 +219,7 @@ class EigenSystem:
         residual ``max |V x - b| <= EIG_TOL max |b|``; a larger or NaN one
         raises :class:`LinearAlgebraError`.
         """
-        v = self.eigenvectors.entries
+        v = self.eigenvectors
         x = v.conj().T @ b
         if refine:
             x += v.conj().T @ (b - v @ x)
@@ -257,16 +232,6 @@ class EigenSystem:
             raise LinearAlgebraError("eigenbasis coordinates residual above tolerance", residual)
         x.setflags(write=False)
         return x
-
-    def evolution(self, tau: float) -> OperatorMatrix:
-        """Unitary ``exp(i tau A) = V exp(i tau Lambda) V*``, checked as unitary.
-
-        Entries below ``FLUSH_BELOW`` are flushed to zero before the check,
-        so later products with the factor stay out of subnormal arithmetic.
-        """
-        v = self.eigenvectors.entries
-        u = _flush_tiny((v * np.exp(1j * tau * self.eigenvalues)) @ v.conj().T)
-        return OperatorMatrix(u, tag="unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +317,34 @@ def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> Toru
     return TorusField.from_hardy(0.5 * (spec[ks] + np.conj(spec[(-ks) % n])))
 
 
-def eigen_system(a: OperatorMatrix) -> EigenSystem:
-    """Hermitian eigendecomposition with a reconstruction residual check.
+def eigen_system(a: np.ndarray) -> EigenSystem:
+    """Read-only eigendecomposition of an exactly Hermitian array, checked
+    by its reconstruction residual and by the unitarity of V.
 
-    The eigenvectors of a localized operator such as L_{u0} hold many entries
+    An array with ``A != A*`` in any bit raises :class:`ValueError`.  The
+    eigenvectors of a localized operator such as L_{u0} hold many entries
     far below ``FLUSH_BELOW``; they are flushed to zero before the residual
     and unitarity checks, so the checks see the factor that is used later.
     """
-    if a.tag != "hermitian":
-        raise ValueError("eigen_system requires a hermitian-tagged matrix")
-    w, v = np.linalg.eigh(a.entries)
+    if not np.array_equal(a, a.conj().T):
+        raise ValueError("eigen_system requires an exactly Hermitian matrix")
+    w, v = np.linalg.eigh(a)
     _flush_tiny(v)
-    scale = max(float(np.max(np.abs(a.entries))), np.finfo(float).tiny)
-    residual = float(np.max(np.abs((v * w) @ v.conj().T - a.entries)))
+    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
+    defect = (v * w) @ v.conj().T
+    defect -= a
+    residual = float(np.max(np.abs(defect)))
     if not residual <= EIG_TOL * scale:  # NaN fails too
         raise LinearAlgebraError("eigendecomposition residual above tolerance", residual)
-    return EigenSystem(w, OperatorMatrix(v, tag="unitary"))
+    w.setflags(write=False)
+    return EigenSystem(w, _checked_unitary(v, "eigenvector"))
 
 
-def hermitian_evolution(a: OperatorMatrix, tau: float) -> OperatorMatrix:
-    """Unitary ``exp(i tau A)`` of a Hermitian matrix via eigendecomposition."""
-    return eigen_system(a).evolution(tau)
+def hermitian_evolution(a: np.ndarray, tau: float) -> np.ndarray:
+    """Read-only unitary ``exp(i tau A) = V exp(i tau Lambda) V*`` of an
+    exactly Hermitian array, flushed below ``FLUSH_BELOW``, then checked
+    as unitary."""
+    system = eigen_system(a)
+    v = system.eigenvectors
+    u = (v * np.exp(1j * tau * system.eigenvalues)) @ v.conj().T
+    return _checked_unitary(_flush_tiny(u), "evolution")

@@ -10,9 +10,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TruncationWarning
-from .spectral import OperatorMatrix, TorusField, check_memory
+from .spectral import TorusField, check_memory
 
 __all__ = [
     "toeplitz_matrix",
@@ -24,10 +25,10 @@ __all__ = [
 
 # (n + 1) x (n + 1) complex arrays live at once at the peak of a solve-torus
 # run (peak RSS above the imported interpreter's, two times, n = 1024 and
-# 2048: 6.35 and 5.21, and 6.36 at n = 1024 with k = n coefficients;
+# 2048: 5.37 and 5.20, and 5.37 at n = 1024 with k = n coefficients;
 # LAPACK's eigh workspace, the eigenbasis shift W with its residual check
 # and the recurrence's stored iterates included).
-DENSE_PEAK_ARRAYS = 6.4
+DENSE_PEAK_ARRAYS = 5.4
 
 
 def check_dense_budget(n: int):
@@ -50,33 +51,53 @@ def _diagonal_values(b: TorusField, n: int) -> np.ndarray:
     return vals
 
 
-def toeplitz_matrix(b: TorusField, n: int) -> OperatorMatrix:
-    """Truncated Toeplitz operator f -> P(b f): entries b_hat(j - k);
-    exactly Hermitian, as every symbol is real.
-
-    Modes of ``b`` beyond +-2n cannot reach the truncation and are ignored
-    (with a warning when nonzero).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def warn_beyond_reach(b: TorusField, n: int):
+    """Warn, by :class:`TruncationWarning`, when ``b`` has nonzero modes
+    beyond +-2n: they cannot reach the truncation n and are ignored."""
     if b.max_mode > 2 * n:
         beyond = b.coeffs[np.abs(np.arange(-b.max_mode, b.max_mode + 1)) > 2 * n]
         if np.any(np.abs(beyond) > 0):
             warnings.warn(
                 f"symbol has nonzero modes beyond +-{2 * n}; they are ignored",
                 TruncationWarning,
-                stacklevel=2,
+                stacklevel=4,
             )
-    vals = _diagonal_values(b, n)
-    j = np.arange(n + 1)
-    return OperatorMatrix(vals[j[:, None] - j[None, :] + n], tag="hermitian")
 
 
-def lax_matrix(u: TorusField, n: int) -> OperatorMatrix:
-    """Truncated L_u = D - T_u with D = diag(0..n); exactly Hermitian."""
-    t = toeplitz_matrix(u, n)
-    entries = np.diag(np.arange(n + 1).astype(np.complex128)) - t.entries
-    return OperatorMatrix(entries, tag="hermitian")
+def _toeplitz_view(b: TorusField, n: int) -> np.ndarray:
+    """Read-only view of the Toeplitz matrix of ``b`` at truncation n, with
+    no index array or matrix allocated: window i of the 2n + 1 diagonal
+    values, reversed, holds b_hat(n - i - k) at k, which is row n - i."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    warn_beyond_reach(b, n)
+    return sliding_window_view(_diagonal_values(b, n)[::-1], n + 1)[::-1]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def toeplitz_matrix(b: TorusField, n: int) -> np.ndarray:
+    """Read-only truncated Toeplitz operator f -> P(b f): entries
+    b_hat(j - k); exactly Hermitian, as every symbol is real.
+
+    Modes of ``b`` beyond +-2n cannot reach the truncation and are ignored
+    (with a warning when nonzero).
+    """
+    return _frozen(np.array(_toeplitz_view(b, n), order="C"))
+
+
+def lax_matrix(u: TorusField, n: int) -> np.ndarray:
+    """Read-only truncated L_u = D - T_u with D = diag(0..n); exactly
+    Hermitian.  Off the diagonal it is 0 - T_u, not -T_u, whose -0.0 would
+    change the bytes of the ``--dump-operators`` CSV."""
+    t = _toeplitz_view(u, n)
+    lax = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    lax -= t
+    lax.flat[::n + 2] = np.arange(n + 1) - t.diagonal()
+    return _frozen(lax)
 
 
 def abs_derivative_field(u: TorusField) -> TorusField:
@@ -85,8 +106,8 @@ def abs_derivative_field(u: TorusField) -> TorusField:
     return TorusField(u.max_mode, u.coeffs * ks)
 
 
-def b_matrix(u: TorusField, n: int) -> OperatorMatrix:
-    """Truncated B_u = i (T_{|D|u} - T_u^2); exactly anti-Hermitian.
+def b_matrix(u: TorusField, n: int) -> np.ndarray:
+    """Read-only truncated B_u = i (T_{|D|u} - T_u^2); exactly anti-Hermitian.
 
     The square uses the truncated T_u, so both inner matrices are exactly
     Hermitian and the result is anti-Hermitian by construction.  The product
@@ -94,16 +115,15 @@ def b_matrix(u: TorusField, n: int) -> OperatorMatrix:
     roundoff.
     """
     t_disp = toeplitz_matrix(abs_derivative_field(u), n)
-    t = toeplitz_matrix(u, n).entries
+    t = toeplitz_matrix(u, n)
     sq = t @ t
     sq = 0.5 * (sq + sq.conj().T)
-    return OperatorMatrix(1j * (t_disp.entries - sq), tag="antihermitian")
+    return _frozen(1j * (t_disp - sq))
 
 
-def shift_adjoint(n: int) -> OperatorMatrix:
-    """Adjoint shift (v_0, ..., v_n) -> (v_1, ..., v_n, 0): superdiagonal ones."""
+def shift_adjoint(n: int) -> np.ndarray:
+    """Read-only adjoint shift (v_0, ..., v_n) -> (v_1, ..., v_n, 0):
+    superdiagonal ones."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    s[np.arange(n), np.arange(1, n + 1)] = 1.0
-    return OperatorMatrix(s, tag="general")
+    return _frozen(np.eye(n + 1, k=1, dtype=np.complex128))

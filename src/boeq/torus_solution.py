@@ -43,7 +43,7 @@ from .spectral import (
     hermitian_evolution,  # noqa: F401  (traced here by perfbench/spans.py)
     synthesize_torus,
 )
-from .torus_operators import lax_matrix
+from .torus_operators import lax_matrix, warn_beyond_reach
 from .torus_operators import shift_adjoint  # noqa: F401  (traced here by perfbench/spans.py)
 
 __all__ = [
@@ -165,20 +165,23 @@ _eigen_lock = threading.Lock()
 
 def _lax_eigensystem(u0: TorusField, n: int) -> _LaxBasis:
     """Checked eigensystem of L_{u0} at truncation n, with W and w0, reused
-    for a repeated datum."""
+    for a repeated L_{u0}: the key is n and the Hardy half of u0 at n.
+    Every call warns of modes beyond +-2n, as ``lax_matrix(u0, n)`` does."""
     global _eigen_memo
-    key = (u0.coeffs.tobytes(), n)
+    truncated = u0.truncated(n)
+    key = (truncated.hardy.tobytes(), n)
+    warn_beyond_reach(u0, n)
     with _eigen_lock:
         if _eigen_memo is None or _eigen_memo[0] != key:
             _eigen_memo = None  # never two datums' factors at once
             # looked up at call time, so a wrapper installed on the module sees it
-            system = spectral.eigen_system(lax_matrix(u0, n))
-            v = system.eigenvectors.entries
+            system = spectral.eigen_system(lax_matrix(truncated, n))
+            v = system.eigenvectors
             shifted = np.zeros_like(v)  # S* V: the rows of V moved up by one
             shifted[:-1] = v[1:]
             step = system.coordinates(shifted)
             del shifted
-            start = system.coordinates(u0.truncated(n).hardy, refine=True)
+            start = system.coordinates(truncated.hardy, refine=True)
             _eigen_memo = (key, _LaxBasis(system, step, start))
         return _eigen_memo[1]
 
@@ -203,7 +206,7 @@ def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
         p0=u0.truncated(n).hardy,
         mean=u0.mean,
         matrix=spectral._flush_tiny(phases[:, None] * basis.step),
-        eigenvectors=basis.system.eigenvectors.entries,
+        eigenvectors=basis.system.eigenvectors,
         w0=basis.start,
     )
 

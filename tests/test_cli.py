@@ -318,6 +318,26 @@ class TestSolveTorusCommand:
         assert code == 3
         assert "eigenbasis coordinates residual" in capsys.readouterr().err
 
+    def test_non_unitary_eigenvectors_exit_3(self, tmp_path, monkeypatch, capsys):
+        # column k of V scaled by 1 + d and eigenvalue k by (1 + d)^-2 keep
+        # V Lambda V* = L_{u0}: only the unitarity check of V objects
+        k, d = 8, 1e-8
+        real = np.linalg.eigh
+
+        def skewed(a):
+            w, v = real(a)
+            v[:, k] *= 1.0 + d
+            w[k] /= (1.0 + d) ** 2
+            return w, v
+
+        monkeypatch.setattr(ts, "_eigen_memo", None)
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        code = main(["solve-torus", "--preset", "cos", "--n", "16", "--t", "0.5",
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "unitary defect" in err and "Traceback" not in err
+
     def test_multi_time_run_matches_single_time_runs(self, tmp_path, monkeypatch):
         import boeq.torus_solution as ts
 

@@ -8,7 +8,6 @@ from boeq.presets import torus_preset
 from boeq.spectral import (
     SYMMETRY_TOL,
     TWO_PI,
-    OperatorMatrix,
     TorusField,
     eigen_system,
     field_from_samples,
@@ -197,65 +196,61 @@ class TestFieldFromSamples:
             field_from_samples(bad)
 
 
-class TestOperatorMatrix:
-    def test_hermitian_tag_requires_exact(self):
+class TestEigenSystem:
+    def test_refuses_non_hermitian(self):
+        # exact symmetry, not symmetry to rounding: 1e-16j off one side fails
         a = np.array([[1.0, 1e-16j], [0, 1.0]])
-        with pytest.raises(ValueError):
-            OperatorMatrix(a, tag="hermitian")
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            eigen_system(a)
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            hermitian_evolution(a, 0.7)
 
-    def test_unitary_tag_tolerance(self):
-        OperatorMatrix(np.eye(3), tag="unitary")
-        with pytest.raises(ValueError):
-            OperatorMatrix(1.001 * np.eye(3), tag="unitary")
-
-    def test_entries_readonly(self):
-        m = OperatorMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+    def test_factors_read_only(self, rng):
+        h = rng.standard_normal((5, 5))
+        es = eigen_system((h + h.T).astype(complex))
+        u = hermitian_evolution((h + h.T).astype(complex), 0.3)
+        for a in (es.eigenvalues, es.eigenvectors, u):
+            assert not a.flags.writeable
 
 
 class TestHermitianEvolution:
     def test_zero_matrix_gives_identity(self):
-        a = OperatorMatrix(np.zeros((4, 4)), tag="hermitian")
-        u = hermitian_evolution(a, 0.7)
-        np.testing.assert_allclose(u.entries, np.eye(4), atol=1e-14)
+        u = hermitian_evolution(np.zeros((4, 4)), 0.7)
+        np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
 
     def test_diagonal_at_pi(self):
-        a = OperatorMatrix(np.diag([0.0, 1.0, 2.0]), tag="hermitian")
-        u = hermitian_evolution(a, np.pi)
-        np.testing.assert_allclose(u.entries, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+        u = hermitian_evolution(np.diag([0.0, 1.0, 2.0]), np.pi)
+        np.testing.assert_allclose(u, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
     def test_random_hermitian_matches_series_oracle(self, rng):
         h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = 0.5 * (h + h.conj().T)
         h = 0.5 * (h + h.conj().T)  # idempotent: exact symmetry
-        a = OperatorMatrix(h, tag="hermitian")
         tau = 0.7
-        u = hermitian_evolution(a, tau)
+        u = hermitian_evolution(h, tau)
         oracle = expm_series(1j * tau * h)
-        assert np.max(np.abs(u.entries - oracle)) < 1e-10
+        assert np.max(np.abs(u - oracle)) < 1e-10
 
     def test_unitarity_of_large_evolution(self, rng):
         h = rng.standard_normal((32, 32))
         h = 500.0 * (h + h.T) / 2
-        a = OperatorMatrix(h.astype(complex), tag="hermitian")
-        u = hermitian_evolution(a, 10.0)
-        assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(32))) < 1e-10
+        u = hermitian_evolution(h.astype(complex), 10.0)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-10
 
     def test_group_law(self, rng):
         h = rng.standard_normal((6, 6))
         h = (h + h.T) / 2
-        a = OperatorMatrix(h.astype(complex), tag="hermitian")
-        u1 = hermitian_evolution(a, 0.3).entries
-        u2 = hermitian_evolution(a, 1.1).entries
-        u12 = hermitian_evolution(a, 1.4).entries
+        a = h.astype(complex)
+        u1 = hermitian_evolution(a, 0.3)
+        u2 = hermitian_evolution(a, 1.1)
+        u12 = hermitian_evolution(a, 1.4)
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-10
 
     def test_eigen_system_reconstructs(self, rng):
         h = rng.standard_normal((10, 10))
         h = (h + h.T) / 2
-        es = eigen_system(OperatorMatrix(h.astype(complex), tag="hermitian"))
-        v = es.eigenvectors.entries
+        es = eigen_system(h.astype(complex))
+        v = es.eigenvectors
         assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) < 1e-12
 
 
@@ -263,11 +258,11 @@ class TestCoordinates:
     @staticmethod
     def _system(rng, n=12):
         h = rng.standard_normal((n, n))
-        return eigen_system(OperatorMatrix(((h + h.T) / 2).astype(complex), tag="hermitian"))
+        return eigen_system(((h + h.T) / 2).astype(complex))
 
     def test_vector_and_columns_read_only_with_small_residual(self, rng):
         es = self._system(rng)
-        v = es.eigenvectors.entries
+        v = es.eigenvectors
         b = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         for x, rhs in [(es.coordinates(b), b), (es.coordinates(b[:, 0], refine=True), b[:, 0])]:
             assert not x.flags.writeable
@@ -275,7 +270,7 @@ class TestCoordinates:
 
     def test_refinement_does_not_grow_residual(self, rng):
         es = self._system(rng, 200)
-        v = es.eigenvectors.entries
+        v = es.eigenvectors
         b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         plain = np.linalg.norm(v @ es.coordinates(b) - b)
         refined = np.linalg.norm(v @ es.coordinates(b, refine=True) - b)
@@ -288,9 +283,9 @@ class TestCoordinates:
         from boeq.spectral import EigenSystem
 
         es = self._system(rng)
-        v = es.eigenvectors.entries.copy()
+        v = es.eigenvectors.copy()
         v[:, 5] *= 1.0 + defect
-        bad = EigenSystem(es.eigenvalues, OperatorMatrix(v))
+        bad = EigenSystem(es.eigenvalues, v)
         with pytest.raises(LinearAlgebraError, match="coordinates residual"):
             bad.coordinates(np.ones(12, dtype=complex))
 

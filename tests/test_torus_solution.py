@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from boeq.errors import ConditioningError, DomainError, LinearAlgebraError
+from boeq.errors import ConditioningError, DomainError, LinearAlgebraError, TruncationWarning
 from boeq.spectral import (
     TWO_PI,
     TorusField,
@@ -30,8 +30,8 @@ def cos_field(n=64, a=1.0):
 def standard_step(u0, t, n):
     """Reference standard-basis step operator M = e^{it} exp(2itL_{u0}) S*,
     built densely from its own eigendecomposition."""
-    u_t = hermitian_evolution(lax_matrix(u0, n), 2.0 * t).entries
-    return np.exp(1j * t) * (u_t @ shift_adjoint(n).entries)
+    u_t = hermitian_evolution(lax_matrix(u0, n), 2.0 * t)
+    return np.exp(1j * t) * (u_t @ shift_adjoint(n))
 
 
 def in_standard_basis(prop):
@@ -51,12 +51,12 @@ class TestPropagator:
 
     def test_t_zero_matrix_is_shift(self):
         prop = propagator(cos_field(8), 0.0, 8)
-        np.testing.assert_allclose(in_standard_basis(prop), shift_adjoint(8).entries, atol=1e-14)
+        np.testing.assert_allclose(in_standard_basis(prop), shift_adjoint(8), atol=1e-14)
 
     def test_norm_preserved_up_to_shift(self, rng):
         # ||M V w|| = ||S* V w|| for eigenbasis coordinates w
         prop = propagator(cos_field(16), 0.9, 16)
-        s = shift_adjoint(16).entries
+        s = shift_adjoint(16)
         for _ in range(5):
             w = rng.standard_normal(17) + 1j * rng.standard_normal(17)
             shifted = s @ (prop.eigenvectors @ w)
@@ -78,7 +78,7 @@ class TestEigenMemo:
         real = boeq.spectral.eigen_system
 
         def counted(*args, **kwargs):
-            calls.append(args[0].dim)
+            calls.append(args[0].shape[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ts, "_eigen_memo", None)
@@ -116,6 +116,33 @@ class TestEigenMemo:
         propagator(u, 0.5, 12)
         assert eigh_calls == [17, 17, 17, 13]
 
+    def test_one_eigensystem_for_two_truncations_of_a_datum(self, eigh_calls):
+        # L_{u0} at n depends only on the Hardy half of u0 at truncation n
+        u = TorusField.from_modes(2, {1: 0.5})
+        props = [propagator(v, 0.5, 16) for v in (u, u.truncated(16), u.truncated(8))]
+        assert eigh_calls == [17]
+        assert all(p.w0 is props[0].w0 for p in props)
+
+    def test_reuse_warns_as_the_first_call(self, eigh_calls):
+        # a mode beyond +-2n is ignored with a warning, also when the
+        # eigensystem comes from the memo
+        import warnings
+
+        u = TorusField.from_modes(40, {1: 0.5, 40: 1e-3})
+        for t in (0.1, 0.5):
+            with pytest.warns(TruncationWarning, match=r"beyond \+-32"):
+                propagator(u, t, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            propagator(u.truncated(16), 1.0, 16)
+        assert eigh_calls == [17]
+
+    def test_default_suite_factors_each_lax_matrix_once(self, eigh_calls):
+        from boeq.checks import default_suite
+
+        default_suite()
+        assert len(eigh_calls) == 2
+
     def test_matrix_is_phased_evolution_times_shift(self):
         # V* M V = e^{it} e^{2it Lambda} V* S* V for M = e^{it} V e^{2it Lambda} V* S*
         import boeq.torus_solution as ts
@@ -124,7 +151,7 @@ class TestEigenMemo:
         prop = propagator(u, 0.9, 16)
         lam = ts._lax_eigensystem(u, 16).system.eigenvalues
         v = prop.eigenvectors
-        step = v.conj().T @ (shift_adjoint(16).entries @ v)
+        step = v.conj().T @ (shift_adjoint(16) @ v)
         expected = (np.exp(0.9j) * np.exp(1.8j * lam))[:, None] * step
         np.testing.assert_allclose(prop.matrix, expected, rtol=0, atol=1e-15)
 
@@ -477,7 +504,7 @@ def localized():
     from boeq.presets import torus_preset
 
     u0 = torus_preset("twomode", FLUSH_N, a=0.8, b=0.3)
-    w, v = np.linalg.eigh(lax_matrix(u0, FLUSH_N).entries)
+    w, v = np.linalg.eigh(lax_matrix(u0, FLUSH_N))
     return u0, w, v
 
 
@@ -495,8 +522,8 @@ class TestSubnormalFlush:
         assert tiny_count(v_raw) > 1000  # the datum exercises the flush
         basis = ts._lax_eigensystem(u0, FLUSH_N)
         prop = propagator(u0, FLUSH_T, FLUSH_N)
-        assert tiny_count(basis.system.eigenvectors.entries) == 0
-        assert tiny_count(basis.system.evolution(2.0 * FLUSH_T).entries) == 0
+        assert tiny_count(basis.system.eigenvectors) == 0
+        assert tiny_count(hermitian_evolution(lax_matrix(u0, FLUSH_N), 2.0 * FLUSH_T)) == 0
         assert tiny_count(basis.step) == 0
         assert tiny_count(basis.start) == 0
         assert tiny_count(prop.w0) == 0
@@ -509,7 +536,7 @@ class TestSubnormalFlush:
         basis = ts._lax_eigensystem(u0, FLUSH_N)
         es = basis.system
         np.testing.assert_array_equal(es.eigenvalues, w_raw)
-        v = es.eigenvectors.entries
+        v = es.eigenvectors
         keep = np.abs(v_raw) >= FLUSH
         np.testing.assert_array_equal(v[keep], v_raw[keep])
         assert np.all(v[~keep] == 0)
@@ -519,7 +546,7 @@ class TestSubnormalFlush:
         shifted[:-1] = v[1:]
         w_step = v.conj().T @ shifted
         phases = np.exp(1j * FLUSH_T) * np.exp(2j * FLUSH_T * es.eigenvalues)
-        for raw, flushed in [(u_raw, es.evolution(2.0 * FLUSH_T).entries),
+        for raw, flushed in [(u_raw, hermitian_evolution(lax_matrix(u0, FLUSH_N), 2.0 * FLUSH_T)),
                              (w_step, basis.step),
                              (phases[:, None] * basis.step,
                               propagator(u0, FLUSH_T, FLUSH_N).matrix)]:
@@ -603,18 +630,20 @@ class TestSubnormalFlush:
             w[k] /= (1.0 + d) ** 2
             return w, v
 
-        with pytest.raises(ValueError, match="unitary defect"):
+        with pytest.raises(LinearAlgebraError, match="unitary defect"):
             self._eigen_system_with(monkeypatch, localized, corrupt)
 
-    def test_non_unitary_factor_fails_evolution_check(self, localized):
-        from boeq.spectral import EigenSystem, OperatorMatrix
+    def test_non_unitary_factor_fails_evolution_check(self, monkeypatch, localized):
+        # an eigensystem whose V is not unitary, past eigen_system's checks
+        import boeq.spectral
+        from boeq.spectral import EigenSystem
 
-        _, w_raw, v_raw = localized
+        u0, w_raw, v_raw = localized
         v = v_raw.copy()
         v[:, FLUSH_N // 2] *= 1.0 + 1e-8
-        es = EigenSystem(w_raw, OperatorMatrix(v))
-        with pytest.raises(ValueError, match="unitary defect"):
-            es.evolution(2.0 * FLUSH_T)
+        monkeypatch.setattr(boeq.spectral, "eigen_system", lambda a: EigenSystem(w_raw, v))
+        with pytest.raises(LinearAlgebraError, match="evolution unitary defect"):
+            hermitian_evolution(lax_matrix(u0, FLUSH_N), 2.0 * FLUSH_T)
 
 
 class TestIterateRescale:
