@@ -28,7 +28,6 @@ from .spectral import (
     TorusField,
     eigen_system,
     field_from_samples,
-    hermitian_evolution,
     synthesize_torus,
 )
 from .torus_operators import (
@@ -55,7 +54,6 @@ from .line_operators import (
     LineGrid,
     ResolventEvaluator,
     iplus,
-    toeplitz_line,
 )
 from .line_solution import (
     evaluate_uhp,

@@ -393,9 +393,10 @@ def check_line_identities(
     Residuals are max norms over interior nodes for smooth test spectra
     supported inside (0, Xi); tolerances are C * h^2 with per-check C.
     G_w and T_w act through :func:`generator_apply` and
-    :func:`toeplitz_apply`, the same products as the dense weighted
-    matrices up to rounding, in O(M) memory.  The datum is sampled once on
-    the grid; the kernel of T_{|D|u} is those samples times xi.
+    :func:`toeplitz_apply`, which run the resolvent's own two products and
+    equal the dense weighted matrices up to rounding, in O(M) memory.  The
+    datum is sampled once on the grid; the kernel of T_{|D|u} is those
+    samples times xi.
     """
     grid = grid or LineGrid()
     h = grid.step

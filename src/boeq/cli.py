@@ -239,6 +239,11 @@ def cmd_solve_torus(cfg: dict) -> int:
             stacklevel=2,
         )
     u0 = _torus_field(cfg)
+    # every result is computed before the output directory is made, so a
+    # numerical failure (exit 3) leaves no partial output behind
+    spectral = None if method == "explicit" else _spectral_results(u0, times, top, dt, n_samples)
+    results = (spectral if method == "spectral"
+               else list(_explicit_results(u0, times, n, k, n_samples)))
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     x = _grid_samples(n_samples)
@@ -247,12 +252,8 @@ def cmd_solve_torus(cfg: dict) -> int:
     if cfg["dump_operators"]:
         write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n))
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n))
-
-    if method != "explicit":
-        spectral = _spectral_results(u0, times, top, dt, n_samples)
+    if spectral is not None:
         write_trajectory(outdir, times, [u for _, _, u in spectral], x)
-    results = (spectral if method == "spectral"
-               else _explicit_results(u0, times, n, k, n_samples))
     diffs = []
     for i, (t, (coeffs, mean, u)) in enumerate(zip(times, results)):
         tag = f"t{i:02d}"

@@ -20,12 +20,13 @@ Hermitian (kernel conjugate symmetry times the symmetric weight
 plain trapezoid collocation sum bit-for-bit, so no quadrature accuracy is
 traded for the symmetry.
 
-The weighted generator ``G_w = S G S^-1`` exists only as a band
-(:func:`_generator_band`), which :func:`generator_apply` and the
-resolvent's product and preconditioner read.  :func:`toeplitz_apply` forms
-T_w v in O(M log M) from the circulant of :func:`_circulant_kernel`, which
-the resolvent's product reads too; no solver forms the dense Toeplitz
-matrix.
+The weighted generator ``G_w = S G S^-1`` is stored once, as its three
+diagonals and two closure entries (:func:`_generator_stencil`).  Each line
+operator has one product, run by :func:`generator_apply`,
+:func:`toeplitz_apply` and the resolvent alike: ``(G_w - z) x`` in O(M)
+(:func:`_generator_product`) and ``right * C (left * x)`` in O(M log M)
+for the circulant C of :func:`_circulant_kernel` (:func:`_circulant_product`);
+no solver forms a dense matrix.
 
 The resolvent system ``(G - 2t L_{u0} - z) f = Pu0`` is solved in gauge
 variables ``ghat = e^{i t xi^2} fhat``, which removes the ``-2t xi`` diagonal
@@ -56,7 +57,6 @@ __all__ = [
     "HalfLineSpectrum",
     "LineField",
     "generator_apply",
-    "unweight_vector",
     "toeplitz_line",
     "toeplitz_apply",
     "iplus",
@@ -203,41 +203,48 @@ class LineField:
 # operator matrices
 # ---------------------------------------------------------------------------
 
-def _generator_band(grid: LineGrid) -> np.ndarray:
-    """G_w = S G S^-1 with G = i d/dxi, in scipy's band layout (l, u) = (2, 2).
+@dataclass(frozen=True)
+class _GeneratorStencil:
+    """G_w = S G S^-1, G = i d/dxi, on all M + 1 rows: ``diag[i] = G_w[i, i]``,
+    ``sup[i] = G_w[i, i + 1]``, ``sub[i] = G_w[i + 1, i]`` and the one-sided
+    closures' outer entries ``head = G_w[0, 2]``, ``tail = G_w[M, M - 2]``."""
 
-    ``ab[2 + i - j, j] = G_w[i, j]`` on all M + 1 rows: second-order central
-    rows inside, one-sided closures at 0 (row 0, columns 0..2) and at Xi
-    (row M, columns M-2..M).  The only place the stencil is written.
-    """
+    diag: np.ndarray
+    sup: np.ndarray
+    sub: np.ndarray
+    head: complex
+    tail: complex
+
+
+def _generator_stencil(grid: LineGrid) -> _GeneratorStencil:
+    """G_w on ``grid``: second-order central rows inside, one-sided closures
+    at 0 and Xi.  The only place the stencil is written."""
     n = grid.count
     h = grid.step
     c = 1.0 / (2.0 * h)
     sw = grid.sqrt_weights
-    ab = np.zeros((5, n), dtype=np.complex128)
-    ab[2, 0] = -1.5j / h
-    ab[1, 1] = 2.0j / h * (sw[0] / sw[1])
-    ab[0, 2] = -0.5j / h * (sw[0] / sw[2])
-    ab[1, 2:] = 1j * c * (sw[1:n - 1] / sw[2:])
-    ab[3, :n - 2] = -1j * c * (sw[1:n - 1] / sw[:n - 2])
-    ab[2, n - 1] = 1.5j / h
-    ab[3, n - 2] = -2.0j / h * (sw[n - 1] / sw[n - 2])
-    ab[4, n - 3] = 0.5j / h * (sw[n - 1] / sw[n - 3])
-    return ab
+    diag = np.zeros(n, dtype=np.complex128)
+    diag[[0, n - 1]] = -1.5j / h, 1.5j / h
+    sup = 1j * c * (sw[:n - 1] / sw[1:])
+    sup[0] = 2.0j / h * (sw[0] / sw[1])
+    sub = -1j * c * (sw[1:] / sw[:n - 1])
+    sub[n - 2] = -2.0j / h * (sw[n - 1] / sw[n - 2])
+    return _GeneratorStencil(_readonly(diag), _readonly(sup), _readonly(sub),
+                             -0.5j / h * (sw[0] / sw[2]), 0.5j / h * (sw[n - 1] / sw[n - 3]))
 
 
-def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v for A in scipy's band layout with 2 super- and 2 subdiagonals."""
-    out = ab[2] * v
-    out[:-1] += ab[1, 1:] * v[1:]
-    out[:-2] += ab[0, 2:] * v[2:]
-    out[1:] += ab[3, :-1] * v[:-1]
-    out[2:] += ab[4, :-2] * v[:-2]
-    return out
-
-
-def unweight_vector(g: np.ndarray, grid: LineGrid) -> np.ndarray:
-    return g / grid.sqrt_weights
+def _generator_product(g: _GeneratorStencil, x: np.ndarray, z: complex = 0.0) -> np.ndarray:
+    """(G_w - z) x on the leading x.size nodes: rows and columns 0..x.size-1,
+    so ``tail`` enters only when x holds all M + 1 nodes."""
+    n = x.size
+    y = g.diag[:n] - z
+    y *= x
+    y[:-1] += g.sup[:n - 1] * x[1:]
+    y[0] += g.head * x[2]
+    y[1:] += g.sub[:n - 1] * x[:-1]
+    if n == g.diag.size:
+        y[-1] += g.tail * x[-3]
+    return y
 
 
 def toeplitz_line(samples: HalfLineSpectrum) -> np.ndarray:
@@ -261,9 +268,9 @@ def toeplitz_line(samples: HalfLineSpectrum) -> np.ndarray:
 
 
 def generator_apply(grid: LineGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> G_w v, the weighted generator applied in O(M) from its band."""
-    ab = _generator_band(grid)
-    return lambda v: _band_matvec(ab, v)
+    """v -> G_w v on all M + 1 nodes, in O(M) by :func:`_generator_product`."""
+    g = _generator_stencil(grid)
+    return lambda v: _generator_product(g, v)
 
 
 def _circulant_kernel(samples: HalfLineSpectrum) -> np.ndarray:
@@ -279,22 +286,23 @@ def _circulant_kernel(samples: HalfLineSpectrum) -> np.ndarray:
     return np.fft.fft(column)
 
 
+def _circulant_product(kernel: np.ndarray, left: np.ndarray, right: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """right * C (left * x) on the leading x.size nodes, for the circulant C
+    of :func:`_circulant_kernel`: one forward and one inverse FFT."""
+    return right * np.fft.ifft(kernel * np.fft.fft(left * x, kernel.size))[:x.size]
+
+
 def toeplitz_apply(samples: HalfLineSpectrum) -> Callable[[np.ndarray], np.ndarray]:
     """v -> T_w v, the weighted Toeplitz matrix :func:`toeplitz_line` applied
     in O(M log M) without forming it, from the half-line samples of uhat0 on
     their grid, through :func:`_circulant_kernel`.  Equal to the dense
     product up to rounding, and exactly zero for the zero field.
     """
-    grid = samples.grid
-    n = grid.count
     kernel = _circulant_kernel(samples)
-    sw = grid.sqrt_weights
-    scale = (grid.step / TWO_PI) * sw
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return scale * np.fft.ifft(kernel * np.fft.fft(sw * v, kernel.size))[:n]
-
-    return apply
+    sw = samples.grid.sqrt_weights
+    scale = (samples.grid.step / TWO_PI) * sw
+    return lambda v: _circulant_product(kernel, sw, scale, v)
 
 
 def iplus(f: HalfLineSpectrum, extrapolate: bool = False) -> complex:
@@ -351,24 +359,23 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _tridiagonal_preconditioner(band: np.ndarray, z: complex) -> Callable[[np.ndarray], np.ndarray]:
+def _tridiagonal_preconditioner(g: _GeneratorStencil, z: complex) -> Callable[[np.ndarray], np.ndarray]:
     """v -> (G_w - z)^-1 v on nodes 0..M-1, from one LAPACK tridiagonal LU.
 
-    ``band`` is G_w's band in scipy's layout (:func:`_generator_band`).  The
-    leading M x M block of G_w - z is tridiagonal but for the closure entry
-    G_w[0, 2]; subtracting ``alpha = G_w[0, 2] / G_w[1, 2]`` (= -sqrt(wt_0 /
-    wt_1) for the stencil, whatever z) times row 1 from row 0 removes it.
-    The same row operation is applied to every right-hand side, and the
-    tridiagonal rest is factored by ``zgttrf`` (LU with partial pivoting)
-    and solved by ``zgttrs``.  An exactly singular factor raises
-    :class:`ConditioningError`.
+    The leading M x M block of G_w - z is tridiagonal but for the closure
+    entry G_w[0, 2]; subtracting ``alpha = G_w[0, 2] / G_w[1, 2]`` (=
+    -sqrt(wt_0 / wt_1) for the stencil, whatever z) times row 1 from row 0
+    removes it.  The same row operation is applied to every right-hand
+    side, and the tridiagonal rest is factored by ``zgttrf`` (LU with
+    partial pivoting) and solved by ``zgttrs``.  An exactly singular factor
+    raises :class:`ConditioningError`.
     """
-    m = band.shape[1] - 1
-    alpha = band[0, 2] / band[1, 2]
-    sub = band[3, :m - 1].copy()   # G_w[i + 1, i]
-    diag = band[2, :m] - z
-    sup = band[1, 1:m].copy()      # G_w[i, i + 1]
-    diag[0] -= alpha * sub[0]      # row 0 -= alpha * row 1
+    m = g.diag.size - 1
+    alpha = g.head / g.sup[1]
+    sub = g.sub[:m - 1].copy()
+    diag = g.diag[:m] - z
+    sup = g.sup[:m - 1].copy()
+    diag[0] -= alpha * sub[0]  # row 0 -= alpha * row 1
     sup[0] -= alpha * diag[1]
     sub, diag, sup, sup2, piv, info = lapack.zgttrf(sub, diag, sup, 1, 1, 1)
     if info != 0:
@@ -445,10 +452,10 @@ class ResolventEvaluator:
     closure ``ghat(Xi) = 0`` is eliminated, leaving the square system
     ``(A - z) g = b`` on nodes 0..M-1 with ``A = G_w + 2t P T_w P*``,
     ``P = diag(e^{i t xi^2})``.  A is never formed and acts on the M-node
-    block only: G_w from the three diagonals and the corner entry of its
-    band in O(M), and 2t P T_w P* as one circulant FFT product in
-    O(M log M), with P, the sqrt(wt) scalings and 2t h/2pi folded into one
-    vector on each side of it.  Each point is one GMRES solve,
+    block only, through the products that :func:`generator_apply` and
+    :func:`toeplitz_apply` run: G_w in O(M), and 2t P T_w P* in O(M log M)
+    with P, the sqrt(wt) scalings and 2t h/2pi folded into its ``left`` and
+    ``right`` vectors.  Each point is one GMRES solve,
     right-preconditioned by the tridiagonal LU of ``G_w - z``
     (:func:`_tridiagonal_preconditioner`), factored per point in O(M).  It
     starts from ``x0 = (G_w - z)^-1 b``, which at t = 0 (where the
@@ -476,9 +483,7 @@ class ResolventEvaluator:
                          "lower the cutoff or enlarge the step")
         check_tail(samples, tail_tol)
         m = grid.last
-        band = self._band = _generator_band(grid)  # G_w, for the product and the preconditioner
-        self._diag, self._sup, self._sub = band[2, :m], band[1, 1:m], band[3, :m - 1]
-        self._corner = band[0, 2]  # G_w[0, 2], the one entry off the three diagonals
+        self._generator = _generator_stencil(grid)  # for the product and the preconditioner
         self._rhs = _gauge_rhs(samples, self.t)[:m]
         self._rhs_norm = max(_norm(self._rhs), np.finfo(float).tiny)
         phase = _gauge_phase(grid, self.t)[:m]
@@ -487,19 +492,14 @@ class ResolventEvaluator:
         self._kernel = None  # of 2t P T_w P*, which vanishes at t = 0
         if self.t != 0.0:
             self._kernel = _circulant_kernel(samples)
-            self._inner = sw * np.conj(phase)
-            self._outer = (2.0 * self.t * grid.step / TWO_PI) * sw * phase
+            self._left = sw * np.conj(phase)
+            self._right = (2.0 * self.t * grid.step / TWO_PI) * sw * phase
 
     def _apply(self, x: np.ndarray, z: complex) -> np.ndarray:
         """(A - z) x on nodes 0..M-1, with the closure node held at zero."""
-        y = self._diag - z
-        y *= x
-        y[:-1] += self._sup * x[1:]
-        y[1:] += self._sub * x[:-1]
-        y[0] += self._corner * x[2]
+        y = _generator_product(self._generator, x, z)
         if self._kernel is not None:
-            v = np.fft.ifft(self._kernel * np.fft.fft(self._inner * x, self._kernel.size))
-            y += self._outer * v[:x.size]
+            y += _circulant_product(self._kernel, self._left, self._right, x)
         return y
 
     def hardy_solution(self, z: complex) -> HalfLineSpectrum:
@@ -507,7 +507,7 @@ class ResolventEvaluator:
         z = check_uhp(z)
         b = self._rhs
         stop = GMRES_TOL * self._rhs_norm
-        precondition = _tridiagonal_preconditioner(self._band, z)
+        precondition = _tridiagonal_preconditioner(self._generator, z)
         x = precondition(b)
         r = b - self._apply(x, z)
         if self._kernel is not None and _norm(r) > stop:

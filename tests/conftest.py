@@ -64,7 +64,7 @@ def _dense_weighted_generator(grid):
 
 @pytest.fixture
 def dense_generator():
-    """grid -> the dense weighted generator, the reference for its band."""
+    """grid -> the dense weighted generator, the reference for its stencil record."""
     return _dense_weighted_generator
 
 

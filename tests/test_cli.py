@@ -311,6 +311,18 @@ class TestSolveTorusCommand:
         err = capsys.readouterr().err
         assert "phases" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--preset", "cos", "--n", "16", "--t", "1e308"], "phases"),
+        (["--preset", "cos:a=40", "--n", "64", "--t", "5", "--dt", "0.05", "--method", "spectral"],
+         "blew up"),
+    ], ids=["explicit_phases_overflow", "stepper_blows_up"])
+    def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, args, message):
+        # every result is computed before the output directory is made
+        out = tmp_path / "r"
+        assert main(["solve-torus", *args, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupted_step_operator_exits_3(self, tmp_path, capsys, corrupt_next_step_operator):
         corrupt_next_step_operator(torus_preset("cos", 16), 16)
         code = main(["solve-torus", "--preset", "cos", "--n", "16", "--t", "0.5",

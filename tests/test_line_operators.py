@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from boeq.line_operators import (
     iplus,
     toeplitz_apply,
     toeplitz_line,
-    unweight_vector,
 )
 from boeq.line_solution import evaluate_uhp
 from boeq.presets import line_preset
@@ -59,11 +58,13 @@ def gauge_operator(u0, t, grid):
     a *= phase[:, None]
     a *= np.conj(phase)[None, :]
     a *= 2.0 * t
-    ab = lo._generator_band(grid)
+    g = lo._generator_stencil(grid)
     j = np.arange(grid.count)
-    for k in range(-2, 3):  # diagonal A[i, i + k] sits in band row 2 - k
-        cols = j[max(k, 0):grid.count + min(k, 0)]
-        a[cols - k, cols] += ab[2 - k, cols]
+    a[j, j] += g.diag
+    a[j[:-1], j[1:]] += g.sup
+    a[j[1:], j[:-1]] += g.sub
+    a[0, 2] += g.head
+    a[-1, -3] += g.tail
     return a
 
 
@@ -83,7 +84,7 @@ def dense_solution(u0, t, z, grid):
     """fhat from a dense solve of :func:`resolvent_system`, closure row included."""
     sys = resolvent_system(u0, t, z, grid)
     g = np.linalg.solve(sys.matrix, sys.rhs)
-    return np.conj(sys.gauge) * unweight_vector(g, grid)
+    return np.conj(sys.gauge) * (g / grid.sqrt_weights)
 
 
 class TestGrid:
@@ -105,20 +106,18 @@ class TestGrid:
 def collocation_generator(grid):
     """f -> G f on raw samples, through the weighted product G_w."""
     apply = generator_apply(grid)
-    return lambda f: unweight_vector(apply(grid.sqrt_weights * f), grid)
+    return lambda f: apply(grid.sqrt_weights * f) / grid.sqrt_weights
 
 
-def band_to_dense(ab, lower, upper):
-    n = ab.shape[1]
-    dense = np.zeros((n, n), dtype=ab.dtype)
-    for i in range(n):
-        for j in range(max(0, i - lower), min(n, i + upper + 1)):
-            dense[i, j] = ab[upper + i - j, j]
+def stencil_to_dense(g):
+    """G_w as a dense matrix, from its stencil record."""
+    dense = np.diag(g.diag) + np.diag(g.sup, 1) + np.diag(g.sub, -1)
+    dense[0, 2], dense[-1, -3] = g.head, g.tail
     return dense
 
 
 def gauge_operator_reference(u0, t, grid, gw):
-    """G_w + 2t P T_w P* as the dense expression the band assembly replaces."""
+    """G_w + 2t P T_w P* as the dense expression the in-place assembly replaces."""
     phase = lo._gauge_phase(grid, t)
     coupling = phase[:, None] * toeplitz_line(u0.hardy(grid)) * np.conj(phase)[None, :]
     return gw + 2.0 * t * coupling
@@ -155,7 +154,7 @@ class TestGeneratorBand:
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"M{g.count}")
     def test_band_is_dense_stencil_on_all_rows(self, grid, dense_generator):
         # both closure rows included: row 0 (columns 0..2) and row M
-        dense = band_to_dense(lo._generator_band(grid), 2, 2)
+        dense = stencil_to_dense(lo._generator_stencil(grid))
         ref = dense_generator(grid)
         assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.all(dense[0, :3] != 0) and np.all(dense[-1, -3:] != 0)
@@ -165,7 +164,7 @@ class TestGeneratorBand:
                              ids=lambda g: f"M{g.count}")
     def test_gauge_operator_equals_dense_sum_bitwise(self, grid, t, dense_generator):
         # the dense reference the matrix-free products are pinned to: its
-        # in-place band assembly equals the plain dense sum
+        # in-place assembly from the stencil record equals the plain dense sum
         u0 = lorentzian()
         a = gauge_operator(u0, t, grid)
         assert np.array_equal(a, gauge_operator_reference(u0, t, grid, dense_generator(grid)))
@@ -176,14 +175,14 @@ class TestGeneratorBand:
                     -30.0 + 50.0j, 0.2 + 50.0j]
 
     def test_band_solve_matches_dense_stencil_block(self, dense_generator):
-        # the preconditioner factors rows/columns 0..M-1 of the band, which
-        # leave out the closure entry G_w[M, M-1]
+        # the preconditioner factors rows/columns 0..M-1 of the stencil,
+        # which leave out the closure row and column M
         grid = LineGrid(25.0, 0.05)
         rhs = lo._gauge_rhs(lorentzian().hardy(grid), 0.0)[:-1]
         m = grid.last
-        gw, band = dense_generator(grid)[:m, :m], lo._generator_band(grid)
+        gw, stencil = dense_generator(grid)[:m, :m], lo._generator_stencil(grid)
         for z in self.BLOCK_POINTS:
-            g = lo._tridiagonal_preconditioner(band, z)(rhs)
+            g = lo._tridiagonal_preconditioner(stencil, z)(rhs)
             assert np.linalg.norm((gw - z * np.eye(m)) @ g - rhs) <= 1e-12 * np.linalg.norm(rhs), z
 
     def test_row_zero_elimination_keeps_the_dense_solution(self, rng, dense_generator):
@@ -192,12 +191,12 @@ class TestGeneratorBand:
         # untouched block
         grid = LineGrid(25.0, 0.05)
         m = grid.last
-        gw, band = dense_generator(grid)[:m, :m], lo._generator_band(grid)
-        assert band[0, 2] != 0.0
+        gw, stencil = dense_generator(grid)[:m, :m], lo._generator_stencil(grid)
+        assert stencil.head != 0.0
         rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for z in self.BLOCK_POINTS:
             want = np.linalg.solve(gw - z * np.eye(m), rhs)
-            got = lo._tridiagonal_preconditioner(band, z)(rhs)
+            got = lo._tridiagonal_preconditioner(stencil, z)(rhs)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), z
 
 
@@ -241,7 +240,7 @@ class TestToeplitzLine:
         grid = LineGrid(10.0, 0.25)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        via_matrix = unweight_vector(toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f), grid)
+        via_matrix = toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f) / grid.sqrt_weights
         m = grid.last
         vals = u0.spectrum_fn(np.arange(-m, m + 1) * grid.step)  # uhat on both sides
         w = grid.weights * grid.step
@@ -276,7 +275,7 @@ class TestToeplitzLine:
         grid = LineGrid(30.0, 0.02)
         u0 = lorentzian()
         f = np.exp(-grid.xi).astype(complex)
-        out = unweight_vector(toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f), grid)
+        out = toeplitz_line(u0.hardy(grid)) @ (grid.sqrt_weights * f) / grid.sqrt_weights
         j = grid.count // 3
         xi = grid.xi[j]
         oracle = quad(lambda s: np.exp(-abs(xi - s)) * np.exp(-s), 0.0, 30.0,
@@ -332,6 +331,41 @@ class TestMatrixFreeProducts:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def _faulty_product(monkeypatch, fault):
+    """Swap one of the two shared line products for a faulty one."""
+    if fault == "generator_drops_head":  # G_w x without its G_w[0, 2] term
+        product = lo._generator_product
+        monkeypatch.setattr(lo, "_generator_product",
+                            lambda g, x, z=0.0: product(replace(g, head=0.0), x, z))
+    else:  # the circulant product read one node off
+        def shifted(kernel, left, right, x):
+            return right * np.fft.ifft(kernel * np.fft.fft(left * x, kernel.size))[1:x.size + 1]
+
+        monkeypatch.setattr(lo, "_circulant_product", shifted)
+
+
+class TestSharedProducts:
+    """``validate``'s line checks and the resolvent run the same G_w and
+    circulant products, so a fault in either fails a check and moves the
+    solver's values."""
+
+    @pytest.mark.parametrize("fault", ["generator_drops_head", "circulant_off_by_one"])
+    def test_faulty_product_fails_a_check_and_moves_the_solver(self, monkeypatch, fault):
+        grid = LineGrid(40.0, 0.04)
+        u0, z = lorentzian(), 0.3 + 0.8j
+
+        def observe():
+            reports = check_line_identities(u0, grid)
+            return reports, ResolventEvaluator(u0.hardy(grid), 0.5).value(z)
+
+        reports, value = observe()
+        assert all(r.passed for r in reports)
+        _faulty_product(monkeypatch, fault)
+        reports, moved = observe()
+        assert not all(r.passed for r in reports)
+        assert abs(moved - value) > 1e-6 * abs(value)
 
 
 class TestSampledTransform:
@@ -495,17 +529,17 @@ class TestResolventSolve:
 
         before = outputs()
         a_before = gauge_operator(u0, t, grid)
-        band = lo._generator_band
+        stencil = lo._generator_stencil
 
         def first_order_row(grid):
-            ab = band(grid)
+            g = stencil(grid)
             m, sw = grid.last, grid.sqrt_weights
-            ab[2, m] = 1j / grid.step
-            ab[3, m - 1] = -1j / grid.step * (sw[m] / sw[m - 1])
-            ab[4, m - 2] = 0.0
-            return ab
+            diag, sub = g.diag.copy(), g.sub.copy()
+            diag[m] = 1j / grid.step
+            sub[m - 1] = -1j / grid.step * (sw[m] / sw[m - 1])
+            return replace(g, diag=diag, sub=sub, tail=0.0)
 
-        monkeypatch.setattr(lo, "_generator_band", first_order_row)
+        monkeypatch.setattr(lo, "_generator_stencil", first_order_row)
         a_after = gauge_operator(u0, t, grid)
         assert not np.array_equal(a_after[-1], a_before[-1])  # the row did change
         np.testing.assert_array_equal(a_after[:-1], a_before[:-1])
@@ -546,40 +580,40 @@ class TestResolventEvaluator:
             assert np.linalg.norm(ev._apply(x, z) - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @staticmethod
-    def _corrupt_preconditioner(monkeypatch, entry, value):
-        # the product keeps reading the true band; only the band copy that
-        # is factored for the preconditioner changes
+    def _corrupt_preconditioner(monkeypatch, diagonal, index, value):
+        # the product keeps reading the true stencil; only the copy that is
+        # factored for the preconditioner changes
         factor = lo._tridiagonal_preconditioner
 
-        def corrupted(band, z):
-            band = band.copy()
-            band[entry] = value
-            return factor(band, z)
+        def corrupted(g, z):
+            entries = getattr(g, diagonal).copy()
+            entries[index] = value
+            return factor(replace(g, **{diagonal: entries}), z)
 
         monkeypatch.setattr(lo, "_tridiagonal_preconditioner", corrupted)
 
     @pytest.mark.parametrize("corruption", ["nan_diagonal", "ill_conditioned"])
     def test_corrupted_band_fails_residual_check(self, monkeypatch, corruption):
         # right preconditioning leaves GMRES's residual that of the true
-        # system, but a NaN, or a band whose LU loses the digits the
+        # system, but a NaN, or a stencil whose LU loses the digits the
         # estimate counts on, must still be caught by the true residual
         ev = ResolventEvaluator(lorentzian().hardy(LineGrid(40.0, 0.08)), 0.35)
         ev.hardy_solution(0.5 + 0.6j)
         if corruption == "nan_diagonal":
-            self._corrupt_preconditioner(monkeypatch, (2, 3), np.nan)
+            self._corrupt_preconditioner(monkeypatch, "diag", 3, np.nan)
         else:
-            self._corrupt_preconditioner(monkeypatch, (1, 5), 1e13)  # cond(G_w - z) near 1e13
+            self._corrupt_preconditioner(monkeypatch, "sup", 4, 1e13)  # cond(G_w - z) near 1e13
         with pytest.raises(ConditioningError, match="ill-conditioned"):
             ev.hardy_solution(0.5 + 0.6j)
 
     def test_perturbed_preconditioner_changes_no_value(self, monkeypatch):
         # the preconditioner steers the iteration only: a wrong but
-        # well-conditioned band costs steps, not accuracy
+        # well-conditioned factor costs steps, not accuracy
         grid = LineGrid(40.0, 0.08)
         z = 0.5 + 0.6j
         ev = ResolventEvaluator(lorentzian().hardy(grid), 0.35)
         want = ev.value(z)
-        self._corrupt_preconditioner(monkeypatch, (1, 5), 1e3)
+        self._corrupt_preconditioner(monkeypatch, "sup", 4, 1e3)
         assert abs(ev.value(z) - want) <= 1e-12 * abs(want)
 
     def test_too_small_step_cap_raises(self, monkeypatch):
@@ -724,10 +758,3 @@ class TestDenseMemoryBudget:
             tracemalloc.stop()
         assert np.isfinite(value)
         assert peak <= (lo.GRID_NODE_BYTES + lo.KRYLOV_NODE_BYTES) * finest.count
-
-
-class TestWeightedFrame:
-    def test_weight_unweight_inverse(self):
-        grid = LineGrid(5.0, 0.25)
-        v = np.linspace(0, 1, grid.count).astype(complex)
-        np.testing.assert_allclose(unweight_vector(grid.sqrt_weights * v, grid), v, atol=1e-15)
