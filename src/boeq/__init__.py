@@ -23,50 +23,3 @@ from .errors import (
     StabilityWarning,
     TruncationWarning,
 )
-from .spectral import (
-    EigenSystem,
-    TorusField,
-    eigen_system,
-    field_from_samples,
-    synthesize_torus,
-)
-from .torus_operators import (
-    b_matrix,
-    lax_matrix,
-    shift_adjoint,
-    toeplitz_matrix,
-)
-from .torus_solution import (
-    TorusPropagator,
-    evaluate_disc,
-    evolve_coefficients,
-    propagator,
-    reconstruct_torus,
-)
-from .timestepper import (
-    Trajectory,
-    conserved_quantities,
-    evolve,
-)
-from .line_operators import (
-    HalfLineSpectrum,
-    LineField,
-    LineGrid,
-    ResolventEvaluator,
-    iplus,
-)
-from .line_solution import (
-    evaluate_uhp,
-    reconstruct_line,
-    uhp_grid_scan,
-)
-from .checks import (
-    CheckReport,
-    check_invariants,
-    check_line_identities,
-    check_torus_commutators,
-    convergence_study,
-    default_suite,
-    formula_vs_solver,
-)
-from .presets import line_preset, parse_preset, torus_preset

@@ -1,8 +1,12 @@
 """Stable on-disk formats: coefficient JSON, sample/spectrum CSV, manifests.
 
 All writers are deterministic (sorted keys, repr floats, no timestamps in
-payload files) so identical configurations reproduce identical bytes; the
-run manifest carries wall time and checksums of everything else.
+payload files), so an identical configuration reproduces identical bytes
+on the same numpy/BLAS build with the same BLAS thread count; the run
+manifest carries wall time and checksums of everything else.  Every CSV
+writer formats its rows through one block formatter.  The writers write
+into the directory they are given; the command line's ``main`` stages
+that directory and commits it as the run's output.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -51,15 +55,24 @@ def write_field_json(path: Path, field: TorusField):
 _ROWS_PER_WRITE = 256
 
 
-def _write_columns(path: Path, header: Sequence[str], *columns: np.ndarray):
-    """A CSV of the header and one row per entry of the columns, each field
-    the repr of the entry as a Python int or float: the bytes ``csv.writer``
-    writes for them (no such repr needs quoting; lines end in CR LF)."""
+def _write_rows(path: Path, header: Sequence[str], n_rows: int,
+                rows: Callable[[int, int], Iterable[Sequence]]):
+    """A CSV of the header, if any, and rows ``rows(i, j)``, i..j-1 of
+    ``n_rows``, whose entries are Python ints and floats.  Each field is the
+    repr of its entry: the bytes ``csv.writer`` writes for them (no such
+    repr needs quoting; lines end in CR LF)."""
     with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            block = zip(*(col[i:i + _ROWS_PER_WRITE].tolist() for col in columns))
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        for i in range(0, n_rows, _ROWS_PER_WRITE):
+            block = rows(i, i + _ROWS_PER_WRITE)
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+
+
+def _write_columns(path: Path, header: Sequence[str], *columns: np.ndarray):
+    """A CSV of the header and one row per entry of the columns."""
+    _write_rows(path, header, len(columns[0]),
+                lambda i, j: zip(*(col[i:j].tolist() for col in columns)))
 
 
 def write_coeff_csv(path: Path, coeffs: np.ndarray):
@@ -117,15 +130,8 @@ def write_scan_csv(path: Path, rows: Iterable):
 
 def write_matrix_csv(path: Path, matrix: np.ndarray):
     """Row-major re,im pairs, one matrix row per CSV row."""
-    m = np.asarray(matrix, complex)
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in m:
-            flat: list[str] = []
-            for v in row:
-                flat.append(repr(float(v.real)))
-                flat.append(repr(float(v.imag)))
-            w.writerow(flat)
+    pairs = np.ascontiguousarray(matrix, complex).view(np.float64)
+    _write_rows(path, (), len(pairs), lambda i, j: pairs[i:j].tolist())
 
 
 def write_trajectory(outdir: Path, times: Sequence[float], sample_sets: Sequence[np.ndarray], x: np.ndarray) -> list[str]:

@@ -19,6 +19,7 @@ from boeq.fileio import (
     sha256_of,
     write_coeff_csv,
     write_field_json,
+    write_matrix_csv,
     write_samples_csv,
     write_scan_csv,
     write_spectrum_csv,
@@ -128,7 +129,8 @@ class TestFileFormats:
             path = tmp_path / "reference.csv"
             with path.open("w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(header)
+                if header is not None:
+                    w.writerow(header)
                 for row in rows:
                     w.writerow([f if isinstance(f, int) else repr(float(f)) for f in row])
             return path.read_bytes()
@@ -137,6 +139,12 @@ class TestFileFormats:
         scan = [ScanRow(z=complex(a, b), value=None if k % 3 == 0 else complex(b, a),
                         error="failed" if k % 3 == 0 else None)
                 for k, (a, b) in enumerate(zip(x, x[::-1]))]
+        # a matrix of more rows than one block, a transposed view of it, a
+        # real matrix and an empty one, written as rows of re, im pairs
+        matrix = values.reshape(-1, 2)
+        matrix_rows = [(m, ([f for v in row for f in (v.real, v.imag)]
+                            for row in np.asarray(m, complex)))
+                       for m in (matrix, matrix.T, matrix.real, np.zeros((0, 4), complex))]
         cases = [
             (write_scan_csv, (scan,), ["re_z", "im_z", "re_val", "im_val"],
              ((r.z.real, r.z.imag, np.nan, np.nan) if r.value is None
@@ -147,6 +155,7 @@ class TestFileFormats:
              ((k, v.real, v.imag) for k, v in enumerate(values))),
             (write_spectrum_csv, (x, values), ["xi", "re", "im"],
              ((xi, v.real, v.imag) for xi, v in zip(x, values))),
+            *((write_matrix_csv, (m,), None, rows) for m, rows in matrix_rows),
         ]
         for k, (writer, args, header, rows) in enumerate(cases):
             path = tmp_path / f"{writer.__name__}{k}.csv"
@@ -317,11 +326,11 @@ class TestSolveTorusCommand:
          "blew up"),
     ], ids=["explicit_phases_overflow", "stepper_blows_up"])
     def test_numerical_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, args, message):
-        # every result is computed before the output directory is made
+        # the run's staging directory is removed: no out, nothing beside it
         out = tmp_path / "r"
         assert main(["solve-torus", *args, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupted_step_operator_exits_3(self, tmp_path, capsys, corrupt_next_step_operator):
         corrupt_next_step_operator(torus_preset("cos", 16), 16)
@@ -541,6 +550,8 @@ class TestSolveLineCommand:
                      "--out", str(tmp_path / "r")])
         assert code == 2
         assert "Krylov basis at M = 801" in capsys.readouterr().err
+        # refused after the initial spectrum was staged: nothing is written
+        assert list(tmp_path.iterdir()) == []
 
     def test_unconverged_line_solve_exits_3(self, tmp_path, monkeypatch, capsys):
         import boeq.line_operators as lo
@@ -632,6 +643,122 @@ class TestCompareCommand:
         u0 = torus_preset("cos", 48)
         assert rels[0] == formula_vs_solver([u0], [0.1003], 5e-4, 128)[0][0]
         assert rels[1] == pytest.approx(formula_vs_solver([u0], [0.2], 5e-4, 128)[0][0], rel=1e-3)
+
+
+def _tree(root: Path) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestOutputCommit:
+    """A run's out is all or nothing: staged beside it, committed on exit 0
+    or 1 with the manifest last, an earlier run replaced whole."""
+
+    TORUS = ["solve-torus", "--preset", "cos", "--n", "16", "--samples", "64"]
+
+    def test_rerun_with_fewer_times_leaves_no_stale_files(self, tmp_path):
+        out = tmp_path / "run"
+        assert main([*self.TORUS, "--t", "0.1,0.2,0.3", "--out", str(out)]) == 0
+        assert (out / "solution_t02.csv").exists()
+        assert main([*self.TORUS, "--t", "0.5", "--out", str(out)]) == 0
+        assert not [p.name for p in out.iterdir() if "t01" in p.name or "t02" in p.name]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["t"] == [0.5]
+        on_disk = {p.name: sha256_of(p) for p in out.iterdir() if p.name != "manifest.json"}
+        assert manifest["outputs"] == on_disk
+        assert list(tmp_path.iterdir()) == [out]  # the earlier run moved aside is gone
+
+    @pytest.mark.parametrize("argv", [
+        TORUS,
+        ["solve-line", "--preset", "lorentzian:c=1", "--cutoff", "16", "--tail-tol", "1e-6",
+         "--nx", "3"],
+    ], ids=["solve-torus", "solve-line"])
+    def test_failed_rerun_leaves_the_earlier_run_byte_identical(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main([*argv, "--t", "0.1,0.2", "--out", str(out)]) == 0
+        before = _tree(out)
+        # solve-line writes its spectrum and first time before 1e308 fails
+        assert main([*argv, "--t", "0.3,1e308", "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert _tree(out) == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_compare_blow_up_leaves_no_out(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["compare", "--preset", "cos:a=40", "--n-list", "64", "--t", "5",
+                     "--dt", "0.05", "--out", str(out)]) == 3
+        assert "blew up" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solve_line_failure_at_a_later_time_leaves_no_out(self, tmp_path, capsys):
+        # the spectrum and the first time are written before 1e308 fails
+        out = tmp_path / "r"
+        assert main(["solve-line", "--preset", "lorentzian:c=1", "--t", "0.5,1e308",
+                     "--cutoff", "16", "--tail-tol", "1e-6", "--nx", "3",
+                     "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_existing_out_that_is_no_run_exits_2_untouched(self, tmp_path, capsys, monkeypatch,
+                                                           kind):
+        steps = step_counter(monkeypatch)
+        out = tmp_path / "mine"
+        if kind == "directory":
+            out.mkdir()
+            (out / "notes.txt").write_text("keep me\n")
+            (out / "sub").mkdir()
+            (out / "sub" / "data.csv").write_text("1,2\n")
+        else:
+            out.write_text("keep me\n")
+        before = _tree(out) if kind == "directory" else out.read_bytes()
+        assert main(["compare", "--preset", "cos", "--n-list", "16", "--t", "0.1",
+                     "--samples", "64", "--out", str(out)]) == 2
+        assert "neither an empty directory nor an earlier boeq run" in capsys.readouterr().err
+        assert (_tree(out) if kind == "directory" else out.read_bytes()) == before
+        assert list(tmp_path.iterdir()) == [out]
+        assert steps == []  # refused before any solve
+
+    def test_empty_out_is_committed_with_umask_permissions(self, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir(mode=0o700)
+        old = os.umask(0o022)
+        try:
+            assert main([*self.TORUS, "--t", "0.1", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert (out / "manifest.json").is_file()
+        assert out.stat().st_mode & 0o777 == 0o755
+        assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_no_staging_directory_left_after_exit(self, tmp_path, monkeypatch, code):
+        # exit 2 and 3 are raised inside the commands, after the staging
+        # directory was made
+        from boeq.checks import CheckReport
+
+        residual = 1.0 if code == 1 else 0.0
+        monkeypatch.setattr("boeq.cli.default_suite", lambda torus_n=64: [
+            CheckReport.from_residual("forced", residual, 1e-6)])
+        argv = {0: ["validate"], 1: ["validate"], 2: ["validate", "--only", "nosuch"],
+                3: [*self.TORUS, "--t", "1e308"]}[code]
+        out = tmp_path / "r"
+        assert main([*argv, "--out", str(out)]) == code
+        assert list(tmp_path.iterdir()) == ([out] if code < 2 else [])
+
+    def test_no_staging_directory_left_after_an_exception(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main([*self.TORUS, "--t", "0.1", "--out", str(out)]) == 0
+        before = _tree(out)
+
+        def broken(*args):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("boeq.cli.write_samples_csv", broken)
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            main([*self.TORUS, "--t", "0.2", "--out", str(out)])
+        assert _tree(out) == before
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestConfigMerging:
