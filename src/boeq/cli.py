@@ -7,8 +7,8 @@ configuration and checksumming the other files.  Exit codes: 0 success,
 
 Output is all or nothing: a command writes into a staging directory that
 ``main`` makes beside ``out``, and ``main`` adds the manifest and renames it
-to ``out`` on exit 0 or 1, or removes it otherwise.  An existing ``out``
-that is neither empty nor an earlier run (no ``manifest.json``) exits 2.
+to ``out`` on exit 0 or 1, or removes it otherwise (see ``_check_out`` for
+the ``out`` that may be replaced).
 
 Every option is a flag ``--key-name`` and a key ``key_name`` of the JSON
 config document given by ``--config``; a config key the subcommand does not
@@ -411,42 +411,56 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _output_dir(name: str) -> Path:
-    """``out`` resolved; an existing ``out`` that is neither empty nor an
-    earlier run (no ``manifest.json``) exits 2 and is left as it is."""
-    out = Path(name).resolve()
-    if out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
-                                               or not any(out.iterdir()))):
-        raise ConfigurationError(f"output {name} exists and is neither an empty directory "
-                                 "nor an earlier boeq run (no manifest.json); it is left as it is")
-    return out
-
-
-def _beside(out: Path, role: str) -> Path:
-    """A new name beside ``out``, on its filesystem, so moves are renames."""
-    return out.with_name(f".{out.name}.{role}-{os.urandom(6).hex()}")
+def _check_out(out: Path):
+    """An existing ``out`` is replaced only when it is an empty directory or
+    exactly an earlier run: boeq's ``manifest.json`` and the plain files its
+    ``outputs`` name.  Any other exits 2 and is left as it is."""
+    if not out.exists():
+        return
+    try:
+        entries = {e.name: e.is_file(follow_symlinks=False) for e in os.scandir(out)}
+        manifest = json.loads((out / "manifest.json").read_text()) if entries else {}
+        replaceable = not entries or (
+            "schema" in manifest and manifest.get("command") in OPTIONS
+            and isinstance(manifest.get("outputs"), dict) and all(entries.values())
+            and entries.keys() == {"manifest.json", *manifest["outputs"]})
+    except (OSError, ValueError, TypeError, AttributeError):
+        replaceable = False
+    if not replaceable:
+        raise ConfigurationError(f"output {out} exists and is neither an empty directory "
+                                 "nor an earlier boeq run; it is left as it is")
 
 
 def _commit(stage: Path, out: Path):
-    """Rename ``stage`` to ``out``; an existing ``out`` is moved aside first
-    and removed once the new run is in place."""
-    aside = _beside(out, "old") if out.exists() else None
-    if aside:
+    """Rename ``stage`` to ``out``.  ``out`` is checked again, since the run
+    took time; an existing one is moved aside first, put back if the rename
+    fails, and removed once the new run is in place."""
+    _check_out(out)
+    aside = stage.with_name(stage.name + ".old")
+    if out.exists():
         out.rename(aside)
-    stage.rename(out)
-    if aside:
-        shutil.rmtree(aside)
+    try:
+        stage.rename(out)
+    except BaseException:
+        if aside.exists():
+            aside.rename(out)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
-    stage = None
+    stage = made = None
     try:
         cfg = _resolve(args)
-        out = _output_dir(cfg["out"])
+        out = Path(cfg["out"]).resolve()
+        _check_out(out)
+        # the topmost missing parent of out, removed again if nothing is committed
+        made = next((p for p in reversed(out.parents) if not p.exists()), None)
+        # a new name beside out, on its filesystem, so the commit is a rename;
         # plain mkdir, so the committed directory gets the umask's permissions
-        stage = _beside(out, "staging")
+        stage = out.with_name(f".{out.name}.staging-{os.urandom(6).hex()}")
         stage.mkdir(parents=True)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -471,7 +485,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if stage is not None:
             shutil.rmtree(stage, ignore_errors=True)
-
+        if made is not None and not out.exists():
+            shutil.rmtree(made, ignore_errors=True)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -55,24 +55,17 @@ def write_field_json(path: Path, field: TorusField):
 _ROWS_PER_WRITE = 256
 
 
-def _write_rows(path: Path, header: Sequence[str], n_rows: int,
-                rows: Callable[[int, int], Iterable[Sequence]]):
-    """A CSV of the header, if any, and rows ``rows(i, j)``, i..j-1 of
-    ``n_rows``, whose entries are Python ints and floats.  Each field is the
-    repr of its entry: the bytes ``csv.writer`` writes for them (no such
-    repr needs quoting; lines end in CR LF)."""
+def _write_columns(path: Path, header: Sequence[str], *columns: np.ndarray):
+    """A CSV of the header, if any, and one row per entry of the columns,
+    each field the repr of the entry as a Python int or float: the bytes
+    ``csv.writer`` writes for them (no such repr needs quoting; lines end in
+    CR LF)."""
     with Path(path).open("w", newline="") as fh:
         if header:
             fh.write(",".join(header) + "\r\n")
-        for i in range(0, n_rows, _ROWS_PER_WRITE):
-            block = rows(i, i + _ROWS_PER_WRITE)
+        for i in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            block = zip(*(col[i:i + _ROWS_PER_WRITE].tolist() for col in columns))
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
-
-
-def _write_columns(path: Path, header: Sequence[str], *columns: np.ndarray):
-    """A CSV of the header and one row per entry of the columns."""
-    _write_rows(path, header, len(columns[0]),
-                lambda i, j: zip(*(col[i:j].tolist() for col in columns)))
 
 
 def write_coeff_csv(path: Path, coeffs: np.ndarray):
@@ -131,7 +124,7 @@ def write_scan_csv(path: Path, rows: Iterable):
 def write_matrix_csv(path: Path, matrix: np.ndarray):
     """Row-major re,im pairs, one matrix row per CSV row."""
     pairs = np.ascontiguousarray(matrix, complex).view(np.float64)
-    _write_rows(path, (), len(pairs), lambda i, j: pairs[i:j].tolist())
+    _write_columns(path, (), *pairs.T)
 
 
 def write_trajectory(outdir: Path, times: Sequence[float], sample_sets: Sequence[np.ndarray], x: np.ndarray) -> list[str]:

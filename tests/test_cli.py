@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import boeq.cli as cli
 import boeq.spectral as spectral
 import boeq.torus_solution as ts
 from boeq.cli import main
@@ -646,8 +647,10 @@ class TestCompareCommand:
 
 
 def _tree(root: Path) -> dict:
-    """Every file under root, by relative path, with its bytes."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    """Every file under root, by relative path, with its bytes, and every
+    directory with None."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 class TestOutputCommit:
@@ -719,6 +722,68 @@ class TestOutputCommit:
         assert list(tmp_path.iterdir()) == [out]
         assert steps == []  # refused before any solve
 
+    @pytest.mark.parametrize("kind", ["foreign manifest", "bare manifest", "run plus a file",
+                                      "run plus a directory", "run missing an output"])
+    def test_out_that_is_not_exactly_an_earlier_run_exits_2_untouched(self, tmp_path, capsys,
+                                                                      kind):
+        # a manifest.json alone does not make a run: only boeq's manifest
+        # beside exactly the plain files it names may be replaced
+        out = tmp_path / "project"
+        if kind in ("foreign manifest", "bare manifest"):
+            out.mkdir()
+            (out / "manifest.json").write_text(
+                '{"name": "app", "version": "1.0"}' if kind == "foreign manifest" else "{}")
+            (out / "index.html").write_text("<p>keep me</p>\n")
+            (out / "assets").mkdir()
+            (out / "assets" / "app.js").write_text("keep();\n")
+        else:
+            assert main([*self.TORUS, "--t", "0.1", "--out", str(out)]) == 0
+            if kind == "run plus a file":
+                (out / "notes.txt").write_text("keep me\n")
+            elif kind == "run plus a directory":
+                (out / "sub").mkdir()
+            else:
+                (out / "coeffs_t00.csv").unlink()
+        before = _tree(out)
+        assert main([*self.TORUS, "--t", "0.2", "--out", str(out)]) == 2
+        assert "neither an empty directory nor an earlier boeq run" in capsys.readouterr().err
+        assert _tree(out) == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_rename_puts_the_earlier_run_back(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main([*self.TORUS, "--t", "0.1", "--out", str(out)]) == 0
+        before = _tree(out)
+        rename = Path.rename
+
+        def failing(self, target):
+            if ".staging-" in self.name and not self.name.endswith(".old"):
+                raise OSError("rename refused")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            main([*self.TORUS, "--t", "0.2", "--out", str(out)])
+        assert _tree(out) == before
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_changed_during_the_run_exits_2_untouched(self, tmp_path, monkeypatch, capsys):
+        # out is checked again at the commit, so a file put there meanwhile is kept
+        out = tmp_path / "run"
+        assert main([*self.TORUS, "--t", "0.1", "--out", str(out)]) == 0
+
+        def meddling(cfg, outdir):
+            (out / "notes.txt").write_text("keep me\n")
+            return 0
+
+        text, _, options = cli.OPTIONS["validate"]
+        monkeypatch.setitem(cli.OPTIONS, "validate", (text, meddling, options))
+        assert main(["validate", "--out", str(out)]) == 2
+        assert "neither an empty directory" in capsys.readouterr().err
+        assert (out / "notes.txt").read_text() == "keep me\n"
+        assert (out / "solution_t00.csv").is_file()
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_empty_out_is_committed_with_umask_permissions(self, tmp_path):
         out = tmp_path / "empty"
         out.mkdir(mode=0o700)
@@ -742,9 +807,12 @@ class TestOutputCommit:
             CheckReport.from_residual("forced", residual, 1e-6)])
         argv = {0: ["validate"], 1: ["validate"], 2: ["validate", "--only", "nosuch"],
                 3: [*self.TORUS, "--t", "1e308"]}[code]
-        out = tmp_path / "r"
+        # out's missing parents are made with the staging directory and go with it
+        out = tmp_path / "a" / "b" / "r"
         assert main([*argv, "--out", str(out)]) == code
-        assert list(tmp_path.iterdir()) == ([out] if code < 2 else [])
+        assert list(tmp_path.iterdir()) == ([tmp_path / "a"] if code < 2 else [])
+        if code < 2:
+            assert list(out.parent.iterdir()) == [out]
 
     def test_no_staging_directory_left_after_an_exception(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
