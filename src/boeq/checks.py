@@ -11,14 +11,16 @@ circulant FFT in O(M log M)), so no M x M array is allocated.
 
 Each stepper-based check is two parts: the runs it asks of the stepper
 (a :class:`_Request`: field, times and dt per run) and a report computed
-from the marched fields.  A public check runs its own request; the default
-suite gathers the requests of all its stepper checks and answers them with
-one lockstep march (``timestepper.march_runs``), one row per run with its
-own dt.  The Lax ladder reads all three difference steps from one run at
-the finest step (:func:`check_lax_ladder`), the flow invariants read every
-time from one run (:func:`check_invariants`), :func:`formula_vs_solver`
-runs each of its truncations as one row, and the stepper's temporal order
-is measured against the explicit formula rather than a fine stepper run.
+from the marched fields.  The default suite gathers the requests of all its
+stepper checks and answers them with one lockstep march
+(``timestepper.march_runs``), one row per run with its own dt;
+``_Request.run`` answers one request alone, and :func:`formula_vs_solver`
+is the one such check with a public entry point of its own.  The Lax
+ladder reads all three difference steps from one run at the finest step
+(:func:`_lax_ladder`), the flow invariants read every time from one run
+(:func:`_invariants`), :func:`formula_vs_solver` runs each of its
+truncations as one row, and the stepper's temporal order is measured
+against the explicit formula rather than a fine stepper run.
 Benjamin's periodic travelling wave checks the formula alone against its
 closed form (:func:`check_periodic_wave`).
 
@@ -28,7 +30,7 @@ included, so repeated runs produce byte-identical reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,12 +53,11 @@ from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
 __all__ = [
     "CheckReport",
     "check_torus_commutators",
-    "check_lax_ladder",
-    "check_invariants",
     "check_formula_isospectrality",
     "check_periodic_wave",
     "check_line_identities",
     "formula_vs_solver",
+    "relative_l2",
     "convergence_study",
     "StudyRow",
     "default_suite",
@@ -101,13 +102,7 @@ class CheckReport:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
 
 class _Request(NamedTuple):
@@ -185,29 +180,18 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     ]
 
 
-def check_lax_ladder(
-    u0: TorusField,
-    t: float,
-    levels: Sequence[float],
-    n: int,
-    tolerance: float = LAX_EVOLUTION_TOL,
-) -> list[CheckReport]:
+def _lax_ladder(u0: TorusField, t: float, levels: Sequence[float], n: int,
+                tolerance: float = LAX_EVOLUTION_TOL) -> _Request:
     """One ``lax_evolution`` report per difference step dt in ``levels``.
 
     Each compares the central difference of t -> L_{u(t)} with step dt about
     t_mid = round(t / dt) dt against [B_{u(t_mid)}, L_{u(t_mid)}] on margin
     columns of the effective band, so its residual is dominated by the
-    O(dt^2) differencing error.  The solver marches u0 at truncation n
-    once, at the finest dt, through the stencil times of every level; each
-    stencil time must be a whole number of those steps, so every field has
-    the bits of one ``evolve`` from t = 0 at the finest dt.
+    O(dt^2) differencing error.  The request's one run marches u0 at
+    truncation n once, at the finest dt, through the stencil times of every
+    level; each stencil time must be a whole number of those steps, so every
+    field has the bits of one ``evolve`` from t = 0 at the finest dt.
     """
-    return _lax_ladder(u0, t, levels, n, tolerance).run()
-
-
-def _lax_ladder(u0: TorusField, t: float, levels: Sequence[float], n: int,
-                tolerance: float = LAX_EVOLUTION_TOL) -> _Request:
-    """:func:`check_lax_ladder` as a request: its one run and its reports."""
     step = min(levels)
     stencils = []
     for dt in levels:
@@ -261,27 +245,16 @@ def _relative_drift(now: float, start: float) -> float:
     return abs(now - start) / max(abs(start), np.finfo(float).tiny)
 
 
-def check_invariants(
-    u0: TorusField,
-    times: Sequence[float],
-    n: int,
-    n_eigs: int = 10,
-    dt: float = 1e-3,
-) -> list[CheckReport]:
-    """Invariants of the flow along one stepper march through ``times``.
+def _invariants(u0: TorusField, times: Sequence[float], n: int, n_eigs: int = 10,
+                dt: float = 1e-3) -> _Request:
+    """Invariants of the flow along one stepper run through ``times``.
 
     The flow is isospectral, so the lowest eigenvalues of L_{u(t)} keep
     those of L_{u0}; the mean, the L^2 mass and the energy, its first
     spectral invariants, are read from the same fields.  Each residual is
-    the largest drift over the march times, relative to the datum's value
+    the largest drift over the run's times, relative to the datum's value
     for the mass and the energy.
     """
-    return _invariants(u0, times, n, n_eigs, dt).run()
-
-
-def _invariants(u0: TorusField, times: Sequence[float], n: int, n_eigs: int = 10,
-                dt: float = 1e-3) -> _Request:
-    """:func:`check_invariants` as a request: its one run and its reports."""
 
     def report(marched: list[dict[float, TorusField]]) -> list[CheckReport]:
         base = _lowest_lax_eigenvalues(u0, n, n_eigs)
@@ -478,6 +451,13 @@ def check_line_identities(
 # cross-oracle and studies
 # ---------------------------------------------------------------------------
 
+def relative_l2(samples: np.ndarray, reference: np.ndarray) -> float:
+    """||samples - reference|| / ||reference||, the distance of the explicit
+    formula's samples from the stepper's; 0 when both are zero."""
+    scale = float(np.linalg.norm(reference))
+    return float(np.linalg.norm(samples - reference)) / max(scale, np.finfo(float).tiny)
+
+
 def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: float,
                       n_samples: int = 512) -> list[list[float]]:
     """Relative L^2 distance between the propagator reconstruction and the
@@ -493,8 +473,7 @@ def _formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt:
     def distance(u0: TorusField, t: float, u_ref: TorusField) -> float:
         ref = synthesize_torus(u_ref.hardy, u_ref.mean, n_samples)
         mine = reconstruct_torus(propagator(u0, t, u0.max_mode), n_samples=n_samples)
-        scale = float(np.linalg.norm(ref))
-        return float(np.linalg.norm(mine - ref)) / max(scale, np.finfo(float).tiny)
+        return relative_l2(mine, ref)
 
     def report(marched: list[dict[float, TorusField]]) -> list[list[float]]:
         return [[distance(u0, t, at[float(t)]) for t in times] for u0, at in zip(fields, marched)]

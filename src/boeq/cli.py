@@ -8,7 +8,8 @@ configuration and checksumming the other files.  Exit codes: 0 success,
 Output is all or nothing: a command writes into a staging directory that
 ``main`` makes beside ``out``, and ``main`` adds the manifest and renames it
 to ``out`` on exit 0 or 1, or removes it otherwise (see ``_check_out`` for
-the ``out`` that may be replaced).
+the ``out`` that may be replaced), also on SIGTERM, after which the process
+still ends by that signal.
 
 Every option is a flag ``--key-name`` and a key ``key_name`` of the JSON
 config document given by ``--config``; a config key the subcommand does not
@@ -24,7 +25,9 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -33,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, line_solution
-from .checks import SUITE_NAMES, default_suite, formula_vs_solver
+from .checks import SUITE_NAMES, default_suite, formula_vs_solver, relative_l2
 from .errors import BoeqError, ConfigurationError, IngestionError, TruncationWarning
 from .fileio import (
     read_samples_csv,
@@ -48,11 +51,18 @@ from .fileio import (
     write_spectrum_csv,
     write_trajectory,
 )
-from .line_operators import LineField, LineGrid, check_tail
+from .line_operators import (
+    LINE_POINT_BYTES,
+    SCAN_POINT_BYTES,
+    TORUS_SAMPLE_BYTES,
+    LineField,
+    LineGrid,
+    check_tail,
+)
 from .line_solution import reconstruct_line, uhp_grid_scan
 from .presets import line_preset, parse_preset, torus_preset
-from .spectral import TWO_PI, field_from_samples, synthesize_torus, uniform_spacing
-from .timestepper import dealias_cut, march
+from .spectral import TWO_PI, check_memory, field_from_samples, synthesize_torus, uniform_spacing
+from .timestepper import Run, dealias_cut, march_runs
 from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, check_dense_budget, lax_matrix
 from .torus_solution import evolve_coefficients, propagator
@@ -170,13 +180,17 @@ def _list_of(check):
 
 
 def _scan(value, name: str) -> list | None:
-    """``re0,re1,nre,im0,im1,nim`` with counts nre, nim; None for no scan."""
+    """``re0,re1,nre,im0,im1,nim`` with counts nre, nim, whose Im z axis
+    stays above the real axis; None for no scan."""
     if not value:
         return None
     parts = _list_of(_finite)(value, name)
     if len(parts) != 6:
         raise ConfigurationError(f"{name} needs re0,re1,nre,im0,im1,nim, got {value!r}")
     parts[2], parts[5] = _count(parts[2], f"{name} nre"), _count(parts[5], f"{name} nim")
+    if parts[3] <= 0 or (parts[5] > 1 and parts[4] <= 0):
+        raise ConfigurationError(f"{name} must keep Im z > 0 (im0 > 0, and im1 > 0 when "
+                                 f"nim > 1), got {value!r}")
     return parts
 
 
@@ -218,7 +232,7 @@ def _explicit_results(u0, times, n: int, k: int | None, n_samples: int):
 def _spectral_results(u0, times, top: int, dt: float, n_samples: int) -> list:
     """(coefficients 0..top, mean, samples) of the stepper at each time,
     from one march."""
-    at = march([u0], times, dt)[0]
+    (at,) = march_runs([Run(u0, times, dt)])
     return [(f.hardy[:top + 1], f.mean, synthesize_torus(f.hardy, f.mean, n_samples))
             for f in (at[t] for t in times)]
 
@@ -233,6 +247,10 @@ def cmd_solve_torus(cfg: dict, outdir: Path) -> int:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {n} modes; need at least {2 * n + 2}"
         )
+    # the samples of every time are held until they are written
+    held = len(times) * (2 if method == "both" else 1)
+    check_memory(TORUS_SAMPLE_BYTES * n_samples * (held + 1),
+                 f"{n_samples} samples at {len(times)} time(s)", "lower --samples")
     if method != "explicit" and any(t < 0 for t in times):
         raise ConfigurationError("times must be non-negative")
     top = n // 2 if k is None else k  # the explicit method's K
@@ -266,9 +284,7 @@ def cmd_solve_torus(cfg: dict, outdir: Path) -> int:
         write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
         write_samples_csv(outdir / f"solution_{tag}.csv", x, u)
         if method == "both":
-            u_ref = spectral[i][2]
-            rel = float(np.linalg.norm(u - u_ref) / max(np.linalg.norm(u_ref), 1e-300))
-            diffs.append({"t": t, "rel_l2": rel})
+            diffs.append({"t": t, "rel_l2": relative_l2(u, spectral[i][2])})
     if diffs:
         write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})
     return 0
@@ -278,6 +294,9 @@ def cmd_solve_line(cfg: dict, outdir: Path) -> int:
     times, scan, tail_tol = cfg["t"], cfg["scan"], cfg["tail_tol"]
     if scan and not times:
         raise ConfigurationError("--scan runs at the first time of --t; give at least one")
+    nodes = scan[2] * scan[5] if scan else 0
+    check_memory(LINE_POINT_BYTES * cfg["nx"] + SCAN_POINT_BYTES * nodes,
+                 f"{cfg['nx']} x points and {nodes} scan points", "lower --nx or the --scan counts")
     x = np.linspace(cfg["xmin"], cfg["xmax"], cfg["nx"])
     grid = LineGrid(cfg["cutoff"], cfg["h"])
     name, params = parse_preset(cfg["preset"])
@@ -328,6 +347,9 @@ def cmd_compare(cfg: dict, outdir: Path) -> int:
         if n_samples < 2 * max(n_list) + 1:
             raise ConfigurationError(f"samples = {n_samples} cannot resolve {max(n_list)} "
                                      f"modes; need at least {2 * max(n_list) + 1}")
+        # each distance holds the formula's and the stepper's samples
+        check_memory(TORUS_SAMPLE_BYTES * n_samples * 3, f"{n_samples} samples",
+                     "lower --samples")
     name, params = parse_preset(cfg["preset"])
     # every truncation in one stacked march, one row of the stack per n
     table = formula_vs_solver([torus_preset(name, n, **params) for n in n_list],
@@ -448,8 +470,35 @@ def _commit(stage: Path, out: Path):
     shutil.rmtree(aside, ignore_errors=True)
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in main's thread so that main's cleanup runs."""
+
+
+def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # the cleanup runs once, whole
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  In the main thread a SIGTERM removes the staging
+    directory and then ends the process by SIGTERM's default action."""
     args = build_parser().parse_args(argv)
+    previous = signal.getsignal(signal.SIGTERM)
+    # a handler installed outside Python (None) cannot be put back
+    if previous is None or threading.current_thread() is not threading.main_thread():
+        return _run(args)
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(args)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     stage = made = None
     try:

@@ -17,6 +17,7 @@ builds one evaluator per time from those samples.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,8 @@ def uhp_grid_scan(
     """Pu(t, z) at the evaluator's (u0, t) on a rectangle, row-major over
     (im, re).
 
-    Node failures are recorded per row and the scan continues.
+    Node failures are recorded per row and the scan continues; a scan
+    with failed nodes warns once, with their count and the first error.
     """
     re_axis = np.atleast_1d(np.asarray(re_axis, dtype=float))
     im_axis = np.atleast_1d(np.asarray(im_axis, dtype=float))
@@ -137,4 +139,8 @@ def uhp_grid_scan(
                 rows.append(ScanRow(z=z, value=evaluator.value(z)))
             except BoeqError as exc:
                 rows.append(ScanRow(z=z, value=None, error=str(exc)))
+    failed = [row for row in rows if row.error is not None]
+    if failed:
+        warnings.warn(f"{len(failed)} of {len(rows)} scan points failed (nan in the scan CSV); "
+                      f"the first, at z = {failed[0].z}: {failed[0].error}", stacklevel=2)
     return rows

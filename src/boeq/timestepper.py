@@ -24,12 +24,11 @@ several runs, each a field with its times and its dt, on their times as the
 rows of one lockstep march: each side of t = 0 of each run is one row, and
 each time gets the whole steps and partial step of one ``evolve`` from
 t = 0 (:func:`split_steps`); a partial step is taken on a copy that the
-march does not continue from.  :func:`march` (several fields, one set of
-times, one dt) and :func:`evolve` (one field, its snapshot stops) are thin
-calls into the same loop, and every caller that needs more than one time,
-truncation or dt goes through it (``solve-torus --method spectral``,
-``boeq compare --n-list`` and the whole of ``boeq validate``, whose five
-stepper runs are one march).
+march does not continue from.  Every command that marches calls
+:func:`march_runs`: ``solve-torus --method spectral`` with one run,
+``boeq compare --n-list`` with one run per truncation and ``boeq validate``
+with its five stepper runs as one march.  :func:`evolve` (one field, its
+snapshot stops) is the loop's one other caller.
 
 Rows are stacked in order of their last step, the longest first, so the
 rows still stepping are a leading block; a row leaves the stack at its last
@@ -60,7 +59,6 @@ __all__ = [
     "Trajectory",
     "Run",
     "evolve",
-    "march",
     "march_runs",
     "split_steps",
     "dealias_cut",
@@ -344,16 +342,6 @@ def march_runs(runs: Sequence[Run]) -> list[dict[float, TorusField]]:
     rows = iter(_march(fields, dts, stops))
     return [{t: f for side in run_sides for t, f in zip(side, next(rows))}
             for run_sides in sides]
-
-
-def march(fields: Sequence[TorusField], times: Sequence[float],
-          dt: float) -> list[dict[float, TorusField]]:
-    """Each field, at its own truncation (its ``max_mode``), at every
-    distinct time of ``times``, with one dt: :func:`march_runs` of one run
-    per field."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return march_runs([Run(u, times, dt) for u in fields])
 
 
 def conserved_quantities(u: TorusField) -> dict[str, float]:

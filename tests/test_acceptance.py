@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import boeq.checks as checks
 from boeq.checks import (
-    check_invariants,
-    check_lax_ladder,
     check_line_identities,
     check_torus_commutators,
     convergence_study,
@@ -106,17 +105,17 @@ def test_criterion_4_lax_pair_dynamics():
     invariants (isospectrality, mean, mass, energy) from one march."""
     start = time.perf_counter()
     cos1 = torus_preset("cos", 2)
-    (rep,) = check_lax_ladder(cos1, t=0.2, levels=[1e-3], n=128)
+    (rep,) = checks._lax_ladder(cos1, t=0.2, levels=[1e-3], n=128).run()
     assert rep.residual <= 1e-4, rep.residual
     rows = convergence_study(
-        lambda dt: check_lax_ladder(cos1, t=0.2, levels=[dt], n=128,
-                                    tolerance=np.inf)[0].residual,
+        lambda dt: checks._lax_ladder(cos1, t=0.2, levels=[dt], n=128,
+                                      tolerance=np.inf).run()[0].residual,
         levels=[1e-3, 5e-4, 2.5e-4],
     )
     orders = [r.observed_order for r in rows[1:]]
     assert all(1.7 <= o <= 2.3 for o in orders), orders
-    invariants = check_invariants(cos1, times=[0.25, 0.5, 0.75, 1.0], n=256,
-                                  n_eigs=10, dt=1e-3)
+    invariants = checks._invariants(cos1, times=[0.25, 0.5, 0.75, 1.0], n=256,
+                                    n_eigs=10, dt=1e-3).run()
     assert all(r.passed for r in invariants), [(r.name, r.residual) for r in invariants]
     iso = invariants[0]
     assert iso.name == "isospectrality" and iso.residual <= 1e-6, iso.residual

@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import boeq.checks as checks
 from boeq.checks import (
     CheckReport,
     check_formula_isospectrality,
-    check_invariants,
-    check_lax_ladder,
     check_line_identities,
     check_torus_commutators,
     convergence_study,
@@ -24,7 +23,7 @@ from boeq.line_operators import (
 )
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
-from boeq.timestepper import evolve, march, march_runs
+from boeq.timestepper import Run, evolve, march_runs
 from boeq.torus_operators import lax_matrix
 from boeq.torus_solution import evolve_coefficients, propagator
 
@@ -57,7 +56,7 @@ class TestTorusCommutators:
 
 def lax_evolution(u0, t, dt, n, **kwargs):
     """The ``lax_evolution`` report of the one difference step dt."""
-    (report,) = check_lax_ladder(u0, t, [dt], n, **kwargs)
+    (report,) = checks._lax_ladder(u0, t, [dt], n, **kwargs).run()
     return report
 
 
@@ -87,8 +86,6 @@ class TestLaxEvolution:
         # u(t_mid - dt), u(t_mid), u(t_mid + dt) come from a march through
         # those three times only, and equal the fields of one march that
         # keeps every step, bit for bit
-        import boeq.checks as checks
-
         u0, n = torus_preset("cos", 2), 128
         asked, seen = [], []
 
@@ -117,7 +114,7 @@ class TestLaxEvolution:
 class TestLaxLadder:
     def test_finest_level_is_the_single_level_check(self):
         u0 = torus_preset("cos", 2)
-        ladder = check_lax_ladder(u0, t=0.2, levels=[1e-3, 5e-4, 2.5e-4], n=128)
+        ladder = checks._lax_ladder(u0, t=0.2, levels=[1e-3, 5e-4, 2.5e-4], n=128).run()
         single = lax_evolution(u0, t=0.2, dt=2.5e-4, n=128)
         assert ladder[-1].residual == single.residual
         assert [r.parameters["dt"] for r in ladder] == [1e-3, 5e-4, 2.5e-4]
@@ -130,8 +127,6 @@ class TestLaxLadder:
         assert all(r.passed for r in ladder)
 
     def test_one_march_through_every_stencil_time(self, monkeypatch):
-        import boeq.checks as checks
-
         marches = []
         real = checks.march_runs
 
@@ -140,7 +135,7 @@ class TestLaxLadder:
             return real(runs)
 
         monkeypatch.setattr(checks, "march_runs", recording)
-        check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 5e-4], n=128)
+        checks._lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 5e-4], n=128).run()
         assert len(marches) == 1 and len(marches[0]) == 1
         ((n, times, dt),) = marches[0]
         assert n == 128 and dt == 5e-4
@@ -149,7 +144,7 @@ class TestLaxLadder:
     def test_stencil_off_the_march_grid_is_refused(self):
         # 0.199 is no whole number of 3e-4 steps
         with pytest.raises(ConfigurationError, match="not on the grid"):
-            check_lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 3e-4], n=64)
+            checks._lax_ladder(torus_preset("cos", 2), t=0.2, levels=[1e-3, 3e-4], n=64).run()
 
 
 INVARIANT_NAMES = ["isospectrality", "conservation_mean", "conservation_l2",
@@ -157,25 +152,25 @@ INVARIANT_NAMES = ["isospectrality", "conservation_mean", "conservation_l2",
 
 
 def suite_invariants():
-    """check_invariants as default_suite runs it, by report name."""
-    reports = check_invariants(torus_preset("cos", 2), [0.5, 1.0], 256, n_eigs=10, dt=1e-3)
+    """The invariants request as default_suite makes it, by report name."""
+    reports = checks._invariants(torus_preset("cos", 2), [0.5, 1.0], 256, n_eigs=10, dt=1e-3).run()
     return {r.name: r for r in reports}
 
 
 class TestInvariants:
     def test_zero_field(self):
-        reports = check_invariants(TorusField.zero(16), [0.2], 16, n_eigs=5, dt=1e-2)
+        reports = checks._invariants(TorusField.zero(16), [0.2], 16, n_eigs=5, dt=1e-2).run()
         assert [r.name for r in reports] == INVARIANT_NAMES
         assert all(r.residual < 1e-12 and r.passed for r in reports)
 
     def test_constant_shift(self):
-        reports = check_invariants(torus_preset("constant", 4, c=0.5), [0.1], 32,
-                                   n_eigs=5, dt=1e-3)
+        reports = checks._invariants(torus_preset("constant", 4, c=0.5), [0.1], 32,
+                                     n_eigs=5, dt=1e-3).run()
         assert reports[0].residual < 1e-10
         assert all(r.passed for r in reports)
 
     def test_cos_drift_small(self):
-        reports = check_invariants(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3)
+        reports = checks._invariants(torus_preset("cos", 2), [0.25], 128, n_eigs=8, dt=1e-3).run()
         assert all(r.passed for r in reports)
 
     def test_suite_configuration(self):
@@ -188,8 +183,6 @@ class TestInvariants:
             assert r.parameters["times"] == [0.5, 1.0]
 
     def test_one_march_for_every_invariant(self, monkeypatch):
-        import boeq.checks as checks
-
         calls = []
         real = checks.march_runs
 
@@ -198,14 +191,12 @@ class TestInvariants:
             return real(runs)
 
         monkeypatch.setattr(checks, "march_runs", counting)
-        check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32, dt=1e-2)
+        checks._invariants(torus_preset("cos", 2), [0.5, 1.0], 32, dt=1e-2).run()
         assert calls == [[(32, [0.5, 1.0], 1e-2)]]
 
     def test_conservation_drift_is_largest_over_times(self, monkeypatch):
         # a march whose mass jumps at t = 0.5 and comes back by t = 1 must
         # fail: the drift is the worst over the times, not the last one
-        import boeq.checks as checks
-
         real = checks.march_runs
 
         def bumped(runs):
@@ -215,15 +206,13 @@ class TestInvariants:
             return marched
 
         monkeypatch.setattr(checks, "march_runs", bumped)
-        reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
-                                                       dt=1e-2)}
+        reports = {r.name: r for r in checks._invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
+                                                         dt=1e-2).run()}
         assert not reports["conservation_l2"].passed
         assert not reports["conservation_energy"].passed
 
     def test_nan_drift_fails(self, monkeypatch):
         # a NaN at one time must not be dropped by taking the max over times
-        import boeq.checks as checks
-
         real = checks.conserved_quantities
         seen = []
 
@@ -235,8 +224,8 @@ class TestInvariants:
             return q
 
         monkeypatch.setattr(checks, "conserved_quantities", nan_energy_once)
-        reports = {r.name: r for r in check_invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
-                                                       dt=1e-2)}
+        reports = {r.name: r for r in checks._invariants(torus_preset("cos", 2), [0.5, 1.0], 32,
+                                                         dt=1e-2).run()}
         assert np.isnan(reports["conservation_energy"].residual)
         assert not reports["conservation_energy"].passed
 
@@ -339,8 +328,6 @@ class TestSuiteCatchesMutatedStepper:
     def test_formula_drifting_from_the_stepper_fails_temporal_order(self, monkeypatch):
         # the reference is the formula: a coefficient error of 1e-8 puts a
         # floor under both levels of the ladder
-        import boeq.checks as checks
-
         real = checks.evolve_coefficients
         monkeypatch.setattr(checks, "evolve_coefficients",
                             lambda prop, *a: real(prop, *a) * (1.0 + 1e-8))
@@ -349,8 +336,9 @@ class TestSuiteCatchesMutatedStepper:
 
 
 def march_one(u0, times, dt, n):
-    """``march`` of the one field u0 at truncation n; its dict of times."""
-    return march([u0.truncated(n)], times, dt)[0]
+    """``march_runs`` of the one field u0 at truncation n; its dict of times."""
+    (at,) = march_runs([Run(u0.truncated(n), times, dt)])
+    return at
 
 
 class TestMarchTimes:
@@ -397,7 +385,7 @@ class TestMarchStack:
     def test_rows_match_their_own_march(self, fields):
         # bit for bit for the largest truncation, to rounding for the others
         times = [0.0105, 0.02, -0.011, 0.0]
-        stacked = march(fields, times, 1e-3)
+        stacked = march_runs([Run(u, times, 1e-3) for u in fields])
         for u0, got in zip(fields, stacked):
             alone = march_one(u0, times, 1e-3, u0.max_mode)
             assert sorted(got) == sorted(alone)
@@ -410,7 +398,7 @@ class TestMarchStack:
 
     def test_one_stacked_march_per_side(self, fields, monkeypatch):
         steps = step_counter(monkeypatch)
-        march(fields, [0.02, 0.01], 1e-3)
+        march_runs([Run(u, [0.02, 0.01], 1e-3) for u in fields])
         assert steps == [(2, (1e-3, 1e-3))] * 20
 
     def test_stacked_formula_vs_solver_matches_per_truncation(self, fields):
@@ -424,7 +412,7 @@ class TestMarchStack:
                 np.testing.assert_allclose(rels, alone, rtol=0, atol=1e-14)
 
     def test_empty_stack(self):
-        assert march([], [0.1], 1e-3) == []
+        assert march_runs([]) == []
         assert formula_vs_solver([], [0.1], 1e-3) == []
 
 
@@ -540,8 +528,6 @@ class TestStudiesAndSuite:
     def test_stepper_order_study_marches_one_reference(self, monkeypatch):
         # the reference is the explicit formula, built once for the ladder;
         # the stepper runs only the ladder's own levels
-        import boeq.checks as checks
-
         dts, refs = [], []
 
         def counting(runs):

@@ -3,18 +3,21 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boeq.cli as cli
+import boeq.line_solution as line_solution
 import boeq.spectral as spectral
 import boeq.torus_solution as ts
 from boeq.cli import main
-from boeq.errors import ConfigurationError, IngestionError
+from boeq.errors import ConditioningError, ConfigurationError, IngestionError
 from boeq.fileio import (
     read_samples_csv,
     sha256_of,
@@ -411,6 +414,21 @@ class TestSolveLineCommand:
         lines = (out / "uhp_scan.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 21 * 10
         assert lines[1].startswith("-2")
+
+    def test_failed_scan_points_are_named_in_the_manifest(self, tmp_path, monkeypatch):
+        class OneFailingNode(line_solution.ResolventEvaluator):
+            def value(self, z):
+                if z == complex(1.0, 0.5):
+                    raise ConditioningError("forced node failure", 1.0)
+                return super().value(z)
+
+        monkeypatch.setattr(line_solution, "ResolventEvaluator", OneFailingNode)
+        out = tmp_path / "scan"
+        assert main(["solve-line", "--t", "0", "--nx", "3", "--cutoff", "16", "--h", "0.05",
+                     "--tail-tol", "1e-6", "--scan=-1,1,2,0.5,1,2", "--out", str(out)]) == 0
+        (warning,) = json.loads((out / "manifest.json").read_text())["warnings"]
+        assert "1 of 4 scan points failed" in warning
+        assert "(1+0.5j)" in warning and "forced node failure" in warning
 
     def test_csv_datum_roundtrip(self, tmp_path):
         x = np.linspace(-80, 80, 2048)
@@ -828,6 +846,52 @@ class TestOutputCommit:
         assert _tree(out) == before
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_sigterm_removes_the_staging_directory(self, tmp_path):
+        # a scan of 10^6 points runs for a minute; SIGTERM ends it once the
+        # staging directory exists, and the process still dies by signal 15
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "boeq.cli", "solve-line", "--t", "0", "--nx", "3",
+                "--scan=0,1,1000,0.5,1,1000", "--out", str(tmp_path / "o")]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob(".o.staging-*")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        assert list(tmp_path.iterdir()) == []
+
+
+class _NoSolve(line_solution.ResolventEvaluator):
+    def value(self, z):
+        raise AssertionError("a line point was solved before the counts were checked")
+
+
+class TestCountsBoundedBeforeAllocation:
+    """--samples, --nx and the --scan point count are checked against the
+    memory budget before any solve: exit 2, and no out or staging directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-torus", "--n", "16", "--samples", "1000000", "--t", "0.5"],
+        ["solve-torus", "--n", "16", "--samples", "1000000", "--t", "0.5", "--method", "both"],
+        ["compare", "--n-list", "16", "--t", "0.1", "--samples", "1000000"],
+        ["solve-line", "--t", "0", "--nx", "1000000"],
+        ["solve-line", "--t", "0", "--nx", "3", "--scan=0,1,1000,0.5,1,1000"],
+    ], ids=["torus-samples", "torus-both-samples", "compare-samples", "line-nx", "line-scan"])
+    def test_exits_2_and_leaves_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        # a 4 MiB machine: room for the default line grid (0.8 MB), none for
+        # 10^6 samples or points
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * 2 ** 20)
+        monkeypatch.setattr(line_solution, "ResolventEvaluator", _NoSolve)
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigMerging:
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):
@@ -920,6 +984,8 @@ class TestInvalidNumericFlags:
         ["solve-line", "--scan=-2,nan,21,0.2,2,10"],
         ["solve-line", "--scan=-2,2,2.5,0.5,1.5,2"],
         ["solve-line", "--scan=-2,2,21,0.2,2,1.5"],
+        ["solve-line", "--t", "0", "--scan=-1,1,2,-0.5,0.5,2"],
+        ["solve-line", "--t", "0", "--scan=-1,1,2,0.5,0,2"],
         ["solve-line", "--h", "1e-9", "--t", "0"],
         ["solve-torus", "--n", "100000", "--samples", "200002", "--t", "0.1"],
         ["compare", "--n-list", "100000", "--samples", "200001"],
@@ -938,6 +1004,7 @@ class TestInvalidNumericFlags:
             "line-t-nan", "line-t-inf", "line-tail-tol-nan", "line-xmin-inf", "line-xmax-nan",
             "line-scan-negative-count", "line-scan-nan-count", "line-scan-nan-bound",
             "line-scan-fractional-nre", "line-scan-fractional-nim",
+            "line-scan-im0-negative", "line-scan-im1-zero",
             "line-grid-beyond-memory", "torus-n-beyond-memory", "compare-n-beyond-memory",
             "validate-n-beyond-memory", "torus-preset-unknown-param",
             "line-preset-unknown-param", "torus-zero-preset-with-param",

@@ -333,6 +333,41 @@ class TestMatrixFreeProducts:
         assert peak < 8 * 2 ** 20
 
 
+class TestToeplitzClosedForm:
+    """T_w against a closed form that reaches its first column: for
+    lorentzian:c=1, uhat = 2 pi e^{-|xi|}, and the raw vector e^{-xi} goes to
+    (T f)(xi) = (1/2pi) int_0^oo uhat(xi - eta) e^{-eta} d eta
+    = (xi + 1/2) e^{-xi}, on Xi = 40 up to e^{-40}."""
+
+    H = [0.08, 0.04, 0.02]
+
+    @staticmethod
+    def _interior_error(h):
+        grid = LineGrid(40.0, h)
+        xi, sw = grid.xi, grid.sqrt_weights
+        got = toeplitz_apply(lorentzian().hardy(grid))(sw * np.exp(-xi)) / sw
+        return float(np.max(np.abs(got - (xi + 0.5) * np.exp(-xi))[2:grid.count - 2]))
+
+    @pytest.mark.parametrize("h", H)
+    def test_within_half_h_squared(self, h):
+        # measured: 0.142 h^2, 0.154 h^2 and 0.160 h^2
+        assert self._interior_error(h) <= 0.5 * h ** 2
+
+    @pytest.mark.parametrize("h", H)
+    def test_product_that_drops_node_zero_fails(self, monkeypatch, h):
+        # the fault that every report of check_line_identities passes at
+        # h = 0.04 errs by 5.2 h^2, 11.4 h^2 and 23.9 h^2 here
+        product = lo._circulant_product
+
+        def drops_node_zero(kernel, left, right, x):
+            left = left.copy()
+            left[0] = 0.0
+            return product(kernel, left, right, x)
+
+        monkeypatch.setattr(lo, "_circulant_product", drops_node_zero)
+        assert self._interior_error(h) > 0.5 * h ** 2
+
+
 def _faulty_product(monkeypatch, fault):
     """Swap one of the two shared line products for a faulty one."""
     if fault == "generator_drops_head":  # G_w x without its G_w[0, 2] term

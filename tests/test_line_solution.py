@@ -253,8 +253,10 @@ class TestScan:
 
     def test_failures_recorded_per_row(self):
         field = line_preset("lorentzian", c=1.0).field
-        rows = uhp_grid_scan(ResolventEvaluator(field.hardy(LineGrid(40.0, 0.05)), 0.0),
-                             [0.0], [-0.5, 0.5])
+        with pytest.warns(UserWarning, match="1 of 2 scan points failed") as seen:
+            rows = uhp_grid_scan(ResolventEvaluator(field.hardy(LineGrid(40.0, 0.05)), 0.0),
+                                 [0.0], [-0.5, 0.5])
+        assert len(seen) == 1
         assert rows[0].value is None and "Im z" in rows[0].error
         assert rows[1].value is not None and rows[1].error is None
 

@@ -16,7 +16,7 @@ from boeq.spectral import (
     synthesize_torus,
     uniform_spacing,
 )
-from boeq.timestepper import march
+from boeq.timestepper import Run, march_runs
 
 
 def expm_series(a):
@@ -96,7 +96,7 @@ class TestTorusField:
         elif source == "truncated":
             u = u.truncated(24)
         elif source == "march":
-            u = march([u], [0.05], 1e-3)[0][0.05]
+            u = march_runs([Run(u, [0.05], 1e-3)])[0][0.05]
         back = TorusField.from_hardy(u.hardy, u.max_mode)
         assert back.max_mode == u.max_mode
         np.testing.assert_array_equal(back.coeffs, u.coeffs)

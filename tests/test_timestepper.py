@@ -5,7 +5,7 @@ from boeq.errors import BlowUpError, StabilityWarning
 from boeq.spectral import TorusField, field_from_samples, next_fast_len
 from boeq.presets import torus_preset
 from boeq.timestepper import (Run, _check_finite, _Stepper, conserved_quantities, dealias_cut,
-                              evolve, march, march_runs)
+                              evolve, march_runs)
 
 from box_oracle import evolve_line_on_box
 from conftest import step_counter, wave_datum, wave_hardy, wave_speed
@@ -149,7 +149,7 @@ class TestPeriodicWaveMarch:
     BOUNDS = {1e-3: (2 * 1.19e-9, 2 * 2.45e-9), 5e-4: (2 * 7.39e-11, 2 * 1.48e-10)}
 
     def _errors(self, dt, amplitude=1.0):
-        (got,) = march([wave_datum(self.Q, self.B, self.N, amplitude)], self.TIMES, dt)
+        (got,) = march_runs([Run(wave_datum(self.Q, self.B, self.N, amplitude), self.TIMES, dt)])
         c = wave_speed(self.Q, self.B)
         errs = []
         for t in self.TIMES:
@@ -288,8 +288,8 @@ def _relative_gap(a, b):
 
 
 def march_to(fields, t_final, dt):
-    """Every field of a stacked :func:`march` at the one time t_final."""
-    return [at[float(t_final)] for at in march(fields, [t_final], dt)]
+    """Every field of a stacked :func:`march_runs` at the one time t_final."""
+    return [at[float(t_final)] for at in march_runs([Run(u, [t_final], dt) for u in fields])]
 
 
 class TestEvolveStack:
@@ -318,7 +318,7 @@ class TestEvolveStack:
     def test_zero_horizon_and_empty_stack(self):
         u = cos_field(16)
         assert march_to([u], 0.0, 1e-3)[0] is u
-        assert march([], [0.1], 1e-3) == []
+        assert march_runs([]) == []
 
     def test_cfl_warning_names_the_row_that_exceeds_it(self):
         # dt * N * max|u| = 0.08 at N = 16 and 1.28 at N = 256
@@ -443,26 +443,26 @@ class TestFiniteCheck:
 
 
 class TestMarch:
-    """``march`` lands fields on times; one row and no rows behave as before."""
+    """``march_runs`` lands a field on times; one row and no rows behave as before."""
 
     def test_one_row_behaves_as_evolve(self):
         # every time, on either side of 0 and off the step grid, has the bits
         # of one evolve from t = 0; t = 0 hands back the datum itself
         u = torus_preset("twomode", 32, a=1.0, b=0.5)
         times = [0.0, 0.0105, 0.02, -0.0042, -0.011]
-        (got,) = march([u], times, 1e-3)
+        (got,) = march_runs([Run(u, times, 1e-3)])
         assert list(got) == [0.0, 0.0105, 0.02, -0.0042, -0.011]
         assert got[0.0] is u is evolve(u, 0.0, 1e-3).final()
         for t in times[1:]:
             np.testing.assert_array_equal(got[t].coeffs, evolve(u, t, 1e-3).final().coeffs)
 
     def test_empty_field_list_and_no_times(self):
-        assert march([], [0.1, -0.1], 1e-3) == []
-        assert march([cos_field(16)], [], 1e-3) == [{}]
+        assert march_runs([]) == []
+        assert march_runs([Run(cos_field(16), [], 1e-3)]) == [{}]
 
     def test_refuses_non_positive_dt(self):
         with pytest.raises(ValueError):
-            march([cos_field(16)], [0.1], 0.0)
+            march_runs([Run(cos_field(16), [0.1], 0.0)])
         with pytest.raises(ValueError):
             evolve(cos_field(16), 0.1, -1e-3)
 
