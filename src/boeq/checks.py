@@ -74,6 +74,12 @@ CONSERVATION_MEAN_TOL = 1e-12
 CONSERVATION_L2_TOL = 1e-9
 CONSERVATION_ENERGY_TOL = 1e-8
 
+# (n + 1) x (n + 1) complex arrays live at once at the peak of the suite at
+# --n n, in check_torus_commutators' products (tracemalloc 12.5 to 12.6 at
+# n = 256 and 512; peak RSS above the imported interpreter's 12.7 and 13.2
+# at n = 512 and 1024)
+SUITE_PEAK_ARRAYS = 13.2
+
 # calibrated residual/h^2 envelopes for the line checks (default test pair)
 LINE_C = {
     "line_gd": 6.0,

@@ -139,9 +139,16 @@ def write_trajectory(outdir: Path, times: Sequence[float], sample_sets: Sequence
     return files + ["trajectory.json"]
 
 
+# bytes read per block by sha256_of, so a checksum never holds a whole output
+_HASH_BLOCK = 1 << 16
+
+
 def sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    block = memoryview(bytearray(_HASH_BLOCK))
+    with Path(path).open("rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(block[:size])
     return digest.hexdigest()
 
 

@@ -85,13 +85,8 @@ GRID_NODE_BYTES = 400
 KRYLOV_NODE_BYTES = 16 * (GMRES_MAX_STEPS + 1) + 400
 # Bytes per point of what a run writes, which the commands check before any
 # solve (tracemalloc, 2e4 to 1e6 points, manifest checksums included):
-# - a torus sample, per sample array a run holds at once plus one for the
-#   synthesis in flight: solve-torus at N = 16 peaks at 40 bytes per sample
-#   for one time, 16 more per further time (32 for --method both), and
-#   compare at 56;
 # - a solve-line x point: 49 to 52;
 # - a --scan point: 208 to 210.
-TORUS_SAMPLE_BYTES = 24
 LINE_POINT_BYTES = 64
 SCAN_POINT_BYTES = 256
 # Bytes of phase factors exp(-i xi x) that LineField.from_samples holds at

@@ -24,6 +24,9 @@ Conventions used throughout the package:
   of ``hermitian_evolution``, have entries below ``FLUSH_BELOW`` set to
   exact zero before they are checked, so n^3 products with them never meet
   subnormal numbers.
+- A torus field is transformed by real FFTs only: :func:`synthesize_torus`
+  is one ``irfft`` of the Hardy half and :func:`field_from_samples` one
+  ``rfft`` of the samples, as in the stepper.
 - :func:`check_memory` refuses, before it allocates, a job whose estimated
   peak exceeds half the physical memory (a configuration error, exit 2).
 """
@@ -255,29 +258,30 @@ def next_fast_len(target: int) -> int:
     return best
 
 
+# Bytes per torus sample for each float64 sample array a run holds at its
+# peak, as the commands count them: 8, and one for fixed costs.  Traced
+# peaks (N = 16, 2e5 and 1e6 samples, checksums included) per sample:
+# solve-torus 16.2-16.8 at one time (2 arrays), 32.2-32.9 at three (4), with
+# --method both 32.1-32.6 (4) and 64.1-64.8 (8); compare 24.1-24.6 (3).
+TORUS_SAMPLE_BYTES = 9
+
+
 def synthesize_torus(hardy: np.ndarray, mean: float, n_samples: int) -> np.ndarray:
     """Samples of ``p + conj(p) - mean`` on the uniform grid of [0, 2pi),
     where ``p`` has the Hardy coefficients ``hardy`` = (c_0, ..., c_N).
 
     ``mean`` is the conserved zeroth coefficient of the underlying real field.
+    One real inverse FFT of the Hardy half, whose zeroth entry is
+    ``2 Re c_0 - mean``; the result is a fresh float64 array.
     """
-    p = np.asarray(hardy, dtype=np.complex128)
+    p = np.array(hardy, dtype=np.complex128)
     n_modes = p.size - 1
     if n_samples < 2 * n_modes + 1:
         raise ValueError(
             f"need at least {2 * n_modes + 1} samples to resolve {n_modes} modes"
         )
-    spec = np.zeros(n_samples, dtype=np.complex128)
-    spec[0] = p[0] + np.conj(p[0]) - mean
-    if n_modes >= 1:
-        spec[1:n_modes + 1] = p[1:]
-        spec[-n_modes:] = np.conj(p[1:][::-1])
-    samples = np.fft.ifft(spec) * n_samples
-    residue = float(np.max(np.abs(samples.imag)))
-    scale = max(1.0, float(np.max(np.abs(samples.real))))
-    if residue > 1e-12 * scale:
-        raise LinearAlgebraError("synthesis produced a non-real field", residue)
-    return samples.real
+    p[0] = 2.0 * p[0].real - mean
+    return np.fft.irfft(p, n_samples, norm="forward")
 
 
 def uniform_spacing(x: np.ndarray) -> float:
@@ -295,9 +299,8 @@ def uniform_spacing(x: np.ndarray) -> float:
 def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> TorusField:
     """Discrete Fourier coefficients of real samples on a uniform [0, 2pi) grid.
 
-    Uses ``c_k = (1/2pi) int u e^{-ikx} dx`` realized as an FFT, whose
-    rounding leaves ``c_k`` and ``conj(c_{-k})`` a few ulps apart; each
-    Hardy coefficient is their average.
+    Uses ``c_k = (1/2pi) int u e^{-ikx} dx`` realized as a real FFT, one
+    value per Hardy coefficient c_0, ..., c_K.
     """
     s = np.asarray(samples)
     if not np.all(np.isfinite(s)):
@@ -312,9 +315,7 @@ def field_from_samples(samples: np.ndarray, max_mode: int | None = None) -> Toru
         raise IngestionError(
             f"need at least {2 * max_mode + 2} samples for max_mode {max_mode}"
         )
-    spec = np.fft.fft(s) / n
-    ks = np.arange(max_mode + 1)
-    return TorusField.from_hardy(0.5 * (spec[ks] + np.conj(spec[(-ks) % n])))
+    return TorusField.from_hardy(np.fft.rfft(s)[:max_mode + 1] / n)
 
 
 def eigen_system(a: np.ndarray) -> EigenSystem:

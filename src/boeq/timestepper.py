@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BlowUpError, StabilityWarning
-from .spectral import TorusField, next_fast_len
+from .spectral import TorusField, next_fast_len, synthesize_torus
 
 __all__ = [
     "Trajectory",
@@ -354,7 +354,7 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     ks = np.abs(np.arange(-n, n + 1))
     mean = u.mean
     l2sq = float(np.sum(np.abs(u.coeffs) ** 2))
-    grid = np.fft.irfft(u.hardy, next_fast_len(3 * n + 1), norm="forward")
+    grid = synthesize_torus(u.hardy, mean, next_fast_len(3 * n + 1))
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
     return {"mean": mean, "l2sq": l2sq, "energy": energy}

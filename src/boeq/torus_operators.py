@@ -31,9 +31,10 @@ __all__ = [
 DENSE_PEAK_ARRAYS = 5.4
 
 
-def check_dense_budget(n: int):
-    """Refuse a truncation n whose dense operators would not fit in memory."""
-    check_memory(DENSE_PEAK_ARRAYS * np.dtype(np.complex128).itemsize * (n + 1) ** 2,
+def check_dense_budget(n: int, arrays: float = DENSE_PEAK_ARRAYS):
+    """Refuse a truncation n whose dense operators, a peak of ``arrays``
+    (n + 1) x (n + 1) complex arrays, would not fit in memory."""
+    check_memory(arrays * np.dtype(np.complex128).itemsize * (n + 1) ** 2,
                  f"dense torus operators at n = {n}", "lower the truncation n")
 
 

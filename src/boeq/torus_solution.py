@@ -297,8 +297,8 @@ def reconstruct_torus(
 ) -> np.ndarray:
     """Real samples of u(t, .) on the uniform grid of [0, 2pi).
 
-    Synthesizes ``Pu + conj(Pu) - mean`` from the recurrence coefficients;
-    the imaginary residue of the synthesis is checked below 1e-10 internally.
+    Synthesizes ``Pu + conj(Pu) - mean`` from the recurrence coefficients
+    by :func:`spectral.synthesize_torus`, a real inverse FFT.
     """
     coeffs = evolve_coefficients(prop, n_coeffs)
     return synthesize_torus(coeffs, prop.mean, n_samples)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +168,23 @@ class TestFileFormats:
             writer(path, *args)
             assert path.read_bytes() == reference(header, rows), writer.__name__
 
+    def test_checksum_reads_in_blocks(self, tmp_path):
+        # the manifest's checksum of an 8 MiB output holds a block of it,
+        # not the whole file
+        data = np.random.default_rng(5).bytes(8 * 2 ** 20)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        want = hashlib.sha256(data).hexdigest()
+        del data
+        tracemalloc.start()
+        try:
+            got = sha256_of(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * 2 ** 20
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -239,6 +258,29 @@ class TestSolveTorusCommand:
         assert (out / "solution_t00.csv").exists()
         assert (out / "coeffs_t00.json").exists()
         assert (out / "trajectory.json").exists()
+
+    @pytest.mark.parametrize("extra, code", [
+        (["--method", "spectral"], 0),
+        (["--method", "spectral", "--dump-operators"], 2),
+        (["--method", "explicit"], 2),
+    ], ids=["spectral", "spectral-dump-operators", "explicit"])
+    def test_dense_budget_only_where_dense_operators_are_formed(self, tmp_path, monkeypatch,
+                                                                capsys, extra, code):
+        # memory for 0.9 of the dense estimate at n = 1024: the stepper
+        # forms no dense operator, so only the explicit formula and
+        # --dump-operators are refused
+        from boeq.torus_operators import DENSE_PEAK_ARRAYS
+
+        need = DENSE_PEAK_ARRAYS * 16 * 1025 ** 2
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 0.9 * 2 * need)
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--n", "1024", "--samples", "4096", "--t", "0.01",
+                     "--dt", "1e-3", *extra, "--out", str(out)]) == code
+        if code:
+            assert "dense torus operators at n = 1024" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "solution_t00.csv").exists()
 
     def test_dump_operators(self, tmp_path):
         out = tmp_path / "run"
@@ -597,6 +639,23 @@ class TestValidateCommand:
         code = main(["validate", "--n", "16", "--out", str(tmp_path / "r")])
         assert code == 2
 
+    def test_dense_budget_charges_the_suite_peak(self, tmp_path, monkeypatch, capsys):
+        # memory between solve-torus' dense estimate at n = 64 and the
+        # suite's: refused before the suite runs, and nothing is written
+        from boeq.checks import SUITE_PEAK_ARRAYS
+        from boeq.torus_operators import DENSE_PEAK_ARRAYS
+
+        arrays = (DENSE_PEAK_ARRAYS + SUITE_PEAK_ARRAYS) / 2
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 2 * arrays * 16 * 65 ** 2)
+
+        def no_suite(**kwargs):
+            raise AssertionError("the suite ran before its dense peak was checked")
+
+        monkeypatch.setattr(cli, "default_suite", no_suite)
+        assert main(["validate", "--n", "64", "--out", str(tmp_path / "r")]) == 2
+        assert "dense torus operators at n = 64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unmatched_filter_exits_2(self, tmp_path, monkeypatch):
         # refused from the suite's names, before it runs or writes anything
         steps = step_counter(monkeypatch)
@@ -891,6 +950,28 @@ class TestCountsBoundedBeforeAllocation:
         assert main([*argv, "--out", str(tmp_path / "r")]) == 2
         assert "physical memory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSampleBudget:
+    """The sample budget, TORUS_SAMPLE_BYTES per sample array a command
+    counts, covers the traced peak of its run by at most 1.5x."""
+
+    @pytest.mark.parametrize("argv, arrays", [
+        (["solve-torus", "--n", "16", "--t", "0.01"], 2),
+        (["solve-torus", "--n", "16", "--t", "0.01", "--method", "both", "--dt", "1e-3"], 4),
+        (["compare", "--n-list", "16", "--t", "0.01", "--dt", "1e-3"], 3),
+    ], ids=["torus-one-time", "torus-both", "compare"])
+    def test_estimate_covers_peak(self, tmp_path, argv, arrays):
+        n_samples = 200_000
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--samples", str(n_samples), "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        estimate = spectral.TORUS_SAMPLE_BYTES * n_samples * arrays
+        assert peak <= estimate <= 1.5 * peak
 
 
 class TestConfigMerging:

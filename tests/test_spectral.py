@@ -149,6 +149,13 @@ class TestSynthesize:
         np.testing.assert_allclose(synthesize_torus(np.array([1.5, 0, 0]), 1.5, 8), np.full(8, 1.5),
                                    atol=1e-14)
 
+    def test_returns_float64_that_owns_its_data(self):
+        # a view of a complex buffer would hold 16 bytes per sample
+        samples = synthesize_torus(np.array([0.5, 1 - 2j, 0.25j]), 0.5, 64)
+        assert samples.dtype == np.float64
+        assert samples.base is None and samples.flags.owndata
+        assert samples.nbytes == 8 * 64
+
     def test_roundtrip_random_field(self, rng):
         n = 12
         modes = {k: rng.standard_normal() + 1j * rng.standard_normal() for k in range(1, n + 1)}
