@@ -2,7 +2,9 @@
 
 Torus identities are *finite-section exact*: for symbols band-limited to
 |k| <= m, both sides of each identity agree to machine precision on columns
-at distance >= 2m from the truncation edge, so tolerances sit at 1e-12.
+at distance >= 2m from the truncation edge, so tolerances sit at 1e-12; the
+Lax bracket's products reach about n^2, and its tolerance is eps times the
+largest of them where that exceeds 1e-12 (n > 64).
 Line identities hold only in the h -> 0 limit of the grid; their residuals
 are asserted against calibrated C*h^2 envelopes and their convergence
 order is measured by refinement ladders.  Their operator products are formed
@@ -172,17 +174,31 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
         float(np.max(np.abs(comm_ts[:, 0]))),
     )
 
-    # [S*, B_u] = i((L_u + I)^2 S* - S* L_u^2) on margin columns
-    lhs = s @ bm - bm @ s
+    # [S*, B_u] = i((L_u + I)^2 S* - S* L_u^2) on margin columns.  The
+    # squares reach about n^2 on the diagonal and the residual rounds like
+    # eps times the largest product, so the tolerance is that, floored at
+    # FINITE_SECTION_TOL (the floor holds up to n = 64).  Each pair is
+    # subtracted in place, so no more than two products live at once.
+    peak = lambda a: float(np.max(np.abs(a)))
+    lhs, right = s @ bm, bm @ s
+    scale = max(peak(lhs), peak(right))
+    lhs -= right
+    del right
     lp = lm + eye
-    rhs_b = 1j * (lp @ (lp @ s) - s @ (lm @ lm))
-    res_bracket = float(np.max(np.abs((lhs - rhs_b)[:, cols])))
+    rhs, right = lp @ (lp @ s), s @ (lm @ lm)
+    scale = max(scale, peak(rhs), peak(right))
+    rhs -= right
+    del right
+    rhs *= 1j
+    lhs -= rhs
+    res_bracket = float(np.max(np.abs(lhs[:, cols])))
+    tol_bracket = max(FINITE_SECTION_TOL, np.finfo(float).eps * scale)
 
     params = {"n": n, "band": m, "margin_lo": cols.start, "margin_hi": cols.stop - 1}
     return [
         CheckReport.from_residual(f"torus_leibniz{suffix}", leibniz, FINITE_SECTION_TOL, **params),
         CheckReport.from_residual(f"torus_toeplitz_shift{suffix}", res_ts, FINITE_SECTION_TOL, **params),
-        CheckReport.from_residual(f"torus_lax_bracket{suffix}", res_bracket, FINITE_SECTION_TOL, **params),
+        CheckReport.from_residual(f"torus_lax_bracket{suffix}", res_bracket, tol_bracket, **params),
     ]
 
 
@@ -457,11 +473,24 @@ def check_line_identities(
 # cross-oracle and studies
 # ---------------------------------------------------------------------------
 
+# samples per block of the difference relative_l2 forms, so that it never
+# holds a difference as long as its arguments
+_NORM_BLOCK = 1 << 12
+
+
 def relative_l2(samples: np.ndarray, reference: np.ndarray) -> float:
     """||samples - reference|| / ||reference||, the distance of the explicit
-    formula's samples from the stepper's; 0 when both are zero."""
+    formula's samples from the stepper's; 0 when both are zero.
+
+    The squared norm of the difference is summed over blocks of
+    ``_NORM_BLOCK`` samples; up to one block, it is ``np.linalg.norm``'s.
+    """
     scale = float(np.linalg.norm(reference))
-    return float(np.linalg.norm(samples - reference)) / max(scale, np.finfo(float).tiny)
+    squared = 0.0
+    for i in range(0, len(reference), _NORM_BLOCK):
+        block = samples[i:i + _NORM_BLOCK] - reference[i:i + _NORM_BLOCK]
+        squared += float(block @ block)
+    return float(np.sqrt(squared)) / max(scale, np.finfo(float).tiny)
 
 
 def formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt: float,

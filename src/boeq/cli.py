@@ -253,10 +253,10 @@ def cmd_solve_torus(cfg: dict, outdir: Path) -> int:
         raise ConfigurationError(
             f"samples = {n_samples} cannot resolve {n} modes; need at least {2 * n + 2}"
         )
-    # sample arrays at the peak: every time's samples, held until they are
-    # written, and the x grid or the synthesis in flight; --method both
-    # holds both methods' samples and the difference that relative_l2 forms
-    arrays = (len(times) + 1) * (2 if method == "both" else 1)
+    # sample arrays at the peak: every time's samples (both methods' with
+    # --method both), held until they are written, and the x grid or the
+    # synthesis in flight; relative_l2 forms its difference block by block
+    arrays = len(times) * (2 if method == "both" else 1) + 1
     check_memory(TORUS_SAMPLE_BYTES * n_samples * arrays,
                  f"{n_samples} samples at {len(times)} time(s)", "lower --samples")
     if method != "explicit" and any(t < 0 for t in times):
@@ -355,9 +355,9 @@ def cmd_compare(cfg: dict, outdir: Path) -> int:
         if n_samples < 2 * max(n_list) + 1:
             raise ConfigurationError(f"samples = {n_samples} cannot resolve {max(n_list)} "
                                      f"modes; need at least {2 * max(n_list) + 1}")
-        # each distance holds the formula's and the stepper's samples and
-        # their difference
-        check_memory(TORUS_SAMPLE_BYTES * n_samples * 3, f"{n_samples} samples",
+        # each distance holds the formula's and the stepper's samples;
+        # relative_l2 forms their difference block by block
+        check_memory(TORUS_SAMPLE_BYTES * n_samples * 2, f"{n_samples} samples",
                      "lower --samples")
     name, params = parse_preset(cfg["preset"])
     # every truncation in one stacked march, one row of the stack per n

@@ -6,14 +6,14 @@ Conventions used throughout the package:
   exponentials ``e^{ikx}`` are orthonormal and coefficients are
   ``c_k = <u|e^{ikx}>``.
 - A torus field is real: ``c_{-k} = conj(c_k)`` with real ``c_0``.
-  :class:`TorusField` is the one place that knows it: its constructor
-  refuses a conjugate-symmetry defect above ``SYMMETRY_TOL``
-  (:class:`InvalidFieldError`) and stores the symmetric part, so no
-  operator, stepper or check tests or repairs a field's reality again.
-- The Hardy part of a field, the projection ``Pu``, is the plain array
-  ``TorusField.hardy`` = ``(c_0, ..., c_N)``; the mean is ``c_0``.
-  :meth:`TorusField.from_hardy` builds the field back from it, and
-  :func:`synthesize_torus` and the propagator take it as it is.
+  :class:`TorusField` stores only its Hardy part, the projection ``Pu``:
+  the read-only array ``TorusField.hardy`` = ``(c_0, ..., c_N)``, whose
+  ``c_0``, the mean, is stored real.  Its constructor refuses a non-finite
+  coefficient or a mean whose imaginary part exceeds ``SYMMETRY_TOL / 2``
+  (:class:`InvalidFieldError`); the negative modes exist only in the
+  derived two-sided ``TorusField.coeffs``, so there is no symmetry to
+  check or repair.  :func:`synthesize_torus`, the operators and the
+  propagator take the Hardy half as it is.
 - On the line, spectra are sampled on the half-line frequency grid
   ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
 - Dense torus operators are plain read-only arrays, exactly Hermitian or
@@ -89,104 +89,91 @@ def check_memory(nbytes: float, what: str, remedy: str):
 
 @dataclass(frozen=True)
 class TorusField:
-    """Real periodic field stored as two-sided coefficients c_k, k = -N..N.
+    """Real periodic field, stored as its Hardy half ``hardy`` = (c_0, ..., c_N).
 
-    Real by construction: the constructor refuses, by
-    :class:`InvalidFieldError`, coefficients whose conjugate-symmetry defect
-    ``max |c_{-k} - conj(c_k)|`` (which includes ``2 |Im c_0|``) exceeds
-    ``SYMMETRY_TOL`` or is NaN, and stores the symmetric part
-    ``(c + conj(c[::-1])) / 2``, which is the input bit for bit when the
-    input is exactly symmetric.  No other module checks or repairs it.
+    Real by construction: the negative modes are never stored, and the
+    two-sided ``coeffs`` derives them as c_{-k} = conj(c_k).  The
+    constructor takes a read-only complex128 copy of ``hardy`` (N >= 1)
+    with c_0 stored real; it refuses, by :class:`InvalidFieldError`, a
+    non-finite coefficient or a mean with ``2 |Im c_0| > SYMMETRY_TOL``.
     """
 
-    max_mode: int
-    coeffs: np.ndarray  # complex128, length 2*max_mode + 1, index k + max_mode
+    hardy: np.ndarray  # complex128, (c_0, ..., c_N), the projection Pu
 
     def __post_init__(self):
-        if self.max_mode < 1:
-            raise ValueError("max_mode must be >= 1")
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.max_mode + 1,):
-            raise ValueError("coeffs must have length 2*max_mode + 1")
-        mirror = np.conj(c[::-1])
-        defect = float(np.max(np.abs(c - mirror)))
-        if not defect <= SYMMETRY_TOL:  # NaN fails too
+        h = np.array(self.hardy, dtype=np.complex128)
+        if h.ndim != 1 or h.size < 2:
+            raise ValueError("need the Hardy coefficients c_0, ..., c_N with N >= 1")
+        if not np.all(np.isfinite(h)):
+            raise InvalidFieldError("a torus field's coefficients must be finite")
+        if not 2.0 * abs(h[0].imag) <= SYMMETRY_TOL:
             raise InvalidFieldError(
-                f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:g}; "
-                "a torus field is real"
+                f"mean c_0 = {h[0]} is not real to {SYMMETRY_TOL:g}; a torus field is real"
             )
-        half = c + mirror
-        half.real *= 0.5  # part by part, not times a complex 0.5, which would
-        half.imag *= 0.5  # flip the sign of some zero parts
-        half.setflags(write=False)
-        object.__setattr__(self, "coeffs", half)
+        h[0] = h[0].real
+        h.setflags(write=False)
+        object.__setattr__(self, "hardy", h)
 
     @classmethod
     def zero(cls, max_mode: int) -> "TorusField":
-        return cls(max_mode, np.zeros(2 * max_mode + 1, dtype=np.complex128))
+        return cls(np.zeros(max_mode + 1, dtype=np.complex128))
 
     @classmethod
     def from_hardy(cls, hardy: np.ndarray, max_mode: int | None = None) -> "TorusField":
         """The real field whose modes 0..K are ``hardy`` = (c_0, ..., c_K),
-        at truncation ``max_mode`` (default K); modes above K are zero and
-        the negative ones are the conjugates."""
+        at truncation ``max_mode`` (default K); modes above K are zero."""
         h = np.asarray(hardy, dtype=np.complex128)
         n = h.size - 1 if max_mode is None else max_mode
         if h.ndim != 1 or not 1 <= h.size <= n + 1:
             raise ValueError(f"need 1 to {n + 1} Hardy coefficients for max_mode {n}")
-        c = np.zeros(2 * n + 1, dtype=np.complex128)
-        c[n:n + h.size] = h
-        c[n - h.size + 1:n] = np.conj(h[:0:-1])
-        return cls(n, c)
+        padded = np.zeros(n + 1, dtype=np.complex128)
+        padded[:h.size] = h
+        return cls(padded)
 
     @classmethod
     def from_modes(cls, max_mode: int, modes: Mapping[int, complex]) -> "TorusField":
-        """Build a real field from coefficients on modes k >= 0; each given
-        mode's negative is its conjugate, and the others are zero."""
-        c = np.zeros(2 * max_mode + 1, dtype=np.complex128)
+        """Build a real field from coefficients on modes k >= 0; the others
+        are zero."""
+        h = np.zeros(max_mode + 1, dtype=np.complex128)
         for k, val in modes.items():
             if k < 0:
                 raise ValueError("specify modes k >= 0; negatives are implied")
             if k > max_mode:
                 raise ValueError(f"mode {k} exceeds max_mode {max_mode}")
-            c[max_mode + k] = val
-            c[max_mode - k] = np.conj(val) if k else val
-        return cls(max_mode, c)
+            h[k] = val
+        return cls(h)
 
     @property
-    def hardy(self) -> np.ndarray:
-        """Read-only view of the Hardy half (c_0, ..., c_N), the projection Pu."""
-        return self.coeffs[self.max_mode:]
+    def max_mode(self) -> int:
+        """The truncation N."""
+        return self.hardy.size - 1
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Read-only two-sided coefficients c_k, k = -N..N, at index k + N;
+        c_{-k} = conj(c_k), with its zero parts written as +0.0."""
+        h = self.hardy
+        c = np.concatenate([np.conj(h[:0:-1]) + 0.0, h])
+        c.setflags(write=False)
+        return c
 
     @property
     def mean(self) -> float:
         """The zeroth coefficient c_0, real."""
-        return float(self.coeffs[self.max_mode].real)
+        return float(self.hardy[0].real)
 
     def truncated(self, n: int) -> "TorusField":
         """This field at truncation n: modes above n cut, missing ones zero;
         the field itself when n is its own ``max_mode``."""
         if n == self.max_mode:
             return self
-        c = np.zeros(2 * n + 1, dtype=np.complex128)
-        m = min(n, self.max_mode)
-        c[n - m:n + m + 1] = self.coeffs[self.max_mode - m:self.max_mode + m + 1]
-        return TorusField(n, c)
-
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.max_mode:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[self.max_mode + k])
+        return TorusField.from_hardy(self.hardy[:n + 1], n)
 
     def effective_band(self, rel_tol: float = 1e-12) -> int:
-        """Largest |k| whose coefficient exceeds rel_tol * max |c|."""
-        mags = np.abs(self.coeffs)
-        top = mags.max()
-        if top == 0.0:
-            return 0
-        ks = np.abs(np.arange(-self.max_mode, self.max_mode + 1))
-        live = mags > rel_tol * top
-        return int(ks[live].max()) if live.any() else 0
+        """Largest k whose coefficient exceeds rel_tol * max |c|."""
+        mags = np.abs(self.hardy)
+        live = np.flatnonzero(mags > rel_tol * mags.max())
+        return int(live[-1]) if live.size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +248,8 @@ def next_fast_len(target: int) -> int:
 # Bytes per torus sample for each float64 sample array a run holds at its
 # peak, as the commands count them: 8, and one for fixed costs.  Traced
 # peaks (N = 16, 2e5 and 1e6 samples, checksums included) per sample:
-# solve-torus 16.2-16.8 at one time (2 arrays), 32.2-32.9 at three (4), with
-# --method both 32.1-32.6 (4) and 64.1-64.8 (8); compare 24.1-24.6 (3).
+# solve-torus 16.2-16.8 at one time (2 arrays), 32.1-32.7 at three (4), with
+# --method both 24.1-24.7 (3) and 56.1-56.7 (7); compare 16.1-16.6 (2).
 TORUS_SAMPLE_BYTES = 9
 
 

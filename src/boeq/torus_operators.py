@@ -38,41 +38,28 @@ def check_dense_budget(n: int, arrays: float = DENSE_PEAK_ARRAYS):
                  f"dense torus operators at n = {n}", "lower the truncation n")
 
 
-def _diagonal_values(b: TorusField, n: int) -> np.ndarray:
-    """Coefficients b_hat(d) for d = -n..n, indexed by d + n.
-
-    The negative diagonals are the conjugates of the Hardy half, so the
-    Toeplitz matrix of the (real) symbol is exactly Hermitian.
-    """
-    vals = np.zeros(2 * n + 1, dtype=np.complex128)
-    top = min(n, b.max_mode)
-    pos = b.hardy[:top + 1]
-    vals[n:n + top + 1] = pos
-    vals[n - top:n] = np.conj(pos[1:][::-1])
-    return vals
-
-
 def warn_beyond_reach(b: TorusField, n: int):
     """Warn, by :class:`TruncationWarning`, when ``b`` has nonzero modes
     beyond +-2n: they cannot reach the truncation n and are ignored."""
-    if b.max_mode > 2 * n:
-        beyond = b.coeffs[np.abs(np.arange(-b.max_mode, b.max_mode + 1)) > 2 * n]
-        if np.any(np.abs(beyond) > 0):
-            warnings.warn(
-                f"symbol has nonzero modes beyond +-{2 * n}; they are ignored",
-                TruncationWarning,
-                stacklevel=4,
-            )
+    if np.any(b.hardy[2 * n + 1:] != 0):
+        warnings.warn(
+            f"symbol has nonzero modes beyond +-{2 * n}; they are ignored",
+            TruncationWarning,
+            stacklevel=4,
+        )
 
 
 def _toeplitz_view(b: TorusField, n: int) -> np.ndarray:
     """Read-only view of the Toeplitz matrix of ``b`` at truncation n, with
-    no index array or matrix allocated: window i of the 2n + 1 diagonal
-    values, reversed, holds b_hat(n - i - k) at k, which is row n - i."""
+    no index array or matrix allocated: its diagonal values b_hat(d),
+    d = -n..n, are the two-sided coefficients of ``b`` at truncation n, and
+    window i of them, reversed, holds b_hat(n - i - k) at k, which is row
+    n - i.  The negative diagonals are the conjugates of the Hardy half, so
+    the Toeplitz matrix of the (real) symbol is exactly Hermitian."""
     if n < 1:
         raise ValueError("n must be >= 1")
     warn_beyond_reach(b, n)
-    return sliding_window_view(_diagonal_values(b, n)[::-1], n + 1)[::-1]
+    return sliding_window_view(b.truncated(n).coeffs[::-1], n + 1)[::-1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -103,8 +90,7 @@ def lax_matrix(u: TorusField, n: int) -> np.ndarray:
 
 def abs_derivative_field(u: TorusField) -> TorusField:
     """Coefficient map c_k -> |k| c_k, the field |D|u."""
-    ks = np.abs(np.arange(-u.max_mode, u.max_mode + 1))
-    return TorusField(u.max_mode, u.coeffs * ks)
+    return TorusField(u.hardy * np.arange(u.max_mode + 1))
 
 
 def b_matrix(u: TorusField, n: int) -> np.ndarray:

@@ -53,6 +53,38 @@ class TestTorusCommutators:
         with pytest.raises(ConfigurationError, match="n >="):
             check_torus_commutators(u, 6)
 
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_bracket_tolerance_follows_the_largest_product(self, n):
+        # (L + I)^2 reaches about n^2, and the bracket rounds like eps times
+        # it; the tolerance is that, floored at 1e-12, which it is at n = 64
+        u = checks._random_band_field(8, 4, seed=7)
+        bracket = check_torus_commutators(u, n, label="random")[2]
+        assert bracket.passed
+        if n == 64:
+            assert bracket.tolerance == checks.FINITE_SECTION_TOL
+        else:  # the largest product is the corner of (L + I)^2 S*, about n^2
+            assert bracket.tolerance == pytest.approx(np.finfo(float).eps * n ** 2, rel=1e-3)
+
+    @pytest.mark.parametrize("band", [0, 4])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_bracket_catches_a_seeded_b_fault(self, n, band, monkeypatch):
+        # a 1e-10 relative change of one band of B_u from row n/2 on: a step
+        # along the band, which the commutator with S* sees (a uniform
+        # scaling of a whole band keeps B Toeplitz inside and is invisible)
+        real = checks.b_matrix
+
+        def faulty(u, size):
+            b = np.array(real(u, size))
+            k = np.arange(size // 2, size + 1 - band)
+            b[k, k + band] *= 1.0 + 1e-10
+            return b
+
+        monkeypatch.setattr(checks, "b_matrix", faulty)
+        u = checks._random_band_field(8, 4, seed=7)
+        bracket = check_torus_commutators(u, n, label="random")[2]
+        assert bracket.name == "torus_lax_bracket[random]"
+        assert not bracket.passed
+
 
 def lax_evolution(u0, t, dt, n, **kwargs):
     """The ``lax_evolution`` report of the one difference step dt."""
@@ -202,7 +234,7 @@ class TestInvariants:
         def bumped(runs):
             marched = real(runs)
             u = marched[0][0.5]
-            marched[0][0.5] = TorusField(u.max_mode, u.coeffs * (1.0 + 1e-6))
+            marched[0][0.5] = TorusField(u.hardy * (1.0 + 1e-6))
             return marched
 
         monkeypatch.setattr(checks, "march_runs", bumped)

@@ -92,15 +92,17 @@ class TestPresets:
 
     def test_twomode_coefficients(self):
         u = torus_preset("twomode", 4, a=1.0, b=4.0)
-        assert u.coeff(1) == pytest.approx(0.5)
-        assert u.coeff(2) == pytest.approx(-2.0j)
+        assert u.hardy[1] == pytest.approx(0.5)
+        assert u.hardy[2] == pytest.approx(-2.0j)
 
 
 def read_field_json(path):
     """The TorusField in a coefficient JSON file written by ``write_field_json``."""
     data = json.loads(Path(path).read_text())
+    n = int(data["max_mode"])
     coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-    return TorusField(int(data["max_mode"]), coeffs)
+    assert coeffs.shape == (2 * n + 1,)
+    return TorusField(coeffs[n:])
 
 
 class TestFileFormats:
@@ -111,6 +113,16 @@ class TestFileFormats:
         back = read_field_json(path)
         assert back.max_mode == 3
         np.testing.assert_array_equal(back.coeffs, u.coeffs)
+
+    def test_field_json_bytes(self, tmp_path):
+        # cos:a=2 at N = 4, every zero part +0.0 on both halves
+        path = tmp_path / "field.json"
+        write_field_json(path, torus_preset("cos", 4, a=2.0))
+        pairs = [("0.0", "0.0")] * 3 + [("1.0", "0.0"), ("0.0", "0.0"), ("1.0", "0.0")] \
+            + [("0.0", "0.0")] * 3
+        rows = ",\n".join(f"    [\n      {re},\n      {im}\n    ]" for re, im in pairs)
+        expected = '{\n  "coeffs": [\n' + rows + '\n  ],\n  "max_mode": 4\n}\n'
+        assert path.read_bytes() == expected.encode()
 
     def test_samples_csv_roundtrip(self, tmp_path):
         x = np.linspace(0, 6, 13)
@@ -634,6 +646,14 @@ class TestValidateCommand:
         assert report["reports"]
         assert all("leibniz" in r["name"] for r in report["reports"])
 
+    def test_lax_bracket_passes_at_n_256(self, tmp_path):
+        # its rounding grows like eps n^2, and so does its tolerance
+        out = tmp_path / "run"
+        assert main(["validate", "--n", "256", "--only", "torus_lax_bracket", "--out", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        assert [r["name"] for r in report["reports"]] == [
+            "torus_lax_bracket[zero]", "torus_lax_bracket[cos]", "torus_lax_bracket[random]"]
+
     def test_insufficient_margin_config_exits_2(self, tmp_path):
         # the band-4 finite-section preset needs n >= 32
         code = main(["validate", "--n", "16", "--out", str(tmp_path / "r")])
@@ -958,9 +978,10 @@ class TestSampleBudget:
 
     @pytest.mark.parametrize("argv, arrays", [
         (["solve-torus", "--n", "16", "--t", "0.01"], 2),
-        (["solve-torus", "--n", "16", "--t", "0.01", "--method", "both", "--dt", "1e-3"], 4),
-        (["compare", "--n-list", "16", "--t", "0.01", "--dt", "1e-3"], 3),
-    ], ids=["torus-one-time", "torus-both", "compare"])
+        (["solve-torus", "--n", "16", "--t", "0.01", "--method", "both", "--dt", "1e-3"], 3),
+        (["solve-torus", "--n", "16", "--t", "0.01,0.02,0.03", "--method", "both", "--dt", "1e-3"], 7),
+        (["compare", "--n-list", "16", "--t", "0.01", "--dt", "1e-3"], 2),
+    ], ids=["torus-one-time", "torus-both", "torus-both-three-times", "compare"])
     def test_estimate_covers_peak(self, tmp_path, argv, arrays):
         n_samples = 200_000
         tracemalloc.start()

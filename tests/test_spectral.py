@@ -45,40 +45,86 @@ def test_next_fast_len_is_scipys_real_length():
 class TestTorusField:
     def test_from_modes_conjugate_symmetry_exact(self):
         f = TorusField.from_modes(4, {1: 0.3 + 0.7j, 3: -0.2j})
-        assert f.coeff(-1) == np.conj(f.coeff(1))
-        assert f.coeff(-3) == np.conj(f.coeff(3))
+        c = f.coeffs
+        assert c[4 - 1] == np.conj(c[4 + 1])
+        assert c[4 - 3] == np.conj(c[4 + 3])
 
     def test_from_modes_rejects_complex_mean(self):
         with pytest.raises(InvalidFieldError):
             TorusField.from_modes(2, {0: 1.0 + 0.5j})
 
-    @pytest.mark.parametrize("case", ["asymmetric", "complex_mean", "nan"])
+    @pytest.mark.parametrize("case", ["complex_mean", "nan", "inf", "inf_mean"])
     def test_refuses_non_real(self, case):
-        c = np.zeros(5, complex)
-        if case == "asymmetric":
-            c[3] = 1.0  # k = 1 set, k = -1 missing
-        elif case == "complex_mean":
-            c[2] = 1.0 + 1e-9j
+        h = np.zeros(3, complex)
+        if case == "complex_mean":
+            h[0] = 1.0 + 1e-9j
+        elif case == "nan":
+            h[1] = np.nan
+        elif case == "inf":
+            h[2] = complex(0.0, np.inf)
         else:
-            c[1] = c[3] = np.nan
+            h[0] = np.inf
         with pytest.raises(InvalidFieldError):
-            TorusField(2, c)
+            TorusField(h)
+
+    def test_refuses_too_few_modes(self):
+        for h in ([1.0], [], [[1.0, 2.0]]):
+            with pytest.raises(ValueError):
+                TorusField(np.asarray(h, complex))
 
     def test_within_tolerance_is_stored_exactly_symmetric(self):
-        c = np.array([0.5 - 0.25j, 0.1 + 0.2j, 2.0, 0.1 - 0.2j, 0.5 + 0.25j])
-        c[3] += 0.4 * SYMMETRY_TOL * (1 + 1j)
-        c[2] += 0.4j * SYMMETRY_TOL
-        f = TorusField(2, c)
+        h = np.array([2.0 + 0.4j * SYMMETRY_TOL, 0.1 - 0.2j, 0.5 + 0.25j])
+        f = TorusField(h)
         np.testing.assert_array_equal(f.coeffs[::-1], np.conj(f.coeffs))
-        assert f.coeff(0).imag == 0.0
-        np.testing.assert_allclose(f.coeffs, c, rtol=0, atol=SYMMETRY_TOL)
+        assert f.hardy[0] == 2.0 and f.hardy[0].imag == 0.0
+        np.testing.assert_array_equal(f.hardy[1:], h[1:])
+        h[0] = 2.0 + 0.6j * SYMMETRY_TOL  # 2 |Im c_0| above the tolerance
+        with pytest.raises(InvalidFieldError):
+            TorusField(h)
 
     def test_exactly_symmetric_is_kept_bit_for_bit(self, rng):
+        # the Hardy half is stored as given, signed zeros included, and a
+        # later write to the input does not reach the field
         h = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        h[0] = h[0].real
+        h[0] = -0.0
         h[3] = -0.0 - 2.0j
-        c = np.concatenate([np.conj(h[:0:-1]), h])
-        assert TorusField(6, c).coeffs.tobytes() == c.tobytes()
+        f = TorusField(h)
+        assert f.hardy.tobytes() == h.tobytes()
+        h[1] = 9.0
+        assert f.hardy[1] != 9.0
+
+    @pytest.mark.parametrize("build", [
+        "zero", "from_modes", "from_hardy_padded", "truncated_up", "truncated_down",
+        "abs_derivative", "samples",
+    ])
+    def test_every_builder_gives_the_two_sided_real_field(self, build):
+        from boeq.torus_operators import abs_derivative_field
+
+        modes = {0: -0.75, 1: 0.3 + 0.7j, 2: -0.5j, 3: 0.25, 5: complex(-0.0, 0.125)}
+        u = TorusField.from_modes(6, modes)
+        f = {
+            "zero": lambda: TorusField.zero(5),
+            "from_modes": lambda: u,
+            "from_hardy_padded": lambda: TorusField.from_hardy([0.5, complex(0.25, -0.0), -0.0], 7),
+            "truncated_up": lambda: u.truncated(9),
+            "truncated_down": lambda: u.truncated(2),
+            "abs_derivative": lambda: abs_derivative_field(u),
+            "samples": lambda: field_from_samples(np.exp(np.sin(TWO_PI * np.arange(24) / 24))),
+        }[build]()
+        n = f.max_mode
+        c = f.coeffs
+        assert c.shape == (2 * n + 1,) and c.dtype == np.complex128
+        assert not c.flags.writeable and not f.hardy.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        assert c[n:].tobytes() == f.hardy.tobytes()
+        mirror = np.conj(f.hardy[:0:-1])
+        np.testing.assert_array_equal(c[:n], mirror)
+        # bit for bit the conjugates, with every zero part +0.0
+        assert c[:n].tobytes() == (mirror + 0.0).tobytes()
+        assert not np.any(np.signbit(c[:n].view(np.float64)[c[:n].view(np.float64) == 0]))
+        assert f.hardy[0].imag == 0.0 and not np.signbit(f.hardy[0].imag)
+        assert f.mean == f.hardy[0].real
 
     def test_hardy_is_a_read_only_view_and_mean_is_c0(self):
         f = TorusField.from_modes(3, {0: 1.25, 2: 0.5j})
@@ -116,7 +162,7 @@ class TestTorusField:
         assert f.truncated(4) is f
         wide = f.truncated(6)
         assert wide.max_mode == 6
-        assert [wide.coeff(k) for k in range(-6, 7)] == [f.coeff(k) for k in range(-6, 7)]
+        np.testing.assert_array_equal(wide.hardy, np.append(f.hardy, [0, 0]))
         narrow = f.truncated(2)
         assert narrow.max_mode == 2
         np.testing.assert_array_equal(narrow.coeffs, f.coeffs[2:7])
@@ -178,12 +224,12 @@ class TestFieldFromSamples:
     def test_cosine_modes(self):
         x = TWO_PI * np.arange(32) / 32
         f = field_from_samples(np.cos(x))
-        assert abs(f.coeff(1) - 0.5) < 1e-14
-        assert abs(f.coeff(-1) - 0.5) < 1e-14
+        assert abs(f.hardy[1] - 0.5) < 1e-14
+        assert abs(f.coeffs[f.max_mode - 1] - 0.5) < 1e-14
 
     def test_constant(self):
         f = field_from_samples(np.full(16, 3.0))
-        assert abs(f.coeff(0) - 3.0) < 1e-14
+        assert abs(f.hardy[0] - 3.0) < 1e-14
         assert np.max(np.abs(np.delete(f.coeffs, f.max_mode))) < 1e-14
 
     def test_exp_cos_against_quadrature(self):
@@ -194,7 +240,7 @@ class TestFieldFromSamples:
             re = quad(lambda s: np.exp(np.cos(s)) * np.cos(k * s), 0, TWO_PI, limit=200)[0]
             im = quad(lambda s: -np.exp(np.cos(s)) * np.sin(k * s), 0, TWO_PI, limit=200)[0]
             oracle = (re + 1j * im) / TWO_PI
-            assert abs(f.coeff(k) - oracle) < 1e-10
+            assert abs(f.hardy[k] - oracle) < 1e-10
 
     def test_nonfinite_rejected(self):
         bad = np.ones(16)

@@ -52,7 +52,7 @@ class TestStep:
         a = 1e-3
         u = TorusField.from_modes(32, {1: a})  # 2a cos x
         traj = evolve(u, 1.0, 1e-3, 32)
-        ratio = traj.final().coeff(1) / a
+        ratio = traj.final().hardy[1] / a
         assert abs(ratio - np.exp(1j * 1.0)) < 5 * a
 
     @pytest.mark.parametrize("dealias", [True, False])
