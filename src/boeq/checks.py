@@ -50,7 +50,7 @@ from .spectral import TWO_PI, TorusField, synthesize_torus
 from .timestepper import Run, conserved_quantities, march_runs, split_steps
 from .timestepper import evolve  # noqa: F401  (traced here by perfbench/spans.py)
 from .torus_operators import b_matrix, lax_matrix, shift_adjoint, toeplitz_matrix
-from .torus_solution import evolve_coefficients, propagator, reconstruct_torus
+from .torus_solution import evolve_coefficients, propagator
 
 __all__ = [
     "CheckReport",
@@ -135,15 +135,15 @@ def _answer(requests: Sequence[_Request]) -> list:
 # torus finite-section identities
 # ---------------------------------------------------------------------------
 
-def _margin_columns(n: int, m: int) -> slice:
-    if m == 0:
-        return slice(0, n + 1)
-    return slice(2 * m, n - 2 * m + 1)
+def _margin_and_first(residual: np.ndarray, cols: slice) -> float:
+    """Largest entry of ``residual`` on the margin columns and on column 0."""
+    return max(float(np.max(np.abs(residual[:, cols]))), float(np.max(np.abs(residual[:, 0]))))
 
 
 def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[CheckReport]:
     """Adjoint Leibniz rule, shift commutator of a Toeplitz operator, and
-    the bracket identity behind the flow conjugation, on margin columns.
+    the bracket identity behind the flow conjugation, on the margin columns
+    2m..n - 2m and on column 0.
 
     Requires the symbol band m to satisfy n >= 8m.
     """
@@ -151,7 +151,7 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     if n < 8 * m:
         raise ConfigurationError(f"band {m} needs n >= {8 * m} (got {n})")
     suffix = f"[{label}]" if label else ""
-    cols = _margin_columns(n, m)
+    cols = slice(2 * m, n - 2 * m + 1)
 
     s = shift_adjoint(n)
     d = np.diag(np.arange(n + 1).astype(np.complex128))
@@ -168,17 +168,16 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     hardy = u.truncated(n).hardy
     rhs = np.zeros((n + 1, n + 1), dtype=np.complex128)
     rhs[:, 0] = np.append(hardy[1:], 0.0)
-    comm_ts = s @ t - t @ s - rhs
-    res_ts = max(
-        float(np.max(np.abs(comm_ts[:, cols]))),
-        float(np.max(np.abs(comm_ts[:, 0]))),
-    )
+    res_ts = _margin_and_first(s @ t - t @ s - rhs, cols)
 
-    # [S*, B_u] = i((L_u + I)^2 S* - S* L_u^2) on margin columns.  The
-    # squares reach about n^2 on the diagonal and the residual rounds like
-    # eps times the largest product, so the tolerance is that, floored at
-    # FINITE_SECTION_TOL (the floor holds up to n = 64).  Each pair is
-    # subtracted in place, so no more than two products live at once.
+    # [S*, B_u] = i((L_u + I)^2 S* - S* L_u^2) on margin columns, where both
+    # sides vanish for any B that is Toeplitz away from the edges, and on
+    # column 0, where S* e_0 = 0 leaves S* B_u e_0 = -i S* L_u^2 e_0: the
+    # column that sees B_u's symbol.  The squares reach about n^2 on the
+    # diagonal and the residual rounds like eps times the largest product,
+    # so the tolerance is that, floored at FINITE_SECTION_TOL (the floor
+    # holds up to n = 64).  Each pair is subtracted in place, so no more
+    # than two products live at once.
     peak = lambda a: float(np.max(np.abs(a)))
     lhs, right = s @ bm, bm @ s
     scale = max(peak(lhs), peak(right))
@@ -191,7 +190,7 @@ def check_torus_commutators(u: TorusField, n: int, label: str = "") -> list[Chec
     del right
     rhs *= 1j
     lhs -= rhs
-    res_bracket = float(np.max(np.abs(lhs[:, cols])))
+    res_bracket = _margin_and_first(lhs, cols)
     tol_bracket = max(FINITE_SECTION_TOL, np.finfo(float).eps * scale)
 
     params = {"n": n, "band": m, "margin_lo": cols.start, "margin_hi": cols.stop - 1}
@@ -506,8 +505,8 @@ def _formula_vs_solver(fields: Sequence[TorusField], times: Sequence[float], dt:
     """:func:`formula_vs_solver` as a request: one run per field."""
 
     def distance(u0: TorusField, t: float, u_ref: TorusField) -> float:
-        ref = synthesize_torus(u_ref.hardy, u_ref.mean, n_samples)
-        mine = reconstruct_torus(propagator(u0, t, u0.max_mode), n_samples=n_samples)
+        ref = synthesize_torus(u_ref.hardy, n_samples)
+        mine = synthesize_torus(evolve_coefficients(propagator(u0, t, u0.max_mode)), n_samples)
         return relative_l2(mine, ref)
 
     def report(marched: list[dict[float, TorusField]]) -> list[list[float]]:

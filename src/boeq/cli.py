@@ -169,12 +169,14 @@ def _one_of(*choices: str):
 
 
 def _list_of(check):
-    """A check of a list, or a comma-separated string, item by item."""
+    """A check of a non-empty list, or comma-separated string, item by item."""
     def checked(value, name: str) -> list:
         if isinstance(value, str):
             value = [v for v in value.split(",") if v.strip()]
         if not isinstance(value, list):
             raise ConfigurationError(f"{name} must be a list or comma-separated, got {value!r}")
+        if not value:
+            raise ConfigurationError(f"{name} needs at least one value")
         return [check(v, f"each {name} value") for v in value]
     return checked
 
@@ -226,18 +228,17 @@ def _grid_samples(n_samples: int) -> np.ndarray:
 
 
 def _explicit_results(u0, times, n: int, k: int | None, n_samples: int):
-    """(coefficients, mean, samples) of the explicit formula at each time."""
+    """(coefficients, samples) of the explicit formula at each time."""
     for t in times:
-        prop = propagator(u0, t, n)
-        coeffs = evolve_coefficients(prop, k)
-        yield coeffs, prop.mean, synthesize_torus(coeffs, prop.mean, n_samples)
+        coeffs = evolve_coefficients(propagator(u0, t, n), k)
+        yield coeffs, synthesize_torus(coeffs, n_samples)
 
 
 def _spectral_results(u0, times, top: int, dt: float, n_samples: int) -> list:
-    """(coefficients 0..top, mean, samples) of the stepper at each time,
-    from one march."""
+    """(coefficients 0..top, samples) of the stepper at each time, from one
+    march."""
     (at,) = march_runs([Run(u0, times, dt)])
-    return [(f.hardy[:top + 1], f.mean, synthesize_torus(f.hardy, f.mean, n_samples))
+    return [(f.hardy[:top + 1], synthesize_torus(f.hardy, n_samples))
             for f in (at[t] for t in times)]
 
 
@@ -284,15 +285,15 @@ def cmd_solve_torus(cfg: dict, outdir: Path) -> int:
         write_matrix_csv(outdir / "lax_matrix.csv", lax_matrix(u0, n))
         write_matrix_csv(outdir / "b_matrix.csv", b_matrix(u0, n))
     if spectral is not None:
-        write_trajectory(outdir, times, [u for _, _, u in spectral], x)
+        write_trajectory(outdir, times, [u for _, u in spectral], x)
     diffs = []
-    for i, (t, (coeffs, mean, u)) in enumerate(zip(times, results)):
+    for i, (t, (coeffs, u)) in enumerate(zip(times, results)):
         tag = f"t{i:02d}"
-        write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs, mean)
+        write_solution_json(outdir / f"coeffs_{tag}.json", t, coeffs)
         write_coeff_csv(outdir / f"coeffs_{tag}.csv", coeffs)
         write_samples_csv(outdir / f"solution_{tag}.csv", x, u)
         if method == "both":
-            diffs.append({"t": t, "rel_l2": relative_l2(u, spectral[i][2])})
+            diffs.append({"t": t, "rel_l2": relative_l2(u, spectral[i][1])})
     if diffs:
         write_json(outdir / "diff_report.json", {"diffs": diffs, "n": n, "dt": dt})
     return 0
@@ -300,8 +301,6 @@ def cmd_solve_torus(cfg: dict, outdir: Path) -> int:
 
 def cmd_solve_line(cfg: dict, outdir: Path) -> int:
     times, scan, tail_tol = cfg["t"], cfg["scan"], cfg["tail_tol"]
-    if scan and not times:
-        raise ConfigurationError("--scan runs at the first time of --t; give at least one")
     nodes = scan[2] * scan[5] if scan else 0
     check_memory(LINE_POINT_BYTES * cfg["nx"] + SCAN_POINT_BYTES * nodes,
                  f"{cfg['nx']} x points and {nodes} scan points", "lower --nx or the --scan counts")

@@ -6,7 +6,8 @@ class BoeqError(Exception):
 
 
 class InvalidFieldError(BoeqError):
-    """A real field violates conjugate symmetry beyond tolerance."""
+    """A torus field has a non-finite coefficient, or a mean c_0 that is not
+    real to tolerance."""
 
 
 class IngestionError(BoeqError):

@@ -73,8 +73,9 @@ def write_coeff_csv(path: Path, coeffs: np.ndarray):
     _write_columns(path, ["k", "re", "im"], np.arange(c.size), c.real, c.imag)
 
 
-def write_solution_json(path: Path, t: float, coeffs: np.ndarray, mean: float):
-    write_json(Path(path), {"t": t, "coeffs": _pairs(coeffs), "mean": mean})
+def write_solution_json(path: Path, t: float, coeffs: np.ndarray):
+    """Time, Hardy coefficients (c_0, ..., c_K) and the mean Re c_0."""
+    write_json(Path(path), {"t": t, "coeffs": _pairs(coeffs), "mean": float(coeffs[0].real)})
 
 
 def write_samples_csv(path: Path, x: np.ndarray, u: np.ndarray):

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   (:class:`InvalidFieldError`); the negative modes exist only in the
   derived two-sided ``TorusField.coeffs``, so there is no symmetry to
   check or repair.  :func:`synthesize_torus`, the operators and the
-  propagator take the Hardy half as it is.
+  propagator take the Hardy half as it is, and read the mean from c_0:
+  no mean is passed or stored beside a Hardy half.
 - On the line, spectra are sampled on the half-line frequency grid
   ``xi_j = j*h``, ``j = 0..M`` (``line_operators.HalfLineSpectrum``).
 - Dense torus operators are plain read-only arrays, exactly Hermitian or
@@ -253,22 +254,20 @@ def next_fast_len(target: int) -> int:
 TORUS_SAMPLE_BYTES = 9
 
 
-def synthesize_torus(hardy: np.ndarray, mean: float, n_samples: int) -> np.ndarray:
-    """Samples of ``p + conj(p) - mean`` on the uniform grid of [0, 2pi),
-    where ``p`` has the Hardy coefficients ``hardy`` = (c_0, ..., c_N).
+def synthesize_torus(hardy: np.ndarray, n_samples: int) -> np.ndarray:
+    """Samples of ``p + conj(p) - Re c_0`` on the uniform grid of [0, 2pi),
+    where ``p`` has the Hardy coefficients ``hardy`` = (c_0, ..., c_N): the
+    real field whose mean is Re c_0.
 
-    ``mean`` is the conserved zeroth coefficient of the underlying real field.
-    One real inverse FFT of the Hardy half, whose zeroth entry is
-    ``2 Re c_0 - mean``; the result is a fresh float64 array.
+    One real inverse FFT of the Hardy half, which reads only Re c_0; the
+    result is a fresh float64 array.
     """
-    p = np.array(hardy, dtype=np.complex128)
-    n_modes = p.size - 1
+    n_modes = len(hardy) - 1
     if n_samples < 2 * n_modes + 1:
         raise ValueError(
             f"need at least {2 * n_modes + 1} samples to resolve {n_modes} modes"
         )
-    p[0] = 2.0 * p[0].real - mean
-    return np.fft.irfft(p, n_samples, norm="forward")
+    return np.fft.irfft(hardy, n_samples, norm="forward")
 
 
 def uniform_spacing(x: np.ndarray) -> float:

@@ -109,8 +109,7 @@ class _Stepper:
     ``dt`` (a column) and the integrating factors hold one row per row.
 
     The transform and stage buffers, and the tables derived from those
-    above, are made when a step first runs on the grid of ``pad`` points
-    and reused by every step after.
+    above, are made once and reused by every step.
     """
 
     def __init__(self, ns: Sequence[int], dts: Sequence[float] | float):
@@ -125,14 +124,6 @@ class _Stepper:
         sym = 1j * k * k
         self.e_half = np.exp(sym * self.dt / 2.0)
         self.e_full = self.e_half * self.e_half
-        self._pad = None
-
-    def _prepare(self):
-        """Make the buffers and derived tables for the grid of ``pad`` points
-        unless the last step already did."""
-        if self._pad == self.pad:
-            return
-        self._pad = self.pad
         rows, m = self.e_half.shape
         self._grid = np.empty((rows, self.pad))
         self._spectrum = np.empty((rows, self.pad // 2 + 1), dtype=np.complex128)
@@ -151,7 +142,6 @@ class _Stepper:
         """-ik * (u^2)_k, k = 0..cut, from modes 0..cut of each row of c
         (exact padded product; modes of c above the cut are not read),
         written into ``out`` when given."""
-        self._prepare()
         m, grid, spectrum = self.cut + 1, self._grid, self._spectrum
         np.fft.irfft(c[:, :m], self.pad, norm="forward", out=grid)  # zero-pads
         np.multiply(grid, grid, out=grid)
@@ -161,7 +151,6 @@ class _Stepper:
     def step(self, c: np.ndarray) -> np.ndarray:
         """One IF-RK4 step of the cut + 1 retained modes of each row, as a
         new array; c itself is left as it is."""
-        self._prepare()
         eh, ef, half_dt = self.e_half, self.e_full, self._half_dt
         ehc, efc, s, k1, k2, k3, k4 = self._stages
         np.multiply(eh, c, out=ehc)
@@ -352,9 +341,8 @@ def conserved_quantities(u: TorusField) -> dict[str, float]:
     """
     n = u.max_mode
     ks = np.abs(np.arange(-n, n + 1))
-    mean = u.mean
     l2sq = float(np.sum(np.abs(u.coeffs) ** 2))
-    grid = synthesize_torus(u.hardy, mean, next_fast_len(3 * n + 1))
+    grid = synthesize_torus(u.hardy, next_fast_len(3 * n + 1))
     cubic = float(np.mean(grid ** 3))
     energy = 0.5 * float(np.sum(ks * np.abs(u.coeffs) ** 2)) - cubic / 3.0
-    return {"mean": mean, "l2sq": l2sq, "energy": energy}
+    return {"mean": u.mean, "l2sq": l2sq, "energy": energy}

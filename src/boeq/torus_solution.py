@@ -41,7 +41,7 @@ from .spectral import (
     EigenSystem,
     TorusField,
     hermitian_evolution,  # noqa: F401  (traced here by perfbench/spans.py)
-    synthesize_torus,
+    synthesize_torus,  # noqa: F401  (traced here by perfbench/spans.py)
 )
 from .torus_operators import lax_matrix, warn_beyond_reach
 from .torus_operators import shift_adjoint  # noqa: F401  (traced here by perfbench/spans.py)
@@ -51,7 +51,6 @@ __all__ = [
     "propagator",
     "evolve_coefficients",
     "evaluate_disc",
-    "reconstruct_torus",
 ]
 
 TAIL_WARN = 1e-8
@@ -133,8 +132,7 @@ class TorusPropagator:
     """
 
     t: float
-    p0: np.ndarray  # the Hardy half (c_0, ..., c_N) of u0 at truncation N
-    mean: float
+    p0: np.ndarray  # the Hardy half (c_0, ..., c_N) of u0 at truncation N; c_0 is the mean
     matrix: np.ndarray  # V* M V = exp(it) exp(2it Lambda) W
     eigenvectors: np.ndarray  # V, with L_{u0} = V Lambda V*
     w0: np.ndarray  # V* Pu0
@@ -204,7 +202,6 @@ def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
     return TorusPropagator(
         t=t,
         p0=u0.truncated(n).hardy,
-        mean=u0.mean,
         matrix=spectral._flush_tiny(phases[:, None] * basis.step),
         eigenvectors=basis.system.eigenvectors,
         w0=basis.start,
@@ -212,7 +209,8 @@ def propagator(u0: TorusField, t: float, n: int) -> TorusPropagator:
 
 
 def evolve_coefficients(prop: TorusPropagator, n_coeffs: int | None = None) -> np.ndarray:
-    """Hardy coefficients uhat(t, k), k = 0..K, via the power recurrence.
+    """Hardy coefficients uhat(t, k), k = 0..K, via the power recurrence;
+    uhat(t, 0) is c_0 of u0, the conserved mean, bit for bit.
 
     K defaults to N/2; each application of the shift consumes one mode of
     headroom, and a truncation warning fires if the iterate ``V w`` keeps
@@ -288,17 +286,3 @@ def evaluate_disc(prop: TorusPropagator, z: complex) -> complex:
     if not cmath.isfinite(value):
         raise ConditioningError("disc power series is not finite", abs(value))
     return value
-
-
-def reconstruct_torus(
-    prop: TorusPropagator,
-    n_coeffs: int | None = None,
-    n_samples: int = 512,
-) -> np.ndarray:
-    """Real samples of u(t, .) on the uniform grid of [0, 2pi).
-
-    Synthesizes ``Pu + conj(Pu) - mean`` from the recurrence coefficients
-    by :func:`spectral.synthesize_torus`, a real inverse FFT.
-    """
-    coeffs = evolve_coefficients(prop, n_coeffs)
-    return synthesize_torus(coeffs, prop.mean, n_samples)

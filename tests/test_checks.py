@@ -24,7 +24,7 @@ from boeq.line_operators import (
 from boeq.presets import line_preset, torus_preset
 from boeq.spectral import TorusField
 from boeq.timestepper import Run, evolve, march_runs
-from boeq.torus_operators import lax_matrix
+from boeq.torus_operators import lax_matrix, toeplitz_matrix
 from boeq.torus_solution import evolve_coefficients, propagator
 
 from conftest import step_counter, wave_datum
@@ -84,6 +84,33 @@ class TestTorusCommutators:
         bracket = check_torus_commutators(u, n, label="random")[2]
         assert bracket.name == "torus_lax_bracket[random]"
         assert not bracket.passed
+
+    @pytest.mark.parametrize("fault", ["doubled_band_1", "no_abs_derivative_term"])
+    @pytest.mark.parametrize("label", ["cos", "random"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_bracket_catches_a_wrong_symbol(self, n, label, fault, monkeypatch):
+        # B_u Toeplitz away from the edges makes both sides vanish on the
+        # margin columns whatever its symbol; column 0, where
+        # S* B_u e_0 = -i S* L_u^2 e_0, sees it
+        real = checks.b_matrix
+
+        def faulty(u, size):
+            if fault == "no_abs_derivative_term":
+                t = toeplitz_matrix(u, size)
+                return -1j * (t @ t)
+            b = np.array(real(u, size))
+            k = np.arange(size)
+            b[k + 1, k] *= 2.0
+            b[k, k + 1] *= 2.0
+            return b
+
+        u = (torus_preset("cos", 4, a=2.0) if label == "cos"
+             else checks._random_band_field(8, 4, seed=7))
+        assert check_torus_commutators(u, n, label=label)[2].passed
+        monkeypatch.setattr(checks, "b_matrix", faulty)
+        bracket = check_torus_commutators(u, n, label=label)[2]
+        assert bracket.name == f"torus_lax_bracket[{label}]"
+        assert bracket.residual > 1e-2 and not bracket.passed
 
 
 def lax_evolution(u0, t, dt, n, **kwargs):

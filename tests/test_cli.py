@@ -230,6 +230,18 @@ class TestSolveTorusCommand:
             _, u = read_samples_csv(out / f"solution_{tag}.csv")
             np.testing.assert_allclose(u, 1.5, atol=1e-10)
 
+    @pytest.mark.parametrize("method", ["explicit", "spectral"])
+    def test_solution_mean_is_c0(self, tmp_path, method):
+        # c_0 carries the mean: each coeffs JSON writes it as its own entry
+        out = tmp_path / "run"
+        assert main(["solve-torus", "--preset", "wave:q=0.3,b=0.7", "--n", "16", "--dt", "1e-3",
+                     "--t", "0.2,0.05", "--method", method, "--samples", "64",
+                     "--out", str(out)]) == 0
+        for tag in ("t00", "t01"):
+            solution = json.loads((out / f"coeffs_{tag}.json").read_text())
+            assert solution["mean"] == solution["coeffs"][0][0] == 0.7
+            assert solution["coeffs"][0][1] == 0.0
+
     def test_method_both_writes_diff_report(self, tmp_path):
         out = tmp_path / "run"
         code = main(["solve-torus", "--preset", "cos", "--n", "64", "--dt", "5e-4",
@@ -1174,6 +1186,39 @@ class TestInvalidNumericFlags:
                      "--t", "0.1", "--out", str(out)]) == 0
         n = json.loads((out / "manifest.json").read_text())["config"]["n"]
         assert n == 16 and isinstance(n, int)
+
+
+class TestEmptyLists:
+    """A list option with no value exits 2, from a flag or a config file,
+    before anything is computed or written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--t="],
+        ["compare", "--n-list="],
+        ["compare", "--t", ","],
+        ["solve-torus", "--t=", "--method", "both"],
+        ["solve-torus", "--t="],
+        ["solve-line", "--t="],
+    ], ids=["compare-t", "compare-n-list", "compare-t-commas", "torus-both-t", "torus-t",
+            "line-t"])
+    def test_empty_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,config", [
+        ("solve-torus", {"t": []}),
+        ("compare", {"n_list": []}),
+        ("solve-line", {"t": ""}),
+    ], ids=["torus-t", "compare-n-list", "line-t-string"])
+    def test_empty_config_value_exits_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy_fft():

@@ -188,35 +188,45 @@ class TestProjectHardy:
 class TestSynthesize:
     def test_single_mode_gives_cosine(self):
         x = TWO_PI * np.arange(16) / 16
-        np.testing.assert_allclose(synthesize_torus(np.array([0, 1, 0]), 0.0, 16), 2 * np.cos(x),
+        np.testing.assert_allclose(synthesize_torus(np.array([0, 1, 0]), 16), 2 * np.cos(x),
                                    atol=1e-13)
 
     def test_constant(self):
-        np.testing.assert_allclose(synthesize_torus(np.array([1.5, 0, 0]), 1.5, 8), np.full(8, 1.5),
+        np.testing.assert_allclose(synthesize_torus(np.array([1.5, 0, 0]), 8), np.full(8, 1.5),
                                    atol=1e-14)
 
     def test_returns_float64_that_owns_its_data(self):
         # a view of a complex buffer would hold 16 bytes per sample
-        samples = synthesize_torus(np.array([0.5, 1 - 2j, 0.25j]), 0.5, 64)
+        samples = synthesize_torus(np.array([0.5, 1 - 2j, 0.25j]), 64)
         assert samples.dtype == np.float64
         assert samples.base is None and samples.flags.owndata
         assert samples.nbytes == 8 * 64
+
+    def test_reads_only_the_real_part_of_c0(self):
+        # c_0 carries the mean; the real inverse FFT drops Im c_0
+        hardy = np.array([0.5, 1 - 2j, 0.25j])
+        tilted = hardy + np.array([3e-3j, 0, 0])
+        np.testing.assert_array_equal(synthesize_torus(tilted, 64), synthesize_torus(hardy, 64))
+
+    def test_refuses_too_few_samples(self):
+        with pytest.raises(ValueError, match="at least 5 samples"):
+            synthesize_torus(np.array([0.5, 1, 0.25]), 4)
 
     def test_roundtrip_random_field(self, rng):
         n = 12
         modes = {k: rng.standard_normal() + 1j * rng.standard_normal() for k in range(1, n + 1)}
         modes[0] = rng.standard_normal()
         u = TorusField.from_modes(n, modes)
-        samples = synthesize_torus(u.hardy, u.mean, 64)
+        samples = synthesize_torus(u.hardy, 64)
         back = field_from_samples(samples, max_mode=n)
         assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
 
     def test_roundtrip_on_band_limited_samples(self, rng):
         # band-limit first: 40 samples can only carry modes |k| <= 19
         raw = field_from_samples(rng.standard_normal(40))
-        samples = synthesize_torus(raw.hardy, raw.mean, 40)
+        samples = synthesize_torus(raw.hardy, 40)
         f = field_from_samples(samples)
-        again = synthesize_torus(f.hardy, f.mean, 40)
+        again = synthesize_torus(f.hardy, 40)
         np.testing.assert_allclose(again, samples, atol=1e-12)
 
 

@@ -17,7 +17,6 @@ from boeq.torus_solution import (
     evaluate_disc,
     evolve_coefficients,
     propagator,
-    reconstruct_torus,
 )
 
 from conftest import rel_l2, wave_datum, wave_hardy, wave_speed
@@ -161,7 +160,7 @@ class TestEigenMemo:
         from boeq.torus_solution import TorusPropagator
 
         assert [f.name for f in fields(TorusPropagator)] == [
-            "t", "p0", "mean", "matrix", "eigenvectors", "w0"]
+            "t", "p0", "matrix", "eigenvectors", "w0"]
         prop = propagator(cos_field(16), 0.9, 16)
         assert prop.matrix.shape == prop.eigenvectors.shape == (17, 17)
         # the shared factors cannot be changed through one propagator
@@ -201,10 +200,12 @@ class TestCoefficients:
         assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.3)
 
     def test_mean_component_constant(self):
-        u = cos_field(32)
-        for t in (0.1, 0.7, 2.0):
+        # c_0 is the only carrier of the mean, to the bit: synthesis and the
+        # solution files read it from uhat(t, 0)
+        u = TorusField.from_modes(32, {0: 1.0 / 3.0, 1: 0.4, 2: 0.1 - 0.2j})
+        for t in (0.1, 0.7, 2.0, -1.3):
             coeffs = evolve_coefficients(propagator(u, t, 32))
-            assert abs(coeffs[0] - u.mean) < 1e-10
+            assert coeffs[0] == u.mean and coeffs[0].imag == 0.0
 
     def test_truncation_warning_when_headroom_exhausted(self):
         from boeq.errors import TruncationWarning
@@ -429,7 +430,7 @@ class TestDiscSeries:
 class TestReconstruct:
     def test_time_zero_reproduces_datum(self):
         u = TorusField.from_modes(64, {1: 0.5, 3: 0.2j})
-        samples = reconstruct_torus(propagator(u, 0.0, 64), n_samples=256)
+        samples = synthesize_torus(evolve_coefficients(propagator(u, 0.0, 64)), 256)
         x = TWO_PI * np.arange(256) / 256
         expected = np.cos(x) + 2 * np.real(0.2j * np.exp(3j * x))
         np.testing.assert_allclose(samples, expected, atol=1e-10)
@@ -437,14 +438,14 @@ class TestReconstruct:
     def test_constant_is_fixed_point(self):
         u = TorusField.from_modes(8, {0: 1.1})
         for t in (0.3, 1.5):
-            samples = reconstruct_torus(propagator(u, t, 8), n_samples=32)
+            samples = synthesize_torus(evolve_coefficients(propagator(u, t, 8)), 32)
             np.testing.assert_allclose(samples, np.full(32, 1.1), atol=1e-10)
 
     def test_matches_time_stepper(self):
         u = cos_field(64)
-        mine = reconstruct_torus(propagator(u, 0.3, 64), n_samples=256)
+        mine = synthesize_torus(evolve_coefficients(propagator(u, 0.3, 64)), 256)
         ref_field = evolve(u, 0.3, 5e-4, 64).final()
-        ref = synthesize_torus(ref_field.hardy, 0.0, 256)
+        ref = synthesize_torus(ref_field.hardy, 256)
         assert rel_l2(mine, ref) < 1e-6
 
     def test_l2_mass_conserved_by_formula(self):
@@ -459,8 +460,8 @@ class TestReconstruct:
         u0 = cos_field(64)
         t1, t2 = 0.2, 0.3
         u1 = evolve(u0, t1, 5e-4, 64).final()
-        direct = reconstruct_torus(propagator(u0, t1 + t2, 64), n_samples=256)
-        restart = reconstruct_torus(propagator(u1, t2, 64), n_samples=256)
+        direct = synthesize_torus(evolve_coefficients(propagator(u0, t1 + t2, 64)), 256)
+        restart = synthesize_torus(evolve_coefficients(propagator(u1, t2, 64)), 256)
         assert rel_l2(restart, direct) < 1e-6
 
     def test_long_horizon(self):
